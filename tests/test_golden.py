@@ -1,0 +1,90 @@
+"""Golden byte tests: SHA-256 of CLI outputs on a small synthetic set.
+
+The digests were taken from the reference implementation (per-sequence
+latent assignment and one model object per SGD step). Any refactor of
+training, scoring, parsing or preprocessing must reproduce these files
+byte for byte; a digest may change only in a change that says which
+bytes change and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import pytest
+
+from lomo.cli import main
+
+SYNTH = [
+    "--d", "5", "--n", "20", "--m-true", "3", "--noise-sigma", "0.3",
+    "--min-gap", "2", "--pos", "12", "--neg", "12", "--neg-mode", "shuffled",
+    "--seed", "5",
+]
+
+# output name -> argv after "--manifest <manifest>"; {out} and {dir} are filled in
+COMMANDS = {
+    "lomo_m3_gradient.lomo": [
+        "train", "--positive-label", "pos", "--variant", "lomo", "--templates", "3",
+        "--exclusion-t", "1", "--max-iter", "2000", "--seed", "1", "--out", "{out}",
+    ],
+    "lomo_m5_literal.lomo": [
+        "train", "--positive-label", "pos", "--variant", "lomo", "--templates", "5",
+        "--exclusion-t", "1", "--max-iter", "2000", "--cost-update", "literal",
+        "--seed", "2", "--out", "{out}",
+    ],
+    "mil.lomo": [
+        "train", "--positive-label", "pos", "--variant", "mil", "--exclusion-t", "2",
+        "--max-iter", "1000", "--seed", "3", "--out", "{out}",
+    ],
+    "svm_max.lomo": [
+        "train", "--positive-label", "pos", "--variant", "svm-max",
+        "--max-iter", "1000", "--seed", "4", "--out", "{out}",
+    ],
+    "fusion_predict.csv": [
+        "predict", "--model", "{dir}/lomo_m3_gradient.lomo",
+        "--model", "{dir}/lomo_m5_literal.lomo", "--exclusion-t", "1", "--out", "{out}",
+    ],
+    "l2_pca_kfold_cv.csv": [
+        "cv", "--scheme", "kfold", "--folds", "3", "--metric", "auc",
+        "--positive-label", "pos", "--variant", "lomo", "--templates", "2",
+        "--exclusion-t", "1", "--l2", "--pca-dim", "3", "--max-iter", "500",
+        "--seed", "6", "--out", "{out}",
+    ],
+}
+
+GOLDEN_SHA256 = {
+    "lomo_m3_gradient.lomo":
+        "3a4b15bce5d3a288239f890083e412a0b01fa1e9c89fe13d71744cfcae08d581",
+    "lomo_m5_literal.lomo":
+        "980cc0956d0733696bbefac62e588e841a4002d3f5dd859b137e0ed405e70237",
+    "mil.lomo":
+        "8060691595f3f32ffb9d0972f598ef1d44b900739e418402063f6bbde1d1ee53",
+    "svm_max.lomo":
+        "403a0bbb5fb61d2493603abdbf901067159f7b457d2d3b28403b9c47c1931412",
+    "fusion_predict.csv":
+        "abee72925cb0eefdad2bb02d5c59ce9e4e41256723f90b4e55e378c0e74f38f0",
+    "l2_pca_kfold_cv.csv":
+        "a9c3f786d9fbbf312cdd58da3c00f990ccc79959b9de38e85acb566539cf3bcb",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    data = str(work / "data")
+    assert main(["synth", "--out", data, *SYNTH]) == 0
+    manifest = os.path.join(data, "manifest.csv")
+    digests = {}
+    for name, template in COMMANDS.items():  # models first: predict reads them
+        out = str(work / name)
+        argv = [a.format(out=out, dir=work) for a in template]
+        assert main([argv[0], "--manifest", manifest, *argv[1:]]) == 0, name
+        with open(out, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_output_bytes_match_golden_digest(outputs, name):
+    assert outputs[name] == GOLDEN_SHA256[name]
