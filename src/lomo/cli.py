@@ -23,7 +23,7 @@ from .data import (
     read_sequence,
 )
 from .evaluation import format_cv_results, run_cv
-from .inference import InferenceConfig, fuse_scores, latent_assign, score
+from .inference import InferenceConfig, assign_batch, fuse_scores, score_sequences
 from .model import load_model, save_model
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
@@ -86,7 +86,7 @@ def _add_train_flags(sub) -> None:
 def _load_training_sequences(manifest, cfg: TrainConfig):
     pairs = []
     for rec in manifest.records:
-        seq = read_sequence(rec.path, rec.id)
+        seq = manifest.sequences[rec.id]
         if cfg.variant == "svm_pool":
             seq = pooled_sequence(seq, cfg.pooling)
         pairs.append((rec, seq))
@@ -161,12 +161,13 @@ def _cmd_predict(args) -> int:
     models = [load_model(p) for p in args.model]
     manifest = parse_manifest(args.manifest)
     icfg = InferenceConfig(exclusion_t=args.exclusion_t)
+    seqs = [manifest.sequences[rec.id] for rec in manifest.records]
+    if args.pool != "none":
+        seqs = [pooled_sequence(seq, args.pool) for seq in seqs]
+    per_model = [score_sequences(m, seqs, icfg).tolist() for m in models]
     lines = ["id,score,decision"]
-    for rec in manifest.records:
-        seq = read_sequence(rec.path, rec.id)
-        if args.pool != "none":
-            seq = pooled_sequence(seq, args.pool)
-        fused = fuse_scores([score(m, seq, icfg) for m in models])
+    for k, rec in enumerate(manifest.records):
+        fused = fuse_scores([scores[k] for scores in per_model])
         decision = 1 if fused > 0 else -1
         lines.append(f"{rec.id},{format_float(fused)},{decision}")
     _write_text("\n".join(lines) + "\n", args.out)
@@ -199,15 +200,16 @@ def _cmd_report(args) -> int:
     _echo("report", [("exclusion_t", args.exclusion_t)])
     model = load_model(args.model)
     seq = read_sequence(args.sequence)
-    assign = latent_assign(model, seq, InferenceConfig(exclusion_t=args.exclusion_t))
+    assign = assign_batch(model, [seq], InferenceConfig(exclusion_t=args.exclusion_t))
     n = seq.num_frames
     lines = ["template,frame_index,percentile,template_score"]
-    for i, (k, s) in enumerate(zip(assign.chosen, assign.template_scores), start=1):
+    chosen = assign.chosen[0].tolist()
+    for i, (k, s) in enumerate(zip(chosen, assign.template_scores[0].tolist()), start=1):
         percentile = math.floor(100.0 * k / n + 0.5)
         lines.append(f"{i},{k},{percentile},{format_float(s)}")
-    lines.append(f"perm_index,{assign.perm}")
-    lines.append(f"ordering_cost,{format_float(assign.ordering_cost)}")
-    lines.append(f"total_score,{format_float(assign.total)}")
+    lines.append(f"perm_index,{assign.perm[0]}")
+    lines.append(f"ordering_cost,{format_float(assign.ordering_cost[0])}")
+    lines.append(f"total_score,{format_float(assign.total[0])}")
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,4 +1,4 @@
-"""Deterministic randomness and small dense-vector helpers.
+"""Deterministic randomness, input coercion and float formatting.
 
 Everything downstream (training, folds, synthetic data) draws randomness
 through :class:`Rng` so that a run is a pure function of its seeds.
@@ -23,30 +23,13 @@ def as_vector(values, *, what: str = "vector") -> np.ndarray:
     return v
 
 
-def dot(u, v) -> float:
-    """Inner product of two equal-length vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise LomoError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
-    return float(np.dot(u, v))
-
-
-def blend(w, a: float, x, b: float) -> np.ndarray:
-    """Elementwise a*w + b*x for equal-length vectors."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape != x.shape:
-        raise LomoError(f"dimension mismatch: {w.shape[-1]} vs {x.shape[-1]}")
-    return a * w + b * x
-
-
 class Rng:
-    """Seeded PCG64 stream with deterministic child-stream derivation.
+    """Seeded PCG64 stream.
 
     The same (seed, spawn_key) pair always yields the identical stream on
-    any platform; child streams are independent and reproducible, so
-    parallel work (folds, one-vs-all classes) never shares a generator.
+    any platform; distinct spawn keys give independent, reproducible
+    streams. Folds and one-vs-all classes get their own seeds from
+    `child_seed`, so parallel work never shares a generator.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -71,13 +54,15 @@ class Rng:
             raise LomoError(f"randint needs n >= 1, got {n}")
         return int(self._gen.integers(n))
 
+    def integers(self, n: int, size: int) -> np.ndarray:
+        """`size` uniform integers in [0, n), the stream of `size` randint calls."""
+        if n < 1:
+            raise LomoError(f"integers needs n >= 1, got {n}")
+        return self._gen.integers(n, size=size)
+
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n)."""
         return self._gen.permutation(n)
-
-    def child(self, index: int) -> "Rng":
-        """Independent stream number `index` derived from this seed."""
-        return Rng(self.seed, self.spawn_key + (int(index),))
 
 
 def child_seed(seed: int, index: int) -> int:

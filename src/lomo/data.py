@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,17 @@ MANIFEST_HEADER = "id,label,group,path"
 
 
 def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
-    """Parse a headerless numeric CSV into a FrameSequence."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a headerless numeric CSV into a FrameSequence.
+
+    A UTF-8 byte-order mark and trailing blank lines are ignored.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
     rows = []
     width = None
-    for row_no, line in enumerate(text.splitlines(), start=1):
+    for row_no, line in enumerate(lines, start=1):
         cells = line.split(",")
         if width is None:
             width = len(cells)
@@ -75,8 +80,15 @@ class ManifestRecord:
 
 @dataclass
 class DatasetManifest:
+    """Manifest records, plus each record's frames keyed by record id.
+
+    parse_manifest reads every sequence file once to check d and keeps the
+    frames, so no caller reads a sequence file a second time.
+    """
+
     records: list[ManifestRecord]
     dim: int
+    sequences: dict[str, FrameSequence] = field(default_factory=dict)
 
     @property
     def classes(self) -> list[str]:
@@ -91,15 +103,18 @@ class DatasetManifest:
 
 
 def parse_manifest(path) -> DatasetManifest:
-    """Read and validate a manifest; every referenced sequence must share d."""
+    """Read and validate a manifest; every referenced sequence must share d.
+
+    A UTF-8 byte-order mark and empty lines are ignored.
+    """
     base = os.path.dirname(os.path.abspath(str(path)))
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MANIFEST_HEADER:
         got = lines[0] if lines else ""
         raise LomoError(f"{path}: expected header {MANIFEST_HEADER!r}, got {got!r}")
     records: list[ManifestRecord] = []
-    seen: set[str] = set()
+    sequences: dict[str, FrameSequence] = {}
     dim = None
     for row_no, line in enumerate(lines[1:], start=2):
         if not line:
@@ -110,9 +125,8 @@ def parse_manifest(path) -> DatasetManifest:
         rec_id, label, group, rel_path = (c.strip() for c in cells)
         if not rec_id or not label:
             raise LomoError(f"{path}: row {row_no}: empty id or label")
-        if rec_id in seen:
+        if rec_id in sequences:
             raise LomoError(f"{path}: duplicate id {rec_id!r} at row {row_no}")
-        seen.add(rec_id)
         seq_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
         if not os.path.isfile(seq_path):
             raise LomoError(f"{path}: record {rec_id!r}: missing sequence file {rel_path!r}")
@@ -124,13 +138,10 @@ def parse_manifest(path) -> DatasetManifest:
                 f"{path}: record {rec_id!r}: dimension {seq.dim} differs from {dim}"
             )
         records.append(ManifestRecord(rec_id, label, group, seq_path))
+        sequences[rec_id] = seq
     if not records:
         raise LomoError(f"{path}: manifest lists no records")
-    return DatasetManifest(records, dim)
-
-
-def load_sequences(manifest: DatasetManifest) -> dict[str, FrameSequence]:
-    return {r.id: read_sequence(r.path, r.id) for r in manifest.records}
+    return DatasetManifest(records, dim, sequences)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +488,11 @@ def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
     records, _ = synth_records(spec)
     os.makedirs(out_dir, exist_ok=True)
     manifest_rows = []
+    sequences = {}
     for rec in records:
         rel = f"seq_{rec.id}.csv"
-        write_sequence(FrameSequence(rec.frames, id=rec.id), os.path.join(out_dir, rel))
+        sequences[rec.id] = FrameSequence(rec.frames, id=rec.id)
+        write_sequence(sequences[rec.id], os.path.join(out_dir, rel))
         manifest_rows.append(f"{rec.id},{rec.label},{rec.group},{rel}")
     manifest_path = os.path.join(out_dir, "manifest.csv")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -508,4 +521,5 @@ def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
             for rec in records
         ],
         dim=spec.dim,
+        sequences=sequences,
     )

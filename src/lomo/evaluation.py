@@ -22,10 +22,9 @@ from .data import (
     PreprocessConfig,
     apply_preprocess,
     fit_preprocess,
-    load_sequences,
     pooled_sequence,
 )
-from .inference import ova_predict, score
+from .inference import ova_predict, score_sequences
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
 METRICS = ("acc", "auc", "eer")
@@ -139,7 +138,8 @@ def _binary_fold_value(
     model = train(train_data, cfg)
     icfg = cfg.inference_config()
     truths = [1 if r.label == positive_label else -1 for r in test_recs]
-    values = [score(model, _prepared(seqs[r.id], fitted, cfg), icfg) for r in test_recs]
+    test_seqs = [_prepared(seqs[r.id], fitted, cfg) for r in test_recs]
+    values = score_sequences(model, test_seqs, icfg).tolist()
     if metric == "acc":
         preds = [1 if v > 0 else -1 for v in values]
         try:
@@ -197,7 +197,7 @@ def run_cv(
             raise LomoError("binary cross-validation needs a positive_label")
         if positive_label not in classes:
             raise LomoError(f"positive_label {positive_label!r} not among classes {classes}")
-    seqs = load_sequences(manifest)
+    seqs = manifest.sequences
     by_id = manifest.by_id()
     values = []
     for fold_no, fold in enumerate(plan.folds):

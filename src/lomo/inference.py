@@ -4,6 +4,11 @@ Templates pick frames one at a time in fixed order; each pick removes a
 window of neighboring frames from later picks. The ordering cost of the
 realized rank pattern is added to the mean template score afterwards, so
 the greedy choice itself never sees the cost table.
+
+`assign_batch` is the scoring kernel: it assigns a (B, N, d) stack of
+equal-length sequences at once, and `score_sequences` feeds it bounded
+blocks of any mix of lengths. `latent_assign` is the per-sequence
+reference (oracle) that tests hold the kernel to, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LomoError
-from .model import LomoModel, perm_index, rank_pattern
+from .model import LomoModel, PermTable, perm_index, rank_pattern
 
 
 @dataclass
@@ -24,7 +29,8 @@ class FrameSequence:
     id: str = ""
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        # C order: a matvec's rounding depends on the memory layout
+        self.frames = np.asarray(self.frames, dtype=np.float64, order="C")
         if self.frames.ndim != 2:
             raise LomoError(
                 f"sequence {self.id or '<unnamed>'}: frames must be (N, d), "
@@ -64,13 +70,28 @@ class LatentAssignment:
     total: float
 
 
-def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> LatentAssignment:
-    """Greedy per-template argmax with closed exclusion window [k-t, k+t]."""
+def _check_dim(model: LomoModel, seq: FrameSequence) -> None:
     if model.dim != seq.dim:
         raise LomoError(
             f"dimension mismatch: model d={model.dim}, sequence "
             f"{seq.id or '<unnamed>'} d={seq.dim}"
         )
+
+
+def _too_short(seq: FrameSequence, m: int, t: int) -> LomoError:
+    return LomoError(
+        f"sequence too short for M,t: N={seq.num_frames} frames cannot supply "
+        f"M={m} picks with exclusion_t={t}"
+        + (f" (sequence {seq.id})" if seq.id else "")
+    )
+
+
+def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> LatentAssignment:
+    """Greedy per-template argmax with closed exclusion window [k-t, k+t].
+
+    The reference implementation; scoring runs through `assign_batch`.
+    """
+    _check_dim(model, seq)
     n = seq.num_frames
     m = model.num_templates
     t = cfg.exclusion_t
@@ -79,11 +100,7 @@ def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) ->
     scores: list[float] = []
     for i in range(m):
         if not alive.any():
-            raise LomoError(
-                f"sequence too short for M,t: N={n} frames cannot supply "
-                f"M={m} picks with exclusion_t={t}"
-                + (f" (sequence {seq.id})" if seq.id else "")
-            )
+            raise _too_short(seq, m, t)
         row = seq.frames @ model.templates[i]
         masked = np.where(alive, row, -np.inf)
         f = int(np.argmax(masked))  # first occurrence = lowest frame index
@@ -102,9 +119,89 @@ def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) ->
     )
 
 
+@dataclass(frozen=True)
+class BatchAssignment:
+    """Assignments of B sequences: row b holds what latent_assign returns."""
+
+    chosen: np.ndarray  # (B, M) 1-based frame index per template
+    template_scores: np.ndarray  # (B, M)
+    perm: np.ndarray  # (B,) 1-based lexicographic index of the rank pattern
+    ordering_cost: np.ndarray  # (B,)
+    total: np.ndarray  # (B,)
+
+
+def assign_batch(
+    model: LomoModel, seqs, cfg: InferenceConfig, perms: PermTable | None = None
+) -> BatchAssignment:
+    """Greedy assignment of equal-length sequences, stacked as (B, N, d).
+
+    Each pick is one matvec per template over the whole stack and a
+    first-occurrence argmax per row, so row b equals latent_assign on
+    seqs[b] bit for bit. `perms` caches rank-pattern indices across calls.
+    """
+    seqs = list(seqs)
+    if len({seq.num_frames for seq in seqs}) != 1:
+        raise LomoError("assign_batch needs one or more sequences of equal length")
+    for seq in seqs:
+        _check_dim(model, seq)
+    frames = np.stack([seq.frames for seq in seqs])
+    count, n, _ = frames.shape
+    m = model.num_templates
+    t = cfg.exclusion_t
+    batch = np.arange(count)
+    position = np.arange(n)
+    alive = np.ones((count, n), dtype=bool)
+    picks = np.empty((count, m), dtype=np.intp)
+    scores = np.empty((count, m))
+    for i in range(m):
+        starved = ~alive.any(axis=1)
+        if starved.any():
+            raise _too_short(seqs[int(np.argmax(starved))], m, t)
+        row = frames @ model.templates[i]
+        f = np.where(alive, row, -np.inf).argmax(axis=1)
+        picks[:, i] = f
+        scores[:, i] = row[batch, f]
+        alive &= np.abs(position - f[:, None]) > t
+    perms = PermTable() if perms is None else perms
+    perm = np.array([perms[tuple(order)] for order in np.argsort(picks, axis=1).tolist()])
+    cost = model.costs[perm - 1]
+    return BatchAssignment(
+        chosen=picks + 1,
+        template_scores=scores,
+        perm=perm,
+        ordering_cost=cost,
+        total=scores.mean(axis=1) + cost,
+    )
+
+
+# Values in one stacked block; bounds the memory that batching adds
+# (512 KiB of float64) whatever the number and length of the sequences.
+BLOCK_VALUES = 1 << 16
+
+
+def score_sequences(model: LomoModel, seqs, cfg: InferenceConfig) -> np.ndarray:
+    """Scores of sequences of any lengths, in input order.
+
+    Sequences are grouped by length and scored through assign_batch in
+    blocks of at most BLOCK_VALUES frame values.
+    """
+    seqs = list(seqs)
+    by_length: dict[int, list[int]] = {}
+    for k, seq in enumerate(seqs):
+        by_length.setdefault(seq.num_frames, []).append(k)
+    out = np.empty(len(seqs))
+    perms = PermTable()
+    for n, members in by_length.items():
+        size = max(1, BLOCK_VALUES // (n * model.dim))
+        for lo in range(0, len(members), size):
+            block = members[lo : lo + size]
+            out[block] = assign_batch(model, [seqs[k] for k in block], cfg, perms).total
+    return out
+
+
 def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:
     """Sequence score; the decision boundary is 0."""
-    return latent_assign(model, seq, cfg).total
+    return float(assign_batch(model, [seq], cfg).total[0])
 
 
 def fuse_scores(scores) -> float:

@@ -101,6 +101,21 @@ def perm_index(p) -> int:
     return index + 1
 
 
+class PermTable(dict):
+    """perm_index(rank_pattern(k)) keyed by the argsort order of picks k.
+
+    The rank pattern of distinct picks depends only on their argsort
+    order, so each of the at most M! orders is ranked once, on first use.
+    """
+
+    def __missing__(self, order: tuple[int, ...]) -> int:
+        ranks = [0] * len(order)
+        for rank, pos in enumerate(order, start=1):
+            ranks[pos] = rank
+        index = self[order] = perm_index(rank_pattern(ranks))
+        return index
+
+
 def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     """Inverse of perm_index: the permutation of (1..m) with the given rank."""
     if m < 1:

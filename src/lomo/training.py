@@ -5,6 +5,10 @@ template shrinks and moves toward its chosen frame, and the cost of the
 realized ordering moves by eta (sign per the configured update mode).
 The MIL and pooled-SVM baselines are the M=1 restriction with the cost
 table frozen at zero.
+
+`train` is the training kernel: one loop over plain arrays updated in
+place. `sgd_step` is the reference (oracle) step; folding it over the
+same sample draws gives the model `train` returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LomoError, Rng, child_seed
-from .inference import FrameSequence, InferenceConfig, latent_assign
-from .model import MAX_TEMPLATES, LomoModel, init_model
+from .inference import FrameSequence, InferenceConfig, latent_assign, score_sequences
+from .model import MAX_TEMPLATES, LomoModel, PermTable, init_model
 
 VARIANTS = ("lomo", "mil", "svm_pool")
 COST_UPDATES = ("gradient", "literal")
@@ -91,17 +95,19 @@ def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> fl
     """(lambda/2) * sum ||w_i||^2 + mean hinge [1 - y*s]_+ over the data."""
     if not data:
         raise LomoError("objective needs at least one example")
-    icfg = cfg.inference_config()
+    scores = score_sequences(model, [ex.sequence for ex in data], cfg.inference_config())
     reg = 0.5 * reg_lambda * float(np.sum(model.templates * model.templates))
     hinge = 0.0
-    for ex in data:
-        s = latent_assign(model, ex.sequence, icfg).total
+    for ex, s in zip(data, scores.tolist()):
         hinge += max(0.0, 1.0 - ex.label * s)
     return reg + hinge / len(data)
 
 
 def sgd_step(model: LomoModel, example: LabeledSequence, cfg: TrainConfig) -> LomoModel:
-    """One subgradient step; returns the input model when the margin holds."""
+    """One subgradient step; returns the input model when the margin holds.
+
+    The reference step that `train` is tested against.
+    """
     icfg = cfg.inference_config()
     assign = latent_assign(model, example.sequence, icfg)
     y = example.label
@@ -155,16 +161,55 @@ def _validate_train_data(data, cfg: TrainConfig) -> int:
 
 
 def train(data, cfg: TrainConfig) -> LomoModel:
-    """Run max_iter uniform-with-replacement subgradient steps from cfg.seed."""
+    """Run max_iter uniform-with-replacement subgradient steps from cfg.seed.
+
+    Each step repeats sgd_step's arithmetic on arrays owned by the loop:
+    one matvec per template, exclusion windows written as -inf into the
+    fresh score row (validation guarantees a frame always survives), and
+    in-place template and cost updates on a margin violation.
+    """
     data = list(data)
     dim = _validate_train_data(data, cfg)
     rng = Rng(cfg.seed)
-    model = init_model(dim, cfg.num_templates, rng)
+    init = init_model(dim, cfg.num_templates, rng)
+    templates = init.templates
+    costs = init.costs.tolist()
     iters = cfg.max_iter if cfg.max_iter is not None else 100 * len(data)
-    n = len(data)
-    for _ in range(iters):
-        model = sgd_step(model, data[rng.randint(n)], cfg)
-    return model
+    draws = rng.integers(len(data), iters)
+    frames = [ex.sequence.frames for ex in data]
+    labels = [ex.label for ex in data]
+    m = cfg.num_templates
+    t = cfg.exclusion_t
+    eta = cfg.eta
+    shrink = 1.0 - cfg.reg_lambda * eta
+    gradient = cfg.cost_update == "gradient"
+    rows = list(templates)  # views: in-place updates reach them
+    perms = PermTable()
+    picks = [0] * m
+    scores = np.empty(m)
+    for j in draws:
+        x = frames[j]
+        for i, w in enumerate(rows):
+            row = x @ w
+            for f in picks[:i]:
+                row[max(0, f - t) : f + t + 1] = -np.inf
+            f = int(row.argmax())
+            picks[i] = f
+            scores[i] = row[f]
+        y = labels[j]
+        perm = perms[tuple(sorted(range(m), key=picks.__getitem__))]
+        # add.reduce / m is np.mean without its per-call overhead
+        if y * (float(np.add.reduce(scores) / m) + costs[perm - 1]) >= 1.0:
+            continue
+        templates *= shrink
+        templates += (eta * y / m) * x[picks]
+        if cfg.freeze_costs:
+            continue
+        if gradient:
+            costs[perm - 1] += eta * y
+        else:
+            costs[perm - 1] -= eta
+    return LomoModel(templates, np.array(costs))
 
 
 def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:

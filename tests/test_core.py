@@ -1,13 +1,11 @@
-"""Unit tests for the numeric helpers and the seeded RNG wrapper."""
+"""Unit tests for input coercion, the seeded RNG wrapper and float formatting."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
-from lomo.core import LomoError, Rng, as_vector, blend, child_seed, dot, format_float
+from lomo.core import LomoError, Rng, as_vector, child_seed, format_float
 
 
 # ---------------------------------------------------------------------------
@@ -36,32 +34,6 @@ def test_as_vector_rejects_non_finite():
 def test_as_vector_names_the_offender():
     with pytest.raises(LomoError, match="frame"):
         as_vector([[1.0]], what="frame")
-
-
-def test_dot_matches_fsum_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        d = int(rng.integers(1, 12))
-        u = rng.normal(size=d)
-        v = rng.normal(size=d)
-        oracle = math.fsum(float(a) * float(b) for a, b in zip(u, v))
-        assert dot(u, v) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
-
-
-def test_dot_dimension_mismatch():
-    with pytest.raises(LomoError, match="dimension mismatch: 2 vs 3"):
-        dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_blend_is_elementwise_linear_combination():
-    w = np.array([1.0, -2.0, 0.5])
-    x = np.array([4.0, 0.0, -1.0])
-    np.testing.assert_array_equal(blend(w, 0.9, x, 0.1), 0.9 * w + 0.1 * x)
-
-
-def test_blend_dimension_mismatch():
-    with pytest.raises(LomoError, match="dimension mismatch"):
-        blend([1.0], 1.0, [1.0, 2.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +86,28 @@ def test_rng_permutation_is_a_permutation():
 
 def test_rng_child_streams_are_deterministic_and_distinct():
     parent = Rng(99)
-    c0a = Rng(99).child(0).uniform(size=6)
-    c0b = Rng(99).child(0).uniform(size=6)
-    c1 = Rng(99).child(1).uniform(size=6)
+    c0a = Rng(99, spawn_key=(0,)).uniform(size=6)
+    c0b = Rng(99, spawn_key=(0,)).uniform(size=6)
+    c1 = Rng(99, spawn_key=(1,)).uniform(size=6)
     np.testing.assert_array_equal(c0a, c0b)
     assert not np.array_equal(c0a, c1)
     assert not np.array_equal(c0a, parent.uniform(size=6))
 
 
-def test_rng_nested_children_extend_the_spawn_key():
-    direct = Rng(3, spawn_key=(4, 5)).uniform(size=4)
-    nested = Rng(3).child(4).child(5).uniform(size=4)
-    np.testing.assert_array_equal(direct, nested)
+@pytest.mark.parametrize("n", [1, 7, 480, 800, 2**40])
+def test_rng_integers_is_the_stream_of_repeated_randint(n):
+    bulk = Rng(21).integers(n, 500)
+    single = Rng(21)
+    assert bulk.tolist() == [single.randint(n) for _ in range(500)]
+    # and leaves the generator in the same state
+    after_bulk = Rng(21)
+    after_bulk.integers(n, 500)
+    assert after_bulk.uniform() == single.uniform()
+
+
+def test_rng_integers_rejects_nonpositive():
+    with pytest.raises(LomoError, match="integers needs n >= 1"):
+        Rng(0).integers(0, 3)
 
 
 def test_child_seed_is_stable_and_63_bit():

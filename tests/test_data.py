@@ -19,7 +19,6 @@ from lomo.data import (
     gen_synthetic,
     l2_normalize,
     l2_normalize_frames,
-    load_sequences,
     make_folds,
     parse_manifest,
     pca_fit,
@@ -86,8 +85,30 @@ def test_read_sequence_non_finite_error(tmp_path):
 
 def test_read_sequence_empty_file_error(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(LomoError, match="row 1: empty sequence file"):
+    for text in ("", "\ufeff", "\n\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LomoError, match="row 1: empty sequence file"):
+            read_sequence(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.0,2.0\n3.0,4.0\n\n", "1.0,2.0\r\n3.0,4.0\r\n\r\n \n", "\ufeff1.0,2.0\n3.0,4.0\n",
+     "\ufeff1.0,2.0\n3.0,4.0\n\n"],
+)
+def test_read_sequence_ignores_bom_and_trailing_blank_lines(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    np.testing.assert_array_equal(read_sequence(path).frames, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_read_sequence_inner_blank_line_still_names_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\ufeff1.0,2.0\n\n3.0,4.0\n", encoding="utf-8")
+    with pytest.raises(LomoError, match="bad.csv: row 2 has 1 columns, expected 2"):
+        read_sequence(path)
+    path.write_text("\ufeff1.0,2.0\n3.0,\ufeff4.0\n\n", encoding="utf-8")
+    with pytest.raises(LomoError, match=r"row 2, column 2: '\\ufeff4.0' is not numeric"):
         read_sequence(path)
 
 
@@ -115,8 +136,20 @@ def test_parse_manifest_resolves_relative_paths(tmp_path, monkeypatch):
     assert manifest.dim == 2
     assert manifest.classes == ["neg", "pos"]
     assert manifest.groups == ["g0", "g1"]
-    seqs = load_sequences(manifest)
-    np.testing.assert_array_equal(seqs["a"].frames, [[1.0, 2.0]])
+    np.testing.assert_array_equal(manifest.sequences["a"].frames, [[1.0, 2.0]])
+    assert manifest.sequences["b"].id == "b"
+
+
+def test_parse_manifest_accepts_bom_and_trailing_blank_lines(tmp_path):
+    path = _write_dataset(tmp_path, [("a", "pos", "g0"), ("b", "neg", "g1")])
+    text = path.read_text(encoding="utf-8")
+    path.write_text("\ufeff" + text + "\n\n", encoding="utf-8")
+    manifest = parse_manifest(path)
+    assert [r.id for r in manifest.records] == ["a", "b"]
+    # a BOM written in front of the sequence file is dropped as well
+    seq_path = tmp_path / "b.csv"
+    seq_path.write_text("\ufeff" + seq_path.read_text(encoding="utf-8"), encoding="utf-8")
+    np.testing.assert_array_equal(parse_manifest(path).sequences["b"].frames, [[1.0, 2.0]])
 
 
 def test_parse_manifest_header_check(tmp_path):
@@ -525,10 +558,10 @@ def test_gen_synthetic_writes_a_loadable_deterministic_dataset(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     parsed = parse_manifest(out_a / "manifest.csv")
     assert len(parsed.records) == len(manifest_a.records)
-    seqs = load_sequences(parsed)
     records, _ = synth_records(spec)
     for rec in records:
-        np.testing.assert_array_equal(seqs[rec.id].frames, rec.frames)
+        np.testing.assert_array_equal(parsed.sequences[rec.id].frames, rec.frames)
+        np.testing.assert_array_equal(manifest_a.sequences[rec.id].frames, rec.frames)
 
 
 def test_gen_synthetic_spec_echo(tmp_path):

@@ -12,6 +12,7 @@ from lomo.core import LomoError, Rng
 from lomo.model import (
     MAX_TEMPLATES,
     LomoModel,
+    PermTable,
     init_model,
     load_model,
     perm_index,
@@ -89,6 +90,17 @@ def test_perm_index_anchor_values():
     assert perm_index((1, 3, 2, 4)) == 3
     assert perm_index((3, 1, 2)) == 5
     assert perm_index((1,)) == 1
+
+
+def test_perm_table_ranks_picks_by_their_argsort_order():
+    rng = np.random.default_rng(3)
+    for m in range(1, 6):
+        table = PermTable()
+        for _ in range(300):
+            picks = rng.choice(60, size=m, replace=False) + 1
+            order = tuple(np.argsort(picks).tolist())
+            assert table[order] == perm_index(rank_pattern(picks))
+        assert len(table) <= math.factorial(m)
 
 
 def test_perm_unrank_inverts_perm_index():
