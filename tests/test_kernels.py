@@ -27,7 +27,7 @@ from lomo.inference import (
     latent_assign,
     score_sequences,
 )
-from lomo.model import MAX_TEMPLATES, LomoModel, init_model
+from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
 from lomo.training import LabeledSequence, TrainConfig, objective, sgd_step, train
 
 SETTINGS = settings(
@@ -259,8 +259,6 @@ def _write_manifest(tmp_path, seqs, header="id,label,group,path\n"):
 
 
 def _model_file(tmp_path, model):
-    from lomo.model import save_model
-
     path = str(tmp_path / "m.lomo")
     save_model(model, path)
     return path
