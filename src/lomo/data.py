@@ -34,6 +34,36 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
         lines = fh.read().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
+    if not lines:
+        raise LomoError(f"{path}: row 1: empty sequence file")
+    frames = _parse_lines(lines)
+    if frames is None:
+        frames = _parse_cells(path, lines)
+    if seq_id is None:
+        seq_id = os.path.splitext(os.path.basename(str(path)))[0]
+    return FrameSequence(frames, id=seq_id)
+
+
+def _parse_lines(lines: list[str]) -> np.ndarray | None:
+    """All lines parsed in C, or None when the file needs the per-cell check.
+
+    loadtxt skips inner blank lines and rejects some spellings float()
+    accepts (such as ``1_000``), so its result is kept only when it has one
+    row per line, the first line's column count and no non-finite value.
+    """
+    try:
+        frames = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if frames.shape != (len(lines), lines[0].count(",") + 1):
+        return None
+    if not np.isfinite(frames).all():
+        return None
+    return frames
+
+
+def _parse_cells(path, lines: list[str]) -> np.ndarray:
+    """Per-cell float() parse; raises a LomoError naming file, row and column."""
     rows = []
     width = None
     for row_no, line in enumerate(lines, start=1):
@@ -56,12 +86,7 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
                 raise LomoError(f"{path}: row {row_no}, column {col_no}: non-finite value")
             values.append(v)
         rows.append(values)
-    if not rows:
-        raise LomoError(f"{path}: row 1: empty sequence file")
-    frames = np.array(rows, dtype=np.float64)
-    if seq_id is None:
-        seq_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return FrameSequence(frames, id=seq_id)
+    return np.array(rows, dtype=np.float64)
 
 
 def write_sequence(seq: FrameSequence, path) -> None:
@@ -203,18 +228,29 @@ def make_folds(
 # preprocessing
 
 
+def _l2_rows(frames: np.ndarray) -> np.ndarray:
+    """Each row divided by its l2 norm; rows with norm <= 1e-12 are kept.
+
+    The batched matmul takes each row's sum of squares with the same BLAS
+    dot product as np.linalg.norm of that row, so the bits match it; einsum
+    and norm(axis=1) sum in another order and do not.
+    """
+    norms = np.sqrt(np.matmul(frames[:, None, :], frames[:, :, None]))[:, 0, 0]
+    small = norms <= 1e-12
+    norms[small] = 1.0
+    out = frames / norms[:, None]
+    out[small] = frames[small]
+    return out
+
+
 def l2_normalize(v) -> np.ndarray:
     """v / ||v|| with a small-norm guard that returns v unchanged."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        return v.copy()
-    return v / norm
+    return _l2_rows(v.reshape(1, -1)).reshape(v.shape)
 
 
 def l2_normalize_frames(seq: FrameSequence) -> FrameSequence:
-    frames = np.vstack([l2_normalize(f) for f in seq.frames])
-    return FrameSequence(frames, id=seq.id)
+    return FrameSequence(_l2_rows(seq.frames), id=seq.id)
 
 
 def stack_frames(seq: FrameSequence, window: int) -> FrameSequence:
@@ -241,49 +277,6 @@ def pooled_sequence(seq: FrameSequence, mode: str) -> FrameSequence:
     return FrameSequence(pool(seq, mode)[None, :], id=seq.id)
 
 
-def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate away each off-diagonal entry in turn until the off-diagonal
-    Frobenius mass drops below tol. Returns (eigenvalues, column eigenvectors).
-    """
-    a = np.array(sym, dtype=np.float64)
-    d = a.shape[0]
-    vecs = np.eye(d)
-    if d == 1:
-        return a.diagonal().copy(), vecs
-
-    def off_mass(mat):
-        off = mat - np.diag(mat.diagonal())
-        return float(np.sqrt(np.sum(off * off)))
-
-    for _ in range(max_sweeps):
-        if off_mass(a) < tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    else:
-        raise LomoError(f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps")
-    return a.diagonal().copy(), vecs
-
-
 @dataclass
 class PcaBasis:
     mean: np.ndarray  # (d,)
@@ -291,9 +284,10 @@ class PcaBasis:
 
 
 def pca_fit(vectors, k: int) -> PcaBasis:
-    """Mean plus top-k eigenvectors of the sample covariance.
+    """Mean plus top-k eigenvectors of the sample covariance (LAPACK eigh).
 
-    Each eigenvector's sign is fixed so its largest-magnitude component is
+    Eigenvalues are sorted in decreasing order, equal ones keeping eigh's
+    order. Each eigenvector's sign is fixed so its largest-magnitude component is
     positive, making the basis deterministic.
     """
     mat = np.asarray(vectors, dtype=np.float64)
@@ -307,7 +301,7 @@ def pca_fit(vectors, k: int) -> PcaBasis:
     mean = mat.mean(axis=0)
     centered = mat - mean
     cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     components = eigvecs[:, order[:k]].T.copy()
     for row in components:
@@ -359,11 +353,10 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     """Fit pipeline statistics (the PCA basis) on training sequences only."""
     basis = None
     if config.pca_dim is not None:
-        frames = []
-        for seq in train_seqs:
-            s = l2_normalize_frames(seq) if config.l2 else seq
-            frames.append(s.frames)
-        basis = pca_fit(np.vstack(frames), config.pca_dim)
+        frames = np.vstack([seq.frames for seq in train_seqs])
+        if config.l2:
+            frames = _l2_rows(frames)
+        basis = pca_fit(frames, config.pca_dim)
     return FittedPreprocess(config=config, basis=basis)
 
 

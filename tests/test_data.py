@@ -371,21 +371,89 @@ def test_pca_projected_training_data_is_centered_and_decorrelated():
     assert np.abs(off).max() / np.abs(np.diag(cov)).max() < 1e-6
 
 
+def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
+    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps rotate away each off-diagonal entry in turn until the off-diagonal
+    Frobenius mass drops below tol. Returns (eigenvalues, column eigenvectors).
+    """
+    a = np.array(sym, dtype=np.float64)
+    d = a.shape[0]
+    vecs = np.eye(d)
+    if d == 1:
+        return a.diagonal().copy(), vecs
+
+    def off_mass(mat):
+        off = mat - np.diag(mat.diagonal())
+        return float(np.sqrt(np.sum(off * off)))
+
+    for _ in range(max_sweeps):
+        if off_mass(a) < tol:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                a[p, q] = a[q, p] = 0.0
+                rot_p = c * vecs[:, p] - s * vecs[:, q]
+                rot_q = s * vecs[:, p] + c * vecs[:, q]
+                vecs[:, p], vecs[:, q] = rot_p, rot_q
+    else:
+        raise LomoError(f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps")
+    return a.diagonal().copy(), vecs
+
+
+def _covariance(data):
+    centered = data - data.mean(axis=0)
+    return centered.T @ centered / (data.shape[0] - 1)
+
+
 def test_pca_eigenvalues_match_numpy_oracle():
     rng = np.random.default_rng(48)
     for _ in range(10):
         d = int(rng.integers(2, 8))
         data = rng.normal(size=(40, d))
         basis = pca_fit(data, d)
-        centered = data - data.mean(axis=0)
-        cov = centered.T @ centered / (data.shape[0] - 1)
-        oracle_vals = np.sort(np.linalg.eigvalsh(cov))[::-1]
+        cov = _covariance(data)
+        oracle_vals = np.sort(_jacobi_eigh(cov)[0])[::-1]
         ours = np.array([row @ cov @ row for row in basis.components])
         np.testing.assert_allclose(ours, oracle_vals, rtol=1e-8, atol=1e-10)
         # rows are orthonormal
         np.testing.assert_allclose(
             basis.components @ basis.components.T, np.eye(d), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17, 100])
+def test_pca_components_match_the_jacobi_basis(d):
+    """Distinct eigenvalues fix each eigenvector up to sign, and the sign rule
+    fixes the sign; the data's covariance has eigenvalues 1..d exactly."""
+    rng = np.random.default_rng(60 + d)
+    n = 3 * d + 5
+    white = rng.normal(size=(n, d))
+    white, _ = np.linalg.qr(white - white.mean(axis=0))  # orthonormal, zero-mean columns
+    rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    data = math.sqrt(n - 1) * white * np.sqrt(np.arange(d, 0, -1.0)) @ rotation.T + 3.0
+    vals, vecs = _jacobi_eigh(_covariance(data))
+    order = np.argsort(-vals, kind="stable")
+    assert np.all(np.diff(vals[order]) < -0.5)  # distinct eigenvalues
+    for k in sorted({1, (d + 1) // 2, d}):
+        expected = vecs[:, order[:k]].T.copy()
+        for row in expected:
+            if row[int(np.argmax(np.abs(row)))] < 0:
+                row *= -1.0
+        np.testing.assert_allclose(pca_fit(data, k).components, expected, rtol=0, atol=1e-9)
 
 
 def test_pca_sign_convention_is_deterministic():

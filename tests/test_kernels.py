@@ -1,14 +1,17 @@
-"""The training loop and the batched scorer against their reference oracles.
+"""The array kernels against their reference oracles.
 
-`train` must equal a fold of `sgd_step` over the same sample draws, and
+`train` must equal a fold of `sgd_step` over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
-bit for bit (compared as bytes, so signed zeros count).
+the l2 row kernel must equal per-row `np.linalg.norm` division, and the
+C-parsed sequence reader must equal the per-cell `float()` parse, bit for
+bit (compared as bytes, so signed zeros count).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,16 +22,34 @@ import lomo.data
 import lomo.inference
 from lomo.cli import main
 from lomo.core import LomoError, Rng
-from lomo.data import write_sequence
+from lomo.data import (
+    PreprocessConfig,
+    fit_preprocess,
+    l2_normalize,
+    l2_normalize_frames,
+    parse_manifest,
+    pca_fit,
+    read_sequence,
+    write_sequence,
+)
 from lomo.inference import (
     FrameSequence,
     InferenceConfig,
     assign_batch,
     latent_assign,
+    ova_predict,
+    ova_predict_batch,
     score_sequences,
 )
 from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
-from lomo.training import LabeledSequence, TrainConfig, objective, sgd_step, train
+from lomo.training import (
+    LabeledSequence,
+    TrainConfig,
+    objective,
+    sgd_step,
+    train,
+    train_ova,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -248,11 +269,11 @@ def test_score_sequences_errors_name_the_offending_sequence():
         score_sequences(model, [ok, wrong], cfg)
 
 
-def _write_manifest(tmp_path, seqs, header="id,label,group,path\n"):
+def _write_manifest(tmp_path, seqs, header="id,label,group,path\n", labels=("neg", "pos")):
     lines = []
     for k, frames in enumerate(seqs):
         write_sequence(FrameSequence(frames), tmp_path / f"r{k}.csv")
-        lines.append(f"r{k},{'pos' if k % 2 else 'neg'},g{k % 3},r{k}.csv")
+        lines.append(f"r{k},{labels[k % len(labels)]},g{k % 3},r{k}.csv")
     path = tmp_path / "manifest.csv"
     path.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -292,6 +313,208 @@ def test_predict_errors_name_the_offending_record(tmp_path, capsys):
     argv[4] = _model_file(tmp_path, wide)
     assert main(argv) == 1
     assert "sequence r0 d=2" in capsys.readouterr().err
+
+
+def test_ova_predict_batch_picks_equal_ova_predict(tmp_path):
+    rng = np.random.default_rng(10)
+    centres = {"a": (1.0, 0.0), "b": (-1.0, 0.0), "c": (0.0, 1.0)}
+    frames = [
+        rng.normal(scale=0.8, size=(int(rng.integers(4, 10)), 2)) + centres["abc"[k % 3]]
+        for k in range(24)
+    ]
+    manifest = parse_manifest(_write_manifest(tmp_path, frames, labels=("a", "b", "c")))
+    seqs = [manifest.sequences[r.id] for r in manifest.records]
+    cfg = TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=3)
+    models = train_ova(
+        [(manifest.sequences[r.id], r.label) for r in manifest.records], cfg, classes="abc"
+    )
+    models["0"] = models["c"]  # ties with c; "0" sorts first, so it wins them
+    icfg = cfg.inference_config()
+    picks = ova_predict_batch(models, seqs, icfg)
+    assert picks == [ova_predict(models, seq, icfg)[0] for seq in seqs]
+    assert {"a", "b", "0"} <= set(picks)
+    with pytest.raises(LomoError, match="at least one model"):
+        ova_predict_batch({}, seqs, icfg)
+
+
+# ---------------------------------------------------------------------------
+# l2 row kernel == per-row np.linalg.norm division
+
+
+def _l2_reference(v):
+    norm = float(np.linalg.norm(v))
+    return v.copy() if norm <= 1e-12 else v / norm
+
+
+@st.composite
+def l2_row_blocks(draw):
+    d = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["normal", "zero", "tiny", "guard", "subnormal", "mixed"]))
+        row = np.zeros(d)
+        if kind == "normal":
+            row = rng.normal(size=d) * 10.0 ** draw(st.integers(-150, 150))
+        elif kind == "tiny":  # norm below the guard
+            row = rng.normal(size=d) * 1e-13 / math.sqrt(d)
+        elif kind == "guard":  # norm at or next to the guard
+            row[draw(st.integers(0, d - 1))] = draw(
+                st.sampled_from([1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0)])
+            )
+        elif kind == "subnormal":
+            row = rng.integers(-40, 41, size=d) * 5e-324
+        elif kind == "mixed":  # normal entries next to subnormal ones
+            row = rng.normal(size=d)
+            row[rng.random(d) < 0.5] = 5e-324 * 7
+        rows.append(row)
+    return np.array(rows)
+
+
+@SETTINGS
+@given(l2_row_blocks())
+def test_l2_row_kernel_equals_per_row_norm_division(frames):
+    want = [_l2_reference(v) for v in frames]
+    assert _bits(l2_normalize_frames(FrameSequence(frames)).frames) == _bits(want)
+    for v, w in zip(frames, want):
+        assert _bits(l2_normalize(v)) == _bits(w)
+
+
+# ---------------------------------------------------------------------------
+# fit_preprocess: one training matrix == list of l2 copies plus vstack
+
+
+def _fit_basis_reference(train_seqs, config):
+    frames = []
+    for seq in train_seqs:
+        frames.append(np.vstack([_l2_reference(f) for f in seq.frames]) if config.l2 else seq.frames)
+    return pca_fit(np.vstack(frames), config.pca_dim)
+
+
+@SETTINGS
+@given(st.data())
+def test_fit_preprocess_basis_equals_per_sequence_construction(data):
+    d = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    lengths = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    if sum(lengths) < 2:
+        lengths.append(1)
+    seqs = []
+    for n in lengths:
+        frames = rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4))
+        frames[rng.random(n) < 0.2] = 0.0  # zero rows hit the l2 guard
+        seqs.append(FrameSequence(frames))
+    config = PreprocessConfig(l2=data.draw(st.booleans()), pca_dim=data.draw(st.integers(1, d)))
+    got = fit_preprocess(seqs, config).basis
+    want = _fit_basis_reference(seqs, config)
+    assert _bits(got.mean) == _bits(want.mean)
+    assert _bits(got.components) == _bits(want.components)
+
+
+# ---------------------------------------------------------------------------
+# read_sequence == the per-cell float() parse
+
+
+def _read_sequence_reference(path):
+    """The per-cell parser: float() and isfinite on every cell, in order."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    rows = []
+    width = None
+    for row_no, line in enumerate(lines, start=1):
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise LomoError(
+                f"{path}: row {row_no} has {len(cells)} columns, expected {width}"
+            )
+        values = []
+        for col_no, cell in enumerate(cells, start=1):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise LomoError(
+                    f"{path}: row {row_no}, column {col_no}: {cell.strip()!r} is not numeric"
+                ) from None
+            if not math.isfinite(v):
+                raise LomoError(f"{path}: row {row_no}, column {col_no}: non-finite value")
+            values.append(v)
+        rows.append(values)
+    if not rows:
+        raise LomoError(f"{path}: row 1: empty sequence file")
+    return np.array(rows, dtype=np.float64)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMERIC_TOKENS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: f"{v:.25e}"),  # more digits than round-trip needs
+    st.integers(-(10**30), 10**30).map(str),
+    st.from_regex(r"[+-]?[0-9]{0,22}\.?[0-9]{0,30}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+ODD_TOKENS = st.sampled_from(
+    ["1_000", "nan", "-inf", "Infinity", "", "x", "1e999", "1e-400", "0x10", ".5", "5.",
+     "1 2", "--1", "1e", "\xa01.0", "\u0661", "\ufeff4.0"]
+)
+LENIENT_TOKENS = st.sampled_from(["1_000", "2_5.0_1", "\u0661", "\u0663.5"])  # float() only
+PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def sequence_texts(draw):
+    token = draw(st.sampled_from([
+        NUMERIC_TOKENS,
+        st.one_of(NUMERIC_TOKENS, LENIENT_TOKENS),
+        st.one_of(NUMERIC_TOKENS, LENIENT_TOKENS, ODD_TOKENS),
+    ]))
+    cell = st.tuples(PADDING, token, PADDING).map("".join)
+    width = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:  # inner blank or whitespace-only line
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        ragged = draw(st.integers(0, 14)) == 0
+        count = max(1, width + draw(st.sampled_from([-1, 1]))) if ragged else width
+        lines.append(",".join(draw(cell) for _ in range(count)))
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))  # trailing blanks
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    end = draw(st.sampled_from(["", newline]))
+    return bom + newline.join(lines) + end
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(sequence_texts())
+def test_read_sequence_equals_per_cell_parse(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        want = _read_sequence_reference(path)
+    except LomoError as err:
+        with pytest.raises(LomoError) as got:
+            read_sequence(path)
+        assert str(got.value) == str(err)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_sequence(path).frames
+    assert got.shape == want.shape
+    assert _bits(got) == _bits(want)
+
+
+def test_clean_sequence_files_skip_the_per_cell_parse(tmp_path, monkeypatch):
+    def per_cell(path, lines):
+        raise AssertionError("per-cell parse used for a clean file")
+
+    monkeypatch.setattr(lomo.data, "_parse_cells", per_cell)
+    frames = np.random.default_rng(11).normal(size=(7, 5))
+    write_sequence(FrameSequence(frames), tmp_path / "s.csv")
+    assert _bits(read_sequence(tmp_path / "s.csv").frames) == _bits(frames)
 
 
 # ---------------------------------------------------------------------------
