@@ -55,9 +55,7 @@ def _parse_lines(lines: list[str]) -> np.ndarray | None:
         frames = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
-    if frames.shape != (len(lines), lines[0].count(",") + 1):
-        return None
-    if not np.isfinite(frames).all():
+    if frames.shape != (len(lines), lines[0].count(",") + 1) or not np.isfinite(frames).all():
         return None
     return frames
 
@@ -287,8 +285,8 @@ def pca_fit(vectors, k: int) -> PcaBasis:
     """Mean plus top-k eigenvectors of the sample covariance (LAPACK eigh).
 
     Eigenvalues are sorted in decreasing order, equal ones keeping eigh's
-    order. Each eigenvector's sign is fixed so its largest-magnitude component is
-    positive, making the basis deterministic.
+    order. Each eigenvector's sign is fixed so its largest-magnitude
+    component is positive, making the basis deterministic.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
@@ -458,7 +456,7 @@ def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
     """Generate all sequences in memory; fully determined by spec.seed."""
     rng = Rng(spec.seed)
     raw = rng.normal(size=(spec.num_events, spec.dim))
-    prototypes = np.vstack([l2_normalize(row) for row in raw])
+    prototypes = _l2_rows(raw)
     records: list[SynthRecord] = []
     width = max(4, len(str(max(spec.num_pos, spec.num_neg) - 1)))
     for label, count in (("pos", spec.num_pos), ("neg", spec.num_neg)):

@@ -238,7 +238,7 @@ def ova_predict_batch(
 ) -> list[str]:
     """ova_predict's class for each sequence; each model scores all of them at once."""
     if not models:
-        raise LomoError("ova_predict needs at least one model")
+        raise LomoError("ova_predict_batch needs at least one model")
     seqs = list(seqs)
     columns = {name: score_sequences(models[name], seqs, cfg).tolist() for name in sorted(models)}
     return [_ova_pick({name: col[k] for name, col in columns.items()}) for k in range(len(seqs))]

@@ -438,7 +438,7 @@ def test_pca_eigenvalues_match_numpy_oracle():
 @pytest.mark.parametrize("d", [1, 2, 5, 17, 100])
 def test_pca_components_match_the_jacobi_basis(d):
     """Distinct eigenvalues fix each eigenvector up to sign, and the sign rule
-    fixes the sign; the data's covariance has eigenvalues 1..d exactly."""
+    fixes the sign; the data's covariance has eigenvalues d, d - 1, ..., 1."""
     rng = np.random.default_rng(60 + d)
     n = 3 * d + 5
     white = rng.normal(size=(n, d))

@@ -387,7 +387,8 @@ def test_l2_row_kernel_equals_per_row_norm_division(frames):
 def _fit_basis_reference(train_seqs, config):
     frames = []
     for seq in train_seqs:
-        frames.append(np.vstack([_l2_reference(f) for f in seq.frames]) if config.l2 else seq.frames)
+        s = FrameSequence(np.vstack([_l2_reference(f) for f in seq.frames])) if config.l2 else seq
+        frames.append(s.frames)
     return pca_fit(np.vstack(frames), config.pca_dim)
 
 
