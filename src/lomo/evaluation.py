@@ -24,7 +24,7 @@ from .data import (
     fit_preprocess,
     pooled_sequence,
 )
-from .inference import ova_predict_batch, score_sequences
+from .inference import ova_predict, score_sequences
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
 METRICS = ("acc", "auc", "eer")
@@ -161,9 +161,11 @@ def _multiclass_fold_value(train_recs, test_recs, seqs, cfg, classes, fold_no, p
         models = train_ova(train_data, cfg, classes=classes)
     except LomoError as err:
         raise LomoError(f"fold {fold_no}: {err}") from None
-    test_seqs = [_prepared(seqs[r.id], fitted, cfg) for r in test_recs]
-    predicted = ova_predict_batch(models, test_seqs, cfg.inference_config())
-    pairs = [(r.label, p) for r, p in zip(test_recs, predicted)]
+    icfg = cfg.inference_config()
+    pairs = []
+    for r in test_recs:
+        predicted, _ = ova_predict(models, _prepared(seqs[r.id], fitted, cfg), icfg)
+        pairs.append((r.label, predicted))
     return avg_class_accuracy(pairs, classes=sorted({r.label for r in test_recs}))
 
 

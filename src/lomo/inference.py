@@ -212,33 +212,19 @@ def fuse_scores(scores) -> float:
     return float(np.mean(values))
 
 
-def _ova_pick(scores: dict[str, float]) -> str | None:
-    """The class with the highest score; a tie keeps the lexicographically smallest."""
-    best_class = None
-    best_score = -np.inf
-    for name in sorted(scores):
-        if scores[name] > best_score:
-            best_class = name
-            best_score = scores[name]
-    return best_class
-
-
 def ova_predict(
     models: dict[str, LomoModel], seq: FrameSequence, cfg: InferenceConfig
 ) -> tuple[str, dict[str, float]]:
     """One-vs-all: argmax class score, ties to the lexicographically smallest."""
     if not models:
         raise LomoError("ova_predict needs at least one model")
-    scores = {name: score(models[name], seq, cfg) for name in sorted(models)}
-    return _ova_pick(scores), scores
-
-
-def ova_predict_batch(
-    models: dict[str, LomoModel], seqs, cfg: InferenceConfig
-) -> list[str]:
-    """ova_predict's class for each sequence; each model scores all of them at once."""
-    if not models:
-        raise LomoError("ova_predict_batch needs at least one model")
-    seqs = list(seqs)
-    columns = {name: score_sequences(models[name], seqs, cfg).tolist() for name in sorted(models)}
-    return [_ova_pick({name: col[k] for name, col in columns.items()}) for k in range(len(seqs))]
+    scores: dict[str, float] = {}
+    best_class = None
+    best_score = -np.inf
+    for name in sorted(models):
+        s = score(models[name], seq, cfg)
+        scores[name] = s
+        if s > best_score:
+            best_class = name
+            best_score = s
+    return best_class, scores

@@ -27,7 +27,6 @@ from lomo.data import (
     fit_preprocess,
     l2_normalize,
     l2_normalize_frames,
-    parse_manifest,
     pca_fit,
     read_sequence,
     write_sequence,
@@ -37,19 +36,10 @@ from lomo.inference import (
     InferenceConfig,
     assign_batch,
     latent_assign,
-    ova_predict,
-    ova_predict_batch,
     score_sequences,
 )
 from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
-from lomo.training import (
-    LabeledSequence,
-    TrainConfig,
-    objective,
-    sgd_step,
-    train,
-    train_ova,
-)
+from lomo.training import LabeledSequence, TrainConfig, objective, sgd_step, train
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -269,11 +259,11 @@ def test_score_sequences_errors_name_the_offending_sequence():
         score_sequences(model, [ok, wrong], cfg)
 
 
-def _write_manifest(tmp_path, seqs, header="id,label,group,path\n", labels=("neg", "pos")):
+def _write_manifest(tmp_path, seqs, header="id,label,group,path\n"):
     lines = []
     for k, frames in enumerate(seqs):
         write_sequence(FrameSequence(frames), tmp_path / f"r{k}.csv")
-        lines.append(f"r{k},{labels[k % len(labels)]},g{k % 3},r{k}.csv")
+        lines.append(f"r{k},{'pos' if k % 2 else 'neg'},g{k % 3},r{k}.csv")
     path = tmp_path / "manifest.csv"
     path.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -313,28 +303,6 @@ def test_predict_errors_name_the_offending_record(tmp_path, capsys):
     argv[4] = _model_file(tmp_path, wide)
     assert main(argv) == 1
     assert "sequence r0 d=2" in capsys.readouterr().err
-
-
-def test_ova_predict_batch_picks_equal_ova_predict(tmp_path):
-    rng = np.random.default_rng(10)
-    centres = {"a": (1.0, 0.0), "b": (-1.0, 0.0), "c": (0.0, 1.0)}
-    frames = [
-        rng.normal(scale=0.8, size=(int(rng.integers(4, 10)), 2)) + centres["abc"[k % 3]]
-        for k in range(24)
-    ]
-    manifest = parse_manifest(_write_manifest(tmp_path, frames, labels=("a", "b", "c")))
-    seqs = [manifest.sequences[r.id] for r in manifest.records]
-    cfg = TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=3)
-    models = train_ova(
-        [(manifest.sequences[r.id], r.label) for r in manifest.records], cfg, classes="abc"
-    )
-    models["0"] = models["c"]  # ties with c; "0" sorts first, so it wins them
-    icfg = cfg.inference_config()
-    picks = ova_predict_batch(models, seqs, icfg)
-    assert picks == [ova_predict(models, seq, icfg)[0] for seq in seqs]
-    assert {"a", "b", "0"} <= set(picks)
-    with pytest.raises(LomoError, match="at least one model"):
-        ova_predict_batch({}, seqs, icfg)
 
 
 # ---------------------------------------------------------------------------
