@@ -1,4 +1,5 @@
-"""Deterministic randomness, input coercion and float formatting.
+"""Deterministic randomness, input coercion, text files, float formatting
+and the forked worker map.
 
 Everything downstream (training, folds, synthetic data) draws randomness
 through :class:`Rng` so that a run is a pure function of its seeds.
@@ -6,11 +7,24 @@ through :class:`Rng` so that a run is a pure function of its seeds.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+
 import numpy as np
 
 
 class LomoError(ValueError):
     """Domain error raised for invalid inputs, files, or configurations."""
+
+
+def read_text(path, encoding: str = "utf-8") -> str:
+    """Whole text file; bytes that do not decode raise a LomoError naming it."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise LomoError(f"{path}: not valid UTF-8 text ({err.reason})") from None
 
 
 def as_vector(values, *, what: str = "vector") -> np.ndarray:
@@ -74,3 +88,102 @@ def child_seed(seed: int, index: int) -> int:
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def forked_map(fn, items, workers: int):
+    """Yield fn(item) for every item, in item order, on up to `workers` CPUs.
+
+    Item k runs on worker k % W. Worker 0 is this process; workers 1..W-1
+    are os.fork() children, each streaming one pickled (ok, value or
+    exception) per item through its own pipe. Dealing items round-robin
+    keeps every pipe draining, so no child stalls on a full pipe while the
+    parent waits on another. A child stops after its first failed item, and
+    the error is raised here at that item's place, so the first error in
+    item order wins as in a serial loop. Results and errors must pickle.
+
+    With W < 2, or without os.fork, the items run serially in this process.
+    Closing the generator early, or an error, kills the children still
+    running; every child is reaped before the generator finishes.
+    """
+    items = list(items)
+    workers = min(int(workers), len(items))
+    if workers < 2 or not hasattr(os, "fork"):
+        for item in items:
+            yield fn(item)
+        return
+    readers, pids = [], []
+    done = False
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _serve(fn, items[w::workers], read_fd, write_fd)
+            os.close(write_fd)
+            pids.append(pid)
+            readers.append(open(read_fd, "rb"))
+        for k, item in enumerate(items):
+            w = k % workers
+            if w == 0:
+                yield fn(item)
+                continue
+            try:
+                ok, value = pickle.load(readers[w - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise LomoError(
+                    f"worker process exited without a result for item {k}: {item!r}"
+                ) from None
+            if not ok:
+                raise value
+            yield value
+        done = True
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if not done:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, share, read_fd: int, write_fd: int) -> None:
+    """Body of a forked_map child; ends the process and never returns.
+
+    os._exit skips atexit handlers and leaves the parent's stdio buffers,
+    which the child holds copies of, unflushed.
+    """
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as out:
+            for item in share:
+                try:
+                    result = (True, fn(item))
+                except Exception as err:
+                    result = (False, err)
+                try:
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                except Exception as err:
+                    result = (False, LomoError(f"result for {item!r} does not pickle: {err}"))
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                out.write(data)
+                out.flush()
+                if not result[0]:
+                    break
+    finally:
+        os._exit(0)

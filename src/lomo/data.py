@@ -8,17 +8,21 @@ written with shortest round-trip formatting so rewrites are byte-stable.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LomoError, Rng, as_vector, format_float
+from .core import LomoError, Rng, as_vector, cpu_count, forked_map, format_float, read_text
 from .inference import FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
+# parse_manifest forks a reader only when each worker gets at least this
+# many sequence files, so small manifests are read in this process.
+FORK_MIN_FILES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +34,7 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
 
     A UTF-8 byte-order mark and trailing blank lines are ignored.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, "utf-8-sig").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -128,43 +131,63 @@ class DatasetManifest:
 def parse_manifest(path) -> DatasetManifest:
     """Read and validate a manifest; every referenced sequence must share d.
 
-    A UTF-8 byte-order mark and empty lines are ignored.
+    A UTF-8 byte-order mark and empty lines are ignored. Rows are checked
+    in order and only the sequence files of the rows before the first bad
+    row are read, so the first error in row order is the one raised. With
+    at least FORK_MIN_FILES files for each of two or more CPUs, the files
+    are read by forked workers (core.forked_map); the result is the same.
     """
     base = os.path.dirname(os.path.abspath(str(path)))
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, "utf-8-sig").splitlines()
     if not lines or lines[0] != MANIFEST_HEADER:
         got = lines[0] if lines else ""
         raise LomoError(f"{path}: expected header {MANIFEST_HEADER!r}, got {got!r}")
     records: list[ManifestRecord] = []
-    sequences: dict[str, FrameSequence] = {}
-    dim = None
+    ids: set[str] = set()
+    row_error = None
     for row_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise LomoError(f"{path}: row {row_no} has {len(cells)} columns, expected 4")
-        rec_id, label, group, rel_path = (c.strip() for c in cells)
-        if not rec_id or not label:
-            raise LomoError(f"{path}: row {row_no}: empty id or label")
-        if rec_id in sequences:
-            raise LomoError(f"{path}: duplicate id {rec_id!r} at row {row_no}")
-        seq_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
-        if not os.path.isfile(seq_path):
-            raise LomoError(f"{path}: record {rec_id!r}: missing sequence file {rel_path!r}")
-        seq = read_sequence(seq_path, rec_id)
-        if dim is None:
-            dim = seq.dim
-        elif seq.dim != dim:
-            raise LomoError(
-                f"{path}: record {rec_id!r}: dimension {seq.dim} differs from {dim}"
-            )
-        records.append(ManifestRecord(rec_id, label, group, seq_path))
-        sequences[rec_id] = seq
+        try:
+            records.append(_manifest_record(path, base, row_no, line, ids))
+        except LomoError as err:
+            row_error = err
+            break
+    workers = min(cpu_count(), len(records) // FORK_MIN_FILES)
+    sequences: dict[str, FrameSequence] = {}
+    dim = None
+    reads = forked_map(lambda rec: read_sequence(rec.path, rec.id), records, workers)
+    with contextlib.closing(reads):
+        for rec, seq in zip(records, reads):
+            if dim is None:
+                dim = seq.dim
+            elif seq.dim != dim:
+                raise LomoError(
+                    f"{path}: record {rec.id!r}: dimension {seq.dim} differs from {dim}"
+                )
+            sequences[rec.id] = seq
+    if row_error is not None:
+        raise row_error
     if not records:
         raise LomoError(f"{path}: manifest lists no records")
     return DatasetManifest(records, dim, sequences)
+
+
+def _manifest_record(path, base: str, row_no: int, line: str, ids: set[str]) -> ManifestRecord:
+    """One manifest row checked and resolved; its id is added to `ids`."""
+    cells = line.split(",")
+    if len(cells) != 4:
+        raise LomoError(f"{path}: row {row_no} has {len(cells)} columns, expected 4")
+    rec_id, label, group, rel_path = (c.strip() for c in cells)
+    if not rec_id or not label:
+        raise LomoError(f"{path}: row {row_no}: empty id or label")
+    if rec_id in ids:
+        raise LomoError(f"{path}: duplicate id {rec_id!r} at row {row_no}")
+    seq_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
+    if not os.path.isfile(seq_path):
+        raise LomoError(f"{path}: record {rec_id!r}: missing sequence file {rel_path!r}")
+    ids.add(rec_id)
+    return ManifestRecord(rec_id, label, group, seq_path)
 
 
 # ---------------------------------------------------------------------------

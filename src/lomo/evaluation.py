@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, child_seed, format_float
+from .core import LomoError, child_seed, cpu_count, forked_map, format_float
 from .data import (
     DatasetManifest,
     FoldPlan,
@@ -89,17 +89,33 @@ def _eer_candidates(values: np.ndarray) -> np.ndarray:
 
 
 def roc_eer_rate(labels, scores) -> float:
-    """Classification rate at the discrete equal-error operating point."""
+    """Classification rate at the discrete equal-error operating point.
+
+    Error counts at every threshold come from binary searches in the sorted
+    scores; count / n is the same float as the mean of the boolean mask.
+    """
     pos, neg = _split_scores(labels, scores)
-    best = None
-    for threshold in _eer_candidates(np.concatenate([pos, neg])):
-        fpr = float(np.mean(neg >= threshold))
-        fnr = float(np.mean(pos < threshold))
-        key = (abs(fpr - fnr), fpr, fnr)
-        if best is None or key < best:
-            best = key
-    _, fpr, fnr = best
-    return 1.0 - (fpr + fnr) / 2.0
+    thresholds = _eer_candidates(np.concatenate([pos, neg]))
+    fpr = _sweep_counts(neg, thresholds)[1] / neg.shape[0]
+    fnr = _sweep_counts(pos, thresholds)[0] / pos.shape[0]
+    best = np.lexsort((fnr, fpr, np.abs(fpr - fnr)))[0]
+    return 1.0 - (float(fpr[best]) + float(fnr[best])) / 2.0
+
+
+def _sweep_counts(values: np.ndarray, thresholds: np.ndarray):
+    """(#values < t, #values >= t) for each threshold t.
+
+    A NaN threshold counts nothing, as the comparisons do. Its key
+    (0, 0, 0) then wins the sweep, so NaN scores, which sort last here
+    and would count as >= t, never change the result.
+    """
+    ordered = np.sort(values)
+    below = np.searchsorted(ordered, thresholds, side="left")
+    at_least = ordered.shape[0] - below
+    nan = np.isnan(thresholds)
+    below[nan] = 0
+    at_least[nan] = 0
+    return below, at_least
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +198,8 @@ def run_cv(
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
     Fold i trains with a child seed of cfg.seed, so results are
-    deterministic and independent of fold execution order.
+    deterministic and independent of fold execution order; the folds run
+    on forked workers, one per CPU (core.forked_map).
     """
     metric = str(metric).lower()
     if metric not in METRICS:
@@ -199,26 +216,24 @@ def run_cv(
             raise LomoError(f"positive_label {positive_label!r} not among classes {classes}")
     seqs = manifest.sequences
     by_id = manifest.by_id()
-    values = []
-    for fold_no, fold in enumerate(plan.folds):
+
+    def fold_value(fold_no: int) -> float:
+        fold = plan.folds[fold_no]
         if not fold.train_ids or not fold.test_ids:
             raise LomoError(f"fold {fold_no}: empty train or test split")
         train_recs = [by_id[i] for i in fold.train_ids]
         test_recs = [by_id[i] for i in fold.test_ids]
         fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
         if multiclass:
-            values.append(
-                _multiclass_fold_value(
-                    train_recs, test_recs, seqs, fold_cfg, classes, fold_no, preprocess
-                )
+            return _multiclass_fold_value(
+                train_recs, test_recs, seqs, fold_cfg, classes, fold_no, preprocess
             )
-        else:
-            values.append(
-                _binary_fold_value(
-                    train_recs, test_recs, seqs, fold_cfg, metric,
-                    positive_label, fold_no, preprocess,
-                )
-            )
+        return _binary_fold_value(
+            train_recs, test_recs, seqs, fold_cfg, metric, positive_label, fold_no, preprocess
+        )
+
+    folds = range(len(plan.folds))
+    values = list(forked_map(fold_value, folds, min(cpu_count(), len(folds))))
     return CvResult(metric=metric, fold_values=values)
 
 

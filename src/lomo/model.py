@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, Rng, format_float
+from .core import LomoError, Rng, format_float, read_text
 
 MAX_TEMPLATES = 8  # dense cost table; 8! = 40320 entries is the ceiling
 
@@ -174,9 +174,7 @@ def _parse_floats(tokens: list[str], line_no: int) -> np.ndarray:
 
 def load_model(path) -> LomoModel:
     """Parse a model file, validating structure with line-numbered errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise LomoError("line 1: empty model file")
     if lines[0] != MODEL_FORMAT_VERSION:
@@ -211,7 +209,7 @@ def load_model(path) -> LomoModel:
         raise LomoError(
             f"line 3: cost table has {costs.shape[0]} entries, expected {math.factorial(m)}"
         )
-    templates = np.empty((m, d))
+    templates = []
     for i in range(m):
         line_no = 4 + i
         row_parts = lines[3 + i].split(" ")
@@ -220,5 +218,5 @@ def load_model(path) -> LomoModel:
         row = _parse_floats(row_parts[1:], line_no)
         if row.shape[0] != d:
             raise LomoError(f"line {line_no}: template has {row.shape[0]} values, expected {d}")
-        templates[i] = row
-    return LomoModel(templates, costs)
+        templates.append(row)
+    return LomoModel(np.array(templates), costs)

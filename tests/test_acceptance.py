@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,7 +401,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         out = str(tmp_path / name)
         assert main(["train", "--manifest", manifest, "--out", out,
                      "--positive-label", "pos", *fast]) == 0
-        model_files.append(open(out, "rb").read())
+        model_files.append(Path(out).read_bytes())
     assert model_files[0] == model_files[1], "train reruns differ"
     cv_files = []
     for name in ("cv1.csv", "cv2.csv"):
@@ -408,7 +409,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         assert main(["cv", "--manifest", manifest, "--scheme", "kfold",
                      "--folds", "2", "--metric", "acc", "--positive-label", "pos",
                      "--out", out, *fast]) == 0
-        cv_files.append(open(out, "rb").read())
+        cv_files.append(Path(out).read_bytes())
     assert cv_files[0] == cv_files[1], "cv reruns differ"
     print("criterion 9 (CLI determinism): PASS, train and cv reruns byte-identical")
 

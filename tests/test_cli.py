@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_train_is_byte_deterministic(tmp_path):
 def test_train_mil_forces_single_frozen_template(tmp_path):
     data = _synth(tmp_path)
     path = _train(tmp_path, data, "mil.lomo", extra=["--variant", "mil"])
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert "M=1 d=4" in text
     assert "\ncosts 0.0\n" in text  # ordering costs stay frozen at zero
 
@@ -209,7 +210,7 @@ def test_predict_late_fusion_averages_model_scores(tmp_path):
             *model_flags, "--exclusion-t", "1", "--out", out,
         ]
         assert main(argv) == 0
-        outputs[name] = _parse_predictions(open(out, encoding="utf-8").read())
+        outputs[name] = _parse_predictions(Path(out).read_text(encoding="utf-8"))
     for rec_id, (fused, _) in outputs["ab"].items():
         assert fused == fuse_scores([outputs["a"][rec_id][0], outputs["b"][rec_id][0]])
 
@@ -223,7 +224,7 @@ def test_predict_pool_flag_scores_pooled_frames(tmp_path):
         "--model", model_path, "--pool", "mean", "--out", out,
     ]
     assert main(argv) == 0
-    rows = _parse_predictions(open(out, encoding="utf-8").read())
+    rows = _parse_predictions(Path(out).read_text(encoding="utf-8"))
     model = load_model(model_path)
     for rec_id, (value, _) in rows.items():
         frames = np.loadtxt(os.path.join(data, f"seq_{rec_id}.csv"), delimiter=",", ndmin=2)
@@ -258,7 +259,7 @@ def test_cv_writes_fold_rows_and_mean(tmp_path, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert "cv config: scheme=kfold folds=2 metric=acc" in captured.err
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "fold,metric,value"
     assert len(lines) == 4  # header, two folds, mean
     assert lines[1].startswith("0,acc,") and lines[2].startswith("1,acc,")
@@ -287,7 +288,7 @@ def test_cv_multiclass_accuracy(tmp_path):
         "--templates", "1", "--exclusion-t", "0", "--max-iter", "400", "--out", out,
     ]
     assert main(argv) == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert lines[-1].startswith("mean,acc,")
     assert float(lines[-1].split(",")[2]) >= 0.9
 
@@ -369,3 +370,48 @@ def test_corrupt_model_file_exits_one(tmp_path, capsys):
             "--model", str(bad)]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _error_line(capsys) -> str:
+    """The last stderr line; commands echo their configuration first."""
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+def _report_argv(tmp_path, model, sequence):
+    return ["report", "--model", str(model), "--sequence", str(sequence),
+            "--exclusion-t", "0", "--out", str(tmp_path / "r.csv")]
+
+
+def test_undecodable_sequence_file_exits_one(tmp_path, capsys):
+    data = _synth(tmp_path)
+    model = _train(tmp_path, data)
+    seq = os.path.join(data, "seq_pos0003.csv")
+    with open(seq, "ab") as fh:
+        fh.write(b"1.0,\xff\n")
+    argv = ["predict", "--manifest", os.path.join(data, "manifest.csv"), "--model", model]
+    assert main(argv) == 1
+    assert _error_line(capsys).startswith(f"error: {seq}: not valid UTF-8 text")
+    assert main(_report_argv(tmp_path, model, seq)) == 1
+    assert _error_line(capsys).startswith(f"error: {seq}: not valid UTF-8 text")
+
+
+def test_undecodable_manifest_exits_one(tmp_path, capsys):
+    data = _synth(tmp_path)
+    model = _train(tmp_path, data)
+    manifest = os.path.join(data, "manifest.csv")
+    with open(manifest, "ab") as fh:
+        fh.write(b"x\xff,pos,s00,seq_pos0000.csv\n")
+    assert main(["predict", "--manifest", manifest, "--model", model]) == 1
+    assert _error_line(capsys).startswith(f"error: {manifest}: not valid UTF-8 text")
+
+
+def test_undecodable_model_file_exits_one(tmp_path, capsys):
+    data = _synth(tmp_path)
+    bad = tmp_path / "bad.lomo"
+    bad.write_bytes(b"LOMO v1\nM=1 d=4\ncosts 0.0\nw1 \xff\n")
+    argv = ["predict", "--manifest", os.path.join(data, "manifest.csv"), "--model", str(bad)]
+    assert main(argv) == 1
+    assert _error_line(capsys).startswith(f"error: {bad}: not valid UTF-8 text")
+    seq = os.path.join(data, "seq_pos0000.csv")
+    assert main(_report_argv(tmp_path, bad, seq)) == 1
+    assert _error_line(capsys).startswith(f"error: {bad}: not valid UTF-8 text")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ def test_predict_scores_mixed_lengths_like_latent_assign(tmp_path):
     argv = ["predict", "--manifest", _write_manifest(tmp_path, frames),
             "--model", _model_file(tmp_path, model), "--exclusion-t", "1", "--out", out]
     assert main(argv) == 0
-    rows = open(out, encoding="utf-8").read().splitlines()[1:]
+    rows = Path(out).read_text(encoding="utf-8").splitlines()[1:]
     cfg = InferenceConfig(exclusion_t=1)
     for k, line in enumerate(rows):
         rec_id, value, _ = line.split(",")

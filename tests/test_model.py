@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lomo.core import LomoError, Rng
 from lomo.model import (
@@ -261,3 +263,95 @@ def test_load_rejects_missing_template_line(tmp_path):
     path = _write(tmp_path, "LOMO v1\nM=2 d=1\ncosts 0.0 0.0\nw1 0.0\n")
     with pytest.raises(LomoError):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# model-file properties
+
+FILE_SETTINGS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1e-17]
+
+
+def _any_finite_bits(rng, n, awkward):
+    """n finite float64s from uniformly random bit patterns, led by `awkward`."""
+    values = np.frombuffer(rng.bytes(8 * n), dtype=np.float64).copy()
+    values[~np.isfinite(values)] = -0.0
+    head = awkward[:n]
+    values[: len(head)] = head
+    return values
+
+
+@FILE_SETTINGS
+@given(
+    m=st.integers(1, MAX_TEMPLATES),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    awkward=st.lists(st.sampled_from(AWKWARD_FLOATS), max_size=6),
+)
+def test_save_load_round_trip_is_bit_exact_for_every_m(tmp_path, m, d, seed, awkward):
+    rng = np.random.default_rng(seed)
+    model = LomoModel(
+        _any_finite_bits(rng, m * d, awkward).reshape(m, d),
+        _any_finite_bits(rng, math.factorial(m), awkward),
+    )
+    path = tmp_path / "rt.lomo"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.templates.tobytes() == model.templates.tobytes()
+    assert loaded.costs.tobytes() == model.costs.tobytes()
+
+
+MODEL_LINES = st.sampled_from([
+    b"LOMO v1", b"LOMO v2", b"\xef\xbb\xbfLOMO v1", b"M=1 d=2", b"M=2 d=1", b"M=9 d=1",
+    b"M=0 d=1", b"M=1 d=99999999999999999999", b"M=x d=1", b"costs", b"costs 0.0",
+    b"costs 0.5 -1.0", b"costs 1e400", b"w1", b"w1 1.0 2.0", b"w1 nan", b"w2 0.5",
+    b"w1  1.0", b"\xff", b"\x00", b"\r", b" ", b"",
+])
+
+
+MODEL_TOKENS = st.sampled_from(["0.5", "0.5", "-0.0", "nan", "1e400", "x", ""])
+
+
+@st.composite
+def model_like_texts(draw) -> bytes:
+    """A v1 header, then dimension, cost and template lines that often fit."""
+    m = draw(st.integers(-1, MAX_TEMPLATES + 1))
+    d = draw(st.one_of(st.integers(-1, 3), st.integers(10**6, 10**30)))
+    fits = 1 <= m <= 4 and draw(st.booleans())
+    n_costs = math.factorial(m) if fits else draw(st.integers(0, 3))
+    lines = ["LOMO v1", f"M={m} d={d}", " ".join(["costs", *draw(
+        st.lists(MODEL_TOKENS, min_size=n_costs, max_size=n_costs))])]
+    n_rows = m if fits else draw(st.integers(0, 3))
+    for i in range(n_rows):
+        lines.append(" ".join([f"w{i + 1}", *draw(st.lists(MODEL_TOKENS, max_size=3))]))
+    return "\n".join(lines).encode()
+
+
+def _valid_model_bytes() -> bytes:
+    return b"LOMO v1\nM=2 d=2\ncosts 0.5 -0.5\nw1 1.5 -0.25\nw2 0.0 3.0\n"
+
+
+@FILE_SETTINGS
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.one_of(MODEL_LINES, st.binary(max_size=6)), max_size=6).map(b"\n".join),
+    model_like_texts(),
+    st.tuples(st.integers(0, len(_valid_model_bytes()) - 1), st.integers(0, 255)).map(
+        lambda pos_byte: _valid_model_bytes()[: pos_byte[0]] + bytes([pos_byte[1]])
+        + _valid_model_bytes()[pos_byte[0] + 1 :]
+    ),
+))
+@example(b"\x80")
+@example(b"LOMO v1\nM=1 d=99999999999999999999\ncosts 0.0\nw1 1.0\n")
+def test_any_byte_string_loads_as_a_model_or_raises_lomo_error(tmp_path, raw):
+    path = tmp_path / "any.lomo"
+    path.write_bytes(raw)
+    try:
+        model = load_model(path)
+    except LomoError:
+        return
+    assert isinstance(model, LomoModel)
