@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import traceback
 
 import numpy as np
 
@@ -110,8 +111,8 @@ def forked_map(fn, items, workers: int):
     item order wins as in a serial loop. Results and errors must pickle.
 
     With W < 2, or without os.fork, the items run serially in this process.
-    Closing the generator early, or an error, kills the children still
-    running; every child is reaped before the generator finishes.
+    When the generator finishes, is closed early or raises, every child is
+    killed if still running and reaped.
     """
     items = list(items)
     workers = min(int(workers), len(items))
@@ -120,7 +121,6 @@ def forked_map(fn, items, workers: int):
             yield fn(item)
         return
     readers, pids = [], []
-    done = False
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -149,16 +149,13 @@ def forked_map(fn, items, workers: int):
             if not ok:
                 raise value
             yield value
-        done = True
     finally:
         for reader in readers:
             reader.close()
         for pid in pids:
-            if not done:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+            # a child that sent all its results is exiting; one that has not
+            # may be deep in an item, so it is stopped rather than awaited
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -175,13 +172,14 @@ def _serve(fn, share, read_fd: int, write_fd: int) -> None:
                 try:
                     result = (True, fn(item))
                 except Exception as err:
+                    if not isinstance(err, LomoError):
+                        # a traceback does not pickle; keep the text of this one
+                        err.__notes__ = [*getattr(err, "__notes__", ()),
+                                         f"in forked worker:\n{traceback.format_exc()}"]
                     result = (False, err)
-                try:
-                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                except Exception as err:
-                    result = (False, LomoError(f"result for {item!r} does not pickle: {err}"))
-                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                out.write(data)
+                # pickled whole first: a result that does not pickle sends
+                # nothing, and the parent reports this child as exited
+                out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
                 out.flush()
                 if not result[0]:
                     break

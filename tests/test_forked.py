@@ -108,6 +108,22 @@ def test_a_child_runs_nothing_after_its_first_failure(tmp_path):
     assert_no_children()
 
 
+def test_forked_map_keeps_the_worker_traceback_of_an_unexpected_error():
+    def fn(k):
+        return {0: 0}[k]
+
+    with pytest.raises(KeyError) as info:
+        list(forked_map(fn, [1, 2], 2))
+    assert info.value.args == (1,)
+    assert not hasattr(info.value, "__notes__")  # item 1 failed in this process
+    with pytest.raises(KeyError) as info:
+        list(forked_map(fn, [0, 2], 2))
+    assert info.value.args == (2,)
+    (note,) = info.value.__notes__
+    assert note.startswith("in forked worker:\nTraceback") and "return {0: 0}[k]" in note
+    assert_no_children()
+
+
 def test_forked_map_names_the_item_of_a_child_that_dies():
     def fn(k):
         if k == 3:
@@ -119,8 +135,8 @@ def test_forked_map_names_the_item_of_a_child_that_dies():
     assert_no_children()
 
 
-def test_forked_map_reports_a_result_that_does_not_pickle():
-    with pytest.raises(LomoError, match="result for 1 does not pickle"):
+def test_forked_map_reports_a_result_that_does_not_pickle_as_a_dead_child():
+    with pytest.raises(LomoError, match="exited without a result for item 1: 1"):
         list(forked_map(lambda k: (lambda: k), range(2), 2))
     assert_no_children()
 
