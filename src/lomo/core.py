@@ -112,7 +112,12 @@ def forked_map(fn, items, workers: int):
 
     With W < 2, or without os.fork, the items run serially in this process.
     When the generator finishes, is closed early or raises, every child is
-    killed if still running and reaped.
+    killed if still running and reaped. A child that exits without a result
+    is reported; one that blocks is waited for without a time limit. A
+    forked child holds only the calling thread, so a lock that another
+    thread held at the fork (a BLAS built on GNU OpenMP, a caller's own
+    threads) can deadlock it and this call then never returns. Only
+    OpenBLAS with pthreads, single- and multi-threaded, has been tried.
     """
     items = list(items)
     workers = min(int(workers), len(items))

@@ -21,8 +21,10 @@ from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
 # parse_manifest forks a reader only when each worker gets at least this
-# many sequence files, so small manifests are read in this process.
-FORK_MIN_FILES = 64
+# many sequence files. A fork costs about 5 ms and a 40-frame file 0.5 ms
+# (d=20) to 2.5 ms (d=100) to read; with two CPUs, forking lost below 16
+# files per worker at d=20 and won from 32 on, at both d.
+FORK_MIN_FILES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,9 @@ def parse_manifest(path) -> DatasetManifest:
     row are read, so the first error in row order is the one raised. With
     at least FORK_MIN_FILES files for each of two or more CPUs, the files
     are read by forked workers (core.forked_map); the result is the same.
+    Forking is unsafe in a process that runs other threads, including a
+    BLAS built on GNU OpenMP: a worker can deadlock and the call then
+    never returns (see core.forked_map).
     """
     base = os.path.dirname(os.path.abspath(str(path)))
     lines = read_text(path, "utf-8-sig").splitlines()

@@ -89,33 +89,17 @@ def _eer_candidates(values: np.ndarray) -> np.ndarray:
 
 
 def roc_eer_rate(labels, scores) -> float:
-    """Classification rate at the discrete equal-error operating point.
-
-    Error counts at every threshold come from binary searches in the sorted
-    scores; count / n is the same float as the mean of the boolean mask.
-    """
+    """Classification rate at the discrete equal-error operating point."""
     pos, neg = _split_scores(labels, scores)
-    thresholds = _eer_candidates(np.concatenate([pos, neg]))
-    fpr = _sweep_counts(neg, thresholds)[1] / neg.shape[0]
-    fnr = _sweep_counts(pos, thresholds)[0] / pos.shape[0]
-    best = np.lexsort((fnr, fpr, np.abs(fpr - fnr)))[0]
-    return 1.0 - (float(fpr[best]) + float(fnr[best])) / 2.0
-
-
-def _sweep_counts(values: np.ndarray, thresholds: np.ndarray):
-    """(#values < t, #values >= t) for each threshold t.
-
-    A NaN threshold counts nothing, as the comparisons do. Its key
-    (0, 0, 0) then wins the sweep, so NaN scores, which sort last here
-    and would count as >= t, never change the result.
-    """
-    ordered = np.sort(values)
-    below = np.searchsorted(ordered, thresholds, side="left")
-    at_least = ordered.shape[0] - below
-    nan = np.isnan(thresholds)
-    below[nan] = 0
-    at_least[nan] = 0
-    return below, at_least
+    best = None
+    for threshold in _eer_candidates(np.concatenate([pos, neg])):
+        fpr = float(np.mean(neg >= threshold))
+        fnr = float(np.mean(pos < threshold))
+        key = (abs(fpr - fnr), fpr, fnr)
+        if best is None or key < best:
+            best = key
+    _, fpr, fnr = best
+    return 1.0 - (fpr + fnr) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +183,11 @@ def run_cv(
     than two classes run one-vs-all and report average class accuracy.
     Fold i trains with a child seed of cfg.seed, so results are
     deterministic and independent of fold execution order; the folds run
-    on forked workers, one per CPU (core.forked_map).
+    on forked workers, one per CPU (core.forked_map). Every fold trains a
+    model, which outweighs the cost of a fork even for two-sequence
+    training splits, so folds fork with no minimum size. Forking is unsafe
+    in a process that runs other threads, including a BLAS built on GNU
+    OpenMP: a worker can deadlock and the call then never returns.
     """
     metric = str(metric).lower()
     if metric not in METRICS:

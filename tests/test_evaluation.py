@@ -20,8 +20,6 @@ from lomo.data import (
 )
 from lomo.evaluation import (
     CvResult,
-    _eer_candidates,
-    _split_scores,
     avg_class_accuracy,
     format_cv_results,
     roc_auc,
@@ -67,20 +65,6 @@ def oracle_eer_rate(labels, scores) -> float:
         if best is None or key < best:
             best = key
     return 1.0 - (best[1] + best[2]) / 2.0
-
-
-def mask_sweep_eer_rate(labels, scores) -> float:
-    """The former O(n^2) sweep: one boolean-mask mean per candidate threshold."""
-    pos, neg = _split_scores(labels, scores)
-    best = None
-    for threshold in _eer_candidates(np.concatenate([pos, neg])):
-        fpr = float(np.mean(neg >= threshold))
-        fnr = float(np.mean(pos < threshold))
-        key = (abs(fpr - fnr), fpr, fnr)
-        if best is None or key < best:
-            best = key
-    _, fpr, fnr = best
-    return 1.0 - (fpr + fnr) / 2.0
 
 
 def random_binary_case(rng):
@@ -180,18 +164,6 @@ def test_roc_eer_rate_equals_the_sweep_oracle_under_heavy_ties(data):
     scores = data.draw(st.lists(score, min_size=len(labels), max_size=len(labels)))
     with np.errstate(over="ignore"):  # midpoints of huge scores overflow, as in the oracle
         assert roc_eer_rate(labels, scores) == oracle_eer_rate(labels, scores)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_roc_eer_rate_equals_the_mask_sweep_with_nan_and_inf(data):
-    score = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5])
-    labels = data.draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=20)
-                       .filter(lambda ls: 1 in ls and -1 in ls))
-    scores = data.draw(st.lists(score, min_size=len(labels), max_size=len(labels)))
-    with np.errstate(invalid="ignore"):
-        expected = mask_sweep_eer_rate(labels, scores)
-        assert roc_eer_rate(labels, scores) == expected
 
 
 def test_roc_eer_rate_validation():
