@@ -1,7 +1,9 @@
 """Golden byte tests: SHA-256 of CLI outputs on a small synthetic set.
 
-The digests were taken from the reference implementation (per-sequence
-latent assignment and one model object per SGD step). Any refactor of
+The first six digests were taken from the reference implementation
+(per-sequence latent assignment and one model object per SGD step); the
+pooled cv, pooled predict and 3-class cv digests from the code that
+pooled outside the preprocessing pipeline. Any refactor of
 training, scoring, parsing or preprocessing must reproduce these files
 byte for byte; a digest may change only in a change that says which
 bytes change and why.
@@ -51,7 +53,24 @@ COMMANDS = {
         "--exclusion-t", "1", "--l2", "--pca-dim", "3", "--max-iter", "500",
         "--seed", "6", "--out", "{out}",
     ],
+    "svm_max_l2_pca_stack_cv.csv": [
+        "cv", "--scheme", "kfold", "--folds", "3", "--metric", "eer",
+        "--positive-label", "pos", "--variant", "svm-max", "--l2", "--pca-dim", "3",
+        "--stack", "2", "--max-iter", "500", "--seed", "7", "--out", "{out}",
+    ],
+    "svm_max_pool_predict.csv": [
+        "predict", "--model", "{dir}/svm_max.lomo", "--pool", "max", "--out", "{out}",
+    ],
+    "three_class_l2_pca_cv.csv": [
+        "cv", "--scheme", "kfold", "--folds", "3", "--metric", "acc", "--variant", "lomo",
+        "--templates", "2", "--exclusion-t", "1", "--l2", "--pca-dim", "3",
+        "--max-iter", "300", "--seed", "8", "--out", "{out}",
+    ],
 }
+
+# outputs read from a manifest other than the synthetic one; the fixture
+# writes it next to the synthetic manifest
+MANIFESTS = {"three_class_l2_pca_cv.csv": "three_class_manifest.csv"}
 
 GOLDEN_SHA256 = {
     "lomo_m3_gradient.lomo":
@@ -66,7 +85,32 @@ GOLDEN_SHA256 = {
         "abee72925cb0eefdad2bb02d5c59ce9e4e41256723f90b4e55e378c0e74f38f0",
     "l2_pca_kfold_cv.csv":
         "a9c3f786d9fbbf312cdd58da3c00f990ccc79959b9de38e85acb566539cf3bcb",
+    "svm_max_l2_pca_stack_cv.csv":
+        "148316d76398e6298c0f6432ab4e5c5b833635044236e8972de28306c7306534",
+    "svm_max_pool_predict.csv":
+        "d8959d275347b3ec703611542547a0d8a2d4ebd0b5362f4f92779938b42c821c",
+    "three_class_l2_pca_cv.csv":
+        "bce63eeb3d64bd1367809ef45ff57dd63f19a6358f985f592cb499b9d19cefcd",
 }
+
+
+def _write_three_class_manifest(data: str) -> None:
+    """The synthetic manifest with negatives 6..11 relabelled "mid".
+
+    Those six negatives span six of the ten groups, so every training
+    split of a 3-fold grouped cv holds all three classes.
+    """
+    with open(os.path.join(data, "manifest.csv"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        rec_id, label, rest = line.split(",", 2)
+        if label == "neg" and int(rec_id[3:]) >= 6:
+            label = "mid"
+        rows.append(f"{rec_id},{label},{rest}")
+    path = os.path.join(data, MANIFESTS["three_class_l2_pca_cv.csv"])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +118,12 @@ def outputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
     data = str(work / "data")
     assert main(["synth", "--out", data, *SYNTH]) == 0
-    manifest = os.path.join(data, "manifest.csv")
+    _write_three_class_manifest(data)
     digests = {}
     for name, template in COMMANDS.items():  # models first: predict reads them
         out = str(work / name)
         argv = [a.format(out=out, dir=work) for a in template]
+        manifest = os.path.join(data, MANIFESTS.get(name, "manifest.csv"))
         assert main([argv[0], "--manifest", manifest, *argv[1:]]) == 0, name
         with open(out, "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
