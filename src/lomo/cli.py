@@ -16,10 +16,11 @@ from .core import LomoError, format_float
 from .data import (
     PreprocessConfig,
     SynthSpec,
+    apply_preprocess,
+    fit_preprocess,
     gen_synthetic,
     make_folds,
     parse_manifest,
-    pooled_sequence,
     read_sequence,
 )
 from .evaluation import format_cv_results, run_cv
@@ -27,9 +28,10 @@ from .inference import InferenceConfig, assign_batch, fuse_scores, score_sequenc
 from .model import load_model, save_model
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
+# --variant -> (TrainConfig.variant, PreprocessConfig.pool)
 VARIANT_FLAGS = {
-    "lomo": ("lomo", "mean"),
-    "mil": ("mil", "mean"),
+    "lomo": ("lomo", None),
+    "mil": ("mil", None),
     "svm-mean": ("svm_pool", "mean"),
     "svm-max": ("svm_pool", "max"),
 }
@@ -52,7 +54,7 @@ def _write_text(text: str, out_path: str | None) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    variant, pooling = VARIANT_FLAGS[args.variant]
+    variant, _ = VARIANT_FLAGS[args.variant]
     return TrainConfig(
         num_templates=args.templates,
         eta=args.eta,
@@ -62,7 +64,6 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed,
         variant=variant,
         cost_update=args.cost_update,
-        pooling=pooling,
     )
 
 
@@ -83,14 +84,11 @@ def _add_train_flags(sub) -> None:
                      help="ordering-cost update rule on margin violations")
 
 
-def _load_training_sequences(manifest, cfg: TrainConfig):
-    pairs = []
-    for rec in manifest.records:
-        seq = manifest.sequences[rec.id]
-        if cfg.variant == "svm_pool":
-            seq = pooled_sequence(seq, cfg.pooling)
-        pairs.append((rec, seq))
-    return pairs
+def _prepared(manifest, preprocess: PreprocessConfig):
+    """(record, sequence) pairs in manifest order, run through `preprocess`."""
+    seqs = [manifest.sequences[rec.id] for rec in manifest.records]
+    fitted = fit_preprocess(seqs, preprocess)
+    return [(rec, apply_preprocess(fitted, seq)) for rec, seq in zip(manifest.records, seqs)]
 
 
 def _cmd_synth(args) -> int:
@@ -120,7 +118,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
     manifest = parse_manifest(args.manifest)
-    pairs = _load_training_sequences(manifest, cfg)
+    pairs = _prepared(manifest, PreprocessConfig(pool=VARIANT_FLAGS[args.variant][1]))
     resolved_iter = cfg.max_iter if cfg.max_iter is not None else 100 * len(pairs)
     _echo("train", [
         ("variant", args.variant), ("templates", cfg.num_templates), ("eta", cfg.eta),
@@ -161,12 +159,11 @@ def _cmd_predict(args) -> int:
     models = [load_model(p) for p in args.model]
     manifest = parse_manifest(args.manifest)
     icfg = InferenceConfig(exclusion_t=args.exclusion_t)
-    seqs = [manifest.sequences[rec.id] for rec in manifest.records]
-    if args.pool != "none":
-        seqs = [pooled_sequence(seq, args.pool) for seq in seqs]
+    pairs = _prepared(manifest, PreprocessConfig(pool=None if args.pool == "none" else args.pool))
+    seqs = [seq for _, seq in pairs]
     per_model = [score_sequences(m, seqs, icfg).tolist() for m in models]
     lines = ["id,score,decision"]
-    for k, rec in enumerate(manifest.records):
+    for k, (rec, _) in enumerate(pairs):
         fused = fuse_scores([scores[k] for scores in per_model])
         decision = 1 if fused > 0 else -1
         lines.append(f"{rec.id},{format_float(fused)},{decision}")
@@ -185,7 +182,9 @@ def _cmd_cv(args) -> int:
     ])
     manifest = parse_manifest(args.manifest)
     plan = make_folds(manifest, args.scheme, args.seed, k=args.folds)
-    preprocess = PreprocessConfig(l2=args.l2, pca_dim=args.pca_dim, stack=args.stack)
+    preprocess = PreprocessConfig(
+        l2=args.l2, pca_dim=args.pca_dim, stack=args.stack, pool=VARIANT_FLAGS[args.variant][1]
+    )
     result = run_cv(
         manifest, plan, cfg,
         metric=args.metric,

@@ -1,5 +1,5 @@
-"""Deterministic randomness, input coercion, text files, float formatting
-and the forked worker map.
+"""Deterministic randomness, text files, float formatting and the forked
+worker map.
 
 Everything downstream (training, folds, synthetic data) draws randomness
 through :class:`Rng` so that a run is a pure function of its seeds.
@@ -26,16 +26,6 @@ def read_text(path, encoding: str = "utf-8") -> str:
             return fh.read()
     except UnicodeDecodeError as err:
         raise LomoError(f"{path}: not valid UTF-8 text ({err.reason})") from None
-
-
-def as_vector(values, *, what: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, rejecting NaN/Inf at ingestion."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise LomoError(f"{what} must be 1-dimensional, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise LomoError(f"{what} contains non-finite entries")
-    return v
 
 
 class Rng:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LomoError, Rng, as_vector, cpu_count, forked_map, format_float, read_text
+from .core import LomoError, Rng, cpu_count, forked_map, format_float, read_text
 from .inference import FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
@@ -221,12 +221,15 @@ def make_folds(
 
     For k-fold the group list is shuffled by the seeded Rng and dealt
     round-robin, so folds are deterministic and no group straddles a fold.
+    LOGO has one fold per group, so giving it k is an error.
     """
     scheme = str(scheme).lower()
     groups = manifest.groups
     if len(groups) < 2:
         raise LomoError(f"grouped folding needs >= 2 groups, got {len(groups)}")
     if scheme == SCHEME_LOGO:
+        if k is not None:
+            raise LomoError(f"the logo scheme takes no fold count k, got k={k}")
         fold_groups = [[g] for g in groups]
     elif scheme == SCHEME_KFOLD:
         if k is None:
@@ -267,12 +270,6 @@ def _l2_rows(frames: np.ndarray) -> np.ndarray:
     out = frames / norms[:, None]
     out[small] = frames[small]
     return out
-
-
-def l2_normalize(v) -> np.ndarray:
-    """v / ||v|| with a small-norm guard that returns v unchanged."""
-    v = np.asarray(v, dtype=np.float64)
-    return _l2_rows(v.reshape(1, -1)).reshape(v.shape)
 
 
 def l2_normalize_frames(seq: FrameSequence) -> FrameSequence:
@@ -318,7 +315,7 @@ def pca_fit(vectors, k: int) -> PcaBasis:
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
-        mat = np.vstack([as_vector(v) for v in vectors])
+        raise LomoError(f"pca_fit needs a 2-D sample matrix, got shape {mat.shape}")
     n, d = mat.shape
     if n < 2:
         raise LomoError(f"pca_fit needs >= 2 samples, got {n}")
@@ -352,21 +349,24 @@ def pca_transform_sequence(basis: PcaBasis, seq: FrameSequence) -> FrameSequence
 
 @dataclass
 class PreprocessConfig:
-    """Per-fold feature pipeline: unit-l2, PCA (fit on train only), stacking."""
+    """Feature pipeline: unit-l2, PCA (fit on train only), stacking, pooling.
+
+    pool collapses each sequence to one frame by elementwise mean or max,
+    the input the svm_pool variant expects; None keeps every frame.
+    """
 
     l2: bool = False
     pca_dim: int | None = None
     stack: int = 1
+    pool: str | None = None
 
     def __post_init__(self):
         if self.stack < 1:
             raise LomoError(f"stack window must be >= 1, got {self.stack}")
         if self.pca_dim is not None and self.pca_dim < 1:
             raise LomoError(f"pca_dim must be >= 1, got {self.pca_dim}")
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.l2 and self.pca_dim is None and self.stack == 1
+        if self.pool not in (None, "mean", "max"):
+            raise LomoError(f"pool must be None, 'mean' or 'max', got {self.pool!r}")
 
 
 @dataclass
@@ -376,7 +376,7 @@ class FittedPreprocess:
 
 
 def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
-    """Fit pipeline statistics (the PCA basis) on training sequences only."""
+    """Fit pipeline statistics (the PCA basis) on unpooled training frames."""
     basis = None
     if config.pca_dim is not None:
         frames = np.vstack([seq.frames for seq in train_seqs])
@@ -387,6 +387,7 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
 
 
 def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
+    """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself."""
     cfg = fitted.config
     out = seq
     if cfg.l2:
@@ -395,6 +396,8 @@ def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSeque
         out = pca_transform_sequence(fitted.basis, out)
     if cfg.stack > 1:
         out = stack_frames(out, cfg.stack)
+    if cfg.pool is not None:
+        out = pooled_sequence(out, cfg.pool)
     return out
 
 
@@ -438,8 +441,8 @@ class SynthSpec:
             )
         if self.min_gap < 0:
             raise LomoError(f"min_gap must be >= 0, got {self.min_gap}")
-        if self.noise_sigma < 0:
-            raise LomoError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise LomoError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.num_pos < 1 or self.num_neg < 1:
             raise LomoError("num_pos and num_neg must be >= 1")
 

@@ -15,15 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LomoError, child_seed, cpu_count, forked_map, format_float
-from .data import (
-    DatasetManifest,
-    FoldPlan,
-    FittedPreprocess,
-    PreprocessConfig,
-    apply_preprocess,
-    fit_preprocess,
-    pooled_sequence,
-)
+from .data import DatasetManifest, FoldPlan, PreprocessConfig, apply_preprocess, fit_preprocess
 from .inference import ova_predict, score_sequences
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
@@ -116,30 +108,17 @@ class CvResult:
         return float(np.mean(self.fold_values))
 
 
-def _prepared(seq, fitted: FittedPreprocess, cfg: TrainConfig):
-    out = apply_preprocess(fitted, seq)
-    if cfg.variant == "svm_pool":
-        out = pooled_sequence(out, cfg.pooling)
-    return out
-
-
-def _binary_fold_value(
-    train_recs, test_recs, seqs, cfg, metric, positive_label, fold_no, preprocess
-):
-    fitted = fit_preprocess([seqs[r.id] for r in train_recs], preprocess)
+def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label, fold_no):
     train_data = [
-        LabeledSequence(
-            _prepared(seqs[r.id], fitted, cfg), 1 if r.label == positive_label else -1, r.group
-        )
-        for r in train_recs
+        LabeledSequence(seq, 1 if r.label == positive_label else -1, r.group)
+        for r, seq in train_pairs
     ]
     if {ex.label for ex in train_data} != {-1, 1}:
         raise LomoError(f"fold {fold_no}: training split lacks one of the two classes")
     model = train(train_data, cfg)
     icfg = cfg.inference_config()
-    truths = [1 if r.label == positive_label else -1 for r in test_recs]
-    test_seqs = [_prepared(seqs[r.id], fitted, cfg) for r in test_recs]
-    values = score_sequences(model, test_seqs, icfg).tolist()
+    truths = [1 if r.label == positive_label else -1 for r, _ in test_pairs]
+    values = score_sequences(model, [seq for _, seq in test_pairs], icfg).tolist()
     if metric == "acc":
         preds = [1 if v > 0 else -1 for v in values]
         try:
@@ -154,19 +133,14 @@ def _binary_fold_value(
         raise LomoError(f"fold {fold_no}: {err}") from None
 
 
-def _multiclass_fold_value(train_recs, test_recs, seqs, cfg, classes, fold_no, preprocess):
-    fitted = fit_preprocess([seqs[r.id] for r in train_recs], preprocess)
-    train_data = [(_prepared(seqs[r.id], fitted, cfg), r.label) for r in train_recs]
+def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes, fold_no):
     try:
-        models = train_ova(train_data, cfg, classes=classes)
+        models = train_ova([(seq, r.label) for r, seq in train_pairs], cfg, classes=classes)
     except LomoError as err:
         raise LomoError(f"fold {fold_no}: {err}") from None
     icfg = cfg.inference_config()
-    pairs = []
-    for r in test_recs:
-        predicted, _ = ova_predict(models, _prepared(seqs[r.id], fitted, cfg), icfg)
-        pairs.append((r.label, predicted))
-    return avg_class_accuracy(pairs, classes=sorted({r.label for r in test_recs}))
+    pairs = [(r.label, ova_predict(models, seq, icfg)[0]) for r, seq in test_pairs]
+    return avg_class_accuracy(pairs, classes=sorted({r.label for r, _ in test_pairs}))
 
 
 def run_cv(
@@ -178,6 +152,9 @@ def run_cv(
     preprocess: PreprocessConfig | None = None,
 ) -> CvResult:
     """Per-fold train/evaluate with train-only preprocessing statistics.
+
+    Each fold fits `preprocess` on its training sequences and applies it to
+    both splits; the svm_pool variant needs `preprocess.pool` set.
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
@@ -209,15 +186,14 @@ def run_cv(
         fold = plan.folds[fold_no]
         if not fold.train_ids or not fold.test_ids:
             raise LomoError(f"fold {fold_no}: empty train or test split")
-        train_recs = [by_id[i] for i in fold.train_ids]
-        test_recs = [by_id[i] for i in fold.test_ids]
+        fitted = fit_preprocess([seqs[i] for i in fold.train_ids], preprocess)
+        train_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.train_ids]
+        test_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.test_ids]
         fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
         if multiclass:
-            return _multiclass_fold_value(
-                train_recs, test_recs, seqs, fold_cfg, classes, fold_no, preprocess
-            )
+            return _multiclass_fold_value(train_pairs, test_pairs, fold_cfg, classes, fold_no)
         return _binary_fold_value(
-            train_recs, test_recs, seqs, fold_cfg, metric, positive_label, fold_no, preprocess
+            train_pairs, test_pairs, fold_cfg, metric, positive_label, fold_no
         )
 
     folds = range(len(plan.folds))

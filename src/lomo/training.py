@@ -13,6 +13,7 @@ same sample draws gives the model `train` returns, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from .model import MAX_TEMPLATES, LomoModel, PermTable, init_model
 
 VARIANTS = ("lomo", "mil", "svm_pool")
 COST_UPDATES = ("gradient", "literal")
-POOLING_MODES = ("mean", "max")
 
 
 @dataclass
@@ -43,7 +43,8 @@ class TrainConfig:
 
     max_iter=None means 100 passes' worth of uniform samples (100 * |data|).
     Variants mil and svm_pool force a single template and keep costs at 0;
-    pooling applies to svm_pool inputs only.
+    svm_pool trains on sequences already pooled to one frame
+    (PreprocessConfig.pool).
     """
 
     num_templates: int = 3
@@ -54,30 +55,26 @@ class TrainConfig:
     seed: int = 42
     variant: str = "lomo"
     cost_update: str = "gradient"
-    pooling: str = "mean"
 
     def __post_init__(self):
         self.variant = str(self.variant).lower()
         self.cost_update = str(self.cost_update).lower()
-        self.pooling = str(self.pooling).lower()
         if self.variant not in VARIANTS:
             raise LomoError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.cost_update not in COST_UPDATES:
             raise LomoError(
                 f"cost_update must be one of {COST_UPDATES}, got {self.cost_update!r}"
             )
-        if self.pooling not in POOLING_MODES:
-            raise LomoError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.variant != "lomo":
             self.num_templates = 1  # MIL / pooled SVM are the single-template restriction
         if not 1 <= self.num_templates <= MAX_TEMPLATES:
             raise LomoError(
                 f"num_templates must be in 1..{MAX_TEMPLATES}, got {self.num_templates}"
             )
-        if not self.eta > 0:
-            raise LomoError(f"eta must be > 0, got {self.eta}")
-        if self.reg_lambda < 0:
-            raise LomoError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise LomoError(f"eta must be finite and > 0, got {self.eta}")
+        if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
+            raise LomoError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.exclusion_t < 0:
             raise LomoError(f"exclusion_t must be >= 0, got {self.exclusion_t}")
         if self.max_iter is not None and self.max_iter < 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,16 @@ def test_cv_multiclass_accuracy(tmp_path):
     assert float(lines[-1].split(",")[2]) >= 0.9
 
 
+def test_cv_logo_with_folds_exits_one(tmp_path, capsys):
+    data = _synth(tmp_path)
+    argv = [
+        "cv", "--manifest", os.path.join(data, "manifest.csv"), "--scheme", "logo",
+        "--folds", "3", "--positive-label", "pos", *TRAIN_FAST,
+    ]
+    assert main(argv) == 1
+    assert "logo scheme takes no fold count k, got k=3" in capsys.readouterr().err
+
+
 def test_cv_binary_without_positive_label_exits_one(tmp_path, capsys):
     data = _synth(tmp_path)
     argv = [
@@ -360,6 +371,26 @@ def test_missing_manifest_exits_one(tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda", "nan", "reg_lambda must be finite and >= 0, got nan"),
+    ("--eta", "inf", "eta must be finite and > 0, got inf"),
+    ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+])
+def test_non_finite_numeric_setting_exits_one(tmp_path, capsys, flag, value, message):
+    if flag == "--noise-sigma":
+        argv = ["synth", "--out", str(tmp_path / "data"), flag, value]
+    else:
+        manifest = os.path.join(_synth(tmp_path), "manifest.csv")
+        argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "m.lomo"),
+                "--positive-label", "pos", *TRAIN_FAST, flag, value]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_corrupt_model_file_exits_one(tmp_path, capsys):

@@ -1,39 +1,11 @@
-"""Unit tests for input coercion, the seeded RNG wrapper and float formatting."""
+"""Unit tests for the seeded RNG wrapper and float formatting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from lomo.core import LomoError, Rng, as_vector, child_seed, format_float
-
-
-# ---------------------------------------------------------------------------
-# vector helpers
-
-
-def test_as_vector_coerces_to_float64():
-    v = as_vector([1, 2, 3])
-    assert v.dtype == np.float64
-    assert v.shape == (3,)
-    np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
-
-
-def test_as_vector_rejects_matrices():
-    with pytest.raises(LomoError, match="must be 1-dimensional"):
-        as_vector([[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_as_vector_rejects_non_finite():
-    with pytest.raises(LomoError, match="non-finite"):
-        as_vector([1.0, float("nan")])
-    with pytest.raises(LomoError, match="non-finite"):
-        as_vector([1.0, float("inf")])
-
-
-def test_as_vector_names_the_offender():
-    with pytest.raises(LomoError, match="frame"):
-        as_vector([[1.0]], what="frame")
+from lomo.core import LomoError, Rng, child_seed, format_float
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from lomo.data import (
     apply_preprocess,
     fit_preprocess,
     gen_synthetic,
-    l2_normalize,
     l2_normalize_frames,
     make_folds,
     parse_manifest,
@@ -268,10 +267,11 @@ def test_make_folds_validation():
 def test_l2_normalize_unit_norm_and_zero_guard():
     rng = np.random.default_rng(44)
     for _ in range(20):
-        v = rng.normal(size=int(rng.integers(1, 8)))
-        assert np.linalg.norm(l2_normalize(v)) == pytest.approx(1.0, rel=1e-12)
-    zero = np.zeros(4)
-    np.testing.assert_array_equal(l2_normalize(zero), zero)
+        v = rng.normal(size=(1, int(rng.integers(1, 8))))
+        out = l2_normalize_frames(FrameSequence(v)).frames
+        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
+    zero = np.zeros((1, 4))
+    np.testing.assert_array_equal(l2_normalize_frames(FrameSequence(zero)).frames, zero)
 
 
 def test_l2_normalize_frames_applies_rowwise():
@@ -473,6 +473,8 @@ def test_pca_fit_validation():
         pca_fit([[1.0, 2.0], [0.0, 1.0]], 3)
     with pytest.raises(LomoError, match="dimension mismatch"):
         pca_transform(pca_fit([[1.0, 2.0], [0.0, 1.0]], 1), [1.0, 2.0, 3.0])
+    with pytest.raises(LomoError, match="2-D sample matrix"):
+        pca_fit([1.0, 2.0, 3.0], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +511,26 @@ def test_apply_preprocess_order_is_l2_then_pca_then_stack():
     np.testing.assert_allclose(out.frames, manual.frames, rtol=1e-12)
 
 
+def test_apply_preprocess_pools_last_after_fitting_pca_on_unpooled_frames():
+    rng = np.random.default_rng(52)
+    train = [FrameSequence(rng.normal(size=(12, 5))) for _ in range(2)]
+    config = PreprocessConfig(l2=True, pca_dim=3, stack=2, pool="max")
+    fitted = fit_preprocess(train, config)
+    unpooled = fit_preprocess(train, PreprocessConfig(l2=True, pca_dim=3, stack=2))
+    np.testing.assert_array_equal(fitted.basis.components, unpooled.basis.components)
+    seq = FrameSequence(rng.normal(size=(7, 5)), id="s")
+    out = apply_preprocess(fitted, seq)
+    assert out.id == "s"
+    np.testing.assert_array_equal(
+        out.frames, pooled_sequence(apply_preprocess(unpooled, seq), "max").frames
+    )
+
+
 def test_preprocess_identity_passthrough():
     config = PreprocessConfig()
-    assert config.is_identity
     seq = FrameSequence(np.array([[1.0, 2.0]]))
     out = apply_preprocess(fit_preprocess([seq], config), seq)
-    np.testing.assert_array_equal(out.frames, seq.frames)
+    assert out is seq
 
 
 def test_preprocess_config_validation():
@@ -522,6 +538,8 @@ def test_preprocess_config_validation():
         PreprocessConfig(stack=0)
     with pytest.raises(LomoError, match="pca_dim"):
         PreprocessConfig(pca_dim=0)
+    with pytest.raises(LomoError, match="pool"):
+        PreprocessConfig(pool="median")
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +629,8 @@ def test_synth_spec_validation():
         _small_spec(num_events=0)
     with pytest.raises(LomoError, match="noise_sigma"):
         _small_spec(noise_sigma=-0.1)
+    with pytest.raises(LomoError, match="noise_sigma must be finite"):
+        _small_spec(noise_sigma=float("nan"))
 
 
 def test_gen_synthetic_writes_a_loadable_deterministic_dataset(tmp_path):

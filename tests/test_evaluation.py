@@ -241,7 +241,8 @@ def test_run_cv_works_with_preprocessing_and_pooling(tmp_path):
     )
     assert all(0.0 <= v <= 1.0 for v in result.fold_values)
     pooled = run_cv(
-        manifest, plan, _fast_cfg(variant="svm_pool"), "acc", positive_label="pos"
+        manifest, plan, _fast_cfg(variant="svm_pool"), "acc", positive_label="pos",
+        preprocess=PreprocessConfig(pool="mean"),
     )
     assert all(0.0 <= v <= 1.0 for v in pooled.fold_values)
 

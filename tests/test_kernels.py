@@ -26,7 +26,6 @@ from lomo.core import LomoError, Rng
 from lomo.data import (
     PreprocessConfig,
     fit_preprocess,
-    l2_normalize,
     l2_normalize_frames,
     pca_fit,
     read_sequence,
@@ -345,8 +344,6 @@ def l2_row_blocks(draw):
 def test_l2_row_kernel_equals_per_row_norm_division(frames):
     want = [_l2_reference(v) for v in frames]
     assert _bits(l2_normalize_frames(FrameSequence(frames)).frames) == _bits(want)
-    for v, w in zip(frames, want):
-        assert _bits(l2_normalize(v)) == _bits(w)
 
 
 # ---------------------------------------------------------------------------

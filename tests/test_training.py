@@ -51,12 +51,14 @@ def test_config_validation_errors():
         TrainConfig(variant="boost")
     with pytest.raises(LomoError, match="cost_update"):
         TrainConfig(cost_update="both")
-    with pytest.raises(LomoError, match="pooling"):
-        TrainConfig(pooling="median")
     with pytest.raises(LomoError, match="eta"):
         TrainConfig(eta=0.0)
+    with pytest.raises(LomoError, match="eta must be finite"):
+        TrainConfig(eta=float("inf"))
     with pytest.raises(LomoError, match="reg_lambda"):
         TrainConfig(reg_lambda=-1.0)
+    with pytest.raises(LomoError, match="reg_lambda must be finite"):
+        TrainConfig(reg_lambda=float("nan"))
     with pytest.raises(LomoError, match="max_iter"):
         TrainConfig(max_iter=0)
     with pytest.raises(LomoError, match="num_templates"):
