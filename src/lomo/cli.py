@@ -54,7 +54,6 @@ def _write_text(text: str, out_path: str | None) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    variant, _ = VARIANT_FLAGS[args.variant]
     return TrainConfig(
         num_templates=args.templates,
         eta=args.eta,
@@ -62,7 +61,7 @@ def _train_config(args) -> TrainConfig:
         exclusion_t=args.exclusion_t,
         max_iter=args.max_iter,
         seed=args.seed,
-        variant=variant,
+        variant=VARIANT_FLAGS[args.variant][0],
         cost_update=args.cost_update,
     )
 
