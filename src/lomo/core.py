@@ -7,6 +7,7 @@ through :class:`Rng` so that a run is a pure function of its seeds.
 
 from __future__ import annotations
 
+import numbers
 import os
 import pickle
 import signal
@@ -17,6 +18,14 @@ import numpy as np
 
 class LomoError(ValueError):
     """Domain error raised for invalid inputs, files, or configurations."""
+
+
+def require_int(name: str, value) -> int:
+    """`value` as a Python int; any other type (numpy integers pass, bools
+    do not) raises a LomoError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise LomoError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def read_text(path, encoding: str = "utf-8") -> str:

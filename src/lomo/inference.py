@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError
+from .core import LomoError, require_int
 from .model import LomoModel, PermTable, perm_index, rank_pattern
 
 
@@ -57,6 +57,7 @@ class InferenceConfig:
     exclusion_t: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "exclusion_t", require_int("exclusion_t", self.exclusion_t))
         if self.exclusion_t < 0:
             raise LomoError(f"exclusion_t must be >= 0, got {self.exclusion_t}")
 

@@ -18,12 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, Rng, child_seed
+from .core import LomoError, Rng, child_seed, require_int
 from .inference import FrameSequence, InferenceConfig, latent_assign, score_sequences
 from .model import MAX_TEMPLATES, LomoModel, PermTable, init_model
 
 VARIANTS = ("lomo", "mil", "svm_pool")
 COST_UPDATES = ("gradient", "literal")
+_DRAW_CHUNK = 4096  # sample indices drawn per rng call in train
 
 
 @dataclass
@@ -65,6 +66,10 @@ class TrainConfig:
             raise LomoError(
                 f"cost_update must be one of {COST_UPDATES}, got {self.cost_update!r}"
             )
+        self.num_templates = require_int("num_templates", self.num_templates)
+        self.exclusion_t = require_int("exclusion_t", self.exclusion_t)
+        if self.max_iter is not None:
+            self.max_iter = require_int("max_iter", self.max_iter)
         if self.variant != "lomo":
             self.num_templates = 1  # MIL / pooled SVM are the single-template restriction
         if not 1 <= self.num_templates <= MAX_TEMPLATES:
@@ -157,13 +162,38 @@ def _validate_train_data(data, cfg: TrainConfig) -> int:
     return dim
 
 
+def _add_reduce(values) -> float:
+    """np.add.reduce of 1..MAX_TEMPLATES floats, bit for bit, in Python floats.
+
+    numpy adds from +0.0: fewer than 8 values left to right, 8 values as a
+    pairwise tree. Builtin sum is not a substitute: from Python 3.12 it
+    compensates float rounding.
+    """
+    if len(values) == 8:
+        a0, a1, a2, a3, a4, a5, a6, a7 = values
+        return 0.0 + (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def train(data, cfg: TrainConfig) -> LomoModel:
     """Run max_iter uniform-with-replacement subgradient steps from cfg.seed.
 
-    Each step repeats sgd_step's arithmetic on arrays owned by the loop:
-    one matvec per template, exclusion windows written as -inf into the
-    fresh score row (validation guarantees a frame always survives), and
-    in-place template and cost updates on a margin violation.
+    Each step repeats sgd_step's arithmetic on arrays owned by the loop,
+    with as few numpy calls as that allows:
+    - one matvec per template, then the argmax of the whole score row;
+      only when that frame lies within +-t of an earlier pick are the
+      exclusion windows written as -inf and the argmax taken again (a
+      first-occurrence maximum that is not excluded is also the
+      first-occurrence maximum of the frames left; validation guarantees
+      a frame always survives);
+    - the decision sums the picked scores as Python floats in
+      np.add.reduce's order (`_add_reduce`);
+    - sample indices are drawn _DRAW_CHUNK at a time, the same stream as
+      one draw per step, in memory that does not grow with max_iter;
+    - templates and costs are updated in place on a margin violation.
     """
     data = list(data)
     dim = _validate_train_data(data, cfg)
@@ -172,7 +202,6 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     templates = init.templates
     costs = init.costs.tolist()
     iters = cfg.max_iter if cfg.max_iter is not None else 100 * len(data)
-    draws = rng.integers(len(data), iters)
     frames = [ex.sequence.frames for ex in data]
     labels = [ex.label for ex in data]
     m = cfg.num_templates
@@ -180,32 +209,39 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     eta = cfg.eta
     shrink = 1.0 - cfg.reg_lambda * eta
     gradient = cfg.cost_update == "gradient"
+    freeze = cfg.freeze_costs
     rows = list(templates)  # views: in-place updates reach them
+    order = range(m)
     perms = PermTable()
-    picks = [0] * m
-    scores = np.empty(m)
-    for j in draws:
-        x = frames[j]
-        for i, w in enumerate(rows):
-            row = x @ w
-            for f in picks[:i]:
-                row[max(0, f - t) : f + t + 1] = -np.inf
-            f = int(row.argmax())
-            picks[i] = f
-            scores[i] = row[f]
-        y = labels[j]
-        perm = perms[tuple(sorted(range(m), key=picks.__getitem__))]
-        # add.reduce / m is np.mean without its per-call overhead
-        if y * (float(np.add.reduce(scores) / m) + costs[perm - 1]) >= 1.0:
-            continue
-        templates *= shrink
-        templates += (eta * y / m) * x[picks]
-        if cfg.freeze_costs:
-            continue
-        if gradient:
-            costs[perm - 1] += eta * y
-        else:
-            costs[perm - 1] -= eta
+    for start in range(0, iters, _DRAW_CHUNK):
+        for j in rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist():
+            x = frames[j]
+            picks = []
+            scores = []
+            for w in rows:
+                row = x.dot(w)
+                f = int(row.argmax())
+                for p in picks:
+                    if -t <= f - p <= t:
+                        for q in picks:
+                            row[max(0, q - t) : q + t + 1] = -np.inf
+                        f = int(row.argmax())
+                        break
+                picks.append(f)
+                scores.append(row.item(f))
+            y = labels[j]
+            perm = perms[tuple(sorted(order, key=picks.__getitem__))]
+            # _add_reduce / m is latent_assign's np.mean of the scores
+            if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
+                continue
+            templates *= shrink
+            templates += (eta * y / m) * x.take(picks, axis=0)
+            if freeze:
+                continue
+            if gradient:
+                costs[perm - 1] += eta * y
+            else:
+                costs[perm - 1] -= eta
     return LomoModel(templates, np.array(costs))
 
 

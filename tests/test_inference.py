@@ -80,6 +80,13 @@ def test_inference_config_rejects_negative_t():
         InferenceConfig(exclusion_t=-1)
 
 
+def test_inference_config_requires_an_integer_t():
+    with pytest.raises(LomoError, match=r"exclusion_t must be an integer, got 1\.5"):
+        InferenceConfig(exclusion_t=1.5)
+    cfg = InferenceConfig(exclusion_t=np.int64(2))
+    assert cfg.exclusion_t == 2 and type(cfg.exclusion_t) is int
+
+
 # ---------------------------------------------------------------------------
 # hand-traced greedy cases
 

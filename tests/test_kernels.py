@@ -39,7 +39,15 @@ from lomo.inference import (
     score_sequences,
 )
 from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
-from lomo.training import LabeledSequence, TrainConfig, objective, sgd_step, train
+from lomo.training import (
+    _DRAW_CHUNK,
+    LabeledSequence,
+    TrainConfig,
+    _add_reduce,
+    objective,
+    sgd_step,
+    train,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -130,6 +138,74 @@ def test_train_equals_sgd_fold_for_every_template_count(m, cost_update):
     assert _bits(got.templates) == _bits(want.templates)
     assert _bits(got.costs) == _bits(want.costs)
     assert np.any(got.costs != 0.0)  # the cost table was exercised
+
+
+def _assert_train_equals_fold(data, cfg):
+    got, want = train(data, cfg), _sgd_fold(data, cfg)
+    assert _bits(got.templates) == _bits(want.templates)
+    assert _bits(got.costs) == _bits(want.costs)
+
+
+@pytest.mark.parametrize("iters", [_DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1])
+def test_train_equals_sgd_fold_across_draw_chunks(iters):
+    # each sequence comes with both labels, so no model meets both margins
+    # and about 96% of the steps update it: a draw lost, added or moved at a
+    # chunk boundary changes the model
+    rng = np.random.default_rng(iters)
+    seqs = [FrameSequence(rng.normal(size=(7, 2)), id=f"s{k}") for k in range(3)]
+    data = [LabeledSequence(seq, y) for seq in seqs for y in (1, -1)]
+    cfg = TrainConfig(num_templates=2, exclusion_t=1, max_iter=iters, eta=0.05,
+                      reg_lambda=0.1, seed=iters)
+    _assert_train_equals_fold(data, cfg)
+
+
+@pytest.mark.parametrize("m, t", [(3, 2), (3, 0), (MAX_TEMPLATES, 1)])
+def test_train_equals_sgd_fold_when_later_picks_collide(m, t):
+    # Every frame of a sequence is the same positive vector, scaled by a
+    # slowly rising ramp, and the templates all move by nearly the same
+    # frames: every score row rises (or falls) with the frame index, so the
+    # unmasked argmax of a template after the first is nearly always the
+    # first template's pick (3 299 of the 3 300 later picks in these three
+    # cases), and only masking the windows finds the right frame.
+    rng = np.random.default_rng(m + t)
+    n = _min_frames(m, t) + 2
+    ramp = 1.0 + 1e-3 * np.arange(n)[:, None]
+    data = [
+        LabeledSequence(FrameSequence(ramp * (0.5 + np.abs(rng.normal(size=3))), id=f"s{k}"),
+                        1 - 2 * (k % 2))
+        for k in range(4)
+    ]
+    cfg = TrainConfig(num_templates=m, exclusion_t=t, max_iter=300, eta=0.5, seed=t)
+    _assert_train_equals_fold(data, cfg)
+
+
+_SUM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
+              1e308, -1e308, 1e16, 3.0, 0.1]
+
+
+@SETTINGS
+@given(st.lists(
+    st.one_of(st.sampled_from(_SUM_EDGES), st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(-1e3, 1e3)),
+    min_size=1, max_size=MAX_TEMPLATES,
+))
+def test_scalar_decision_sum_equals_add_reduce(values):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan compare as bytes too
+        want = np.add.reduce(np.array(values))
+    assert _bits(_add_reduce(values)) == _bits(want)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_TEMPLATES + 1))
+def test_scalar_decision_sum_rounds_like_add_reduce_on_mixed_magnitudes(m):
+    rng = np.random.default_rng(m)
+    for _ in range(2000):
+        values = rng.normal(size=m) * 10.0 ** rng.integers(-20, 20, size=m)
+        assert _bits(_add_reduce(values.tolist())) == _bits(np.add.reduce(values))
+
+
+def test_scalar_decision_sum_of_negative_zeros_is_positive_zero():
+    for m in range(1, MAX_TEMPLATES + 1):
+        assert _bits(_add_reduce([-0.0] * m)) == _bits(0.0)
 
 
 # ---------------------------------------------------------------------------
