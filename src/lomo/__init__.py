@@ -15,10 +15,7 @@ from .data import (
     make_folds,
     parse_manifest,
     pca_fit,
-    pca_transform,
-    pool,
     read_sequence,
-    stack_frames,
     write_sequence,
 )
 from .evaluation import CvResult, avg_class_accuracy, roc_auc, roc_eer_rate, run_cv
@@ -77,10 +74,8 @@ __all__ = [
     "ova_predict",
     "parse_manifest",
     "pca_fit",
-    "pca_transform",
     "perm_index",
     "perm_unrank",
-    "pool",
     "rank_pattern",
     "read_sequence",
     "roc_auc",
@@ -90,7 +85,6 @@ __all__ = [
     "score",
     "score_sequences",
     "sgd_step",
-    "stack_frames",
     "train",
     "train_ova",
     "write_sequence",

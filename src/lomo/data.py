@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LomoError, Rng, cpu_count, forked_map, format_float, read_text
+from .core import LomoError, Rng, cpu_count, forked_map, format_float, read_text, require_int
 from .inference import FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
@@ -234,6 +234,7 @@ def make_folds(
     elif scheme == SCHEME_KFOLD:
         if k is None:
             raise LomoError("kfold scheme needs a fold count k")
+        k = require_int("k", k)
         if k < 2:
             raise LomoError(f"kfold needs k >= 2, got {k}")
         if k > len(groups):
@@ -272,34 +273,6 @@ def _l2_rows(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_normalize_frames(seq: FrameSequence) -> FrameSequence:
-    return FrameSequence(_l2_rows(seq.frames), id=seq.id)
-
-
-def stack_frames(seq: FrameSequence, window: int) -> FrameSequence:
-    """Concatenate each frame with the next window-1 frames (last-frame pad)."""
-    if window < 1:
-        raise LomoError(f"stack window must be >= 1, got {window}")
-    n = seq.num_frames
-    idx = np.arange(n)
-    parts = [seq.frames[np.minimum(idx + j, n - 1)] for j in range(window)]
-    return FrameSequence(np.concatenate(parts, axis=1), id=seq.id)
-
-
-def pool(seq: FrameSequence, mode: str) -> np.ndarray:
-    """Collapse a sequence to one vector by elementwise mean or max."""
-    mode = str(mode).lower()
-    if mode == "mean":
-        return seq.frames.mean(axis=0)
-    if mode == "max":
-        return seq.frames.max(axis=0)
-    raise LomoError(f"pooling mode must be 'mean' or 'max', got {mode!r}")
-
-
-def pooled_sequence(seq: FrameSequence, mode: str) -> FrameSequence:
-    return FrameSequence(pool(seq, mode)[None, :], id=seq.id)
-
-
 @dataclass
 class PcaBasis:
     mean: np.ndarray  # (d,)
@@ -334,25 +307,14 @@ def pca_fit(vectors, k: int) -> PcaBasis:
     return PcaBasis(mean=mean, components=components)
 
 
-def pca_transform(basis: PcaBasis, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != basis.mean.shape[0]:
-        raise LomoError(
-            f"dimension mismatch: basis d={basis.mean.shape[0]}, vector d={v.shape[-1]}"
-        )
-    return (v - basis.mean) @ basis.components.T
-
-
-def pca_transform_sequence(basis: PcaBasis, seq: FrameSequence) -> FrameSequence:
-    return FrameSequence(pca_transform(basis, seq.frames), id=seq.id)
-
-
 @dataclass
 class PreprocessConfig:
     """Feature pipeline: unit-l2, PCA (fit on train only), stacking, pooling.
 
-    pool collapses each sequence to one frame by elementwise mean or max,
-    the input the svm_pool variant expects; None keeps every frame.
+    stack concatenates each frame with the next stack - 1 frames, the last
+    frame repeated as padding. pool collapses each sequence to one frame by
+    elementwise mean or max, the input the svm_pool variant expects; None
+    keeps every frame.
     """
 
     l2: bool = False
@@ -361,16 +323,22 @@ class PreprocessConfig:
     pool: str | None = None
 
     def __post_init__(self):
+        self.stack = require_int("stack", self.stack)
         if self.stack < 1:
             raise LomoError(f"stack window must be >= 1, got {self.stack}")
-        if self.pca_dim is not None and self.pca_dim < 1:
-            raise LomoError(f"pca_dim must be >= 1, got {self.pca_dim}")
+        if self.pca_dim is not None:
+            self.pca_dim = require_int("pca_dim", self.pca_dim)
+            if self.pca_dim < 1:
+                raise LomoError(f"pca_dim must be >= 1, got {self.pca_dim}")
         if self.pool not in (None, "mean", "max"):
             raise LomoError(f"pool must be None, 'mean' or 'max', got {self.pool!r}")
 
 
 @dataclass
 class FittedPreprocess:
+    """A PreprocessConfig plus the statistics fit_preprocess learned for it:
+    the PCA basis, or None when config.pca_dim is None."""
+
     config: PreprocessConfig
     basis: PcaBasis | None
 
@@ -388,17 +356,30 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
 
 def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
     """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself."""
-    cfg = fitted.config
-    out = seq
+    cfg, basis = fitted.config, fitted.basis
+    frames = seq.frames
     if cfg.l2:
-        out = l2_normalize_frames(out)
-    if fitted.basis is not None:
-        out = pca_transform_sequence(fitted.basis, out)
+        frames = _l2_rows(frames)
+    if basis is not None:
+        if basis.mean.shape[0] != seq.dim:
+            raise LomoError(
+                f"dimension mismatch: basis d={basis.mean.shape[0]}, sequence "
+                f"{seq.id or '<unnamed>'} d={seq.dim}"
+            )
+        frames = (frames - basis.mean) @ basis.components.T
     if cfg.stack > 1:
-        out = stack_frames(out, cfg.stack)
-    if cfg.pool is not None:
-        out = pooled_sequence(out, cfg.pool)
-    return out
+        n = frames.shape[0]
+        idx = np.arange(n)
+        frames = np.concatenate(
+            [frames[np.minimum(idx + j, n - 1)] for j in range(cfg.stack)], axis=1
+        )
+    if cfg.pool == "mean":
+        frames = frames.mean(axis=0, keepdims=True)
+    elif cfg.pool == "max":
+        frames = frames.max(axis=0, keepdims=True)
+    if frames is seq.frames:
+        return seq
+    return FrameSequence(frames, id=seq.id)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +404,8 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self):
+        for name in ("dim", "num_frames", "num_events", "min_gap", "num_pos", "num_neg", "seed"):
+            setattr(self, name, require_int(name, getattr(self, name)))
         self.neg_mode = str(self.neg_mode).lower()
         if self.dim < 1:
             raise LomoError(f"dim must be >= 1, got {self.dim}")

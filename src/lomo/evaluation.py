@@ -108,36 +108,27 @@ class CvResult:
         return float(np.mean(self.fold_values))
 
 
-def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label, fold_no):
+def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
     train_data = [
         LabeledSequence(seq, 1 if r.label == positive_label else -1, r.group)
         for r, seq in train_pairs
     ]
     if {ex.label for ex in train_data} != {-1, 1}:
-        raise LomoError(f"fold {fold_no}: training split lacks one of the two classes")
+        raise LomoError("training split lacks one of the two classes")
     model = train(train_data, cfg)
     icfg = cfg.inference_config()
     truths = [1 if r.label == positive_label else -1 for r, _ in test_pairs]
     values = score_sequences(model, [seq for _, seq in test_pairs], icfg).tolist()
     if metric == "acc":
         preds = [1 if v > 0 else -1 for v in values]
-        try:
-            return avg_class_accuracy(list(zip(truths, preds)), classes=(-1, 1))
-        except LomoError as err:
-            raise LomoError(f"fold {fold_no}: {err}") from None
-    try:
-        if metric == "auc":
-            return roc_auc(truths, values)
-        return roc_eer_rate(truths, values)
-    except LomoError as err:
-        raise LomoError(f"fold {fold_no}: {err}") from None
+        return avg_class_accuracy(list(zip(truths, preds)), classes=(-1, 1))
+    if metric == "auc":
+        return roc_auc(truths, values)
+    return roc_eer_rate(truths, values)
 
 
-def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes, fold_no):
-    try:
-        models = train_ova([(seq, r.label) for r, seq in train_pairs], cfg, classes=classes)
-    except LomoError as err:
-        raise LomoError(f"fold {fold_no}: {err}") from None
+def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
+    models = train_ova([(seq, r.label) for r, seq in train_pairs], cfg, classes=classes)
     icfg = cfg.inference_config()
     pairs = [(r.label, ova_predict(models, seq, icfg)[0]) for r, seq in test_pairs]
     return avg_class_accuracy(pairs, classes=sorted({r.label for r, _ in test_pairs}))
@@ -158,6 +149,7 @@ def run_cv(
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
+    A LomoError raised inside fold i is raised again as "fold i: <message>".
     Fold i trains with a child seed of cfg.seed, so results are
     deterministic and independent of fold execution order; the folds run
     on forked workers, one per CPU (core.forked_map). Every fold trains a
@@ -184,17 +176,18 @@ def run_cv(
 
     def fold_value(fold_no: int) -> float:
         fold = plan.folds[fold_no]
-        if not fold.train_ids or not fold.test_ids:
-            raise LomoError(f"fold {fold_no}: empty train or test split")
-        fitted = fit_preprocess([seqs[i] for i in fold.train_ids], preprocess)
-        train_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.train_ids]
-        test_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.test_ids]
-        fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
-        if multiclass:
-            return _multiclass_fold_value(train_pairs, test_pairs, fold_cfg, classes, fold_no)
-        return _binary_fold_value(
-            train_pairs, test_pairs, fold_cfg, metric, positive_label, fold_no
-        )
+        try:
+            if not fold.train_ids or not fold.test_ids:
+                raise LomoError("empty train or test split")
+            fitted = fit_preprocess([seqs[i] for i in fold.train_ids], preprocess)
+            train_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.train_ids]
+            test_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.test_ids]
+            fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
+            if multiclass:
+                return _multiclass_fold_value(train_pairs, test_pairs, fold_cfg, classes)
+            return _binary_fold_value(train_pairs, test_pairs, fold_cfg, metric, positive_label)
+        except LomoError as err:
+            raise LomoError(f"fold {fold_no}: {err}") from None
 
     folds = range(len(plan.folds))
     values = list(forked_map(fold_value, folds, min(cpu_count(), len(folds))))

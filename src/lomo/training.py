@@ -70,6 +70,7 @@ class TrainConfig:
         self.exclusion_t = require_int("exclusion_t", self.exclusion_t)
         if self.max_iter is not None:
             self.max_iter = require_int("max_iter", self.max_iter)
+        self.seed = require_int("seed", self.seed)
         if self.variant != "lomo":
             self.num_templates = 1  # MIL / pooled SVM are the single-template restriction
         if not 1 <= self.num_templates <= MAX_TEMPLATES:

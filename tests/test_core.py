@@ -1,10 +1,12 @@
-"""Unit tests for the seeded RNG wrapper and float formatting."""
+"""Unit tests for the seeded RNG wrapper, float formatting and the package's
+exported names."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import lomo
 from lomo.core import LomoError, Rng, child_seed, format_float
 
 
@@ -116,3 +118,13 @@ def test_format_float_uses_shortest_repr():
 
 def test_format_float_unwraps_numpy_scalars():
     assert format_float(np.float64(0.1)) == "0.1"
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_exported_name_resolves_once():
+    assert len(lomo.__all__) == len(set(lomo.__all__))
+    missing = [name for name in lomo.__all__ if not hasattr(lomo, name)]
+    assert missing == []

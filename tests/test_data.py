@@ -17,15 +17,10 @@ from lomo.data import (
     apply_preprocess,
     fit_preprocess,
     gen_synthetic,
-    l2_normalize_frames,
     make_folds,
     parse_manifest,
     pca_fit,
-    pca_transform,
-    pool,
-    pooled_sequence,
     read_sequence,
-    stack_frames,
     synth_records,
     write_sequence,
 )
@@ -260,36 +255,50 @@ def test_make_folds_validation():
         make_folds(manifest, "stratified", seed=0)
 
 
+def test_make_folds_requires_an_integer_k():
+    manifest = _manifest_with_groups(["g0", "g1", "g2"])
+    with pytest.raises(LomoError, match=r"^k must be an integer, got 2\.0$"):
+        make_folds(manifest, "kfold", seed=0, k=2.0)
+    assert make_folds(manifest, "kfold", seed=0, k=np.int64(2)) == make_folds(
+        manifest, "kfold", seed=0, k=2
+    )
+
+
 # ---------------------------------------------------------------------------
-# preprocessing primitives
+# preprocessing steps, one at a time through apply_preprocess
+
+
+def _apply(seq, **config):
+    """`seq` through apply_preprocess, with any PCA basis fit on `seq` alone."""
+    return apply_preprocess(fit_preprocess([seq], PreprocessConfig(**config)), seq)
 
 
 def test_l2_normalize_unit_norm_and_zero_guard():
     rng = np.random.default_rng(44)
     for _ in range(20):
         v = rng.normal(size=(1, int(rng.integers(1, 8))))
-        out = l2_normalize_frames(FrameSequence(v)).frames
+        out = _apply(FrameSequence(v), l2=True).frames
         assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
     zero = np.zeros((1, 4))
-    np.testing.assert_array_equal(l2_normalize_frames(FrameSequence(zero)).frames, zero)
+    np.testing.assert_array_equal(_apply(FrameSequence(zero), l2=True).frames, zero)
 
 
 def test_l2_normalize_frames_applies_rowwise():
     seq = FrameSequence(np.array([[3.0, 4.0], [0.0, 2.0]]), id="s")
-    out = l2_normalize_frames(seq)
+    out = _apply(seq, l2=True)
     np.testing.assert_allclose(out.frames, [[0.6, 0.8], [0.0, 1.0]], rtol=1e-15)
     assert out.id == "s"
 
 
 def test_stack_frames_hand_case():
     seq = FrameSequence(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    out = stack_frames(seq, 2)
+    out = _apply(seq, stack=2)
     np.testing.assert_array_equal(out.frames, [[1.0, 0.0, 0.0, 2.0], [0.0, 2.0, 0.0, 2.0]])
 
 
 def test_stack_frames_window_one_is_identity():
     frames = np.arange(6.0).reshape(3, 2)
-    out = stack_frames(FrameSequence(frames), 1)
+    out = _apply(FrameSequence(frames), stack=1)
     np.testing.assert_array_equal(out.frames, frames)
 
 
@@ -298,7 +307,7 @@ def test_stack_frames_shape_and_padding_property():
     for _ in range(20):
         n, d, w = int(rng.integers(1, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
         frames = rng.normal(size=(n, d))
-        out = stack_frames(FrameSequence(frames), w)
+        out = _apply(FrameSequence(frames), stack=w)
         assert out.frames.shape == (n, w * d)
         for f in range(n):
             for j in range(w):
@@ -310,23 +319,23 @@ def test_stack_frames_shape_and_padding_property():
 
 def test_stack_frames_rejects_bad_window():
     with pytest.raises(LomoError, match="stack window must be >= 1"):
-        stack_frames(FrameSequence(np.ones((2, 2))), 0)
+        PreprocessConfig(stack=0)
 
 
 def test_pool_mean_max_and_single_frame():
     seq = FrameSequence(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_array_equal(pool(seq, "mean"), [2.0, 3.0])
-    np.testing.assert_array_equal(pool(seq, "max"), [3.0, 4.0])
+    np.testing.assert_array_equal(_apply(seq, pool="mean").frames, [[2.0, 3.0]])
+    np.testing.assert_array_equal(_apply(seq, pool="max").frames, [[3.0, 4.0]])
     single = FrameSequence(np.array([[7.0, -1.0]]))
-    np.testing.assert_array_equal(pool(single, "mean"), [7.0, -1.0])
-    np.testing.assert_array_equal(pool(single, "max"), [7.0, -1.0])
-    with pytest.raises(LomoError, match="pooling mode"):
-        pool(seq, "sum")
+    np.testing.assert_array_equal(_apply(single, pool="mean").frames, [[7.0, -1.0]])
+    np.testing.assert_array_equal(_apply(single, pool="max").frames, [[7.0, -1.0]])
+    with pytest.raises(LomoError, match="pool must be None, 'mean' or 'max', got 'sum'"):
+        PreprocessConfig(pool="sum")
 
 
 def test_pooled_sequence_wraps_one_frame():
     seq = FrameSequence(np.array([[1.0], [5.0]]), id="s")
-    out = pooled_sequence(seq, "max")
+    out = _apply(seq, pool="max")
     assert out.num_frames == 1
     assert out.id == "s"
     np.testing.assert_array_equal(out.frames, [[5.0]])
@@ -337,16 +346,14 @@ def test_pooled_sequence_wraps_one_frame():
 
 
 def test_pca_two_point_hand_case():
-    basis = pca_fit([(1.0, 0.0), (-1.0, 0.0)], 1)
-    out = pca_transform(basis, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    out = _apply(FrameSequence(np.array([[1.0, 0.0], [-1.0, 0.0]])), pca_dim=1).frames
     np.testing.assert_allclose(out, [[1.0], [-1.0]], atol=1e-12)
 
 
 def test_pca_full_rank_preserves_pairwise_distances():
     rng = np.random.default_rng(46)
     data = rng.normal(size=(30, 5)) @ rng.normal(size=(5, 5))
-    basis = pca_fit(data, 5)
-    proj = pca_transform(basis, data)
+    proj = _apply(FrameSequence(data), pca_dim=5).frames
     for i in range(0, 30, 3):
         for j in range(i + 1, 30, 3):
             orig = np.linalg.norm(data[i] - data[j])
@@ -356,15 +363,13 @@ def test_pca_full_rank_preserves_pairwise_distances():
 
 def test_pca_constant_data_projects_to_zero():
     data = np.tile([2.0, -1.0, 0.5], (4, 1))
-    basis = pca_fit(data, 2)
-    np.testing.assert_allclose(pca_transform(basis, data), 0.0, atol=1e-12)
+    np.testing.assert_allclose(_apply(FrameSequence(data), pca_dim=2).frames, 0.0, atol=1e-12)
 
 
 def test_pca_projected_training_data_is_centered_and_decorrelated():
     rng = np.random.default_rng(47)
     data = rng.normal(size=(60, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-    basis = pca_fit(data, 4)
-    proj = pca_transform(basis, data)
+    proj = _apply(FrameSequence(data), pca_dim=4).frames
     assert np.abs(proj.mean(axis=0)).max() < 1e-9
     cov = proj.T @ proj / (proj.shape[0] - 1)
     off = cov - np.diag(np.diag(cov))
@@ -471,8 +476,9 @@ def test_pca_fit_validation():
         pca_fit([[1.0, 2.0]], 1)
     with pytest.raises(LomoError, match="out of range"):
         pca_fit([[1.0, 2.0], [0.0, 1.0]], 3)
-    with pytest.raises(LomoError, match="dimension mismatch"):
-        pca_transform(pca_fit([[1.0, 2.0], [0.0, 1.0]], 1), [1.0, 2.0, 3.0])
+    fitted = fit_preprocess([FrameSequence([[1.0, 2.0], [0.0, 1.0]])], PreprocessConfig(pca_dim=1))
+    with pytest.raises(LomoError, match="^dimension mismatch: basis d=2, sequence clip7 d=3$"):
+        apply_preprocess(fitted, FrameSequence([[1.0, 2.0, 3.0]], id="clip7"))
     with pytest.raises(LomoError, match="2-D sample matrix"):
         pca_fit([1.0, 2.0, 3.0], 1)
 
@@ -503,12 +509,10 @@ def test_apply_preprocess_order_is_l2_then_pca_then_stack():
     seq = FrameSequence(rng.normal(size=(7, 5)))
     out = apply_preprocess(fitted, seq)
     assert out.frames.shape == (7, 6)  # pca to 3 dims, then stacked pairs
-    manual = l2_normalize_frames(seq)
-    manual = FrameSequence(
-        (manual.frames - fitted.basis.mean) @ fitted.basis.components.T, id=seq.id
-    )
-    manual = stack_frames(manual, 2)
-    np.testing.assert_allclose(out.frames, manual.frames, rtol=1e-12)
+    manual = seq.frames / np.linalg.norm(seq.frames, axis=1, keepdims=True)
+    manual = (manual - fitted.basis.mean) @ fitted.basis.components.T
+    manual = np.hstack([manual, np.vstack([manual[1:], manual[-1:]])])
+    np.testing.assert_allclose(out.frames, manual, rtol=1e-12)
 
 
 def test_apply_preprocess_pools_last_after_fitting_pca_on_unpooled_frames():
@@ -522,7 +526,7 @@ def test_apply_preprocess_pools_last_after_fitting_pca_on_unpooled_frames():
     out = apply_preprocess(fitted, seq)
     assert out.id == "s"
     np.testing.assert_array_equal(
-        out.frames, pooled_sequence(apply_preprocess(unpooled, seq), "max").frames
+        out.frames, apply_preprocess(unpooled, seq).frames.max(axis=0, keepdims=True)
     )
 
 
@@ -540,6 +544,20 @@ def test_preprocess_config_validation():
         PreprocessConfig(pca_dim=0)
     with pytest.raises(LomoError, match="pool"):
         PreprocessConfig(pool="median")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stack", 2.0), ("stack", "2"), ("stack", True), ("pca_dim", 1.5), ("pca_dim", True),
+])
+def test_preprocess_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(LomoError, match=f"^{field} must be an integer, got {value!r}$"):
+        PreprocessConfig(**{field: value})
+
+
+def test_preprocess_config_accepts_numpy_integers_as_python_ints():
+    config = PreprocessConfig(pca_dim=np.int64(3), stack=np.int32(2))
+    assert (config.pca_dim, config.stack) == (3, 2)
+    assert type(config.pca_dim) is int and type(config.stack) is int
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +649,19 @@ def test_synth_spec_validation():
         _small_spec(noise_sigma=-0.1)
     with pytest.raises(LomoError, match="noise_sigma must be finite"):
         _small_spec(noise_sigma=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "field", ["dim", "num_frames", "num_events", "min_gap", "num_pos", "num_neg", "seed"]
+)
+def test_synth_spec_rejects_non_integer_counts(field):
+    value = float(getattr(_small_spec(), field))
+    with pytest.raises(LomoError, match=f"^{field} must be an integer, got {value!r}$"):
+        _small_spec(**{field: value})
+    with pytest.raises(LomoError, match=f"^{field} must be an integer, got True$"):
+        _small_spec(**{field: True})
+    spec = _small_spec(**{field: np.int64(getattr(_small_spec(), field))})
+    assert type(getattr(spec, field)) is int
 
 
 def test_gen_synthetic_writes_a_loadable_deterministic_dataset(tmp_path):

@@ -279,6 +279,14 @@ def test_run_cv_rejects_empty_fold(tmp_path):
         run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="pos")
 
 
+def test_run_cv_names_the_fold_of_a_preprocessing_error(tmp_path):
+    manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
+    plan = make_folds(manifest, "kfold", seed=1, k=2)
+    with pytest.raises(LomoError, match=r"^fold 0: pca dimension k=7 out of range 1\.\.6$"):
+        run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="pos",
+               preprocess=PreprocessConfig(pca_dim=7))
+
+
 def _multiclass_manifest(tmp_path):
     rng = np.random.default_rng(54)
     directions = {"a": (1.0, 0.0), "b": (-1.0, 0.0), "c": (0.0, 1.0)}

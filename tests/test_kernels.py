@@ -2,7 +2,8 @@
 
 `train` must equal a fold of `sgd_step` over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
-the l2 row kernel must equal per-row `np.linalg.norm` division, and the
+the l2 row kernel must equal per-row `np.linalg.norm` division,
+`apply_preprocess` must equal its steps written out one by one, and the
 C-parsed sequence reader must equal the per-cell `float()` parse, bit for
 bit (compared as bytes, so signed zeros count).
 """
@@ -25,8 +26,9 @@ from lomo.cli import main
 from lomo.core import LomoError, Rng
 from lomo.data import (
     PreprocessConfig,
+    _l2_rows,
+    apply_preprocess,
     fit_preprocess,
-    l2_normalize_frames,
     pca_fit,
     read_sequence,
     write_sequence,
@@ -419,7 +421,7 @@ def l2_row_blocks(draw):
 @given(l2_row_blocks())
 def test_l2_row_kernel_equals_per_row_norm_division(frames):
     want = [_l2_reference(v) for v in frames]
-    assert _bits(l2_normalize_frames(FrameSequence(frames)).frames) == _bits(want)
+    assert _bits(_l2_rows(frames)) == _bits(want)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +454,58 @@ def test_fit_preprocess_basis_equals_per_sequence_construction(data):
     want = _fit_basis_reference(seqs, config)
     assert _bits(got.mean) == _bits(want.mean)
     assert _bits(got.components) == _bits(want.components)
+
+
+# ---------------------------------------------------------------------------
+# apply_preprocess == l2, PCA, stacking and pooling written out step by step
+
+
+def _apply_reference(fitted, frames):
+    cfg, basis = fitted.config, fitted.basis
+    out = frames
+    if cfg.l2:
+        out = np.vstack([_l2_reference(v) for v in out])
+    if basis is not None:
+        out = (out - basis.mean) @ basis.components.T
+    n = out.shape[0]
+    # frame f stacks frames f .. f + stack - 1, the last frame standing in past the end
+    out = np.hstack([out[[min(f + j, n - 1) for f in range(n)]] for j in range(cfg.stack)])
+    if cfg.pool == "mean":
+        out = (out.sum(axis=0) / n)[None, :]
+    elif cfg.pool == "max":
+        out = out.max(axis=0)[None, :]
+    return out
+
+
+@SETTINGS
+@given(st.data())
+def test_apply_preprocess_equals_the_steps_written_out(data):
+    d = data.draw(st.integers(1, 6))
+    stack = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+
+    def frames(n):
+        out = rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4))
+        out[rng.random(n) < 0.2] = 0.0  # zero rows hit the l2 guard
+        return out
+
+    train_seqs = [FrameSequence(frames(int(rng.integers(1, 9)))) for _ in range(3)]
+    config = PreprocessConfig(
+        l2=data.draw(st.booleans()),
+        pca_dim=data.draw(st.one_of(st.none(), st.integers(1, d))),
+        stack=stack,
+        pool=data.draw(st.sampled_from([None, "mean", "max"])),
+    )
+    fitted = fit_preprocess(train_seqs, config)
+    n = data.draw(st.one_of(st.just(1), st.integers(stack + 1, stack + 8)))
+    seq = FrameSequence(frames(n), id="s")
+    got = apply_preprocess(fitted, seq)
+    want = _apply_reference(fitted, seq.frames)
+    assert got.id == "s"
+    assert got.frames.shape == want.shape
+    assert _bits(got.frames) == _bits(want)
+    if config == PreprocessConfig():
+        assert got is seq
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("field, value", [
     ("num_templates", 2.0), ("exclusion_t", 1.5), ("max_iter", 2.5), ("max_iter", "10"),
-    ("exclusion_t", True),
+    ("exclusion_t", True), ("seed", 1.5), ("seed", True),
 ])
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(LomoError, match=f"{field} must be an integer, got {value!r}"):
@@ -75,9 +75,11 @@ def test_config_rejects_non_integer_counts(field, value):
 
 
 def test_config_accepts_numpy_integers_as_python_ints():
-    cfg = TrainConfig(num_templates=np.int64(2), exclusion_t=np.int32(1), max_iter=np.uint16(7))
-    assert (cfg.num_templates, cfg.exclusion_t, cfg.max_iter) == (2, 1, 7)
-    assert all(type(v) is int for v in (cfg.num_templates, cfg.exclusion_t, cfg.max_iter))
+    cfg = TrainConfig(num_templates=np.int64(2), exclusion_t=np.int32(1), max_iter=np.uint16(7),
+                      seed=np.int64(5))
+    values = (cfg.num_templates, cfg.exclusion_t, cfg.max_iter, cfg.seed)
+    assert values == (2, 1, 7, 5)
+    assert all(type(v) is int for v in values)
 
 
 def test_labeled_sequence_rejects_other_labels():
