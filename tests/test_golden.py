@@ -7,6 +7,10 @@ pooled outside the preprocessing pipeline. Any refactor of
 training, scoring, parsing or preprocessing must reproduce these files
 byte for byte; a digest may change only in a change that says which
 bytes change and why.
+
+The synth digests pin every file `lomo synth` writes at a size where the
+sequence files are written by forked workers (80 files, two CPUs); they
+were taken from the serial writer.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 
 import pytest
 
+import lomo.data
 from lomo.cli import main
 
 SYNTH = [
@@ -133,3 +138,36 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_output_bytes_match_golden_digest(outputs, name):
     assert outputs[name] == GOLDEN_SHA256[name]
+
+
+GOLDEN_SYNTH = [
+    "--d", "7", "--n", "12", "--m-true", "3", "--noise-sigma", "0.3",
+    "--min-gap", "2", "--pos", "40", "--neg", "40", "--neg-mode", "shuffled",
+    "--seed", "9",
+]
+
+# manifest.csv and spec.txt by name; the 80 seq_*.csv files through the
+# digest of their `sha256sum` listing ("<sha256>  <name>" lines, sorted by name)
+GOLDEN_SYNTH_SHA256 = {
+    "manifest.csv": "c7d82f728ad33461f26f03e89f49239bd15a569a4df76200a212ff9062975ba5",
+    "spec.txt": "78ec4a88c165241be3e7e722dfb32e96d9c43baac380f037e91e177dcd9513f2",
+    "seq_*.csv": "5a4068b5e85e5da836feeeabb8d9b9ba6ec4b7791602ad655acb260f11d79ed8",
+}
+
+
+def test_synth_bytes_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(lomo.data, "cpu_count", lambda: 2)
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, *GOLDEN_SYNTH]) == 0
+    digests = {}
+    for name in sorted(os.listdir(data)):
+        with open(os.path.join(data, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    seq_names = [name for name in digests if name.startswith("seq_")]
+    assert len(seq_names) == 80 and len(digests) == 82
+    listing = "".join(f"{digests[name]}  {name}\n" for name in seq_names)
+    assert {
+        "manifest.csv": digests["manifest.csv"],
+        "spec.txt": digests["spec.txt"],
+        "seq_*.csv": hashlib.sha256(listing.encode()).hexdigest(),
+    } == GOLDEN_SYNTH_SHA256
