@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LomoError, Rng, cpu_count, forked_map, format_float, read_text, require_int
+from .core import (
+    LomoError,
+    Rng,
+    cpu_count,
+    forked_map,
+    format_float,
+    read_text,
+    require_int,
+    require_real,
+)
 from .inference import FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
@@ -93,9 +102,13 @@ def _parse_cells(path, lines: list[str]) -> np.ndarray:
 
 
 def write_sequence(seq: FrameSequence, path) -> None:
+    """Headerless CSV, one row per frame, values in shortest round-trip form.
+
+    The text is built as one string: repr of a Python float is format_float.
+    """
+    text = "".join(",".join(map(repr, row)) + "\n" for row in seq.frames.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for frame in seq.frames:
-            fh.write(",".join(format_float(v) for v in frame) + "\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,7 @@ def make_folds(
     LOGO has one fold per group, so giving it k is an error.
     """
     scheme = str(scheme).lower()
+    seed = require_int("seed", seed)
     groups = manifest.groups
     if len(groups) < 2:
         raise LomoError(f"grouped folding needs >= 2 groups, got {len(groups)}")
@@ -424,6 +438,7 @@ class SynthSpec:
             )
         if self.min_gap < 0:
             raise LomoError(f"min_gap must be >= 0, got {self.min_gap}")
+        require_real("noise_sigma", self.noise_sigma)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise LomoError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.num_pos < 1 or self.num_neg < 1:
@@ -489,16 +504,29 @@ def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
 
 
 def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
-    """Write manifest.csv, spec.txt, and seq_<id>.csv files; byte-deterministic."""
+    """Write manifest.csv, spec.txt, and seq_<id>.csv files; byte-deterministic.
+
+    With at least FORK_MIN_FILES files for each of two or more CPUs, the
+    sequence files are written by forked workers (core.forked_map); the
+    bytes are the same. The first write error in record order is raised,
+    and manifest.csv and spec.txt are written only after every sequence
+    file. Forking is unsafe in a process that runs other threads,
+    including a BLAS built on GNU OpenMP: a worker can deadlock and the
+    call then never returns (see core.forked_map).
+    """
     records, _ = synth_records(spec)
     os.makedirs(out_dir, exist_ok=True)
-    manifest_rows = []
-    sequences = {}
-    for rec in records:
-        rel = f"seq_{rec.id}.csv"
-        sequences[rec.id] = FrameSequence(rec.frames, id=rec.id)
-        write_sequence(sequences[rec.id], os.path.join(out_dir, rel))
-        manifest_rows.append(f"{rec.id},{rec.label},{rec.group},{rel}")
+    sequences = {rec.id: FrameSequence(rec.frames, id=rec.id) for rec in records}
+    workers = min(cpu_count(), len(records) // FORK_MIN_FILES)
+    writes = forked_map(
+        lambda rec_id: write_sequence(sequences[rec_id], os.path.join(out_dir, f"seq_{rec_id}.csv")),
+        sequences,
+        workers,
+    )
+    with contextlib.closing(writes):
+        for _ in writes:
+            pass
+    manifest_rows = [f"{rec.id},{rec.label},{rec.group},seq_{rec.id}.csv" for rec in records]
     manifest_path = os.path.join(out_dir, "manifest.csv")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(MANIFEST_HEADER + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, Rng, child_seed, require_int
+from .core import LomoError, Rng, child_seed, require_int, require_real
 from .inference import FrameSequence, InferenceConfig, latent_assign, score_sequences
 from .model import MAX_TEMPLATES, LomoModel, PermTable, init_model
 
@@ -71,6 +71,8 @@ class TrainConfig:
         if self.max_iter is not None:
             self.max_iter = require_int("max_iter", self.max_iter)
         self.seed = require_int("seed", self.seed)
+        require_real("eta", self.eta)
+        require_real("reg_lambda", self.reg_lambda)
         if self.variant != "lomo":
             self.num_templates = 1  # MIL / pooled SVM are the single-template restriction
         if not 1 <= self.num_templates <= MAX_TEMPLATES:

@@ -264,6 +264,17 @@ def test_make_folds_requires_an_integer_k():
     )
 
 
+@pytest.mark.parametrize("scheme, k", [("kfold", 2), ("logo", None)])
+def test_make_folds_requires_an_integer_seed(scheme, k):
+    manifest = _manifest_with_groups(["g0", "g1", "g2"])
+    for value in (1.5, "x", None, True):
+        with pytest.raises(LomoError, match=f"^seed must be an integer, got {value!r}$"):
+            make_folds(manifest, scheme, seed=value, k=k)
+    assert make_folds(manifest, scheme, seed=np.int64(1), k=k) == make_folds(
+        manifest, scheme, seed=1, k=k
+    )
+
+
 # ---------------------------------------------------------------------------
 # preprocessing steps, one at a time through apply_preprocess
 
@@ -662,6 +673,19 @@ def test_synth_spec_rejects_non_integer_counts(field):
         _small_spec(**{field: True})
     spec = _small_spec(**{field: np.int64(getattr(_small_spec(), field))})
     assert type(getattr(spec, field)) is int
+
+
+@pytest.mark.parametrize("value", ["0.3", None, True])
+def test_synth_spec_rejects_a_non_real_noise_sigma(value):
+    with pytest.raises(LomoError, match=f"^noise_sigma must be a real number, got {value!r}$"):
+        _small_spec(noise_sigma=value)
+
+
+def test_synth_spec_keeps_an_integer_noise_sigma(tmp_path):
+    spec = _small_spec(noise_sigma=0)
+    assert type(spec.noise_sigma) is int
+    gen_synthetic(spec, tmp_path / "d")
+    assert "noise_sigma=0\n" in (tmp_path / "d" / "spec.txt").read_text(encoding="utf-8")
 
 
 def test_gen_synthetic_writes_a_loadable_deterministic_dataset(tmp_path):

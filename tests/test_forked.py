@@ -1,9 +1,11 @@
-"""core.forked_map and its two users, parse_manifest and run_cv.
+"""core.forked_map and its three users: parse_manifest, run_cv and
+gen_synthetic (`lomo synth`).
 
 The forked path must give the serial results bit for bit, raise the first
-error in item order with the serial message, and leave no child process
-behind. `cpu_count` is patched to 2 and `FORK_MIN_FILES` lowered, so the
-forked path runs on a one-CPU machine too.
+error in item order with the serial message (bytes for the files synth
+writes), and leave no child process behind. `cpu_count` is patched to 2
+and `FORK_MIN_FILES` lowered, so the forked path runs on a one-CPU machine
+too.
 """
 
 from __future__ import annotations
@@ -16,8 +18,18 @@ import pytest
 
 import lomo.data
 import lomo.evaluation
+from lomo.cli import main
 from lomo.core import LomoError, forked_map
-from lomo.data import Fold, FoldPlan, make_folds, parse_manifest, write_sequence
+from lomo.data import (
+    Fold,
+    FoldPlan,
+    SynthSpec,
+    gen_synthetic,
+    make_folds,
+    parse_manifest,
+    synth_records,
+    write_sequence,
+)
 from lomo.evaluation import run_cv
 from lomo.inference import FrameSequence
 from lomo.training import TrainConfig
@@ -30,7 +42,8 @@ def assert_no_children():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count parse_manifest and run_cv see; files per worker >= 2."""
+    """Set the CPU count parse_manifest, gen_synthetic and run_cv see; files
+    per worker >= 2."""
     monkeypatch.setattr(lomo.data, "FORK_MIN_FILES", 2)
 
     def set_count(n):
@@ -303,3 +316,64 @@ def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
             with pytest.raises(LomoError, match=f"^{message}$"):
                 run_cv(manifest, plan, CV_CFG, "acc", positive_label="pos")
             assert_no_children()
+
+
+# ---------------------------------------------------------------------------
+# gen_synthetic (lomo synth)
+
+SYNTH_SPEC = SynthSpec(dim=3, num_frames=8, num_events=2, min_gap=1, num_pos=5, num_neg=4, seed=12)
+SYNTH_ARGV = ["--d", "3", "--n", "8", "--m-true", "2", "--min-gap", "1",
+              "--pos", "5", "--neg", "4", "--seed", "12"]
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_forked_gen_synthetic_equals_serial_byte_for_byte(tmp_path, cpus, monkeypatch, n):
+    cpus(1)
+    serial = gen_synthetic(SYNTH_SPEC, tmp_path / "serial")
+    parent_writes = []
+    original = lomo.data.write_sequence
+
+    def counting(seq, path):
+        parent_writes.append(seq.id)
+        return original(seq, path)
+
+    monkeypatch.setattr(lomo.data, "write_sequence", counting)
+    cpus(n)
+    forked = gen_synthetic(SYNTH_SPEC, tmp_path / "forked")
+    ids = [r.id for r in serial.records]
+    assert parent_writes == ids[::n]  # a child's writes are its own
+    assert len(_dir_bytes(tmp_path / "forked")) == len(ids) + 2
+    assert _dir_bytes(tmp_path / "forked") == _dir_bytes(tmp_path / "serial")
+    assert [r.id for r in forked.records] == ids
+    assert [forked.sequences[i].frames.tobytes() for i in ids] == [
+        serial.sequences[i].frames.tobytes() for i in ids
+    ]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad, first", [
+    ((3, 6), 3),  # a child's failed write comes before the parent's
+    ((2, 5), 2),  # the parent's failed write comes before the child's
+])
+def test_forked_synth_reports_the_first_write_error_and_writes_no_manifest(
+    tmp_path, cpus, capsys, bad, first
+):
+    out = tmp_path / "data"
+    out.mkdir()
+    ids = [r.id for r in synth_records(SYNTH_SPEC)[0]]
+    for k in bad:  # a directory where a sequence file should go
+        (out / f"seq_{ids[k]}.csv").mkdir()
+    messages = []
+    for n in (1, 2):
+        cpus(n)
+        assert main(["synth", "--out", str(out), *SYNTH_ARGV]) == 1
+        messages.append(capsys.readouterr().err.splitlines()[-1])
+        assert not (out / "manifest.csv").exists()
+        assert not (out / "spec.txt").exists()
+        assert_no_children()
+    assert messages[1] == messages[0]
+    assert messages[0] == f"error: [Errno 21] Is a directory: '{out / f'seq_{ids[first]}.csv'}'"

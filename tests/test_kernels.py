@@ -5,13 +5,15 @@
 the l2 row kernel must equal per-row `np.linalg.norm` division,
 `apply_preprocess` must equal its steps written out one by one, and the
 C-parsed sequence reader must equal the per-cell `float()` parse, bit for
-bit (compared as bytes, so signed zeros count).
+bit (compared as bytes, so signed zeros count). The one-string sequence
+writer must write the bytes of the per-value `format_float` loop.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,11 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lomo.data
 import lomo.inference
 from lomo.cli import main
-from lomo.core import LomoError, Rng
+from lomo.core import LomoError, Rng, format_float
 from lomo.data import (
     PreprocessConfig,
     _l2_rows,
@@ -611,6 +614,54 @@ def test_clean_sequence_files_skip_the_per_cell_parse(tmp_path, monkeypatch):
     monkeypatch.setattr(lomo.data, "_parse_cells", per_cell)
     frames = np.random.default_rng(11).normal(size=(7, 5))
     write_sequence(FrameSequence(frames), tmp_path / "s.csv")
+    assert _bits(read_sequence(tmp_path / "s.csv").frames) == _bits(frames)
+
+
+# ---------------------------------------------------------------------------
+# sequence writer
+
+
+def _write_sequence_reference(seq, path):
+    """The per-value writer that write_sequence replaced (the oracle)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for frame in seq.frames:
+            fh.write(",".join(format_float(v) for v in frame) + "\n")
+
+
+# signed zeros, subnormals down to the smallest, the switches between fixed
+# and exponent notation, and the largest float
+WRITER_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    -1e-310, 1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0, -1e16,
+    sys.float_info.max, -sys.float_info.max,
+]
+
+
+@st.composite
+def writer_frames(draw):
+    shape = (draw(st.integers(1, 50)), draw(st.integers(1, 120)))
+    element = st.one_of(
+        st.sampled_from(WRITER_EDGE_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    return draw(arrays(np.float64, shape, elements=element))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(writer_frames())
+def test_write_sequence_equals_per_value_format_float(tmp_path, frames):
+    seq = FrameSequence(frames)
+    write_sequence(seq, tmp_path / "got.csv")
+    _write_sequence_reference(seq, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_sequence_writes_every_edge_value_like_format_float(tmp_path):
+    frames = np.array([WRITER_EDGE_VALUES, WRITER_EDGE_VALUES[::-1]])
+    write_sequence(FrameSequence(frames), tmp_path / "s.csv")
+    want = "".join(",".join(format_float(v) for v in row) + "\n" for row in frames)
+    assert (tmp_path / "s.csv").read_bytes() == want.encode()
     assert _bits(read_sequence(tmp_path / "s.csv").frames) == _bits(frames)
 
 

@@ -74,6 +74,21 @@ def test_config_rejects_non_integer_counts(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eta", "0.05"), ("eta", None), ("eta", True),
+    ("reg_lambda", "1e-5"), ("reg_lambda", None), ("reg_lambda", False),
+])
+def test_config_rejects_non_real_rates(field, value):
+    with pytest.raises(LomoError, match=f"^{field} must be a real number, got {value!r}$"):
+        TrainConfig(**{field: value})
+
+
+def test_config_keeps_real_rates_as_given():
+    cfg = TrainConfig(eta=1, reg_lambda=np.float64(0.5))
+    assert type(cfg.eta) is int and cfg.eta == 1
+    assert type(cfg.reg_lambda) is np.float64 and cfg.reg_lambda == 0.5
+
+
 def test_config_accepts_numpy_integers_as_python_ints():
     cfg = TrainConfig(num_templates=np.int64(2), exclusion_t=np.int32(1), max_iter=np.uint16(7),
                       seed=np.int64(5))
