@@ -29,10 +29,11 @@ from .inference import FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
-# parse_manifest forks a reader only when each worker gets at least this
-# many sequence files. A fork costs about 5 ms and a 40-frame file 0.5 ms
-# (d=20) to 2.5 ms (d=100) to read; with two CPUs, forking lost below 16
-# files per worker at d=20 and won from 32 on, at both d.
+# parse_manifest and gen_synthetic fork readers or writers only when each
+# worker gets at least this many sequence files. A fork costs about 5 ms and
+# a 40-frame file 0.5 ms (d=20) to 2.5 ms (d=100) to read, about three times
+# that to write; with two CPUs, forked reads lost below 16 files per worker
+# at d=20 and won from 32 on, at both d, and forked writes won from 16.
 FORK_MIN_FILES = 32
 
 
@@ -517,11 +518,10 @@ def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
     records, _ = synth_records(spec)
     os.makedirs(out_dir, exist_ok=True)
     sequences = {rec.id: FrameSequence(rec.frames, id=rec.id) for rec in records}
+    paths = {rec.id: os.path.join(out_dir, f"seq_{rec.id}.csv") for rec in records}
     workers = min(cpu_count(), len(records) // FORK_MIN_FILES)
     writes = forked_map(
-        lambda rec_id: write_sequence(sequences[rec_id], os.path.join(out_dir, f"seq_{rec_id}.csv")),
-        sequences,
-        workers,
+        lambda rec_id: write_sequence(sequences[rec_id], paths[rec_id]), paths, workers
     )
     with contextlib.closing(writes):
         for _ in writes:
@@ -548,9 +548,7 @@ def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
             fh.write(f"{key}={text}\n")
     return DatasetManifest(
         records=[
-            ManifestRecord(
-                rec.id, rec.label, rec.group, os.path.join(os.path.abspath(out_dir), f"seq_{rec.id}.csv")
-            )
+            ManifestRecord(rec.id, rec.label, rec.group, os.path.abspath(paths[rec.id]))
             for rec in records
         ],
         dim=spec.dim,

@@ -355,6 +355,22 @@ def test_forked_gen_synthetic_equals_serial_byte_for_byte(tmp_path, cpus, monkey
     assert_no_children()
 
 
+def test_gen_synthetic_forks_only_with_fork_min_files_per_worker(tmp_path, cpus, monkeypatch):
+    monkeypatch.setattr(lomo.data, "FORK_MIN_FILES", 4)
+    cpus(2)
+    parent_writes = []
+    original = lomo.data.write_sequence
+    monkeypatch.setattr(lomo.data, "write_sequence",
+                        lambda seq, path: parent_writes.append(seq.id) or original(seq, path))
+    for num_neg, share in ((3, 1), (4, 2)):  # 7 // 4 = 1 worker, 8 // 4 = 2 workers
+        parent_writes.clear()
+        spec = SynthSpec(dim=2, num_frames=8, num_events=2, min_gap=1, num_pos=4,
+                         num_neg=num_neg, seed=13)
+        manifest = gen_synthetic(spec, tmp_path / f"n{num_neg}")
+        assert parent_writes == [r.id for r in manifest.records][::share]
+        assert_no_children()
+
+
 @pytest.mark.parametrize("bad, first", [
     ((3, 6), 3),  # a child's failed write comes before the parent's
     ((2, 5), 2),  # the parent's failed write comes before the child's
