@@ -28,13 +28,12 @@ def require_int(name: str, value) -> int:
     return int(value)
 
 
-def require_real(name: str, value):
-    """`value` itself if it is a real number (numpy floats pass; bools, str
-    and None do not), else a LomoError naming the field. The value is not
-    converted, so an int stays an int."""
+def require_real(name: str, value) -> None:
+    """A LomoError naming the field unless `value` is a real number (numpy
+    floats pass; bools, str and None do not). The value is only checked,
+    not converted, so an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LomoError(f"{name} must be a real number, got {value!r}")
-    return value
 
 
 def read_text(path, encoding: str = "utf-8") -> str:

@@ -321,7 +321,8 @@ def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
 # ---------------------------------------------------------------------------
 # gen_synthetic (lomo synth)
 
-SYNTH_SPEC = SynthSpec(dim=3, num_frames=8, num_events=2, min_gap=1, num_pos=5, num_neg=4, seed=12)
+SYNTH_SPEC = SynthSpec(dim=3, num_frames=8, num_events=2, min_gap=1, num_pos=5, num_neg=4,
+                       seed=12)
 SYNTH_ARGV = ["--d", "3", "--n", "8", "--m-true", "2", "--min-gap", "1",
               "--pos", "5", "--neg", "4", "--seed", "12"]
 
@@ -330,18 +331,21 @@ def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+@pytest.fixture
+def parent_writes(monkeypatch):
+    """Ids of the sequences write_sequence writes in this process."""
+    ids = []
+    original = lomo.data.write_sequence
+    monkeypatch.setattr(lomo.data, "write_sequence",
+                        lambda seq, path: ids.append(seq.id) or original(seq, path))
+    return ids
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_forked_gen_synthetic_equals_serial_byte_for_byte(tmp_path, cpus, monkeypatch, n):
+def test_forked_gen_synthetic_equals_serial_byte_for_byte(tmp_path, cpus, parent_writes, n):
     cpus(1)
     serial = gen_synthetic(SYNTH_SPEC, tmp_path / "serial")
-    parent_writes = []
-    original = lomo.data.write_sequence
-
-    def counting(seq, path):
-        parent_writes.append(seq.id)
-        return original(seq, path)
-
-    monkeypatch.setattr(lomo.data, "write_sequence", counting)
+    parent_writes.clear()
     cpus(n)
     forked = gen_synthetic(SYNTH_SPEC, tmp_path / "forked")
     ids = [r.id for r in serial.records]
@@ -355,13 +359,11 @@ def test_forked_gen_synthetic_equals_serial_byte_for_byte(tmp_path, cpus, monkey
     assert_no_children()
 
 
-def test_gen_synthetic_forks_only_with_fork_min_files_per_worker(tmp_path, cpus, monkeypatch):
+def test_gen_synthetic_forks_only_with_fork_min_files_per_worker(
+    tmp_path, cpus, parent_writes, monkeypatch
+):
     monkeypatch.setattr(lomo.data, "FORK_MIN_FILES", 4)
     cpus(2)
-    parent_writes = []
-    original = lomo.data.write_sequence
-    monkeypatch.setattr(lomo.data, "write_sequence",
-                        lambda seq, path: parent_writes.append(seq.id) or original(seq, path))
     for num_neg, share in ((3, 1), (4, 2)):  # 7 // 4 = 1 worker, 8 // 4 = 2 workers
         parent_writes.clear()
         spec = SynthSpec(dim=2, num_frames=8, num_events=2, min_gap=1, num_pos=4,
