@@ -273,19 +273,18 @@ def make_folds(
 # preprocessing
 
 
-def _l2_rows(frames: np.ndarray) -> np.ndarray:
+def _l2_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each row divided by its l2 norm; rows with norm <= 1e-12 are kept.
 
-    The batched matmul takes each row's sum of squares with the same BLAS
-    dot product as np.linalg.norm of that row, so the bits match it; einsum
-    and norm(axis=1) sum in another order and do not.
+    The result goes to `out`, a new array when it is None; out=frames
+    normalises in place. The batched matmul takes each row's sum of squares
+    with the same BLAS dot product as np.linalg.norm of that row, so the
+    bits match it; einsum and norm(axis=1) sum in another order and do not.
+    A kept row is divided by 1.0, which leaves its bits as they are.
     """
     norms = np.sqrt(np.matmul(frames[:, None, :], frames[:, :, None]))[:, 0, 0]
-    small = norms <= 1e-12
-    norms[small] = 1.0
-    out = frames / norms[:, None]
-    out[small] = frames[small]
-    return out
+    norms[norms <= 1e-12] = 1.0
+    return np.divide(frames, norms[:, None], out=out)
 
 
 @dataclass
@@ -299,19 +298,32 @@ def pca_fit(vectors, k: int) -> PcaBasis:
 
     Eigenvalues are sorted in decreasing order, equal ones keeping eigh's
     order. Each eigenvector's sign is fixed so its largest-magnitude
-    component is positive, making the basis deterministic.
+    component is positive, making the basis deterministic. Every sample
+    must be finite. The samples are centred in one new array (as well as
+    the float64 conversion, if `vectors` needs one); `vectors` is never
+    written to.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
         raise LomoError(f"pca_fit needs a 2-D sample matrix, got shape {mat.shape}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise LomoError(f"pca_fit: row {row}, column {col}: non-finite value")
+    # order K keeps the input's memory layout, as mat - mean would
+    return _pca_fit_in_place(mat.copy(order="K"), k)
+
+
+def _pca_fit_in_place(mat: np.ndarray, k: int) -> PcaBasis:
+    """pca_fit on a private float64 sample matrix, which it centres in place."""
     n, d = mat.shape
     if n < 2:
         raise LomoError(f"pca_fit needs >= 2 samples, got {n}")
     if not 1 <= k <= d:
         raise LomoError(f"pca dimension k={k} out of range 1..{d}")
     mean = mat.mean(axis=0)
-    centered = mat - mean
-    cov = centered.T @ centered / (n - 1)
+    mat -= mean
+    cov = mat.T @ mat / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     components = eigvecs[:, order[:k]].T.copy()
@@ -359,13 +371,28 @@ class FittedPreprocess:
 
 
 def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
-    """Fit pipeline statistics (the PCA basis) on unpooled training frames."""
+    """Fit pipeline statistics (the PCA basis) on unpooled training frames.
+
+    With pca_dim set, the training frames are stacked into one new array,
+    which is l2-normalised and centred in place, so the fit holds a single
+    copy of them; the sequences themselves are never written to. They
+    must be at least one and share d.
+    """
     basis = None
     if config.pca_dim is not None:
-        frames = np.vstack([seq.frames for seq in train_seqs])
+        seqs = list(train_seqs)
+        if not seqs:
+            raise LomoError("PCA needs training sequences, got none")
+        dim = seqs[0].dim
+        for seq in seqs:
+            if seq.dim != dim:
+                raise LomoError(
+                    f"sequence {seq.id or '<unnamed>'}: dimension {seq.dim} differs from {dim}"
+                )
+        frames = np.vstack([seq.frames for seq in seqs])
         if config.l2:
-            frames = _l2_rows(frames)
-        basis = pca_fit(frames, config.pca_dim)
+            _l2_rows(frames, out=frames)
+        basis = _pca_fit_in_place(frames, config.pca_dim)
     return FittedPreprocess(config=config, basis=basis)
 
 

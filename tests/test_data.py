@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,24 @@ def test_pca_fit_validation():
         pca_fit([1.0, 2.0, 3.0], 1)
 
 
+@pytest.mark.parametrize("samples, where", [
+    ([[math.nan, 1.0], [2.0, 3.0]], "row 1, column 1"),
+    ([[0.0, 1.0], [2.0, math.inf]], "row 2, column 2"),
+    ([[0.0, -math.inf], [math.nan, 3.0]], "row 1, column 2"),
+])
+def test_pca_fit_rejects_non_finite_samples(samples, where):
+    with pytest.raises(LomoError, match=f"^pca_fit: {where}: non-finite value$"):
+        pca_fit(samples, 1)
+
+
+def test_pca_fit_leaves_its_input_unchanged():
+    data = np.random.default_rng(55).normal(size=(20, 4)) + 3.0
+    assert np.asarray(data, dtype=np.float64) is data  # so pca_fit sees the caller's array
+    before = data.tobytes()
+    pca_fit(data, 2)
+    assert data.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # preprocessing pipeline
 
@@ -510,6 +529,47 @@ def test_fit_preprocess_statistics_come_from_training_data_only():
     out = apply_preprocess(fitted, test_seq)
     expected = (test_seq.frames - fitted.basis.mean) @ fitted.basis.components.T
     np.testing.assert_allclose(out.frames, expected, rtol=1e-12)
+
+
+def test_fit_preprocess_rejects_an_empty_training_set():
+    with pytest.raises(LomoError, match="^PCA needs training sequences, got none$"):
+        fit_preprocess([], PreprocessConfig(pca_dim=1))
+
+
+def test_fit_preprocess_rejects_sequences_of_different_dimension():
+    seqs = [FrameSequence([[1.0, 2.0], [0.0, 1.0]], id="a"), FrameSequence([[1.0, 2.0, 3.0]], id="b")]
+    with pytest.raises(LomoError, match="^sequence b: dimension 3 differs from 2$"):
+        fit_preprocess(seqs, PreprocessConfig(l2=True, pca_dim=1))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("l2", [False, True])
+def test_fit_preprocess_leaves_the_training_frames_unchanged(l2, count):
+    rng = np.random.default_rng(56)
+    seqs = [FrameSequence(rng.normal(size=(6, 4)) + 2.0) for _ in range(count)]
+    before = [seq.frames.tobytes() for seq in seqs]
+    fit_preprocess(seqs, PreprocessConfig(l2=l2, pca_dim=2))
+    assert [seq.frames.tobytes() for seq in seqs] == before
+
+
+@pytest.mark.parametrize("l2", [False, True])
+def test_fit_preprocess_holds_one_copy_of_the_training_frames(l2):
+    """l2 and centring run in place on the stacked frames, so the traced
+    peak stays near one stacked copy (two or more copies: about 2x)."""
+    rng = np.random.default_rng(57)
+    seqs = [FrameSequence(rng.normal(size=(40, 20))) for _ in range(200)]
+    stacked = 200 * 40 * 20 * 8
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fit_preprocess(seqs, PreprocessConfig(l2=l2, pca_dim=5))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 1.25 * stacked
 
 
 def test_apply_preprocess_order_is_l2_then_pca_then_stack():

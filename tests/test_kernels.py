@@ -2,10 +2,10 @@
 
 `train` must equal a fold of `sgd_step` over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
-the l2 row kernel must equal per-row `np.linalg.norm` division,
-`apply_preprocess` must equal its steps written out one by one, and the
-C-parsed sequence reader must equal the per-cell `float()` parse, bit for
-bit (compared as bytes, so signed zeros count). The one-string sequence
+the l2 row kernel, in place or not, must equal per-row `np.linalg.norm`
+division, `apply_preprocess` must equal its steps written out one by one,
+and the C-parsed sequence reader must equal the per-cell `float()` parse,
+bit for bit (compared as bytes, so signed zeros count). The one-string sequence
 writer must write the bytes of the per-value `format_float` loop.
 """
 
@@ -425,6 +425,9 @@ def l2_row_blocks(draw):
 def test_l2_row_kernel_equals_per_row_norm_division(frames):
     want = [_l2_reference(v) for v in frames]
     assert _bits(_l2_rows(frames)) == _bits(want)
+    in_place = frames.copy()
+    assert _l2_rows(in_place, out=in_place) is in_place
+    assert _bits(in_place) == _bits(want)
 
 
 # ---------------------------------------------------------------------------
