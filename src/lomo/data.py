@@ -299,9 +299,9 @@ def pca_fit(vectors, k: int) -> PcaBasis:
     Eigenvalues are sorted in decreasing order, equal ones keeping eigh's
     order. Each eigenvector's sign is fixed so its largest-magnitude
     component is positive, making the basis deterministic. Every sample
-    must be finite. The samples are centred in one new array (as well as
-    the float64 conversion, if `vectors` needs one); `vectors` is never
-    written to.
+    must be finite. The samples are copied once, into the array that is
+    centred (after a float64 conversion, when `vectors` is not already a
+    float64 array); `vectors` is never written to.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
@@ -373,10 +373,11 @@ class FittedPreprocess:
 def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     """Fit pipeline statistics (the PCA basis) on unpooled training frames.
 
-    With pca_dim set, the training frames are stacked into one new array,
-    which is l2-normalised and centred in place, so the fit holds a single
-    copy of them; the sequences themselves are never written to. They
-    must be at least one and share d.
+    With pca_dim set, there must be at least one sequence and all must
+    share d. Their frames are stacked into one new array, which is
+    l2-normalised and centred in place, so the fit holds a single copy of
+    them; the sequences are never written to. Without pca_dim nothing is
+    copied.
     """
     basis = None
     if config.pca_dim is not None:

@@ -537,7 +537,8 @@ def test_fit_preprocess_rejects_an_empty_training_set():
 
 
 def test_fit_preprocess_rejects_sequences_of_different_dimension():
-    seqs = [FrameSequence([[1.0, 2.0], [0.0, 1.0]], id="a"), FrameSequence([[1.0, 2.0, 3.0]], id="b")]
+    seqs = [FrameSequence([[1.0, 2.0], [0.0, 1.0]], id="a"),
+            FrameSequence([[1.0, 2.0, 3.0]], id="b")]
     with pytest.raises(LomoError, match="^sequence b: dimension 3 differs from 2$"):
         fit_preprocess(seqs, PreprocessConfig(l2=True, pca_dim=1))
 
