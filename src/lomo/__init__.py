@@ -14,7 +14,6 @@ from .data import (
     gen_synthetic,
     make_folds,
     parse_manifest,
-    pca_fit,
     read_sequence,
     write_sequence,
 )
@@ -40,7 +39,7 @@ from .model import (
     rank_pattern,
     save_model,
 )
-from .training import LabeledSequence, TrainConfig, objective, sgd_step, train, train_ova
+from .training import LabeledSequence, TrainConfig, objective, train, train_ova
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "objective",
     "ova_predict",
     "parse_manifest",
-    "pca_fit",
     "perm_index",
     "perm_unrank",
     "rank_pattern",
@@ -84,7 +82,6 @@ __all__ = [
     "save_model",
     "score",
     "score_sequences",
-    "sgd_step",
     "train",
     "train_ova",
     "write_sequence",

@@ -142,7 +142,7 @@ def _cmd_train(args) -> int:
             f"positive label {args.positive_label!r} not among classes {classes}"
         )
     data = [
-        LabeledSequence(seq, 1 if rec.label == args.positive_label else -1, rec.group)
+        LabeledSequence(seq, 1 if rec.label == args.positive_label else -1)
         for rec, seq in pairs
     ]
     model = train(data, cfg)

@@ -11,6 +11,7 @@ import numbers
 import os
 import pickle
 import signal
+import threading
 import traceback
 
 import numpy as np
@@ -20,11 +21,13 @@ class LomoError(ValueError):
     """Domain error raised for invalid inputs, files, or configurations."""
 
 
-def require_int(name: str, value) -> int:
+def require_int(name: str, value, minimum: int | None = None) -> int:
     """`value` as a Python int; any other type (numpy integers pass, bools
-    do not) raises a LomoError naming the field."""
+    do not), or a value below `minimum`, raises a LomoError naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise LomoError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise LomoError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -106,9 +109,10 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def forked_map(fn, items, workers: int):
-    """Yield fn(item) for every item, in item order, on up to `workers` CPUs.
+def forked_map(fn, items, min_share: int = 1):
+    """Yield fn(item) for every item, in item order, on W forked workers.
 
+    The one worker rule: W = min(cpu_count(), len(items) // min_share).
     Item k runs on worker k % W. Worker 0 is this process; workers 1..W-1
     are os.fork() children, each streaming one pickled (ok, value or
     exception) per item through its own pipe. Dealing items round-robin
@@ -117,18 +121,19 @@ def forked_map(fn, items, workers: int):
     the error is raised here at that item's place, so the first error in
     item order wins as in a serial loop. Results and errors must pickle.
 
-    With W < 2, or without os.fork, the items run serially in this process.
-    When the generator finishes, is closed early or raises, every child is
-    killed if still running and reaped. A child that exits without a result
-    is reported; one that blocks is waited for without a time limit. A
-    forked child holds only the calling thread, so a lock that another
-    thread held at the fork (a BLAS built on GNU OpenMP, a caller's own
-    threads) can deadlock it and this call then never returns. Only
+    With W < 2, without os.fork, or while other Python threads run, the
+    items run serially in this process. When the generator finishes, is
+    closed early or raises, every child is killed if still running and
+    reaped. A child that exits without a result is reported; one that
+    blocks is waited for without a time limit. A forked child holds only
+    the calling thread, so a lock that another thread held at the fork can
+    deadlock it and this call then never returns. Threads started outside
+    Python (a BLAS built on GNU OpenMP) escape the thread check. Only
     OpenBLAS with pthreads, single- and multi-threaded, has been tried.
     """
     items = list(items)
-    workers = min(int(workers), len(items))
-    if workers < 2 or not hasattr(os, "fork"):
+    workers = min(cpu_count(), len(items) // min_share)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         for item in items:
             yield fn(item)
         return

@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     LomoError,
     Rng,
-    cpu_count,
     forked_map,
     format_float,
     read_text,
@@ -30,10 +29,11 @@ from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
 # parse_manifest and gen_synthetic fork readers or writers only when each
-# worker gets at least this many sequence files. A fork costs about 5 ms and
-# a 40-frame file 0.5 ms (d=20) to 2.5 ms (d=100) to read, about three times
-# that to write; with two CPUs, forked reads lost below 16 files per worker
-# at d=20 and won from 32 on, at both d, and forked writes won from 16.
+# worker gets at least this many sequence files (forked_map's min_share). A
+# fork costs about 5 ms and a 40-frame file 0.5 ms (d=20) to 2.5 ms (d=100)
+# to read, about three times that to write; with two CPUs, forked reads lost
+# below 16 files per worker at d=20 and won from 32 on, at both d, and
+# forked writes won from 16.
 FORK_MIN_FILES = 32
 
 
@@ -149,12 +149,11 @@ def parse_manifest(path) -> DatasetManifest:
 
     A UTF-8 byte-order mark and empty lines are ignored. Rows are checked
     in order and only the sequence files of the rows before the first bad
-    row are read, so the first error in row order is the one raised. With
-    at least FORK_MIN_FILES files for each of two or more CPUs, the files
-    are read by forked workers (core.forked_map); the result is the same.
-    Forking is unsafe in a process that runs other threads, including a
-    BLAS built on GNU OpenMP: a worker can deadlock and the call then
-    never returns (see core.forked_map).
+    row are read, so the first error in row order is the one raised. The
+    files are read by core.forked_map with at least FORK_MIN_FILES files
+    per worker; the result is the same as a serial read. See
+    core.forked_map for when it forks and for the threads that make
+    forking unsafe.
     """
     base = os.path.dirname(os.path.abspath(str(path)))
     lines = read_text(path, "utf-8-sig").splitlines()
@@ -172,10 +171,9 @@ def parse_manifest(path) -> DatasetManifest:
         except LomoError as err:
             row_error = err
             break
-    workers = min(cpu_count(), len(records) // FORK_MIN_FILES)
     sequences: dict[str, FrameSequence] = {}
     dim = None
-    reads = forked_map(lambda rec: read_sequence(rec.path, rec.id), records, workers)
+    reads = forked_map(lambda rec: read_sequence(rec.path, rec.id), records, FORK_MIN_FILES)
     with contextlib.closing(reads):
         for rec, seq in zip(records, reads):
             if dim is None:
@@ -238,7 +236,7 @@ def make_folds(
     LOGO has one fold per group, so giving it k is an error.
     """
     scheme = str(scheme).lower()
-    seed = require_int("seed", seed)
+    seed = require_int("seed", seed, minimum=0)
     groups = manifest.groups
     if len(groups) < 2:
         raise LomoError(f"grouped folding needs >= 2 groups, got {len(groups)}")
@@ -293,32 +291,17 @@ class PcaBasis:
     components: np.ndarray  # (k, d), rows are unit eigenvectors
 
 
-def pca_fit(vectors, k: int) -> PcaBasis:
+def _pca_fit(mat: np.ndarray, k: int) -> PcaBasis:
     """Mean plus top-k eigenvectors of the sample covariance (LAPACK eigh).
 
-    Eigenvalues are sorted in decreasing order, equal ones keeping eigh's
-    order. Each eigenvector's sign is fixed so its largest-magnitude
-    component is positive, making the basis deterministic. Every sample
-    must be finite. The samples are copied once, into the array that is
-    centred (after a float64 conversion, when `vectors` is not already a
-    float64 array); `vectors` is never written to.
+    `mat` is a private 2-D float64 array of finite samples, one per row,
+    which is centred in place. Eigenvalues are sorted in decreasing order,
+    equal ones keeping eigh's order. Each eigenvector's sign is fixed so its
+    largest-magnitude component is positive, making the basis deterministic.
     """
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2:
-        raise LomoError(f"pca_fit needs a 2-D sample matrix, got shape {mat.shape}")
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        row, col = bad[0] + 1
-        raise LomoError(f"pca_fit: row {row}, column {col}: non-finite value")
-    # order K keeps the input's memory layout, as mat - mean would
-    return _pca_fit_in_place(mat.copy(order="K"), k)
-
-
-def _pca_fit_in_place(mat: np.ndarray, k: int) -> PcaBasis:
-    """pca_fit on a private float64 sample matrix, which it centres in place."""
     n, d = mat.shape
     if n < 2:
-        raise LomoError(f"pca_fit needs >= 2 samples, got {n}")
+        raise LomoError(f"PCA needs >= 2 training frames, got {n}")
     if not 1 <= k <= d:
         raise LomoError(f"pca dimension k={k} out of range 1..{d}")
     mean = mat.mean(axis=0)
@@ -393,7 +376,7 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
         frames = np.vstack([seq.frames for seq in seqs])
         if config.l2:
             _l2_rows(frames, out=frames)
-        basis = _pca_fit_in_place(frames, config.pca_dim)
+        basis = _pca_fit(frames, config.pca_dim)
     return FittedPreprocess(config=config, basis=basis)
 
 
@@ -447,8 +430,9 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("dim", "num_frames", "num_events", "min_gap", "num_pos", "num_neg", "seed"):
+        for name in ("dim", "num_frames", "num_events", "min_gap", "num_pos", "num_neg"):
             setattr(self, name, require_int(name, getattr(self, name)))
+        self.seed = require_int("seed", self.seed, minimum=0)
         self.neg_mode = str(self.neg_mode).lower()
         if self.dim < 1:
             raise LomoError(f"dim must be >= 1, got {self.dim}")
@@ -511,45 +495,46 @@ def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tup
 
 
 def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
-    """Generate all sequences in memory; fully determined by spec.seed."""
+    """Generate all sequences in memory; fully determined by spec.seed.
+
+    A frame value that overflows (a noise_sigma near the float64 maximum)
+    raises a LomoError naming the sequence and noise_sigma.
+    """
     rng = Rng(spec.seed)
     raw = rng.normal(size=(spec.num_events, spec.dim))
     prototypes = _l2_rows(raw)
     records: list[SynthRecord] = []
     width = max(4, len(str(max(spec.num_pos, spec.num_neg) - 1)))
-    for label, count in (("pos", spec.num_pos), ("neg", spec.num_neg)):
-        for i in range(count):
-            frames, planted = _plant(rng, spec, prototypes, label)
-            records.append(
-                SynthRecord(
-                    id=f"{label}{i:0{width}d}",
-                    label=label,
-                    group=f"s{i % 10:02d}",
-                    frames=frames,
-                    planted=planted,
-                )
-            )
+    with np.errstate(over="raise", invalid="raise"):
+        for label, count in (("pos", spec.num_pos), ("neg", spec.num_neg)):
+            for i in range(count):
+                rec_id = f"{label}{i:0{width}d}"
+                try:
+                    frames, planted = _plant(rng, spec, prototypes, label)
+                except FloatingPointError as err:
+                    raise LomoError(
+                        f"sequence {rec_id}: {err} with noise_sigma={spec.noise_sigma}"
+                    ) from None
+                records.append(SynthRecord(rec_id, label, f"s{i % 10:02d}", frames, planted))
     return records, prototypes
 
 
 def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
     """Write manifest.csv, spec.txt, and seq_<id>.csv files; byte-deterministic.
 
-    With at least FORK_MIN_FILES files for each of two or more CPUs, the
-    sequence files are written by forked workers (core.forked_map); the
-    bytes are the same. The first write error in record order is raised,
-    and manifest.csv and spec.txt are written only after every sequence
-    file. Forking is unsafe in a process that runs other threads,
-    including a BLAS built on GNU OpenMP: a worker can deadlock and the
-    call then never returns (see core.forked_map).
+    The sequence files are written by core.forked_map with at least
+    FORK_MIN_FILES files per worker; the bytes are the same as a serial
+    write. The first write error in record order is raised, and
+    manifest.csv and spec.txt are written only after every sequence file.
+    See core.forked_map for when it forks and for the threads that make
+    forking unsafe.
     """
     records, _ = synth_records(spec)
     os.makedirs(out_dir, exist_ok=True)
     sequences = {rec.id: FrameSequence(rec.frames, id=rec.id) for rec in records}
     paths = {rec.id: os.path.join(out_dir, f"seq_{rec.id}.csv") for rec in records}
-    workers = min(cpu_count(), len(records) // FORK_MIN_FILES)
     writes = forked_map(
-        lambda rec_id: write_sequence(sequences[rec_id], paths[rec_id]), paths, workers
+        lambda rec_id: write_sequence(sequences[rec_id], paths[rec_id]), paths, FORK_MIN_FILES
     )
     with contextlib.closing(writes):
         for _ in writes:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, child_seed, cpu_count, forked_map, format_float
+from .core import LomoError, child_seed, forked_map, format_float
 from .data import DatasetManifest, FoldPlan, PreprocessConfig, apply_preprocess, fit_preprocess
 from .inference import ova_predict, score_sequences
 from .training import LabeledSequence, TrainConfig, train, train_ova
@@ -110,7 +110,7 @@ class CvResult:
 
 def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
     train_data = [
-        LabeledSequence(seq, 1 if r.label == positive_label else -1, r.group)
+        LabeledSequence(seq, 1 if r.label == positive_label else -1)
         for r, seq in train_pairs
     ]
     if {ex.label for ex in train_data} != {-1, 1}:
@@ -154,9 +154,9 @@ def run_cv(
     deterministic and independent of fold execution order; the folds run
     on forked workers, one per CPU (core.forked_map). Every fold trains a
     model, which outweighs the cost of a fork even for two-sequence
-    training splits, so folds fork with no minimum size. Forking is unsafe
-    in a process that runs other threads, including a BLAS built on GNU
-    OpenMP: a worker can deadlock and the call then never returns.
+    training splits, so folds fork with no minimum share. See
+    core.forked_map for when it runs serially and for the threads that
+    make forking unsafe.
     """
     metric = str(metric).lower()
     if metric not in METRICS:
@@ -190,7 +190,7 @@ def run_cv(
             raise LomoError(f"fold {fold_no}: {err}") from None
 
     folds = range(len(plan.folds))
-    values = list(forked_map(fold_value, folds, min(cpu_count(), len(folds))))
+    values = list(forked_map(fold_value, folds))
     return CvResult(metric=metric, fold_values=values)
 
 

@@ -64,9 +64,6 @@ class LomoModel:
             self.costs, other.costs
         )
 
-    def copy(self) -> "LomoModel":
-        return LomoModel(self.templates.copy(), self.costs.copy())
-
 
 def rank_pattern(k) -> tuple[int, ...]:
     """Rank of each chosen frame index among all chosen indices (1-based).

@@ -7,8 +7,9 @@ The MIL and pooled-SVM baselines are the M=1 restriction with the cost
 table frozen at zero.
 
 `train` is the training kernel: one loop over plain arrays updated in
-place. `sgd_step` is the reference (oracle) step; folding it over the
-same sample draws gives the model `train` returns, bit for bit.
+place. Its reference step, `sgd_step` in tests/oracle.py, is a test
+oracle: folding it over the same sample draws gives the model `train`
+returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LomoError, Rng, child_seed, require_int, require_real
-from .inference import FrameSequence, InferenceConfig, latent_assign, score_sequences
+from .inference import FrameSequence, InferenceConfig, score_sequences
 from .model import MAX_TEMPLATES, LomoModel, PermTable, init_model
 
 VARIANTS = ("lomo", "mil", "svm_pool")
@@ -31,7 +32,6 @@ _DRAW_CHUNK = 4096  # sample indices drawn per rng call in train
 class LabeledSequence:
     sequence: FrameSequence
     label: int  # +1 or -1
-    group: str = ""
 
     def __post_init__(self):
         if self.label not in (-1, 1):
@@ -70,7 +70,7 @@ class TrainConfig:
         self.exclusion_t = require_int("exclusion_t", self.exclusion_t)
         if self.max_iter is not None:
             self.max_iter = require_int("max_iter", self.max_iter)
-        self.seed = require_int("seed", self.seed)
+        self.seed = require_int("seed", self.seed, minimum=0)
         require_real("eta", self.eta)
         require_real("reg_lambda", self.reg_lambda)
         if self.variant != "lomo":
@@ -83,6 +83,8 @@ class TrainConfig:
             raise LomoError(f"eta must be finite and > 0, got {self.eta}")
         if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
             raise LomoError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
+        if self.reg_lambda * self.eta >= 1:  # else an update zeroes or flips the templates
+            raise LomoError(f"reg_lambda * eta must be < 1, got {self.reg_lambda} * {self.eta}")
         if self.exclusion_t < 0:
             raise LomoError(f"exclusion_t must be >= 0, got {self.exclusion_t}")
         if self.max_iter is not None and self.max_iter < 1:
@@ -106,30 +108,6 @@ def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> fl
     for ex, s in zip(data, scores.tolist()):
         hinge += max(0.0, 1.0 - ex.label * s)
     return reg + hinge / len(data)
-
-
-def sgd_step(model: LomoModel, example: LabeledSequence, cfg: TrainConfig) -> LomoModel:
-    """One subgradient step; returns the input model when the margin holds.
-
-    The reference step that `train` is tested against.
-    """
-    icfg = cfg.inference_config()
-    assign = latent_assign(model, example.sequence, icfg)
-    y = example.label
-    if y * assign.total >= 1.0:
-        return model
-    eta = cfg.eta
-    m = model.num_templates
-    shrink = 1.0 - cfg.reg_lambda * eta
-    picked = example.sequence.frames[np.array(assign.chosen) - 1]  # (M, d)
-    templates = model.templates * shrink + (eta * y / m) * picked
-    costs = model.costs.copy()
-    if not cfg.freeze_costs:
-        if cfg.cost_update == "gradient":
-            costs[assign.perm - 1] += eta * y
-        else:
-            costs[assign.perm - 1] -= eta
-    return LomoModel(templates, costs)
 
 
 def _min_frames(m: int, t: int) -> int:
@@ -184,8 +162,8 @@ def _add_reduce(values) -> float:
 def train(data, cfg: TrainConfig) -> LomoModel:
     """Run max_iter uniform-with-replacement subgradient steps from cfg.seed.
 
-    Each step repeats sgd_step's arithmetic on arrays owned by the loop,
-    with as few numpy calls as that allows:
+    Each step repeats the reference step's arithmetic (tests/oracle.py) on
+    arrays owned by the loop, with as few numpy calls as that allows:
     - one matvec per template, then the argmax of the whole score row;
       only when that frame lies within +-t of an earlier pick are the
       exclusion windows written as -inf and the argmax taken again (a
@@ -197,6 +175,8 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     - sample indices are drawn _DRAW_CHUNK at a time, the same stream as
       one draw per step, in memory that does not grow with max_iter;
     - templates and costs are updated in place on a margin violation.
+
+    A step that overflows or makes a NaN raises a LomoError naming it.
     """
     data = list(data)
     dim = _validate_train_data(data, cfg)
@@ -216,35 +196,43 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     rows = list(templates)  # views: in-place updates reach them
     order = range(m)
     perms = PermTable()
-    for start in range(0, iters, _DRAW_CHUNK):
-        for j in rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist():
-            x = frames[j]
-            picks = []
-            scores = []
-            for w in rows:
-                row = x.dot(w)
-                f = int(row.argmax())
-                for p in picks:
-                    if -t <= f - p <= t:
-                        for q in picks:
-                            row[max(0, q - t) : q + t + 1] = -np.inf
+    step = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, iters, _DRAW_CHUNK):
+                draws = rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist()
+                for step, j in enumerate(draws, start + 1):
+                    x = frames[j]
+                    picks = []
+                    scores = []
+                    for w in rows:
+                        row = x.dot(w)
                         f = int(row.argmax())
-                        break
-                picks.append(f)
-                scores.append(row.item(f))
-            y = labels[j]
-            perm = perms[tuple(sorted(order, key=picks.__getitem__))]
-            # _add_reduce / m is latent_assign's np.mean of the scores
-            if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
-                continue
-            templates *= shrink
-            templates += (eta * y / m) * x.take(picks, axis=0)
-            if freeze:
-                continue
-            if gradient:
-                costs[perm - 1] += eta * y
-            else:
-                costs[perm - 1] -= eta
+                        for p in picks:
+                            if -t <= f - p <= t:
+                                for q in picks:
+                                    row[max(0, q - t) : q + t + 1] = -np.inf
+                                f = int(row.argmax())
+                                break
+                        picks.append(f)
+                        scores.append(row.item(f))
+                    y = labels[j]
+                    perm = perms[tuple(sorted(order, key=picks.__getitem__))]
+                    # _add_reduce / m is latent_assign's np.mean of the scores
+                    if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
+                        continue
+                    templates *= shrink
+                    templates += (eta * y / m) * x.take(picks, axis=0)
+                    if freeze:
+                        continue
+                    if gradient:
+                        costs[perm - 1] += eta * y
+                    else:
+                        costs[perm - 1] -= eta
+    except FloatingPointError as err:
+        raise LomoError(
+            f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
+        ) from None
     return LomoModel(templates, np.array(costs))
 
 

@@ -45,9 +45,7 @@ def bench_data(seed_offset: int, neg_mode: str):
 
     def pack(recs):
         return [
-            LabeledSequence(
-                FrameSequence(r.frames, id=r.id), 1 if r.label == "pos" else -1, r.group
-            )
+            LabeledSequence(FrameSequence(r.frames, id=r.id), 1 if r.label == "pos" else -1)
             for r in recs
         ]
 
@@ -111,7 +109,7 @@ def test_criterion_02_mil_reduction():
             frames = np.array(
                 [[rng.normal() for _ in range(d)] for _ in range(n)]
             )
-            data.append(LabeledSequence(FrameSequence(frames), 1 if j % 2 else -1, ""))
+            data.append(LabeledSequence(FrameSequence(frames), 1 if j % 2 else -1))
         cfg = TrainConfig(
             num_templates=1 + rng.randint(3),  # forced to 1 by the variant
             exclusion_t=0, seed=case, variant="mil", max_iter=40,
@@ -262,7 +260,7 @@ def test_criterion_05_convex_convergence():
     for center, label in (((2.0, 0.0), 1), ((-2.0, 0.0), -1)):
         points = rng.normal(scale=0.25, size=(100, 2)) + np.asarray(center)
         data.extend(
-            LabeledSequence(FrameSequence(p[None, :]), label, "") for p in points
+            LabeledSequence(FrameSequence(p[None, :]), label) for p in points
         )
     cfg = TrainConfig(
         variant="svm_pool", eta=0.05, reg_lambda=1e-5, seed=3, max_iter=10000

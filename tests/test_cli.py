@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -391,6 +392,61 @@ def test_non_finite_numeric_setting_exits_one(tmp_path, capsys, flag, value, mes
         assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _single_error(capsys, argv) -> str:
+    """Run `argv`, which must exit 1 without a warning, and return its one
+    stderr line that starts with "error:"."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    return line
+
+
+@pytest.mark.parametrize("command", [
+    ["synth"], ["train"], ["cv", "--scheme", "logo"], ["cv", "--scheme", "kfold", "--folds", "2"],
+])
+def test_negative_seed_exits_one(tmp_path, capsys, command):
+    if command == ["synth"]:
+        argv = ["synth", "--out", str(tmp_path / "neg"), "--seed", "-1"]
+    else:
+        manifest = os.path.join(_synth(tmp_path), "manifest.csv")
+        argv = [*command, "--manifest", manifest, "--positive-label", "pos", *TRAIN_FAST,
+                "--seed", "-1"]
+        if command == ["train"]:
+            argv += ["--out", str(tmp_path / "m.lomo")]
+    assert _single_error(capsys, argv) == "error: seed must be >= 0, got -1"
+    assert not (tmp_path / "neg").exists() and not (tmp_path / "m.lomo").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--eta", "1e300"], re.escape("reg_lambda * eta must be < 1, got 1e-05 * 1e+300"),
+                 id="eta"),
+    pytest.param(["--lambda", "20"], re.escape("reg_lambda * eta must be < 1, got 20.0 * 0.05"),
+                 id="lambda"),
+    pytest.param(["--eta", "1e308", "--lambda", "0"], (
+        r"training step \d+: overflow encountered in \w+ with eta=1e\+308, reg_lambda=0\.0"
+    ), id="overflow"),
+])
+def test_diverging_training_exits_one_without_a_numpy_warning(tmp_path, capsys, flags, message):
+    manifest = os.path.join(_synth(tmp_path), "manifest.csv")
+    argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "m.lomo"),
+            "--positive-label", "pos", *TRAIN_FAST, "--max-iter", "100", *flags]
+    assert re.fullmatch(f"error: {message}", _single_error(capsys, argv))
+    assert not (tmp_path / "m.lomo").exists()
+
+
+def test_overflowing_synth_noise_exits_one_without_a_numpy_warning(tmp_path, capsys):
+    argv = ["synth", "--out", str(tmp_path / "data"), "--noise-sigma", "1e308"]
+    assert _single_error(capsys, argv) == (
+        "error: sequence pos0000: overflow encountered in multiply with noise_sigma=1e+308"
+    )
+    assert not (tmp_path / "data").exists()
 
 
 def test_corrupt_model_file_exits_one(tmp_path, capsys):

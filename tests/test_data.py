@@ -5,9 +5,12 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lomo.core import LomoError, Rng
 from lomo.data import (
@@ -20,7 +23,6 @@ from lomo.data import (
     gen_synthetic,
     make_folds,
     parse_manifest,
-    pca_fit,
     read_sequence,
     synth_records,
     write_sequence,
@@ -188,6 +190,75 @@ def test_parse_manifest_empty_body(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# any byte string loads or raises LomoError
+
+FILE_SETTINGS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+SEQUENCE_CELLS = st.sampled_from([
+    b"1.0", b"-0.0", b"5e-324", b"1e400", b"nan", b"-inf", b"1_0", b"0x1", b" 2.5 ", b"+3",
+    b"\xef\xbb\xbf1.0", b"\xff", b"\x00", b"\t", b"\r", b"", b"#",
+])
+SEQUENCE_LINES = st.lists(SEQUENCE_CELLS, min_size=1, max_size=3).map(b",".join)
+SEQUENCE_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.one_of(SEQUENCE_LINES, st.binary(max_size=4)), max_size=5).map(b"\n".join),
+    st.text(max_size=24).map(str.encode),
+)
+
+
+@FILE_SETTINGS
+@given(SEQUENCE_BYTES)
+@example(b"\xef\xbb\xbf")
+@example(b"1.0,2.0\n\n\n")
+def test_any_byte_string_loads_as_a_sequence_or_raises_lomo_error(tmp_path, raw):
+    path = tmp_path / "any.csv"
+    path.write_bytes(raw)
+    try:
+        seq = read_sequence(path)
+    except LomoError:
+        return
+    assert isinstance(seq, FrameSequence) and np.isfinite(seq.frames).all()
+
+
+MANIFEST_CELLS = st.sampled_from([
+    b"a", b"b", b"pos", b"neg", b"g0", b"", b" ", b"\xff", b"\x00", b"a.csv", b"b.csv",
+    b"missing.csv", b"sub", b".", b"manifest.csv", b"/", b"\xef\xbb\xbfa.csv",
+])
+MANIFEST_ROWS = st.one_of(
+    st.tuples(MANIFEST_CELLS, MANIFEST_CELLS, MANIFEST_CELLS, MANIFEST_CELLS).map(b",".join),
+    st.lists(MANIFEST_CELLS, max_size=5).map(b",".join),
+    st.binary(max_size=8),
+)
+
+
+@FILE_SETTINGS
+@given(
+    header=st.sampled_from([b"id,label,group,path", b"\xef\xbb\xbfid,label,group,path",
+                            b"id,label,group", b"", b"\xff"]),
+    rows=st.lists(MANIFEST_ROWS, max_size=5),
+    files=st.tuples(SEQUENCE_BYTES, SEQUENCE_BYTES),
+)
+@example(header=b"id,label,group,path", rows=[b"a,pos,g0,a.csv", b"b,neg,g0,b.csv"],
+         files=(b"1.0,2.0\n", b"3.0\n"))
+def test_any_byte_string_loads_as_a_manifest_or_raises_lomo_error(tmp_path, header, rows, files):
+    """Manifest rows point at a.csv and b.csv, which hold any bytes, at a
+    missing file, a directory, or the manifest itself."""
+    (tmp_path / "sub").mkdir(exist_ok=True)
+    for name, raw in zip(("a.csv", "b.csv"), files):
+        (tmp_path / name).write_bytes(raw)
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"\n".join([header, *rows]))
+    try:
+        manifest = parse_manifest(path)
+    except LomoError:
+        return
+    assert isinstance(manifest, DatasetManifest)
+    assert sorted(manifest.sequences) == sorted(r.id for r in manifest.records)
+
+
+# ---------------------------------------------------------------------------
 # folds
 
 
@@ -271,6 +342,8 @@ def test_make_folds_requires_an_integer_seed(scheme, k):
     for value in (1.5, "x", None, True):
         with pytest.raises(LomoError, match=f"^seed must be an integer, got {value!r}$"):
             make_folds(manifest, scheme, seed=value, k=k)
+    with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
+        make_folds(manifest, scheme, seed=-1, k=k)
     assert make_folds(manifest, scheme, seed=np.int64(1), k=k) == make_folds(
         manifest, scheme, seed=1, k=k
     )
@@ -436,12 +509,17 @@ def _covariance(data):
     return centered.T @ centered / (data.shape[0] - 1)
 
 
+def _basis(data, k):
+    """The PCA basis fit_preprocess fits on `data` as one training sequence."""
+    return fit_preprocess([FrameSequence(data)], PreprocessConfig(pca_dim=k)).basis
+
+
 def test_pca_eigenvalues_match_numpy_oracle():
     rng = np.random.default_rng(48)
     for _ in range(10):
         d = int(rng.integers(2, 8))
         data = rng.normal(size=(40, d))
-        basis = pca_fit(data, d)
+        basis = _basis(data, d)
         cov = _covariance(data)
         oracle_vals = np.sort(_jacobi_eigh(cov)[0])[::-1]
         ours = np.array([row @ cov @ row for row in basis.components])
@@ -470,47 +548,27 @@ def test_pca_components_match_the_jacobi_basis(d):
         for row in expected:
             if row[int(np.argmax(np.abs(row)))] < 0:
                 row *= -1.0
-        np.testing.assert_allclose(pca_fit(data, k).components, expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_basis(data, k).components, expected, rtol=0, atol=1e-9)
 
 
 def test_pca_sign_convention_is_deterministic():
     rng = np.random.default_rng(49)
     data = rng.normal(size=(25, 4))
-    a = pca_fit(data, 3)
-    b = pca_fit(data.copy(), 3)
+    a = _basis(data, 3)
+    b = _basis(data.copy(), 3)
     np.testing.assert_array_equal(a.components, b.components)
     for row in a.components:
         assert row[int(np.argmax(np.abs(row)))] > 0
 
 
 def test_pca_fit_validation():
-    with pytest.raises(LomoError, match="needs >= 2 samples"):
-        pca_fit([[1.0, 2.0]], 1)
-    with pytest.raises(LomoError, match="out of range"):
-        pca_fit([[1.0, 2.0], [0.0, 1.0]], 3)
+    with pytest.raises(LomoError, match="^PCA needs >= 2 training frames, got 1$"):
+        _basis([[1.0, 2.0]], 1)
+    with pytest.raises(LomoError, match=r"^pca dimension k=3 out of range 1\.\.2$"):
+        _basis([[1.0, 2.0], [0.0, 1.0]], 3)
     fitted = fit_preprocess([FrameSequence([[1.0, 2.0], [0.0, 1.0]])], PreprocessConfig(pca_dim=1))
     with pytest.raises(LomoError, match="^dimension mismatch: basis d=2, sequence clip7 d=3$"):
         apply_preprocess(fitted, FrameSequence([[1.0, 2.0, 3.0]], id="clip7"))
-    with pytest.raises(LomoError, match="2-D sample matrix"):
-        pca_fit([1.0, 2.0, 3.0], 1)
-
-
-@pytest.mark.parametrize("samples, where", [
-    ([[math.nan, 1.0], [2.0, 3.0]], "row 1, column 1"),
-    ([[0.0, 1.0], [2.0, math.inf]], "row 2, column 2"),
-    ([[0.0, -math.inf], [math.nan, 3.0]], "row 1, column 2"),
-])
-def test_pca_fit_rejects_non_finite_samples(samples, where):
-    with pytest.raises(LomoError, match=f"^pca_fit: {where}: non-finite value$"):
-        pca_fit(samples, 1)
-
-
-def test_pca_fit_leaves_its_input_unchanged():
-    data = np.random.default_rng(55).normal(size=(20, 4)) + 3.0
-    assert np.asarray(data, dtype=np.float64) is data  # so pca_fit sees the caller's array
-    before = data.tobytes()
-    pca_fit(data, 2)
-    assert data.tobytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +779,8 @@ def test_synth_spec_validation():
         _small_spec(noise_sigma=-0.1)
     with pytest.raises(LomoError, match="noise_sigma must be finite"):
         _small_spec(noise_sigma=float("nan"))
+    with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
+        _small_spec(seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -734,6 +794,15 @@ def test_synth_spec_rejects_non_integer_counts(field):
         _small_spec(**{field: True})
     spec = _small_spec(**{field: np.int64(getattr(_small_spec(), field))})
     assert type(getattr(spec, field)) is int
+
+
+def test_synth_records_turns_an_overflowing_frame_into_a_lomo_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LomoError, match=(
+            r"^sequence pos0000: overflow encountered in multiply with noise_sigma=1e\+308$"
+        )):
+            synth_records(_small_spec(noise_sigma=1e308))
 
 
 @pytest.mark.parametrize("value", ["0.3", None, True])

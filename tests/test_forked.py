@@ -3,21 +3,22 @@ gen_synthetic (`lomo synth`).
 
 The forked path must give the serial results bit for bit, raise the first
 error in item order with the serial message (bytes for the files synth
-writes), and leave no child process behind. `cpu_count` is patched to 2
-and `FORK_MIN_FILES` lowered, so the forked path runs on a one-CPU machine
-too.
+writes), and leave no child process behind. `core.cpu_count`, which
+forked_map alone reads, is patched to 2 and `FORK_MIN_FILES` lowered, so
+the forked path runs on a one-CPU machine too.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import lomo.core
 import lomo.data
-import lomo.evaluation
 from lomo.cli import main
 from lomo.core import LomoError, forked_map
 from lomo.data import (
@@ -42,13 +43,11 @@ def assert_no_children():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count parse_manifest, gen_synthetic and run_cv see; files
-    per worker >= 2."""
+    """Set the CPU count forked_map sees; files per worker >= 2."""
     monkeypatch.setattr(lomo.data, "FORK_MIN_FILES", 2)
 
     def set_count(n):
-        monkeypatch.setattr(lomo.data, "cpu_count", lambda: n)
-        monkeypatch.setattr(lomo.evaluation, "cpu_count", lambda: n)
+        monkeypatch.setattr(lomo.core, "cpu_count", lambda: n)
 
     return set_count
 
@@ -61,8 +60,9 @@ def _square_and_pid(k):
     return k * k, os.getpid()
 
 
-def test_forked_map_deals_items_round_robin_and_keeps_order():
-    results = list(forked_map(_square_and_pid, range(11), 3))
+def test_forked_map_deals_items_round_robin_and_keeps_order(cpus):
+    cpus(3)
+    results = list(forked_map(_square_and_pid, range(11)))
     assert [value for value, _ in results] == [k * k for k in range(11)]
     pids = [pid for _, pid in results]
     assert all(pid == os.getpid() for pid in pids[0::3])
@@ -73,14 +73,43 @@ def test_forked_map_deals_items_round_robin_and_keeps_order():
     assert_no_children()
 
 
-def test_forked_map_runs_serially_below_two_workers_or_without_fork(monkeypatch):
-    for workers, items in ((1, range(5)), (4, range(1)), (3, range(0))):
-        results = list(forked_map(_square_and_pid, items, workers))
+def test_forked_map_runs_serially_below_two_workers_or_without_fork(cpus, monkeypatch):
+    for count, items in ((1, range(5)), (4, range(1)), (3, range(0))):
+        cpus(count)
+        results = list(forked_map(_square_and_pid, items))
         assert results == [(k * k, os.getpid()) for k in items]
+    cpus(2)
     monkeypatch.delattr(os, "fork")
-    assert list(forked_map(_square_and_pid, range(5), 2)) == [
+    assert list(forked_map(_square_and_pid, range(5))) == [
         (k * k, os.getpid()) for k in range(5)
     ]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("min_share", [1, 4])
+def test_forked_map_forks_one_worker_per_cpu_with_min_share_items_each(cpus, count, min_share):
+    cpus(count)
+    for n in range(13):
+        pids = {pid for _, pid in forked_map(_square_and_pid, range(n), min_share)}
+        workers = min(count, n // min_share)
+        assert len(pids) == (max(workers, 1) if n else 0)
+        assert_no_children()
+
+
+def test_forked_map_runs_serially_while_another_thread_is_alive(cpus):
+    cpus(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        results = list(forked_map(_square_and_pid, range(6)))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert results == [(k * k, os.getpid()) for k in range(6)]
+    assert_no_children()
+    assert len({pid for _, pid in forked_map(_square_and_pid, range(6))}) == 2
 
 
 def _fail_at(bad):
@@ -97,16 +126,19 @@ def _fail_at(bad):
     ({4, 5}, 4),  # the parent's error comes before the child's
     ({5, 7}, 5),  # a child stops after its first failure
 ])
-def test_forked_map_raises_the_first_error_in_item_order(bad, first):
+def test_forked_map_raises_the_first_error_in_item_order(cpus, bad, first):
+    cpus(2)
     seen = []
     with pytest.raises(LomoError, match=f"^item {first} failed$"):
-        for value in forked_map(_fail_at(bad), range(10), 2):
+        for value in forked_map(_fail_at(bad), range(10)):
             seen.append(value)
     assert seen == list(range(first))
     assert_no_children()
 
 
-def test_a_child_runs_nothing_after_its_first_failure(tmp_path):
+def test_a_child_runs_nothing_after_its_first_failure(tmp_path, cpus):
+    cpus(2)
+
     def fn(k):
         (tmp_path / f"ran{k}").touch()
         if k == 0:
@@ -116,51 +148,58 @@ def test_a_child_runs_nothing_after_its_first_failure(tmp_path):
         return k
 
     with pytest.raises(LomoError, match="item 1 failed"):
-        list(forked_map(fn, range(4), 2))
+        list(forked_map(fn, range(4)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ran0", "ran1"]
     assert_no_children()
 
 
-def test_forked_map_keeps_the_worker_traceback_of_an_unexpected_error():
+def test_forked_map_keeps_the_worker_traceback_of_an_unexpected_error(cpus):
+    cpus(2)
+
     def fn(k):
         return {0: 0}[k]
 
     with pytest.raises(KeyError) as info:
-        list(forked_map(fn, [1, 2], 2))
+        list(forked_map(fn, [1, 2]))
     assert info.value.args == (1,)
     assert not hasattr(info.value, "__notes__")  # item 1 failed in this process
     with pytest.raises(KeyError) as info:
-        list(forked_map(fn, [0, 2], 2))
+        list(forked_map(fn, [0, 2]))
     assert info.value.args == (2,)
     (note,) = info.value.__notes__
     assert note.startswith("in forked worker:\nTraceback") and "return {0: 0}[k]" in note
     assert_no_children()
 
 
-def test_forked_map_names_the_item_of_a_child_that_dies():
+def test_forked_map_names_the_item_of_a_child_that_dies(cpus):
+    cpus(2)
+
     def fn(k):
         if k == 3:
             os._exit(7)
         return k
 
     with pytest.raises(LomoError, match="exited without a result for item 3: 3"):
-        list(forked_map(fn, range(6), 2))
+        list(forked_map(fn, range(6)))
     assert_no_children()
 
 
-def test_forked_map_reports_a_result_that_does_not_pickle_as_a_dead_child():
+def test_forked_map_reports_a_result_that_does_not_pickle_as_a_dead_child(cpus):
+    cpus(2)
     with pytest.raises(LomoError, match="exited without a result for item 1: 1"):
-        list(forked_map(lambda k: (lambda: k), range(2), 2))
+        list(forked_map(lambda k: (lambda: k), range(2)))
     assert_no_children()
 
 
-def test_closing_forked_map_early_kills_and_reaps_busy_children():
+def test_closing_forked_map_early_kills_and_reaps_busy_children(cpus):
+    cpus(2)
+
     def fn(k):
         if k % 2:
             time.sleep(60)
         return k
 
-    results = forked_map(fn, range(4), 2)
+    results = forked_map(fn, range(4))
     assert next(results) == 0
     start = time.perf_counter()
     results.close()

@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-import lomo.data
+import lomo.core
 from lomo.cli import main
 
 SYNTH = [
@@ -156,7 +156,7 @@ GOLDEN_SYNTH_SHA256 = {
 
 
 def test_synth_bytes_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.setattr(lomo.data, "cpu_count", lambda: 2)
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 2)
     data = str(tmp_path / "data")
     assert main(["synth", "--out", data, *GOLDEN_SYNTH]) == 0
     digests = {}

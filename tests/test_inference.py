@@ -233,7 +233,8 @@ def test_ova_predict_picks_argmax_and_reports_scores():
 def test_ova_predict_tie_breaks_lexicographically():
     zero = LomoModel(np.zeros((1, 1)), np.zeros(1))
     seq = FrameSequence(np.array([[1.0]]))
-    winner, _ = ova_predict({"b": zero, "a": zero.copy()}, seq, InferenceConfig())
+    twin = LomoModel(zero.templates.copy(), zero.costs.copy())
+    winner, _ = ova_predict({"b": zero, "a": twin}, seq, InferenceConfig())
     assert winner == "a"
 
 

@@ -1,6 +1,6 @@
 """The array kernels against their reference oracles.
 
-`train` must equal a fold of `sgd_step` over the same sample draws,
+`train` must equal a fold of `sgd_step` (oracle.py) over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
 the l2 row kernel, in place or not, must equal per-row `np.linalg.norm`
 division, `apply_preprocess` must equal its steps written out one by one,
@@ -30,9 +30,9 @@ from lomo.core import LomoError, Rng, format_float
 from lomo.data import (
     PreprocessConfig,
     _l2_rows,
+    _pca_fit,
     apply_preprocess,
     fit_preprocess,
-    pca_fit,
     read_sequence,
     write_sequence,
 )
@@ -50,9 +50,9 @@ from lomo.training import (
     TrainConfig,
     _add_reduce,
     objective,
-    sgd_step,
     train,
 )
+from oracle import sgd_step
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -435,11 +435,8 @@ def test_l2_row_kernel_equals_per_row_norm_division(frames):
 
 
 def _fit_basis_reference(train_seqs, config):
-    frames = []
-    for seq in train_seqs:
-        s = FrameSequence(np.vstack([_l2_reference(f) for f in seq.frames])) if config.l2 else seq
-        frames.append(s.frames)
-    return pca_fit(np.vstack(frames), config.pca_dim)
+    frames = [_l2_rows(seq.frames) if config.l2 else seq.frames for seq in train_seqs]
+    return _pca_fit(np.vstack(frames), config.pca_dim)
 
 
 @SETTINGS

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,10 @@ from lomo.training import (
     LabeledSequence,
     TrainConfig,
     objective,
-    sgd_step,
     train,
     train_ova,
 )
+from oracle import sgd_step
 
 
 def _seq(frames, label, seq_id=""):
@@ -63,6 +66,8 @@ def test_config_validation_errors():
         TrainConfig(max_iter=0)
     with pytest.raises(LomoError, match="num_templates"):
         TrainConfig(num_templates=9)
+    with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -81,6 +86,14 @@ def test_config_rejects_non_integer_counts(field, value):
 def test_config_rejects_non_real_rates(field, value):
     with pytest.raises(LomoError, match=f"^{field} must be a real number, got {value!r}$"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("reg_lambda, eta", [(20, 0.05), (1.0, 1.0), (0.5, 4), (1e300, 1e300)])
+def test_config_rejects_a_template_shrink_that_is_not_positive(reg_lambda, eta):
+    message = f"reg_lambda * eta must be < 1, got {reg_lambda!r} * {eta!r}"
+    with pytest.raises(LomoError, match=f"^{re.escape(message)}$"):
+        TrainConfig(reg_lambda=reg_lambda, eta=eta)
+    assert TrainConfig(reg_lambda=0.99, eta=1.0).reg_lambda == 0.99
 
 
 def test_config_keeps_real_rates_as_given():
@@ -103,7 +116,7 @@ def test_labeled_sequence_rejects_other_labels():
 
 
 # ---------------------------------------------------------------------------
-# sgd_step
+# sgd_step, the reference step in oracle.py
 
 
 def test_sgd_step_no_update_when_margin_satisfied():
@@ -169,6 +182,20 @@ def test_sgd_step_uses_the_realized_pattern_index():
     cfg = TrainConfig(num_templates=2, eta=0.05, exclusion_t=0)
     out = sgd_step(model, ex, cfg)
     np.testing.assert_array_equal(out.costs, [0.0, 0.05])
+
+
+def test_train_turns_an_overflowing_step_into_a_lomo_error():
+    data = [_seq([[1e5, 0.0]], 1), _seq([[0.0, 1e5]], -1)]
+    cfg = TrainConfig(num_templates=1, eta=1e300, reg_lambda=0.0, exclusion_t=0, max_iter=50,
+                      seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LomoError, match=(
+            r"^training step 7: overflow encountered in dot with eta=1e\+300, reg_lambda=0\.0$"
+        )):
+            train(data, cfg)
+        assert train(data, TrainConfig(num_templates=1, eta=1e300, reg_lambda=0.0,
+                                       exclusion_t=0, max_iter=6, seed=0)).dim == 2
 
 
 # ---------------------------------------------------------------------------
