@@ -58,7 +58,7 @@ class Rng:
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = require_int("seed", seed, minimum=0)
         self.spawn_key = tuple(int(k) for k in spawn_key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
@@ -92,7 +92,8 @@ class Rng:
 
 def child_seed(seed: int, index: int) -> int:
     """Stable 63-bit integer seed for child stream `index` of `seed`."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
+    seed = require_int("seed", seed, minimum=0)
+    ss = np.random.SeedSequence(seed, spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1))
 
 

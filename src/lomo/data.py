@@ -24,7 +24,7 @@ from .core import (
     require_int,
     require_real,
 )
-from .inference import FrameSequence
+from .inference import BLOCK_VALUES, FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
@@ -291,23 +291,77 @@ class PcaBasis:
     components: np.ndarray  # (k, d), rows are unit eigenvectors
 
 
-def _pca_fit(mat: np.ndarray, k: int) -> PcaBasis:
-    """Mean plus top-k eigenvectors of the sample covariance (LAPACK eigh).
+def _frame_blocks(seqs):
+    """The frames of runs of consecutive sequences, one run at a time.
 
-    `mat` is a private 2-D float64 array of finite samples, one per row,
-    which is centred in place. Eigenvalues are sorted in decreasing order,
+    A run holds at most BLOCK_VALUES frame values; a longer sequence is a
+    run of its own. Each block is a new array, so it may be written to.
+    """
+    run: list[np.ndarray] = []
+    size = 0
+    for seq in seqs:
+        if run and size + seq.frames.size > BLOCK_VALUES:
+            yield np.vstack(run)
+            run, size = [], 0
+        run.append(seq.frames)
+        size += seq.frames.size
+    if run:
+        yield np.vstack(run)
+
+
+def _pca_moments(seqs, l2: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, M2) of the training frames, l2-normalised when `l2` is set.
+
+    M2 is the sum of the outer products of the centred frames. Each block
+    from _frame_blocks is normalised and centred on its own mean in place,
+    and its moments are merged into the running ones by the pairwise update
+    of Chan, Golub and LeVeque, so no more than one block is held at once.
+    """
+    n, mean, m2 = 0, None, None
+    for mat in _frame_blocks(seqs):
+        if l2:
+            _l2_rows(mat, out=mat)
+        nb = mat.shape[0]
+        mean_b = mat.mean(axis=0)
+        mat -= mean_b
+        m2_b = mat.T @ mat
+        del mat  # else it lives on while _frame_blocks stacks the next block
+        if mean is None:
+            n, mean, m2 = nb, mean_b, m2_b
+            continue
+        delta = mean_b - mean
+        total = n + nb
+        mean += delta * (nb / total)
+        m2 += m2_b
+        m2 += np.outer(delta, delta * (n * nb / total))
+        n = total
+    return mean, m2
+
+
+def _pca_fit(seqs: list[FrameSequence], l2: bool, k: int) -> PcaBasis:
+    """Mean plus top-k eigenvectors of the frames' sample covariance.
+
+    `seqs` share d; their frames are l2-normalised first when `l2` is set,
+    and the moments are summed block by block (_pca_moments). Eigenvectors
+    come from LAPACK eigh. Eigenvalues are sorted in decreasing order,
     equal ones keeping eigh's order. Each eigenvector's sign is fixed so its
     largest-magnitude component is positive, making the basis deterministic.
+    A sum that overflows, or an eigh that does not converge, raises a
+    LomoError, which suggests l2 normalisation when it is off.
     """
-    n, d = mat.shape
+    n = sum(seq.num_frames for seq in seqs)
+    d = seqs[0].dim
     if n < 2:
         raise LomoError(f"PCA needs >= 2 training frames, got {n}")
     if not 1 <= k <= d:
         raise LomoError(f"pca dimension k={k} out of range 1..{d}")
-    mean = mat.mean(axis=0)
-    mat -= mean
-    cov = mat.T @ mat / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean, m2 = _pca_moments(seqs, l2)
+            eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        hint = "" if l2 else "; try --l2 to normalise the frames"
+        raise LomoError(f"PCA fit: {err}{hint}") from None
     order = np.argsort(-eigvals, kind="stable")
     components = eigvecs[:, order[:k]].T.copy()
     for row in components:
@@ -357,10 +411,11 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     """Fit pipeline statistics (the PCA basis) on unpooled training frames.
 
     With pca_dim set, there must be at least one sequence and all must
-    share d. Their frames are stacked into one new array, which is
-    l2-normalised and centred in place, so the fit holds a single copy of
-    them; the sequences are never written to. Without pca_dim nothing is
-    copied.
+    share d. The frames are copied one block of consecutive sequences at a
+    time (at most BLOCK_VALUES values, or one longer sequence), and each
+    block is l2-normalised and centred in place, so the fit's memory does
+    not grow with the number of training sequences; the sequences are never
+    written to. Without pca_dim nothing is copied.
     """
     basis = None
     if config.pca_dim is not None:
@@ -373,10 +428,7 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
                 raise LomoError(
                     f"sequence {seq.id or '<unnamed>'}: dimension {seq.dim} differs from {dim}"
                 )
-        frames = np.vstack([seq.frames for seq in seqs])
-        if config.l2:
-            _l2_rows(frames, out=frames)
-        basis = _pca_fit(frames, config.pca_dim)
+        basis = _pca_fit(seqs, config.l2, config.pca_dim)
     return FittedPreprocess(config=config, basis=basis)
 
 

@@ -139,6 +139,8 @@ def assign_batch(
     Each pick is one matvec per template over the whole stack and a
     first-occurrence argmax per row, so row b equals latent_assign on
     seqs[b] bit for bit. `perms` caches rank-pattern indices across calls.
+    A score that overflows raises a LomoError naming the first sequence
+    whose own assignment overflows.
     """
     seqs = list(seqs)
     if len({seq.num_frames for seq in seqs}) != 1:
@@ -154,24 +156,32 @@ def assign_batch(
     alive = np.ones((count, n), dtype=bool)
     picks = np.empty((count, m), dtype=np.intp)
     scores = np.empty((count, m))
-    for i in range(m):
-        starved = ~alive.any(axis=1)
-        if starved.any():
-            raise _too_short(seqs[int(np.argmax(starved))], m, t)
-        row = frames @ model.templates[i]
-        f = np.where(alive, row, -np.inf).argmax(axis=1)
-        picks[:, i] = f
-        scores[:, i] = row[batch, f]
-        alive &= np.abs(position - f[:, None]) > t
-    perms = PermTable() if perms is None else perms
-    perm = np.array([perms[tuple(order)] for order in np.argsort(picks, axis=1).tolist()])
-    cost = model.costs[perm - 1]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(m):
+                starved = ~alive.any(axis=1)
+                if starved.any():
+                    raise _too_short(seqs[int(np.argmax(starved))], m, t)
+                row = frames @ model.templates[i]
+                f = np.where(alive, row, -np.inf).argmax(axis=1)
+                picks[:, i] = f
+                scores[:, i] = row[batch, f]
+                alive &= np.abs(position - f[:, None]) > t
+            perms = PermTable() if perms is None else perms
+            perm = np.array([perms[tuple(order)] for order in np.argsort(picks, axis=1).tolist()])
+            cost = model.costs[perm - 1]
+            total = scores.mean(axis=1) + cost
+    except FloatingPointError as err:
+        if len(seqs) > 1:  # rows are independent: the culprit overflows on its own
+            for seq in seqs:
+                assign_batch(model, [seq], cfg, perms)
+        raise LomoError(f"sequence {seqs[0].id or '<unnamed>'}: {err} while scoring") from None
     return BatchAssignment(
         chosen=picks + 1,
         template_scores=scores,
         perm=perm,
         ordering_cost=cost,
-        total=scores.mean(axis=1) + cost,
+        total=total,
     )
 
 

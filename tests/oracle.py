@@ -1,13 +1,17 @@
-"""The reference SGD step, a test oracle for `lomo.training.train`.
+"""Reference implementations that the fast paths are held to.
 
-`train` runs its own in-place loop; folding `sgd_step` over the same
-sample draws must give the model it returns, bit for bit.
+`sgd_step` is the reference SGD step: `train` runs its own in-place loop,
+and folding `sgd_step` over the same sample draws must give the model it
+returns, bit for bit. `stacked_pca_moments` is the PCA fit's mean and
+covariance over one stacked copy of all training frames; the block-by-block
+moments of `fit_preprocess` must agree with it to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from lomo.data import _l2_rows
 from lomo.inference import latent_assign
 from lomo.model import LomoModel
 from lomo.training import LabeledSequence, TrainConfig
@@ -32,3 +36,14 @@ def sgd_step(model: LomoModel, example: LabeledSequence, cfg: TrainConfig) -> Lo
         else:
             costs[assign.perm - 1] -= eta
     return LomoModel(templates, costs)
+
+
+def stacked_pca_moments(train_seqs, l2: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample covariance of all training frames, stacked into one
+    array that is l2-normalised (when `l2` is set) and centred in place."""
+    frames = np.vstack([seq.frames for seq in train_seqs])
+    if l2:
+        _l2_rows(frames, out=frames)
+    mean = frames.mean(axis=0)
+    frames -= mean
+    return mean, frames.T @ frames / (frames.shape[0] - 1)

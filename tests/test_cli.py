@@ -15,7 +15,7 @@ from lomo.cli import main
 from lomo.core import format_float
 from lomo.data import write_sequence
 from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, latent_assign, score
-from lomo.model import load_model
+from lomo.model import LomoModel, load_model, save_model
 
 
 def _synth(tmp_path, name="data", **overrides):
@@ -447,6 +447,20 @@ def test_overflowing_synth_noise_exits_one_without_a_numpy_warning(tmp_path, cap
         "error: sequence pos0000: overflow encountered in multiply with noise_sigma=1e+308"
     )
     assert not (tmp_path / "data").exists()
+
+
+def test_overflowing_scores_exit_one_without_a_numpy_warning(tmp_path, capsys):
+    data = _synth(tmp_path)
+    model = str(tmp_path / "huge.lomo")
+    save_model(LomoModel(np.full((1, 4), 1e308), np.zeros(1)), model)
+    message = "error: sequence {}: overflow encountered in matmul while scoring"
+    # pos0000 to pos0004 score finite values; pos0005 is the first that overflows
+    argv = ["predict", "--manifest", os.path.join(data, "manifest.csv"), "--model", model,
+            "--out", str(tmp_path / "p.csv")]
+    assert _single_error(capsys, argv) == message.format("pos0005")
+    assert not (tmp_path / "p.csv").exists()
+    argv = ["report", "--model", model, "--sequence", os.path.join(data, "seq_pos0005.csv")]
+    assert _single_error(capsys, argv) == message.format("seq_pos0005")
 
 
 def test_corrupt_model_file_exits_one(tmp_path, capsys):

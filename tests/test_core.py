@@ -96,6 +96,22 @@ def test_child_seed_varies_with_parent_seed():
     assert child_seed(1, 0) != child_seed(2, 0)
 
 
+def test_rng_rejects_a_negative_or_non_integer_seed():
+    with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
+        Rng(-1)
+    with pytest.raises(LomoError, match=r"^seed must be an integer, got 1\.5$"):
+        Rng(1.5)
+    assert Rng(np.int64(3)).seed == 3
+
+
+def test_child_seed_rejects_a_negative_or_non_integer_seed():
+    with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
+        child_seed(-1, 0)
+    with pytest.raises(LomoError, match=r"^seed must be an integer, got 1\.5$"):
+        child_seed(1.5, 0)
+    assert child_seed(np.int64(3), 0) == child_seed(3, 0)
+
+
 # ---------------------------------------------------------------------------
 # float formatting
 

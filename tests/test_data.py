@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import lomo.data
 from lomo.core import LomoError, Rng
 from lomo.data import (
     DatasetManifest,
@@ -611,24 +612,55 @@ def test_fit_preprocess_leaves_the_training_frames_unchanged(l2, count):
     assert [seq.frames.tobytes() for seq in seqs] == before
 
 
-@pytest.mark.parametrize("l2", [False, True])
-def test_fit_preprocess_holds_one_copy_of_the_training_frames(l2):
-    """l2 and centring run in place on the stacked frames, so the traced
-    peak stays near one stacked copy (two or more copies: about 2x)."""
-    rng = np.random.default_rng(57)
-    seqs = [FrameSequence(rng.normal(size=(40, 20))) for _ in range(200)]
-    stacked = 200 * 40 * 20 * 8
+@pytest.mark.parametrize("l2, hint", [(False, "; try --l2 to normalise the frames"), (True, "")])
+def test_an_overflowing_pca_fit_raises_a_lomo_error_without_a_warning(l2, hint):
+    rng = np.random.default_rng(59)
+    seqs = [FrameSequence(rng.normal(size=(5, 3)) * 1e200) for _ in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LomoError) as err:
+            fit_preprocess(seqs, PreprocessConfig(l2=l2, pca_dim=2))
+    assert str(err.value) == f"PCA fit: overflow encountered in matmul{hint}"
+
+
+def _traced_fit_peak(seqs, config) -> int:
+    """Bytes fit_preprocess allocates at its peak, as tracemalloc sees it."""
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        fit_preprocess(seqs, PreprocessConfig(l2=l2, pca_dim=5))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fit_preprocess(seqs, config)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 1.25 * stacked
+
+
+@pytest.mark.parametrize("l2", [False, True])
+def test_fit_preprocess_holds_one_copy_of_the_training_frames(l2):
+    """l2 and centring run in place, so the traced peak stays below one
+    stacked copy of the frames (two or more copies: about 2x)."""
+    rng = np.random.default_rng(57)
+    seqs = [FrameSequence(rng.normal(size=(40, 20))) for _ in range(200)]
+    stacked = 200 * 40 * 20 * 8
+    assert _traced_fit_peak(seqs, PreprocessConfig(l2=l2, pca_dim=5)) < 1.25 * stacked
+
+
+@pytest.mark.parametrize("l2", [False, True])
+def test_fit_preprocess_memory_does_not_grow_with_the_training_split(l2):
+    """The fit copies one block of at most BLOCK_VALUES values at a time, so
+    4x the sequences (10 blocks instead of 3) peak no higher. The slack, an
+    eighth of a block, covers the fit's list of sequences (measured: 13 KiB
+    more at 800 sequences than at 200); a fit that held all the frames at
+    once would peak 3.8 MiB higher."""
+    rng = np.random.default_rng(58)
+    seqs = [FrameSequence(rng.normal(size=(40, 20))) for _ in range(800)]
+    config = PreprocessConfig(l2=l2, pca_dim=5)
+    small = _traced_fit_peak(seqs[:200], config)
+    large = _traced_fit_peak(seqs, config)
+    assert small > lomo.data.BLOCK_VALUES * 8  # a full block was copied
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def test_apply_preprocess_order_is_l2_then_pca_then_stack():

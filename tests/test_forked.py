@@ -357,6 +357,27 @@ def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
             assert_no_children()
 
 
+def test_cv_pca_overflow_exits_one_forked_and_serial(tmp_path, cpus, capsys):
+    rng = np.random.default_rng(9)
+    path = _write_manifest(tmp_path, [rng.normal(size=(5, 3)) * 1e200 for _ in range(12)])
+    argv = ["cv", "--manifest", str(path), "--scheme", "kfold", "--folds", "2",
+            "--variant", "svm-max", "--pca-dim", "2", "--positive-label", "pos"]
+    lines = []
+    for n in (1, 2):
+        cpus(n)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        lines.append(line)
+        assert_no_children()
+    assert lines[1] == lines[0]
+    assert lines[0] == (
+        "error: fold 0: PCA fit: overflow encountered in matmul; try --l2 to normalise the frames"
+    )
+
+
 # ---------------------------------------------------------------------------
 # gen_synthetic (lomo synth)
 

@@ -6,7 +6,9 @@ the l2 row kernel, in place or not, must equal per-row `np.linalg.norm`
 division, `apply_preprocess` must equal its steps written out one by one,
 and the C-parsed sequence reader must equal the per-cell `float()` parse,
 bit for bit (compared as bytes, so signed zeros count). The one-string sequence
-writer must write the bytes of the per-value `format_float` loop.
+writer must write the bytes of the per-value `format_float` loop. The PCA
+fit's block-by-block mean and covariance must agree with one stacked copy of
+the training frames (oracle.py) to 1e-12 relative, for any block size.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from lomo.core import LomoError, Rng, format_float
 from lomo.data import (
     PreprocessConfig,
     _l2_rows,
-    _pca_fit,
+    _pca_moments,
     apply_preprocess,
     fit_preprocess,
     read_sequence,
@@ -52,7 +54,7 @@ from lomo.training import (
     objective,
     train,
 )
-from oracle import sgd_step
+from oracle import sgd_step, stacked_pca_moments
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -340,6 +342,20 @@ def test_score_sequences_errors_name_the_offending_sequence():
         score_sequences(model, [ok, wrong], cfg)
 
 
+def test_an_overflowing_score_names_its_sequence_without_a_warning():
+    model = LomoModel(np.full((2, 2), 1e300), np.zeros(2))
+    cfg = InferenceConfig(exclusion_t=1)
+    ok = FrameSequence(np.ones((6, 2)), id="ok")
+    huge = FrameSequence(np.full((6, 2), 1e10), id="huge")
+    for seqs in ([ok, huge, ok], [huge]):  # one block, and a block of one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LomoError, match=(
+                "^sequence huge: overflow encountered in matmul while scoring$"
+            )):
+                score_sequences(model, seqs, cfg)
+
+
 def _write_manifest(tmp_path, seqs, header="id,label,group,path\n"):
     lines = []
     for k, frames in enumerate(seqs):
@@ -431,32 +447,39 @@ def test_l2_row_kernel_equals_per_row_norm_division(frames):
 
 
 # ---------------------------------------------------------------------------
-# fit_preprocess: one training matrix == list of l2 copies plus vstack
-
-
-def _fit_basis_reference(train_seqs, config):
-    frames = [_l2_rows(seq.frames) if config.l2 else seq.frames for seq in train_seqs]
-    return _pca_fit(np.vstack(frames), config.pca_dim)
+# fit_preprocess: block-by-block PCA moments == the stacked fit
 
 
 @SETTINGS
 @given(st.data())
-def test_fit_preprocess_basis_equals_per_sequence_construction(data):
+def test_pca_moments_equal_the_stacked_fit_for_any_block_size(data):
     d = data.draw(st.integers(1, 12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    lengths = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    lengths = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
     if sum(lengths) < 2:
         lengths.append(1)
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    offset = rng.normal(size=d) * scale * data.draw(st.sampled_from([0.0, 1.0, 10.0]))
     seqs = []
     for n in lengths:
-        frames = rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4))
+        frames = rng.normal(size=(n, d)) * scale + offset
         frames[rng.random(n) < 0.2] = 0.0  # zero rows hit the l2 guard
         seqs.append(FrameSequence(frames))
-    config = PreprocessConfig(l2=data.draw(st.booleans()), pca_dim=data.draw(st.integers(1, d)))
-    got = fit_preprocess(seqs, config).basis
-    want = _fit_basis_reference(seqs, config)
-    assert _bits(got.mean) == _bits(want.mean)
-    assert _bits(got.components) == _bits(want.components)
+    l2 = data.draw(st.booleans())
+    # 1 makes every sequence a block of its own; the largest keeps one block
+    block_values = data.draw(st.integers(1, sum(lengths) * d + 1))
+    original = lomo.data.BLOCK_VALUES
+    lomo.data.BLOCK_VALUES = block_values
+    try:
+        mean, m2 = _pca_moments(seqs, l2)
+    finally:
+        lomo.data.BLOCK_VALUES = original
+    want_mean, want_cov = stacked_pca_moments(seqs, l2)
+    # absolute slack on the frames' scale: a covariance that is 0 in the
+    # stacked fit may come out as a rounding error of that scale
+    top = 1.0 if l2 else max(float(np.abs(seq.frames).max()) for seq in seqs)
+    np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=1e-12 * top)
+    np.testing.assert_allclose(m2 / (sum(lengths) - 1), want_cov, rtol=1e-12, atol=1e-12 * top * top)
 
 
 # ---------------------------------------------------------------------------
