@@ -8,7 +8,7 @@ and the C-parsed sequence reader must equal the per-cell `float()` parse,
 bit for bit (compared as bytes, so signed zeros count). The one-string sequence
 writer must write the bytes of the per-value `format_float` loop. The PCA
 fit's block-by-block mean and covariance must agree with one stacked copy of
-the training frames (oracle.py) to 1e-12 relative, for any block size.
+the training frames (oracle.py) to 1e-12 of their scale, for any block size.
 """
 
 from __future__ import annotations
