@@ -26,7 +26,6 @@ from .inference import (
     assign_batch,
     fuse_scores,
     latent_assign,
-    ova_predict,
     score,
     score_sequences,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "load_model",
     "make_folds",
     "objective",
-    "ova_predict",
     "parse_manifest",
     "perm_index",
     "perm_unrank",

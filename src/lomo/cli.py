@@ -16,11 +16,10 @@ from .core import LomoError, format_float
 from .data import (
     PreprocessConfig,
     SynthSpec,
-    apply_preprocess,
-    fit_preprocess,
     gen_synthetic,
     make_folds,
     parse_manifest,
+    prepare,
     read_sequence,
 )
 from .evaluation import format_cv_results, run_cv
@@ -83,13 +82,6 @@ def _add_train_flags(sub) -> None:
                      help="ordering-cost update rule on margin violations")
 
 
-def _prepared(manifest, preprocess: PreprocessConfig):
-    """(record, sequence) pairs in manifest order, run through `preprocess`."""
-    seqs = [manifest.sequences[rec.id] for rec in manifest.records]
-    fitted = fit_preprocess(seqs, preprocess)
-    return [(rec, apply_preprocess(fitted, seq)) for rec, seq in zip(manifest.records, seqs)]
-
-
 def _cmd_synth(args) -> int:
     spec = SynthSpec(
         dim=args.d,
@@ -117,8 +109,9 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
     manifest = parse_manifest(args.manifest)
-    pairs = _prepared(manifest, PreprocessConfig(pool=VARIANT_FLAGS[args.variant][1]))
-    resolved_iter = cfg.max_iter if cfg.max_iter is not None else 100 * len(pairs)
+    seqs = [manifest.sequences[rec.id] for rec in manifest.records]
+    _, seqs = prepare(PreprocessConfig(pool=VARIANT_FLAGS[args.variant][1]), seqs, seqs)
+    resolved_iter = cfg.max_iter if cfg.max_iter is not None else 100 * len(seqs)
     _echo("train", [
         ("variant", args.variant), ("templates", cfg.num_templates), ("eta", cfg.eta),
         ("lambda", cfg.reg_lambda), ("exclusion_t", cfg.exclusion_t),
@@ -126,7 +119,7 @@ def _cmd_train(args) -> int:
         ("ova", args.ova), ("positive_label", args.positive_label),
     ])
     if args.ova:
-        models = train_ova([(seq, rec.label) for rec, seq in pairs], cfg)
+        models = train_ova([(seq, rec.label) for rec, seq in zip(manifest.records, seqs)], cfg)
         os.makedirs(args.out, exist_ok=True)
         for name, model in sorted(models.items()):
             save_model(model, os.path.join(args.out, f"{name}.lomo"))
@@ -143,7 +136,7 @@ def _cmd_train(args) -> int:
         )
     data = [
         LabeledSequence(seq, 1 if rec.label == args.positive_label else -1)
-        for rec, seq in pairs
+        for rec, seq in zip(manifest.records, seqs)
     ]
     model = train(data, cfg)
     save_model(model, args.out)
@@ -158,12 +151,15 @@ def _cmd_predict(args) -> int:
     models = [load_model(p) for p in args.model]
     manifest = parse_manifest(args.manifest)
     icfg = InferenceConfig(exclusion_t=args.exclusion_t)
-    pairs = _prepared(manifest, PreprocessConfig(pool=None if args.pool == "none" else args.pool))
-    seqs = [seq for _, seq in pairs]
+    seqs = [manifest.sequences[rec.id] for rec in manifest.records]
+    _, seqs = prepare(PreprocessConfig(pool=None if args.pool == "none" else args.pool), seqs, seqs)
     per_model = [score_sequences(m, seqs, icfg).tolist() for m in models]
     lines = ["id,score,decision"]
-    for k, (rec, _) in enumerate(pairs):
-        fused = fuse_scores([scores[k] for scores in per_model])
+    for k, rec in enumerate(manifest.records):
+        try:
+            fused = fuse_scores([scores[k] for scores in per_model])
+        except LomoError as err:
+            raise LomoError(f"sequence {rec.id}: {err}") from None
         decision = 1 if fused > 0 else -1
         lines.append(f"{rec.id},{format_float(fused)},{decision}")
     _write_text("\n".join(lines) + "\n", args.out)

@@ -433,31 +433,48 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
 
 
 def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
-    """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself."""
+    """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself.
+
+    A step that overflows (say, l2 of frames of magnitude 1e200) raises a
+    LomoError naming the sequence."""
     cfg, basis = fitted.config, fitted.basis
     frames = seq.frames
-    if cfg.l2:
-        frames = _l2_rows(frames)
-    if basis is not None:
-        if basis.mean.shape[0] != seq.dim:
-            raise LomoError(
-                f"dimension mismatch: basis d={basis.mean.shape[0]}, sequence "
-                f"{seq.id or '<unnamed>'} d={seq.dim}"
-            )
-        frames = (frames - basis.mean) @ basis.components.T
-    if cfg.stack > 1:
-        n = frames.shape[0]
-        idx = np.arange(n)
-        frames = np.concatenate(
-            [frames[np.minimum(idx + j, n - 1)] for j in range(cfg.stack)], axis=1
-        )
-    if cfg.pool == "mean":
-        frames = frames.mean(axis=0, keepdims=True)
-    elif cfg.pool == "max":
-        frames = frames.max(axis=0, keepdims=True)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if cfg.l2:
+                frames = _l2_rows(frames)
+            if basis is not None:
+                if basis.mean.shape[0] != seq.dim:
+                    raise LomoError(
+                        f"dimension mismatch: basis d={basis.mean.shape[0]}, sequence "
+                        f"{seq.id or '<unnamed>'} d={seq.dim}"
+                    )
+                frames = (frames - basis.mean) @ basis.components.T
+            if cfg.stack > 1:
+                n = frames.shape[0]
+                idx = np.arange(n)
+                frames = np.concatenate(
+                    [frames[np.minimum(idx + j, n - 1)] for j in range(cfg.stack)], axis=1
+                )
+            if cfg.pool == "mean":
+                frames = frames.mean(axis=0, keepdims=True)
+            elif cfg.pool == "max":
+                frames = frames.max(axis=0, keepdims=True)
+    except FloatingPointError as err:
+        raise LomoError(f"sequence {seq.id or '<unnamed>'}: {err} while preprocessing") from None
     if frames is seq.frames:
         return seq
     return FrameSequence(frames, id=seq.id)
+
+
+def prepare(config: PreprocessConfig, fit_on, *splits) -> tuple:
+    """Fit `config` on the sequences `fit_on` only, then apply it to each split.
+
+    Returns the FittedPreprocess, then one list of prepared sequences per
+    split. `train`, `predict` and every cv fold prepare their sequences here.
+    """
+    fitted = fit_preprocess(fit_on, config)
+    return (fitted, *([apply_preprocess(fitted, seq) for seq in split] for split in splits))
 
 
 # ---------------------------------------------------------------------------

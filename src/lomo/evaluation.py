@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LomoError, child_seed, forked_map, format_float
-from .data import DatasetManifest, FoldPlan, PreprocessConfig, apply_preprocess, fit_preprocess
-from .inference import ova_predict, score_sequences
+from .data import DatasetManifest, FoldPlan, PreprocessConfig, prepare
+from .inference import score_sequences
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
 METRICS = ("acc", "auc", "eer")
@@ -39,13 +39,17 @@ def avg_class_accuracy(pairs, classes=None) -> float:
 
 
 def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) scores, each sorted; every score must be finite."""
     labels = list(labels)
     scores = np.asarray(list(scores), dtype=np.float64)
     if len(labels) != scores.shape[0]:
         raise LomoError(f"{len(labels)} labels vs {scores.shape[0]} scores")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise LomoError(f"scores[{bad[0]}] is {scores[bad[0]]}; ROC metrics need finite scores")
     mask = np.array([bool(l == 1 or l is True) for l in labels])
-    pos = scores[mask]
-    neg = scores[~mask]
+    pos = np.sort(scores[mask])
+    neg = np.sort(scores[~mask])
     if pos.size == 0 or neg.size == 0:
         raise LomoError("ROC metrics need both classes present")
     return pos, neg
@@ -54,24 +58,15 @@ def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
 def roc_auc(labels, scores) -> float:
     """P(random positive outscores random negative), ties counted 0.5.
 
-    Computed from midranks of the pooled sample (exactly the Mann-Whitney
-    U statistic), which matches exhaustive pair counting bit for bit.
+    Twice the Mann-Whitney U statistic is, summed over the positives, the
+    number of negatives below each one plus the number at or below it,
+    counted by binary search in the sorted negatives. That count is an exact
+    integer, so the result matches exhaustive pair counting bit for bit.
     """
     pos, neg = _split_scores(labels, scores)
-    pooled = np.concatenate([pos, neg])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.shape[0])
-    i = 0
-    while i < pooled.shape[0]:
-        j = i
-        while j + 1 < pooled.shape[0] and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
-    n_pos = pos.shape[0]
-    rank_sum = float(np.sum(ranks[:n_pos]))
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * neg.shape[0])
+    below = np.searchsorted(neg, pos, "left").sum()
+    twice_u = int(below + np.searchsorted(neg, pos, "right").sum())
+    return twice_u / 2.0 / (pos.shape[0] * neg.shape[0])
 
 
 def _eer_candidates(values: np.ndarray) -> np.ndarray:
@@ -81,16 +76,13 @@ def _eer_candidates(values: np.ndarray) -> np.ndarray:
 
 
 def roc_eer_rate(labels, scores) -> float:
-    """Classification rate at the discrete equal-error operating point."""
+    """Classification rate at the discrete equal-error operating point; FPR
+    and FNR at each threshold are counts found by binary search."""
     pos, neg = _split_scores(labels, scores)
-    best = None
-    for threshold in _eer_candidates(np.concatenate([pos, neg])):
-        fpr = float(np.mean(neg >= threshold))
-        fnr = float(np.mean(pos < threshold))
-        key = (abs(fpr - fnr), fpr, fnr)
-        if best is None or key < best:
-            best = key
-    _, fpr, fnr = best
+    thresholds = _eer_candidates(np.concatenate([pos, neg]))
+    fpr = (neg.shape[0] - np.searchsorted(neg, thresholds, "left")) / neg.shape[0]
+    fnr = np.searchsorted(pos, thresholds, "left") / pos.shape[0]
+    _, fpr, fnr = min(zip(np.abs(fpr - fnr).tolist(), fpr.tolist(), fnr.tolist()))
     return 1.0 - (fpr + fnr) / 2.0
 
 
@@ -128,9 +120,14 @@ def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
 
 
 def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
+    """One-vs-all: the class whose model scores a sequence highest; a tie goes
+    to the smallest class name, the first maximum over the sorted names."""
     models = train_ova([(seq, r.label) for r, seq in train_pairs], cfg, classes=classes)
+    names = sorted(models)
     icfg = cfg.inference_config()
-    pairs = [(r.label, ova_predict(models, seq, icfg)[0]) for r, seq in test_pairs]
+    test_seqs = [seq for _, seq in test_pairs]
+    scores = np.stack([score_sequences(models[name], test_seqs, icfg) for name in names])
+    pairs = [(r.label, names[k]) for (r, _), k in zip(test_pairs, scores.argmax(axis=0).tolist())]
     return avg_class_accuracy(pairs, classes=sorted({r.label for r, _ in test_pairs}))
 
 
@@ -179,9 +176,12 @@ def run_cv(
         try:
             if not fold.train_ids or not fold.test_ids:
                 raise LomoError("empty train or test split")
-            fitted = fit_preprocess([seqs[i] for i in fold.train_ids], preprocess)
-            train_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.train_ids]
-            test_pairs = [(by_id[i], apply_preprocess(fitted, seqs[i])) for i in fold.test_ids]
+            raw_train = [seqs[i] for i in fold.train_ids]
+            _, train_seqs, test_seqs = prepare(
+                preprocess, raw_train, raw_train, [seqs[i] for i in fold.test_ids]
+            )
+            train_pairs = list(zip([by_id[i] for i in fold.train_ids], train_seqs))
+            test_pairs = list(zip([by_id[i] for i in fold.test_ids], test_seqs))
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
             if multiclass:
                 return _multiclass_fold_value(train_pairs, test_pairs, fold_cfg, classes)

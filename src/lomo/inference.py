@@ -216,26 +216,12 @@ def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:
 
 
 def fuse_scores(scores) -> float:
-    """Late fusion: arithmetic mean of per-model scores."""
+    """Late fusion: arithmetic mean of per-model scores; an overflow raises."""
     values = [float(s) for s in scores]
     if not values:
         raise LomoError("fuse_scores needs at least one score")
-    return float(np.mean(values))
-
-
-def ova_predict(
-    models: dict[str, LomoModel], seq: FrameSequence, cfg: InferenceConfig
-) -> tuple[str, dict[str, float]]:
-    """One-vs-all: argmax class score, ties to the lexicographically smallest."""
-    if not models:
-        raise LomoError("ova_predict needs at least one model")
-    scores: dict[str, float] = {}
-    best_class = None
-    best_score = -np.inf
-    for name in sorted(models):
-        s = score(models[name], seq, cfg)
-        scores[name] = s
-        if s > best_score:
-            best_class = name
-            best_score = s
-    return best_class, scores
+    try:
+        with np.errstate(over="raise"):
+            return float(np.mean(values))
+    except FloatingPointError as err:
+        raise LomoError(f"{err} while fusing {len(values)} scores") from None

@@ -463,6 +463,19 @@ def test_overflowing_scores_exit_one_without_a_numpy_warning(tmp_path, capsys):
     assert _single_error(capsys, argv) == message.format("seq_pos0005")
 
 
+def test_overflowing_fused_scores_exit_one_without_a_numpy_warning(tmp_path, capsys):
+    data = _synth(tmp_path)
+    model = str(tmp_path / "big.lomo")
+    # every sequence scores 1.5e308, a finite value; the sum of two overflows
+    save_model(LomoModel(np.zeros((1, 4)), np.full(1, 1.5e308)), model)
+    argv = ["predict", "--manifest", os.path.join(data, "manifest.csv"), "--model", model,
+            "--model", model, "--out", str(tmp_path / "p.csv")]
+    assert _single_error(capsys, argv) == (
+        "error: sequence pos0000: overflow encountered in reduce while fusing 2 scores"
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_corrupt_model_file_exits_one(tmp_path, capsys):
     data = _synth(tmp_path)
     bad = tmp_path / "bad.lomo"

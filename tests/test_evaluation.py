@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+import lomo.evaluation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from lomo.evaluation import (
     run_cv,
 )
 from lomo.inference import FrameSequence
+from lomo.model import LomoModel
 from lomo.training import TrainConfig
 
 
@@ -101,6 +104,17 @@ def test_avg_class_accuracy_empty_error():
         avg_class_accuracy([])
 
 
+def _heavy_ties_case(data):
+    """Labels with both classes and scores drawn mostly from a pool of at
+    most four floats, plus signed zeros and values up to the float64 maximum."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    pool = data.draw(st.lists(floats, min_size=1, max_size=4))
+    score = st.one_of(st.sampled_from(pool), st.sampled_from([0.0, -0.0]), floats)
+    labels = data.draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=40)
+                       .filter(lambda ls: 1 in ls and -1 in ls))
+    return labels, data.draw(st.lists(score, min_size=len(labels), max_size=len(labels)))
+
+
 # ---------------------------------------------------------------------------
 # roc_auc
 
@@ -127,11 +141,21 @@ def test_roc_auc_is_order_invariant():
     assert roc_auc([labels[i] for i in perm], [scores[i] for i in perm]) == base
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_roc_auc_equals_the_pair_counting_oracle_under_heavy_ties(data):
+    labels, scores = _heavy_ties_case(data)
+    assert roc_auc(labels, scores) == oracle_auc(labels, scores)
+
+
 def test_roc_auc_validation():
     with pytest.raises(LomoError, match="both classes"):
         roc_auc([1, 1], [0.1, 0.2])
     with pytest.raises(LomoError, match="2 labels vs 3 scores"):
         roc_auc([1, -1], [0.1, 0.2, 0.3])
+    # pair counting says 0.0 here; a sort cannot rank nan, so it is refused
+    with pytest.raises(LomoError, match=r"^scores\[0\] is nan; ROC metrics need finite scores$"):
+        roc_auc([1, -1], [float("nan"), 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +180,7 @@ def test_roc_eer_rate_matches_sweep_oracle_exactly():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_roc_eer_rate_equals_the_sweep_oracle_under_heavy_ties(data):
-    floats = st.floats(allow_nan=False, allow_infinity=False)
-    pool = data.draw(st.lists(floats, min_size=1, max_size=4))
-    score = st.one_of(st.sampled_from(pool), st.sampled_from([0.0, -0.0]), floats)
-    labels = data.draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=40)
-                       .filter(lambda ls: 1 in ls and -1 in ls))
-    scores = data.draw(st.lists(score, min_size=len(labels), max_size=len(labels)))
+    labels, scores = _heavy_ties_case(data)
     with np.errstate(over="ignore"):  # midpoints of huge scores overflow, as in the oracle
         assert roc_eer_rate(labels, scores) == oracle_eer_rate(labels, scores)
 
@@ -169,6 +188,10 @@ def test_roc_eer_rate_equals_the_sweep_oracle_under_heavy_ties(data):
 def test_roc_eer_rate_validation():
     with pytest.raises(LomoError, match="both classes"):
         roc_eer_rate([-1, -1], [0.1, 0.2])
+    with pytest.raises(LomoError, match=r"^scores\[1\] is -inf; ROC metrics need finite scores$"):
+        roc_eer_rate([1, -1], [1.0, -float("inf")])
+    with pytest.raises(LomoError, match=r"^scores\[0\] is inf"):
+        roc_eer_rate([1, -1], [float("inf"), -float("inf")])
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +323,34 @@ def _multiclass_manifest(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return parse_manifest(path)
+
+
+def _fixed_ova(monkeypatch, models):
+    """Make every fold's train_ova return `models`."""
+    monkeypatch.setattr(lomo.evaluation, "train_ova", lambda data, cfg, classes=None: models)
+
+
+def test_run_cv_multiclass_predicts_the_class_that_scores_highest(tmp_path, monkeypatch):
+    manifest = _multiclass_manifest(tmp_path)
+    # each class's model points at its blob, so only the highest score is
+    # right: the lowest or the middle one is wrong for every sequence
+    directions = {"c": (0.0, 1.0), "a": (1.0, 0.0), "b": (-1.0, 0.0)}
+    _fixed_ova(monkeypatch, {
+        name: LomoModel(np.array([d]), np.zeros(1)) for name, d in directions.items()
+    })
+    plan = make_folds(manifest, "kfold", seed=0, k=2)
+    assert run_cv(manifest, plan, _fast_cfg(num_templates=1), "acc").fold_values == [1.0, 1.0]
+
+
+def test_run_cv_multiclass_tie_goes_to_the_smallest_class_name(tmp_path, monkeypatch):
+    manifest = _multiclass_manifest(tmp_path)
+    zero = LomoModel(np.zeros((1, 2)), np.zeros(1))
+    _fixed_ova(monkeypatch, {name: zero for name in ("c", "b", "a")})
+    ids = {label: tuple(r.id for r in manifest.records if r.label == label) for label in "abc"}
+    plan = FoldPlan(folds=[Fold(train_ids=ids["c"], test_ids=ids["a"]),
+                           Fold(train_ids=ids["c"], test_ids=ids["b"])], scheme="custom")
+    # every score ties, so every sequence goes to "a": right in fold 0, wrong in fold 1
+    assert run_cv(manifest, plan, _fast_cfg(num_templates=1), "acc").fold_values == [1.0, 0.0]
 
 
 def test_run_cv_multiclass_one_vs_all(tmp_path):

@@ -357,11 +357,9 @@ def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
             assert_no_children()
 
 
-def test_cv_pca_overflow_exits_one_forked_and_serial(tmp_path, cpus, capsys):
-    rng = np.random.default_rng(9)
-    path = _write_manifest(tmp_path, [rng.normal(size=(5, 3)) * 1e200 for _ in range(12)])
-    argv = ["cv", "--manifest", str(path), "--scheme", "kfold", "--folds", "2",
-            "--variant", "svm-max", "--pca-dim", "2", "--positive-label", "pos"]
+def _cv_error_line(argv, cpus, capsys) -> str:
+    """The one error line of a cv run that must exit 1 without a warning,
+    the same with folds forked on two CPUs and run serially on one."""
     lines = []
     for n in (1, 2):
         cpus(n)
@@ -373,8 +371,28 @@ def test_cv_pca_overflow_exits_one_forked_and_serial(tmp_path, cpus, capsys):
         lines.append(line)
         assert_no_children()
     assert lines[1] == lines[0]
-    assert lines[0] == (
+    return lines[0]
+
+
+def test_cv_pca_overflow_exits_one_forked_and_serial(tmp_path, cpus, capsys):
+    rng = np.random.default_rng(9)
+    path = _write_manifest(tmp_path, [rng.normal(size=(5, 3)) * 1e200 for _ in range(12)])
+    argv = ["cv", "--manifest", str(path), "--scheme", "kfold", "--folds", "2",
+            "--variant", "svm-max", "--pca-dim", "2", "--positive-label", "pos"]
+    assert _cv_error_line(argv, cpus, capsys) == (
         "error: fold 0: PCA fit: overflow encountered in matmul; try --l2 to normalise the frames"
+    )
+
+
+def test_cv_l2_overflow_exits_one_forked_and_serial(tmp_path, cpus, capsys):
+    rng = np.random.default_rng(10)
+    # group g0 (r0, r3, r6, r9) holds frames whose squared norms overflow
+    path = _write_manifest(tmp_path, [rng.normal(size=(5, 3)) * (1e200 if k % 3 == 0 else 1.0)
+                                      for k in range(12)])
+    argv = ["cv", "--manifest", str(path), "--scheme", "logo", "--variant", "svm-max", "--l2",
+            "--positive-label", "pos"]
+    assert _cv_error_line(argv, cpus, capsys) == (
+        "error: fold 0: sequence r0: overflow encountered in matmul while preprocessing"
     )
 
 

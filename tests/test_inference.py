@@ -1,4 +1,4 @@
-"""Unit tests for greedy latent assignment, scoring, fusion, and OvA predict."""
+"""Unit tests for greedy latent assignment, scoring, and fusion."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from lomo.inference import (
     InferenceConfig,
     fuse_scores,
     latent_assign,
-    ova_predict,
     score,
 )
 from lomo.model import LomoModel, perm_index, rank_pattern
@@ -207,7 +206,7 @@ def test_dimension_mismatch_names_both_sides():
 
 
 # ---------------------------------------------------------------------------
-# fusion and one-vs-all
+# fusion
 
 
 def test_fuse_scores_is_the_mean():
@@ -219,26 +218,3 @@ def test_fuse_scores_is_the_mean():
 def test_fuse_scores_rejects_empty():
     with pytest.raises(LomoError, match="at least one score"):
         fuse_scores([])
-
-
-def test_ova_predict_picks_argmax_and_reports_scores():
-    up = LomoModel(np.array([[1.0]]), np.zeros(1))
-    down = LomoModel(np.array([[-1.0]]), np.zeros(1))
-    seq = FrameSequence(np.array([[2.0]]))
-    winner, scores = ova_predict({"up": up, "down": down}, seq, InferenceConfig())
-    assert winner == "up"
-    assert scores == {"up": 2.0, "down": -2.0}
-
-
-def test_ova_predict_tie_breaks_lexicographically():
-    zero = LomoModel(np.zeros((1, 1)), np.zeros(1))
-    seq = FrameSequence(np.array([[1.0]]))
-    twin = LomoModel(zero.templates.copy(), zero.costs.copy())
-    winner, _ = ova_predict({"b": zero, "a": twin}, seq, InferenceConfig())
-    assert winner == "a"
-
-
-def test_ova_predict_rejects_empty_map():
-    seq = FrameSequence(np.array([[1.0]]))
-    with pytest.raises(LomoError):
-        ova_predict({}, seq, InferenceConfig())
