@@ -7,7 +7,6 @@ from .core import LomoError, Rng, child_seed
 from .data import (
     DatasetManifest,
     Fold,
-    FoldPlan,
     PcaBasis,
     PreprocessConfig,
     SynthSpec,
@@ -47,7 +46,6 @@ __all__ = [
     "CvResult",
     "DatasetManifest",
     "Fold",
-    "FoldPlan",
     "FrameSequence",
     "InferenceConfig",
     "LabeledSequence",

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from .core import LomoError, format_float
+from .core import LomoError, format_float, write_text
 from .data import (
     PreprocessConfig,
     SynthSpec,
@@ -48,8 +48,7 @@ def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(out_path, text)
 
 
 def _train_config(args) -> TrainConfig:
@@ -94,9 +93,7 @@ def _cmd_synth(args) -> int:
         neg_mode=args.neg_mode,
         seed=args.seed,
     )
-    _echo("synth", [(k, getattr(spec, k)) for k in (
-        "dim", "num_frames", "num_events", "noise_sigma", "min_gap",
-        "num_pos", "num_neg", "neg_mode", "seed")])
+    _echo("synth", spec.text_fields())
     manifest = gen_synthetic(spec, args.out)
     print(
         f"wrote {len(manifest.records)} sequences "
@@ -176,12 +173,12 @@ def _cmd_cv(args) -> int:
         ("l2", args.l2), ("pca_dim", args.pca_dim), ("stack", args.stack),
     ])
     manifest = parse_manifest(args.manifest)
-    plan = make_folds(manifest, args.scheme, args.seed, k=args.folds)
+    folds = make_folds(manifest, args.scheme, args.seed, k=args.folds)
     preprocess = PreprocessConfig(
         l2=args.l2, pca_dim=args.pca_dim, stack=args.stack, pool=VARIANT_FLAGS[args.variant][1]
     )
     result = run_cv(
-        manifest, plan, cfg,
+        manifest, folds, cfg,
         metric=args.metric,
         positive_label=args.positive_label,
         preprocess=preprocess,
@@ -287,10 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LomoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (LomoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -48,20 +48,23 @@ def read_text(path, encoding: str = "utf-8") -> str:
         raise LomoError(f"{path}: not valid UTF-8 text ({err.reason})") from None
 
 
+def write_text(path, text: str) -> None:
+    """Replace the file at `path` with `text`, as UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 class Rng:
     """Seeded PCG64 stream.
 
-    The same (seed, spawn_key) pair always yields the identical stream on
-    any platform; distinct spawn keys give independent, reproducible
-    streams. Folds and one-vs-all classes get their own seeds from
-    `child_seed`, so parallel work never shares a generator.
+    The same seed always yields the identical stream on any platform.
+    Folds and one-vs-all classes get their own seeds from `child_seed`, so
+    parallel work never shares a generator.
     """
 
-    def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = require_int("seed", seed, minimum=0)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def uniform(self, size=None):
         """Uniform draw(s) in [0, 1)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     read_text,
     require_int,
     require_real,
+    write_text,
 )
 from .inference import BLOCK_VALUES, FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
@@ -107,9 +108,7 @@ def write_sequence(seq: FrameSequence, path) -> None:
 
     The text is built as one string: repr of a Python float is format_float.
     """
-    text = "".join(",".join(map(repr, row)) + "\n" for row in seq.frames.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(path, "".join(",".join(map(repr, row)) + "\n" for row in seq.frames.tolist()))
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ def _manifest_record(path, base: str, row_no: int, line: str, ids: set[str]) -> 
 
 
 # ---------------------------------------------------------------------------
-# fold plans
+# folds
 
 SCHEME_LOGO = "logo"
 SCHEME_KFOLD = "kfold"
@@ -220,15 +219,9 @@ class Fold:
     test_ids: tuple[str, ...]
 
 
-@dataclass
-class FoldPlan:
-    folds: list[Fold]
-    scheme: str
-
-
 def make_folds(
     manifest: DatasetManifest, scheme: str, seed: int, k: int | None = None
-) -> FoldPlan:
+) -> list[Fold]:
     """Group-disjoint folds: LOGO (one fold per group) or grouped k-fold.
 
     For k-fold the group list is shuffled by the seeded Rng and dealt
@@ -264,7 +257,7 @@ def make_folds(
         test = tuple(r.id for r in manifest.records if r.group in member_set)
         tr = tuple(r.id for r in manifest.records if r.group not in member_set)
         folds.append(Fold(train_ids=tr, test_ids=test))
-    return FoldPlan(folds=folds, scheme=scheme)
+    return folds
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +384,7 @@ class PreprocessConfig:
         if self.stack < 1:
             raise LomoError(f"stack window must be >= 1, got {self.stack}")
         if self.pca_dim is not None:
-            self.pca_dim = require_int("pca_dim", self.pca_dim)
-            if self.pca_dim < 1:
-                raise LomoError(f"pca_dim must be >= 1, got {self.pca_dim}")
+            self.pca_dim = require_int("pca_dim", self.pca_dim, minimum=1)
         if self.pool not in (None, "mean", "max"):
             raise LomoError(f"pool must be None, 'mean' or 'max', got {self.pool!r}")
 
@@ -422,12 +413,8 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
         seqs = list(train_seqs)
         if not seqs:
             raise LomoError("PCA needs training sequences, got none")
-        dim = seqs[0].dim
         for seq in seqs:
-            if seq.dim != dim:
-                raise LomoError(
-                    f"sequence {seq.id or '<unnamed>'}: dimension {seq.dim} differs from {dim}"
-                )
+            seq.require_dim(seqs[0].dim)
         basis = _pca_fit(seqs, config.l2, config.pca_dim)
     return FittedPreprocess(config=config, basis=basis)
 
@@ -503,8 +490,7 @@ class SynthSpec:
             setattr(self, name, require_int(name, getattr(self, name)))
         self.seed = require_int("seed", self.seed, minimum=0)
         self.neg_mode = str(self.neg_mode).lower()
-        if self.dim < 1:
-            raise LomoError(f"dim must be >= 1, got {self.dim}")
+        require_int("dim", self.dim, minimum=1)
         if not 1 <= self.num_events <= MAX_TEMPLATES:
             raise LomoError(f"num_events must be in 1..{MAX_TEMPLATES}, got {self.num_events}")
         if self.neg_mode not in NEG_MODES:
@@ -518,13 +504,21 @@ class SynthSpec:
                 f"num_frames must exceed num_events*(min_gap+1) = "
                 f"{self.num_events * (self.min_gap + 1)}, got {self.num_frames}"
             )
-        if self.min_gap < 0:
-            raise LomoError(f"min_gap must be >= 0, got {self.min_gap}")
+        require_int("min_gap", self.min_gap, minimum=0)
         require_real("noise_sigma", self.noise_sigma)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise LomoError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.num_pos < 1 or self.num_neg < 1:
             raise LomoError("num_pos and num_neg must be >= 1")
+
+    def text_fields(self) -> list[tuple[str, str]]:
+        """(field, text) for every field in declaration order, floats in
+        format_float form: the lines of spec.txt and the synth echo."""
+        pairs = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            pairs.append((f.name, format_float(value) if isinstance(value, float) else str(value)))
+        return pairs
 
 
 @dataclass
@@ -609,25 +603,14 @@ def gen_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
         for _ in writes:
             pass
     manifest_rows = [f"{rec.id},{rec.label},{rec.group},seq_{rec.id}.csv" for rec in records]
-    manifest_path = os.path.join(out_dir, "manifest.csv")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MANIFEST_HEADER + "\n")
-        fh.write("\n".join(manifest_rows) + "\n")
-    with open(os.path.join(out_dir, "spec.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for key in (
-            "dim",
-            "num_frames",
-            "num_events",
-            "noise_sigma",
-            "min_gap",
-            "num_pos",
-            "num_neg",
-            "neg_mode",
-            "seed",
-        ):
-            value = getattr(spec, key)
-            text = format_float(value) if isinstance(value, float) else str(value)
-            fh.write(f"{key}={text}\n")
+    write_text(
+        os.path.join(out_dir, "manifest.csv"),
+        MANIFEST_HEADER + "\n" + "\n".join(manifest_rows) + "\n",
+    )
+    write_text(
+        os.path.join(out_dir, "spec.txt"),
+        "".join(f"{key}={text}\n" for key, text in spec.text_fields()),
+    )
     return DatasetManifest(
         records=[
             ManifestRecord(rec.id, rec.label, rec.group, os.path.abspath(paths[rec.id]))

@@ -2,10 +2,11 @@
 
 ROC metrics use discrete conventions, no curve interpolation: AUC is the
 Mann-Whitney pair probability with ties counted 0.5; the EER rate sweeps
-thresholds at every distinct score, every midpoint between consecutive
-distinct scores, and one point beyond each extreme (rule: positive iff
-score >= threshold), picks the threshold minimizing |FPR - FNR| (ties to
-lower FPR, then lower FNR), and reports 1 - (FPR + FNR) / 2.
+thresholds at every distinct score and at +inf (rule: positive iff
+score >= threshold; a threshold between two consecutive distinct scores,
+or below the lowest, classifies as the next score up does), picks the
+threshold minimizing |FPR - FNR| (ties to lower FPR, then lower FNR), and
+reports 1 - (FPR + FNR) / 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LomoError, child_seed, forked_map, format_float
-from .data import DatasetManifest, FoldPlan, PreprocessConfig, prepare
+from .data import DatasetManifest, Fold, PreprocessConfig, prepare
 from .inference import score_sequences
 from .training import LabeledSequence, TrainConfig, train, train_ova
 
@@ -69,17 +70,11 @@ def roc_auc(labels, scores) -> float:
     return twice_u / 2.0 / (pos.shape[0] * neg.shape[0])
 
 
-def _eer_candidates(values: np.ndarray) -> np.ndarray:
-    distinct = np.unique(values)
-    mids = (distinct[:-1] + distinct[1:]) / 2.0 if distinct.size > 1 else np.array([])
-    return np.concatenate([[distinct[0] - 1.0], distinct, mids, [distinct[-1] + 1.0]])
-
-
 def roc_eer_rate(labels, scores) -> float:
     """Classification rate at the discrete equal-error operating point; FPR
     and FNR at each threshold are counts found by binary search."""
     pos, neg = _split_scores(labels, scores)
-    thresholds = _eer_candidates(np.concatenate([pos, neg]))
+    thresholds = np.append(np.unique(np.concatenate([pos, neg])), np.inf)
     fpr = (neg.shape[0] - np.searchsorted(neg, thresholds, "left")) / neg.shape[0]
     fnr = np.searchsorted(pos, thresholds, "left") / pos.shape[0]
     _, fpr, fnr = min(zip(np.abs(fpr - fnr).tolist(), fpr.tolist(), fnr.tolist()))
@@ -133,7 +128,7 @@ def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
 
 def run_cv(
     manifest: DatasetManifest,
-    plan: FoldPlan,
+    folds: list[Fold],
     cfg: TrainConfig,
     metric: str = "acc",
     positive_label: str | None = None,
@@ -172,7 +167,7 @@ def run_cv(
     by_id = manifest.by_id()
 
     def fold_value(fold_no: int) -> float:
-        fold = plan.folds[fold_no]
+        fold = folds[fold_no]
         try:
             if not fold.train_ids or not fold.test_ids:
                 raise LomoError("empty train or test split")
@@ -189,8 +184,7 @@ def run_cv(
         except LomoError as err:
             raise LomoError(f"fold {fold_no}: {err}") from None
 
-    folds = range(len(plan.folds))
-    values = list(forked_map(fold_value, folds))
+    values = list(forked_map(fold_value, range(len(folds))))
     return CvResult(metric=metric, fold_values=values)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LomoError, require_int
-from .model import LomoModel, PermTable, perm_index, rank_pattern
+from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
 
 
 @dataclass
@@ -49,6 +49,13 @@ class FrameSequence:
     def dim(self) -> int:
         return self.frames.shape[1]
 
+    def require_dim(self, dim: int) -> None:
+        """A LomoError naming this sequence unless its frames have `dim` columns."""
+        if self.dim != dim:
+            raise LomoError(
+                f"sequence {self.id or '<unnamed>'}: dimension {self.dim} differs from {dim}"
+            )
+
 
 @dataclass(frozen=True)
 class InferenceConfig:
@@ -57,9 +64,8 @@ class InferenceConfig:
     exclusion_t: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "exclusion_t", require_int("exclusion_t", self.exclusion_t))
-        if self.exclusion_t < 0:
-            raise LomoError(f"exclusion_t must be >= 0, got {self.exclusion_t}")
+        t = require_int("exclusion_t", self.exclusion_t, minimum=0)
+        object.__setattr__(self, "exclusion_t", t)
 
 
 @dataclass(frozen=True)
@@ -131,14 +137,12 @@ class BatchAssignment:
     total: np.ndarray  # (B,)
 
 
-def assign_batch(
-    model: LomoModel, seqs, cfg: InferenceConfig, perms: PermTable | None = None
-) -> BatchAssignment:
+def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignment:
     """Greedy assignment of equal-length sequences, stacked as (B, N, d).
 
     Each pick is one matvec per template over the whole stack and a
     first-occurrence argmax per row, so row b equals latent_assign on
-    seqs[b] bit for bit. `perms` caches rank-pattern indices across calls.
+    seqs[b] bit for bit; the pattern's index comes from model.ORDER_INDEX.
     A score that overflows raises a LomoError naming the first sequence
     whose own assignment overflows.
     """
@@ -167,14 +171,14 @@ def assign_batch(
                 picks[:, i] = f
                 scores[:, i] = row[batch, f]
                 alive &= np.abs(position - f[:, None]) > t
-            perms = PermTable() if perms is None else perms
-            perm = np.array([perms[tuple(order)] for order in np.argsort(picks, axis=1).tolist()])
+            orders = np.argsort(picks, axis=1).tolist()
+            perm = np.array([ORDER_INDEX[tuple(order)] for order in orders])
             cost = model.costs[perm - 1]
             total = scores.mean(axis=1) + cost
     except FloatingPointError as err:
         if len(seqs) > 1:  # rows are independent: the culprit overflows on its own
             for seq in seqs:
-                assign_batch(model, [seq], cfg, perms)
+                assign_batch(model, [seq], cfg)
         raise LomoError(f"sequence {seqs[0].id or '<unnamed>'}: {err} while scoring") from None
     return BatchAssignment(
         chosen=picks + 1,
@@ -201,12 +205,11 @@ def score_sequences(model: LomoModel, seqs, cfg: InferenceConfig) -> np.ndarray:
     for k, seq in enumerate(seqs):
         by_length.setdefault(seq.num_frames, []).append(k)
     out = np.empty(len(seqs))
-    perms = PermTable()
     for n, members in by_length.items():
         size = max(1, BLOCK_VALUES // (n * model.dim))
         for lo in range(0, len(members), size):
             block = members[lo : lo + size]
-            out[block] = assign_batch(model, [seqs[k] for k in block], cfg, perms).total
+            out[block] = assign_batch(model, [seqs[k] for k in block], cfg).total
     return out
 
 

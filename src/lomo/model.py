@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, Rng, format_float, read_text
+from .core import LomoError, Rng, format_float, read_text, write_text
 
 MAX_TEMPLATES = 8  # dense cost table; 8! = 40320 entries is the ceiling
 
@@ -113,6 +113,11 @@ class PermTable(dict):
         return index
 
 
+# The one table that training and scoring look orders up in: an order's
+# index never changes, so every model and every M can share it.
+ORDER_INDEX = PermTable()
+
+
 def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     """Inverse of perm_index: the permutation of (1..m) with the given rank."""
     if m < 1:
@@ -152,8 +157,7 @@ def save_model(model: LomoModel, path) -> None:
     ]
     for i in range(model.num_templates):
         lines.append(f"w{i + 1} " + " ".join(format_float(v) for v in model.templates[i]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_floats(tokens: list[str], line_no: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import LomoError, Rng, child_seed, require_int, require_real
 from .inference import FrameSequence, InferenceConfig, score_sequences
-from .model import MAX_TEMPLATES, LomoModel, PermTable, init_model
+from .model import MAX_TEMPLATES, ORDER_INDEX, LomoModel, init_model
 
 VARIANTS = ("lomo", "mil", "svm_pool")
 COST_UPDATES = ("gradient", "literal")
@@ -85,10 +85,9 @@ class TrainConfig:
             raise LomoError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.reg_lambda * self.eta >= 1:  # else an update zeroes or flips the templates
             raise LomoError(f"reg_lambda * eta must be < 1, got {self.reg_lambda} * {self.eta}")
-        if self.exclusion_t < 0:
-            raise LomoError(f"exclusion_t must be >= 0, got {self.exclusion_t}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise LomoError(f"max_iter must be >= 1, got {self.max_iter}")
+        require_int("exclusion_t", self.exclusion_t, minimum=0)
+        if self.max_iter is not None:
+            require_int("max_iter", self.max_iter, minimum=1)
 
     @property
     def freeze_costs(self) -> bool:
@@ -126,10 +125,7 @@ def _validate_train_data(data, cfg: TrainConfig) -> int:
     need = _min_frames(cfg.num_templates, cfg.exclusion_t)
     for ex in data:
         seq = ex.sequence
-        if seq.dim != dim:
-            raise LomoError(
-                f"sequence {seq.id or '<unnamed>'}: dimension {seq.dim} differs from {dim}"
-            )
+        seq.require_dim(dim)
         if seq.num_frames < need:
             raise LomoError(
                 f"sequence {seq.id or '<unnamed>'}: {seq.num_frames} frames is too short "
@@ -195,7 +191,6 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     freeze = cfg.freeze_costs
     rows = list(templates)  # views: in-place updates reach them
     order = range(m)
-    perms = PermTable()
     step = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -217,7 +212,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
                         picks.append(f)
                         scores.append(row.item(f))
                     y = labels[j]
-                    perm = perms[tuple(sorted(order, key=picks.__getitem__))]
+                    perm = ORDER_INDEX[tuple(sorted(order, key=picks.__getitem__))]
                     # _add_reduce / m is latent_assign's np.mean of the scores
                     if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
                         continue

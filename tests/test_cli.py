@@ -59,6 +59,10 @@ def test_synth_writes_dataset_and_reports(tmp_path, capsys):
     names = sorted(os.listdir(out))
     assert "manifest.csv" in names and "spec.txt" in names
     assert sum(name.startswith("seq_") for name in names) == 12
+    # the echo and spec.txt print the same key=value pairs in the same order
+    echo = next(line for line in captured.err.splitlines() if line.startswith("synth config: "))
+    spec_lines = Path(out, "spec.txt").read_text(encoding="utf-8").splitlines()
+    assert echo.removeprefix("synth config: ").split(" ") == spec_lines
 
 
 def test_synth_is_byte_deterministic(tmp_path):

@@ -60,9 +60,9 @@ def test_rng_permutation_is_a_permutation():
 
 def test_rng_child_streams_are_deterministic_and_distinct():
     parent = Rng(99)
-    c0a = Rng(99, spawn_key=(0,)).uniform(size=6)
-    c0b = Rng(99, spawn_key=(0,)).uniform(size=6)
-    c1 = Rng(99, spawn_key=(1,)).uniform(size=6)
+    c0a = Rng(child_seed(99, 0)).uniform(size=6)
+    c0b = Rng(child_seed(99, 0)).uniform(size=6)
+    c1 = Rng(child_seed(99, 1)).uniform(size=6)
     np.testing.assert_array_equal(c0a, c0b)
     assert not np.array_equal(c0a, c1)
     assert not np.array_equal(c0a, parent.uniform(size=6))

@@ -273,10 +273,9 @@ def _manifest_with_groups(groups):
 
 def test_logo_builds_one_fold_per_group():
     manifest = _manifest_with_groups(["g0", "g1", "g2", "g0", "g1", "g2"])
-    plan = make_folds(manifest, "logo", seed=0)
-    assert plan.scheme == "logo"
-    assert len(plan.folds) == 3
-    for fold in plan.folds:
+    folds = make_folds(manifest, "logo", seed=0)
+    assert len(folds) == 3
+    for fold in folds:
         test_groups = {r.group for r in manifest.records if r.id in fold.test_ids}
         train_groups = {r.group for r in manifest.records if r.id in fold.train_ids}
         assert len(test_groups) == 1
@@ -290,11 +289,11 @@ def test_kfold_groups_never_straddle_folds():
         groups = [f"g{int(rng.integers(n_groups)):02d}" for _ in range(40)]
         manifest = _manifest_with_groups(groups)
         k = int(rng.integers(2, len(manifest.groups) + 1))
-        plan = make_folds(manifest, "kfold", seed=seed, k=k)
-        assert len(plan.folds) == k
+        folds = make_folds(manifest, "kfold", seed=seed, k=k)
+        assert len(folds) == k
         by_id = manifest.by_id()
         all_test = []
-        for fold in plan.folds:
+        for fold in folds:
             test_groups = {by_id[i].group for i in fold.test_ids}
             train_groups = {by_id[i].group for i in fold.train_ids}
             assert not (test_groups & train_groups)
@@ -304,13 +303,13 @@ def test_kfold_groups_never_straddle_folds():
 
 def test_kfold_deal_is_seeded_round_robin():
     manifest = _manifest_with_groups([f"g{i}" for i in range(5)])
-    plan = make_folds(manifest, "kfold", seed=9, k=2)
+    folds = make_folds(manifest, "kfold", seed=9, k=2)
     order = Rng(9).permutation(5)
     groups = manifest.groups
     expected = [[], []]
     for pos, gi in enumerate(order):
         expected[pos % 2].append(groups[int(gi)])
-    for fold, members in zip(plan.folds, expected):
+    for fold, members in zip(folds, expected):
         got = {r.group for r in manifest.records if r.id in fold.test_ids}
         assert got == set(members)
 
@@ -702,7 +701,7 @@ def test_preprocess_identity_passthrough():
 def test_preprocess_config_validation():
     with pytest.raises(LomoError, match="stack window"):
         PreprocessConfig(stack=0)
-    with pytest.raises(LomoError, match="pca_dim"):
+    with pytest.raises(LomoError, match="^pca_dim must be >= 1, got 0$"):
         PreprocessConfig(pca_dim=0)
     with pytest.raises(LomoError, match="pool"):
         PreprocessConfig(pool="median")
@@ -813,6 +812,10 @@ def test_synth_spec_validation():
         _small_spec(noise_sigma=float("nan"))
     with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
         _small_spec(seed=-1)
+    with pytest.raises(LomoError, match="^dim must be >= 1, got 0$"):
+        _small_spec(dim=0)
+    with pytest.raises(LomoError, match="^min_gap must be >= 0, got -1$"):
+        _small_spec(min_gap=-1)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lomo.core import LomoError
 from lomo.data import (
     Fold,
-    FoldPlan,
     PreprocessConfig,
     SynthSpec,
     gen_synthetic,
@@ -168,6 +167,8 @@ def test_roc_eer_rate_worked_examples():
     assert roc_eer_rate([1, 1, -1, -1], [2.0, 3.0, 0.0, 1.0]) == 1.0
     # anti-separated scores: every balanced threshold errs on everything
     assert roc_eer_rate([1, 1, -1, -1], [0.0, 1.0, 2.0, 3.0]) == 0.0
+    # scores near the float64 maximum: no threshold may overflow
+    assert roc_eer_rate([1, -1], [1e308, 1.5e308]) == 0.0
 
 
 def test_roc_eer_rate_matches_sweep_oracle_exactly():
@@ -181,8 +182,9 @@ def test_roc_eer_rate_matches_sweep_oracle_exactly():
 @given(st.data())
 def test_roc_eer_rate_equals_the_sweep_oracle_under_heavy_ties(data):
     labels, scores = _heavy_ties_case(data)
-    with np.errstate(over="ignore"):  # midpoints of huge scores overflow, as in the oracle
-        assert roc_eer_rate(labels, scores) == oracle_eer_rate(labels, scores)
+    with np.errstate(over="ignore"):  # the oracle's midpoints of huge scores overflow
+        expected = oracle_eer_rate(labels, scores)
+    assert roc_eer_rate(labels, scores) == expected
 
 
 def test_roc_eer_rate_validation():
@@ -236,35 +238,35 @@ def _fast_cfg(**overrides):
 
 def test_run_cv_smoke_all_metrics_and_determinism(tmp_path):
     manifest = _synthetic_manifest(tmp_path)
-    plan = make_folds(manifest, "kfold", seed=1, k=2)
+    folds = make_folds(manifest, "kfold", seed=1, k=2)
     for metric in ("acc", "auc", "eer"):
-        result = run_cv(manifest, plan, _fast_cfg(), metric, positive_label="pos")
+        result = run_cv(manifest, folds, _fast_cfg(), metric, positive_label="pos")
         assert result.metric == metric
         assert len(result.fold_values) == 2
         assert all(0.0 <= v <= 1.0 for v in result.fold_values)
-        again = run_cv(manifest, plan, _fast_cfg(), metric, positive_label="pos")
+        again = run_cv(manifest, folds, _fast_cfg(), metric, positive_label="pos")
         assert again.fold_values == result.fold_values
 
 
 def test_run_cv_logo_uses_every_group_once(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
-    plan = make_folds(manifest, "logo", seed=0)
-    assert len(plan.folds) == len(manifest.groups)
-    result = run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="pos")
-    assert len(result.fold_values) == len(plan.folds)
+    folds = make_folds(manifest, "logo", seed=0)
+    assert len(folds) == len(manifest.groups)
+    result = run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
+    assert len(result.fold_values) == len(folds)
 
 
 def test_run_cv_works_with_preprocessing_and_pooling(tmp_path):
     manifest = _synthetic_manifest(tmp_path)
-    plan = make_folds(manifest, "kfold", seed=2, k=2)
+    folds = make_folds(manifest, "kfold", seed=2, k=2)
     preprocess = PreprocessConfig(l2=True, pca_dim=3, stack=2)
     result = run_cv(
-        manifest, plan, _fast_cfg(num_templates=1, exclusion_t=0),
+        manifest, folds, _fast_cfg(num_templates=1, exclusion_t=0),
         "acc", positive_label="pos", preprocess=preprocess,
     )
     assert all(0.0 <= v <= 1.0 for v in result.fold_values)
     pooled = run_cv(
-        manifest, plan, _fast_cfg(variant="svm_pool"), "acc", positive_label="pos",
+        manifest, folds, _fast_cfg(variant="svm_pool"), "acc", positive_label="pos",
         preprocess=PreprocessConfig(pool="mean"),
     )
     assert all(0.0 <= v <= 1.0 for v in pooled.fold_values)
@@ -272,13 +274,13 @@ def test_run_cv_works_with_preprocessing_and_pooling(tmp_path):
 
 def test_run_cv_argument_validation(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
-    plan = make_folds(manifest, "kfold", seed=0, k=2)
+    folds = make_folds(manifest, "kfold", seed=0, k=2)
     with pytest.raises(LomoError, match="needs a positive_label"):
-        run_cv(manifest, plan, _fast_cfg(), "acc")
+        run_cv(manifest, folds, _fast_cfg(), "acc")
     with pytest.raises(LomoError, match="positive_label 'yes' not among"):
-        run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="yes")
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="yes")
     with pytest.raises(LomoError, match="metric must be one of"):
-        run_cv(manifest, plan, _fast_cfg(), "f1", positive_label="pos")
+        run_cv(manifest, folds, _fast_cfg(), "f1", positive_label="pos")
 
 
 def test_run_cv_rejects_single_class_training_split(tmp_path):
@@ -286,27 +288,24 @@ def test_run_cv_rejects_single_class_training_split(tmp_path):
     by_label = {"pos": [], "neg": []}
     for rec in manifest.records:
         by_label[rec.label].append(rec.id)
-    plan = FoldPlan(
-        folds=[Fold(train_ids=tuple(by_label["neg"]), test_ids=tuple(by_label["pos"]))],
-        scheme="custom",
-    )
+    folds = [Fold(train_ids=tuple(by_label["neg"]), test_ids=tuple(by_label["pos"]))]
     with pytest.raises(LomoError, match="fold 0: training split lacks"):
-        run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="pos")
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 
 def test_run_cv_rejects_empty_fold(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
     ids = tuple(r.id for r in manifest.records)
-    plan = FoldPlan(folds=[Fold(train_ids=ids, test_ids=())], scheme="custom")
+    folds = [Fold(train_ids=ids, test_ids=())]
     with pytest.raises(LomoError, match="fold 0: empty train or test split"):
-        run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="pos")
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 
 def test_run_cv_names_the_fold_of_a_preprocessing_error(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
-    plan = make_folds(manifest, "kfold", seed=1, k=2)
+    folds = make_folds(manifest, "kfold", seed=1, k=2)
     with pytest.raises(LomoError, match=r"^fold 0: pca dimension k=7 out of range 1\.\.6$"):
-        run_cv(manifest, plan, _fast_cfg(), "acc", positive_label="pos",
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos",
                preprocess=PreprocessConfig(pca_dim=7))
 
 
@@ -338,8 +337,8 @@ def test_run_cv_multiclass_predicts_the_class_that_scores_highest(tmp_path, monk
     _fixed_ova(monkeypatch, {
         name: LomoModel(np.array([d]), np.zeros(1)) for name, d in directions.items()
     })
-    plan = make_folds(manifest, "kfold", seed=0, k=2)
-    assert run_cv(manifest, plan, _fast_cfg(num_templates=1), "acc").fold_values == [1.0, 1.0]
+    folds = make_folds(manifest, "kfold", seed=0, k=2)
+    assert run_cv(manifest, folds, _fast_cfg(num_templates=1), "acc").fold_values == [1.0, 1.0]
 
 
 def test_run_cv_multiclass_tie_goes_to_the_smallest_class_name(tmp_path, monkeypatch):
@@ -347,18 +346,18 @@ def test_run_cv_multiclass_tie_goes_to_the_smallest_class_name(tmp_path, monkeyp
     zero = LomoModel(np.zeros((1, 2)), np.zeros(1))
     _fixed_ova(monkeypatch, {name: zero for name in ("c", "b", "a")})
     ids = {label: tuple(r.id for r in manifest.records if r.label == label) for label in "abc"}
-    plan = FoldPlan(folds=[Fold(train_ids=ids["c"], test_ids=ids["a"]),
-                           Fold(train_ids=ids["c"], test_ids=ids["b"])], scheme="custom")
+    folds = [Fold(train_ids=ids["c"], test_ids=ids["a"]),
+             Fold(train_ids=ids["c"], test_ids=ids["b"])]
     # every score ties, so every sequence goes to "a": right in fold 0, wrong in fold 1
-    assert run_cv(manifest, plan, _fast_cfg(num_templates=1), "acc").fold_values == [1.0, 0.0]
+    assert run_cv(manifest, folds, _fast_cfg(num_templates=1), "acc").fold_values == [1.0, 0.0]
 
 
 def test_run_cv_multiclass_one_vs_all(tmp_path):
     manifest = _multiclass_manifest(tmp_path)
-    plan = make_folds(manifest, "kfold", seed=0, k=2)
+    folds = make_folds(manifest, "kfold", seed=0, k=2)
     cfg = _fast_cfg(num_templates=1, exclusion_t=0, max_iter=2000)
-    result = run_cv(manifest, plan, cfg, "acc")
+    result = run_cv(manifest, folds, cfg, "acc")
     assert len(result.fold_values) == 2
     assert result.mean >= 0.9  # cleanly separated blobs
     with pytest.raises(LomoError, match="binary-only"):
-        run_cv(manifest, plan, cfg, "auc")
+        run_cv(manifest, folds, cfg, "auc")

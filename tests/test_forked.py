@@ -23,7 +23,6 @@ from lomo.cli import main
 from lomo.core import LomoError, forked_map
 from lomo.data import (
     Fold,
-    FoldPlan,
     SynthSpec,
     gen_synthetic,
     make_folds,
@@ -328,11 +327,11 @@ CV_CFG = TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=3)
 @pytest.mark.parametrize("metric", ["acc", "auc", "eer"])
 def test_forked_run_cv_equals_serial_bit_for_bit(tmp_path, cpus, metric):
     manifest = _cv_manifest(tmp_path)
-    plan = make_folds(manifest, "logo", seed=0)
+    folds = make_folds(manifest, "logo", seed=0)
     values = []
     for n in (1, 2):
         cpus(n)
-        result = run_cv(manifest, plan, CV_CFG, metric, positive_label="pos")
+        result = run_cv(manifest, folds, CV_CFG, metric, positive_label="pos")
         values.append(np.asarray(result.fold_values).tobytes())
         assert_no_children()
     assert values[0] == values[1]
@@ -341,7 +340,7 @@ def test_forked_run_cv_equals_serial_bit_for_bit(tmp_path, cpus, metric):
 def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
     manifest = _cv_manifest(tmp_path)
     ids = tuple(r.id for r in manifest.records)
-    good = make_folds(manifest, "logo", seed=0).folds[0]
+    good = make_folds(manifest, "logo", seed=0)[0]
     empty = Fold(train_ids=ids, test_ids=())
     neg_only = tuple(r.id for r in manifest.records if r.label == "neg")
     one_class = Fold(train_ids=neg_only, test_ids=ids[:2])
@@ -349,11 +348,10 @@ def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
         ([good, empty, good, one_class], "fold 1: empty train or test split"),
         ([good, good, one_class, empty], "fold 2: training split lacks one of the two classes"),
     ):
-        plan = FoldPlan(folds=folds, scheme="custom")
         for n in (1, 2):
             cpus(n)
             with pytest.raises(LomoError, match=f"^{message}$"):
-                run_cv(manifest, plan, CV_CFG, "acc", positive_label="pos")
+                run_cv(manifest, folds, CV_CFG, "acc", positive_label="pos")
             assert_no_children()
 
 

@@ -75,7 +75,7 @@ def test_frame_sequence_error_names_the_sequence():
 
 
 def test_inference_config_rejects_negative_t():
-    with pytest.raises(LomoError, match="exclusion_t must be >= 0"):
+    with pytest.raises(LomoError, match="^exclusion_t must be >= 0, got -1$"):
         InferenceConfig(exclusion_t=-1)
 
 

@@ -62,8 +62,10 @@ def test_config_validation_errors():
         TrainConfig(reg_lambda=-1.0)
     with pytest.raises(LomoError, match="reg_lambda must be finite"):
         TrainConfig(reg_lambda=float("nan"))
-    with pytest.raises(LomoError, match="max_iter"):
+    with pytest.raises(LomoError, match="^max_iter must be >= 1, got 0$"):
         TrainConfig(max_iter=0)
+    with pytest.raises(LomoError, match="^exclusion_t must be >= 0, got -1$"):
+        TrainConfig(exclusion_t=-1)
     with pytest.raises(LomoError, match="num_templates"):
         TrainConfig(num_templates=9)
     with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
@@ -274,7 +276,7 @@ def test_train_rejects_single_class_data():
 
 def test_train_rejects_dimension_mixture():
     data = [_seq([[1.0]], 1, "a"), _seq([[1.0, 2.0]], -1, "b")]
-    with pytest.raises(LomoError, match="sequence b: dimension 2 differs from 1"):
+    with pytest.raises(LomoError, match="^sequence b: dimension 2 differs from 1$"):
         train(data, TrainConfig(num_templates=1, exclusion_t=0))
 
 
