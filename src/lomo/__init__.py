@@ -7,7 +7,6 @@ from .core import LomoError, Rng, child_seed
 from .data import (
     DatasetManifest,
     Fold,
-    PcaBasis,
     PreprocessConfig,
     SynthSpec,
     gen_synthetic,
@@ -52,7 +51,6 @@ __all__ = [
     "LatentAssignment",
     "LomoError",
     "LomoModel",
-    "PcaBasis",
     "PreprocessConfig",
     "Rng",
     "SynthSpec",

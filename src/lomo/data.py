@@ -278,12 +278,6 @@ def _l2_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(frames, norms[:, None], out=out)
 
 
-@dataclass
-class PcaBasis:
-    mean: np.ndarray  # (d,)
-    components: np.ndarray  # (k, d), rows are unit eigenvectors
-
-
 def _frame_blocks(seqs):
     """The frames of runs of consecutive sequences, one run at a time.
 
@@ -331,39 +325,6 @@ def _pca_moments(seqs, l2: bool) -> tuple[np.ndarray, np.ndarray]:
     return mean, m2
 
 
-def _pca_fit(seqs: list[FrameSequence], l2: bool, k: int) -> PcaBasis:
-    """Mean plus top-k eigenvectors of the frames' sample covariance.
-
-    `seqs` share d; their frames are l2-normalised first when `l2` is set,
-    and the moments are summed block by block (_pca_moments). Eigenvectors
-    come from LAPACK eigh. Eigenvalues are sorted in decreasing order,
-    equal ones keeping eigh's order. Each eigenvector's sign is fixed so its
-    largest-magnitude component is positive, making the basis deterministic.
-    A sum that overflows, or an eigh that does not converge, raises a
-    LomoError, which suggests l2 normalisation when it is off.
-    """
-    n = sum(seq.num_frames for seq in seqs)
-    d = seqs[0].dim
-    if n < 2:
-        raise LomoError(f"PCA needs >= 2 training frames, got {n}")
-    if not 1 <= k <= d:
-        raise LomoError(f"pca dimension k={k} out of range 1..{d}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            mean, m2 = _pca_moments(seqs, l2)
-            eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
-    except (FloatingPointError, np.linalg.LinAlgError) as err:
-        hint = "" if l2 else "; try --l2 to normalise the frames"
-        raise LomoError(f"PCA fit: {err}{hint}") from None
-    order = np.argsort(-eigvals, kind="stable")
-    components = eigvecs[:, order[:k]].T.copy()
-    for row in components:
-        lead = int(np.argmax(np.abs(row)))
-        if row[lead] < 0:
-            row *= -1.0
-    return PcaBasis(mean=mean, components=components)
-
-
 @dataclass
 class PreprocessConfig:
     """Feature pipeline: unit-l2, PCA (fit on train only), stacking, pooling.
@@ -391,32 +352,56 @@ class PreprocessConfig:
 
 @dataclass
 class FittedPreprocess:
-    """A PreprocessConfig plus the statistics fit_preprocess learned for it:
-    the PCA basis, or None when config.pca_dim is None."""
+    """A PreprocessConfig plus what fit_preprocess learned for it: the PCA
+    mean (d,) and components (k, d), rows unit eigenvectors, both None when
+    config.pca_dim is None."""
 
     config: PreprocessConfig
-    basis: PcaBasis | None
+    mean: np.ndarray | None = None
+    components: np.ndarray | None = None
 
 
 def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
-    """Fit pipeline statistics (the PCA basis) on unpooled training frames.
+    """Fit the PCA mean and top-k components on unpooled training frames.
 
-    With pca_dim set, there must be at least one sequence and all must
-    share d. The frames are copied one block of consecutive sequences at a
-    time (at most BLOCK_VALUES values, or one longer sequence), and each
-    block is l2-normalised and centred in place, so the fit's memory does
-    not grow with the number of training sequences; the sequences are never
-    written to. Without pca_dim nothing is copied.
+    With pca_dim set there must be a sequence, all must share d, and there
+    must be two frames. The frames, l2-normalised first when config.l2 is
+    set, are summed one block of consecutive sequences at a time
+    (_pca_moments), so the fit's memory does not grow with the number of
+    training sequences; the sequences are never written to. Eigenvectors
+    come from LAPACK eigh, sorted by decreasing eigenvalue (ties in eigh's
+    order), each signed so its largest-magnitude entry is positive. A sum
+    that overflows, or an eigh that does not converge, raises a LomoError
+    that suggests l2 normalisation when it is off.
     """
-    basis = None
-    if config.pca_dim is not None:
-        seqs = list(train_seqs)
-        if not seqs:
-            raise LomoError("PCA needs training sequences, got none")
-        for seq in seqs:
-            seq.require_dim(seqs[0].dim)
-        basis = _pca_fit(seqs, config.l2, config.pca_dim)
-    return FittedPreprocess(config=config, basis=basis)
+    k = config.pca_dim
+    if k is None:
+        return FittedPreprocess(config)
+    seqs = list(train_seqs)
+    if not seqs:
+        raise LomoError("PCA needs training sequences, got none")
+    d = seqs[0].dim
+    for seq in seqs:
+        seq.require_dim(d)
+    n = sum(seq.num_frames for seq in seqs)
+    if n < 2:
+        raise LomoError(f"PCA needs >= 2 training frames, got {n}")
+    if not 1 <= k <= d:
+        raise LomoError(f"pca dimension k={k} out of range 1..{d}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean, m2 = _pca_moments(seqs, config.l2)
+            eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        hint = "" if config.l2 else "; try --l2 to normalise the frames"
+        raise LomoError(f"PCA fit: {err}{hint}") from None
+    order = np.argsort(-eigvals, kind="stable")
+    components = eigvecs[:, order[:k]].T.copy()
+    for row in components:
+        lead = int(np.argmax(np.abs(row)))
+        if row[lead] < 0:
+            row *= -1.0
+    return FittedPreprocess(config, mean, components)
 
 
 def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
@@ -424,19 +409,19 @@ def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSeque
 
     A step that overflows (say, l2 of frames of magnitude 1e200) raises a
     LomoError naming the sequence."""
-    cfg, basis = fitted.config, fitted.basis
+    cfg = fitted.config
     frames = seq.frames
     try:
         with np.errstate(over="raise", invalid="raise"):
             if cfg.l2:
                 frames = _l2_rows(frames)
-            if basis is not None:
-                if basis.mean.shape[0] != seq.dim:
+            if fitted.mean is not None:
+                if fitted.mean.shape[0] != seq.dim:
                     raise LomoError(
-                        f"dimension mismatch: basis d={basis.mean.shape[0]}, sequence "
+                        f"dimension mismatch: basis d={fitted.mean.shape[0]}, sequence "
                         f"{seq.id or '<unnamed>'} d={seq.dim}"
                     )
-                frames = (frames - basis.mean) @ basis.components.T
+                frames = (frames - fitted.mean) @ fitted.components.T
             if cfg.stack > 1:
                 n = frames.shape[0]
                 idx = np.arange(n)
@@ -538,6 +523,16 @@ def _draw_positions(rng: Rng, n: int, m: int, min_gap: int) -> list[int]:
     return [raw[i] + i * step for i in range(m)]
 
 
+def _normal(rng: Rng, spec: SynthSpec, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """rng.normal(size=shape); a shape numpy cannot hold or allocate raises a
+    LomoError naming the spec field `name` that set it."""
+    try:
+        return rng.normal(size=shape)
+    except (ValueError, MemoryError) as err:
+        value = getattr(spec, name)
+        raise LomoError(f"{name}={value} is too large: {str(err) or 'out of memory'}") from None
+
+
 def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tuple[np.ndarray, tuple[int, ...]]:
     m = spec.num_events
     planted: tuple[int, ...] = ()
@@ -549,7 +544,7 @@ def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tup
             # uniformly drawn non-identity pattern; index 1 is the identity
             pattern = perm_unrank(2 + rng.randint(math.factorial(m) - 1), m)
             planted = tuple(slots[pattern[j] - 1] for j in range(m))
-    frames = spec.noise_sigma * rng.normal(size=(spec.num_frames, spec.dim))
+    frames = spec.noise_sigma * _normal(rng, spec, "num_frames", (spec.num_frames, spec.dim))
     if planted:
         noise = spec.noise_sigma * rng.normal(size=(m, spec.dim))
         for j, position in enumerate(planted):
@@ -561,10 +556,11 @@ def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
     """Generate all sequences in memory; fully determined by spec.seed.
 
     A frame value that overflows (a noise_sigma near the float64 maximum)
-    raises a LomoError naming the sequence and noise_sigma.
+    raises a LomoError naming the sequence and noise_sigma, and a dim or
+    num_frames too large to draw one naming that field.
     """
     rng = Rng(spec.seed)
-    raw = rng.normal(size=(spec.num_events, spec.dim))
+    raw = _normal(rng, spec, "dim", (spec.num_events, spec.dim))
     prototypes = _l2_rows(raw)
     records: list[SynthRecord] = []
     width = max(4, len(str(max(spec.num_pos, spec.num_neg) - 1)))

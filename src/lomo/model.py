@@ -102,14 +102,15 @@ class PermTable(dict):
     """perm_index(rank_pattern(k)) keyed by the argsort order of picks k.
 
     The rank pattern of distinct picks depends only on their argsort
-    order, so each of the at most M! orders is ranked once, on first use.
+    order, so each of the at most M! orders is ranked once, on first use;
+    the ranks an order gives are their own rank pattern.
     """
 
     def __missing__(self, order: tuple[int, ...]) -> int:
         ranks = [0] * len(order)
         for rank, pos in enumerate(order, start=1):
             ranks[pos] = rank
-        index = self[order] = perm_index(rank_pattern(ranks))
+        index = self[order] = perm_index(ranks)
         return index
 
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import re
+import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lomo.cli import main
+import lomo.core
+from lomo.cli import build_parser, main
 from lomo.core import format_float
 from lomo.data import write_sequence
 from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, latent_assign, score
@@ -533,3 +539,140 @@ def test_undecodable_model_file_exits_one(tmp_path, capsys):
     seq = os.path.join(data, "seq_pos0000.csv")
     assert main(_report_argv(tmp_path, bad, seq)) == 1
     assert _error_line(capsys).startswith(f"error: {bad}: not valid UTF-8 text")
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--d", "dim", "9223372036854775808"),  # "Maximum allowed dimension exceeded"
+    ("--n", "num_frames", "4611686018427387904"),  # "array is too big; ..."
+])
+def test_synth_size_too_large_to_draw_exits_one(tmp_path, capsys, flag, field, value):
+    """numpy rejects both shapes before it allocates anything; the error
+    names the field and ends in numpy's reason."""
+    argv = ["synth", "--out", str(tmp_path / "D"), "--pos", "1", "--neg", "1", flag, value]
+    assert _single_error(capsys, argv).startswith(f"error: {field}={value} is too large: ")
+    assert not (tmp_path / "D").exists()
+
+
+@pytest.mark.parametrize("field, value, shape, message", [
+    ("dim", 7, (3, 7), "Unable to allocate 168. B"),
+    ("num_frames", 40, (40, 7), ""),
+])
+def test_synth_draw_out_of_memory_exits_one(tmp_path, capsys, monkeypatch, field, value, shape,
+                                            message):
+    """A MemoryError at either draw names the field; the draw is stubbed, so
+    nothing large is allocated."""
+    real_normal = lomo.core.Rng.normal
+
+    def normal(self, size=None):
+        if size == shape:
+            raise MemoryError(message)
+        return real_normal(self, size)
+
+    monkeypatch.setattr(lomo.core.Rng, "normal", normal)
+    argv = ["synth", "--out", str(tmp_path / "D"), "--pos", "1", "--neg", "1", "--d", "7"]
+    assert _single_error(capsys, argv) == (
+        f"error: {field}={value} is too large: {message or 'out of memory'}"
+    )
+    assert not (tmp_path / "D").exists()
+
+
+# ---------------------------------------------------------------------------
+# every command, with flag values drawn from the parser's own actions
+
+GATE_INTS = (-2**63, -1, 0, 1, 2, 2**63)
+GATE_FLOATS = ("-1", "0", "5e-324", "1e300", "nan", "inf")
+# large values of these flags are valid input that only costs time or memory
+GATE_CAPS = {"--max-iter": 50, "--pos": 50, "--neg": 50, "--stack": 50}
+
+
+@pytest.fixture(scope="module")
+def gate_files(tmp_path_factory):
+    """A tiny synth set, one of its sequence files and a model trained on it."""
+    base = tmp_path_factory.mktemp("gate")
+    data = str(base / "data")
+    model = str(base / "model.lomo")
+    # 24 frames hold the default M=3 picks with their +-5 exclusion windows
+    argv = ["synth", "--out", data, "--d", "4", "--n", "24", "--m-true", "2", "--min-gap", "1",
+            "--pos", "6", "--neg", "6", "--neg-mode", "absent", "--seed", "3"]
+    assert main(argv) == 0
+    argv = ["train", "--manifest", os.path.join(data, "manifest.csv"), "--out", model,
+            "--positive-label", "pos", *TRAIN_FAST]
+    assert main(argv) == 0
+    return {
+        "manifest": os.path.join(data, "manifest.csv"),
+        "model": model,
+        "sequence": os.path.join(data, "seq_pos0000.csv"),
+        "base": str(base),
+    }
+
+
+def _gate_values(action, files):
+    """Strategy for the value text of one flag that takes a value; `files`
+    gives the paths of the path flags."""
+    flag = action.option_strings[0]
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        cap = GATE_CAPS.get(flag, math.inf)
+        return st.sampled_from([str(min(v, cap)) for v in GATE_INTS])
+    if action.type is float:
+        return st.sampled_from(GATE_FLOATS)
+    texts = {
+        "manifest": st.just(files["manifest"]),
+        "model": st.just(files["model"]),
+        "sequence": st.just(files["sequence"]),
+        "out": st.just(files["out"]),
+        "positive_label": st.sampled_from(["pos", "neg", "other"]),
+    }
+    assert action.dest in texts, f"the gate draws no values for {flag}"
+    return texts[action.dest]
+
+
+def _gate_argv(draw, files) -> list[str]:
+    """One command line: a drawn command, its required flags and a drawn
+    subset of its other flags (each about one time in three), written as
+    --flag=value. An appending flag (--model) is given once or twice."""
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    command = draw(st.sampled_from(sorted(commands.choices)))
+    argv = [command]
+    for action in commands.choices[command]._actions:
+        flag = action.option_strings[0]
+        if action.dest == "help":
+            continue
+        if action.nargs == 0:
+            argv += [flag] if draw(st.booleans()) else []
+            continue
+        if action.required:
+            count = draw(st.integers(1, 2)) if isinstance(action, argparse._AppendAction) else 1
+        else:
+            count = int(draw(st.integers(0, 2)) == 0)
+        argv += [f"{flag}={draw(_gate_values(action, files))}" for _ in range(count)]
+    return argv
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_every_flag_value_exits_zero_or_with_one_error_line(gate_files, capsys, data):
+    """No value of any flag ends in a traceback or a warning: a command
+    exits 0, or 1 with stderr ending in its one "error: " line."""
+    work = tempfile.mkdtemp(dir=gate_files["base"])
+    argv = _gate_argv(data.draw, {**gate_files, "out": os.path.join(work, "out")})
+    capsys.readouterr()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        shutil.rmtree(work)
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1)
+    assert "Traceback" not in err and "Warning" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    if code == 1:
+        assert errors == [err.splitlines()[-1]], err
+    else:
+        assert errors == [], err

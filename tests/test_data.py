@@ -354,7 +354,7 @@ def test_make_folds_requires_an_integer_seed(scheme, k):
 
 
 def _apply(seq, **config):
-    """`seq` through apply_preprocess, with any PCA basis fit on `seq` alone."""
+    """`seq` through apply_preprocess, with any PCA fit on `seq` alone."""
     return apply_preprocess(fit_preprocess([seq], PreprocessConfig(**config)), seq)
 
 
@@ -510,8 +510,8 @@ def _covariance(data):
 
 
 def _basis(data, k):
-    """The PCA basis fit_preprocess fits on `data` as one training sequence."""
-    return fit_preprocess([FrameSequence(data)], PreprocessConfig(pca_dim=k)).basis
+    """The PCA fit_preprocess fits on `data` as one training sequence."""
+    return fit_preprocess([FrameSequence(data)], PreprocessConfig(pca_dim=k))
 
 
 def test_pca_eigenvalues_match_numpy_oracle():
@@ -581,11 +581,11 @@ def test_fit_preprocess_statistics_come_from_training_data_only():
     config = PreprocessConfig(pca_dim=2)
     fitted = fit_preprocess(train, config)
     train_frames = np.vstack([s.frames for s in train])
-    np.testing.assert_allclose(fitted.basis.mean, train_frames.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(fitted.mean, train_frames.mean(axis=0), rtol=1e-12)
     # transforming unseen data uses the training mean, not its own
     test_seq = FrameSequence(rng.normal(size=(6, 4)) - 5.0)
     out = apply_preprocess(fitted, test_seq)
-    expected = (test_seq.frames - fitted.basis.mean) @ fitted.basis.components.T
+    expected = (test_seq.frames - fitted.mean) @ fitted.components.T
     np.testing.assert_allclose(out.frames, expected, rtol=1e-12)
 
 
@@ -671,7 +671,7 @@ def test_apply_preprocess_order_is_l2_then_pca_then_stack():
     out = apply_preprocess(fitted, seq)
     assert out.frames.shape == (7, 6)  # pca to 3 dims, then stacked pairs
     manual = seq.frames / np.linalg.norm(seq.frames, axis=1, keepdims=True)
-    manual = (manual - fitted.basis.mean) @ fitted.basis.components.T
+    manual = (manual - fitted.mean) @ fitted.components.T
     manual = np.hstack([manual, np.vstack([manual[1:], manual[-1:]])])
     np.testing.assert_allclose(out.frames, manual, rtol=1e-12)
 
@@ -682,7 +682,7 @@ def test_apply_preprocess_pools_last_after_fitting_pca_on_unpooled_frames():
     config = PreprocessConfig(l2=True, pca_dim=3, stack=2, pool="max")
     fitted = fit_preprocess(train, config)
     unpooled = fit_preprocess(train, PreprocessConfig(l2=True, pca_dim=3, stack=2))
-    np.testing.assert_array_equal(fitted.basis.components, unpooled.basis.components)
+    np.testing.assert_array_equal(fitted.components, unpooled.components)
     seq = FrameSequence(rng.normal(size=(7, 5)), id="s")
     out = apply_preprocess(fitted, seq)
     assert out.id == "s"

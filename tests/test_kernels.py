@@ -487,12 +487,12 @@ def test_pca_moments_equal_the_stacked_fit_for_any_block_size(data):
 
 
 def _apply_reference(fitted, frames):
-    cfg, basis = fitted.config, fitted.basis
+    cfg = fitted.config
     out = frames
     if cfg.l2:
         out = np.vstack([_l2_reference(v) for v in out])
-    if basis is not None:
-        out = (out - basis.mean) @ basis.components.T
+    if fitted.mean is not None:
+        out = (out - fitted.mean) @ fitted.components.T
     n = out.shape[0]
     # frame f stacks frames f .. f + stack - 1, the last frame standing in past the end
     out = np.hstack([out[[min(f + j, n - 1) for f in range(n)]] for j in range(cfg.stack)])
