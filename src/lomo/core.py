@@ -1,5 +1,5 @@
-"""Deterministic randomness, text files, float formatting and the forked
-worker map.
+"""Deterministic randomness, text files, float formatting, the numeric-error
+guard and the forked worker map.
 
 Everything downstream (training, folds, synthetic data) draws randomness
 through :class:`Rng` so that a run is a pure function of its seeds.
@@ -37,6 +37,25 @@ def require_real(name: str, value) -> None:
     not converted, so an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LomoError(f"{name} must be a real number, got {value!r}")
+
+
+class float_errors:
+    """Context manager, the one home of the rule that a numpy overflow or
+    invalid operation, or a LinAlgError, in its body leaves it as
+    LomoError(describe(err)). `describe` runs only then, so it can read loop
+    variables as they stand at the failure."""
+
+    def __init__(self, describe):
+        self._describe = describe
+        self._state = np.errstate(over="raise", invalid="raise")
+
+    def __enter__(self):
+        self._state.__enter__()
+
+    def __exit__(self, kind, err, tb):
+        self._state.__exit__(kind, err, tb)
+        if isinstance(err, (FloatingPointError, np.linalg.LinAlgError)):
+            raise LomoError(self._describe(err)) from None
 
 
 def read_text(path, encoding: str = "utf-8") -> str:

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     LomoError,
     Rng,
+    float_errors,
     forked_map,
     format_float,
     read_text,
@@ -370,9 +371,8 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     (_pca_moments), so the fit's memory does not grow with the number of
     training sequences; the sequences are never written to. Eigenvectors
     come from LAPACK eigh, sorted by decreasing eigenvalue (ties in eigh's
-    order), each signed so its largest-magnitude entry is positive. A sum
-    that overflows, or an eigh that does not converge, raises a LomoError
-    that suggests l2 normalisation when it is off.
+    order), each signed so its largest-magnitude entry is positive. A
+    numeric error's message suggests l2 normalisation when it is off.
     """
     k = config.pca_dim
     if k is None:
@@ -388,13 +388,10 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
         raise LomoError(f"PCA needs >= 2 training frames, got {n}")
     if not 1 <= k <= d:
         raise LomoError(f"pca dimension k={k} out of range 1..{d}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            mean, m2 = _pca_moments(seqs, config.l2)
-            eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
-    except (FloatingPointError, np.linalg.LinAlgError) as err:
-        hint = "" if config.l2 else "; try --l2 to normalise the frames"
-        raise LomoError(f"PCA fit: {err}{hint}") from None
+    hint = "" if config.l2 else "; try --l2 to normalise the frames"
+    with float_errors(lambda err: f"PCA fit: {err}{hint}"):
+        mean, m2 = _pca_moments(seqs, config.l2)
+        eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
     order = np.argsort(-eigvals, kind="stable")
     components = eigvecs[:, order[:k]].T.copy()
     for row in components:
@@ -405,35 +402,29 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
 
 
 def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
-    """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself.
-
-    A step that overflows (say, l2 of frames of magnitude 1e200) raises a
-    LomoError naming the sequence."""
+    """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself."""
     cfg = fitted.config
     frames = seq.frames
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if cfg.l2:
-                frames = _l2_rows(frames)
-            if fitted.mean is not None:
-                if fitted.mean.shape[0] != seq.dim:
-                    raise LomoError(
-                        f"dimension mismatch: basis d={fitted.mean.shape[0]}, sequence "
-                        f"{seq.id or '<unnamed>'} d={seq.dim}"
-                    )
-                frames = (frames - fitted.mean) @ fitted.components.T
-            if cfg.stack > 1:
-                n = frames.shape[0]
-                idx = np.arange(n)
-                frames = np.concatenate(
-                    [frames[np.minimum(idx + j, n - 1)] for j in range(cfg.stack)], axis=1
+    with float_errors(lambda err: f"sequence {seq.id or '<unnamed>'}: {err} while preprocessing"):
+        if cfg.l2:
+            frames = _l2_rows(frames)
+        if fitted.mean is not None:
+            if fitted.mean.shape[0] != seq.dim:
+                raise LomoError(
+                    f"dimension mismatch: basis d={fitted.mean.shape[0]}, sequence "
+                    f"{seq.id or '<unnamed>'} d={seq.dim}"
                 )
-            if cfg.pool == "mean":
-                frames = frames.mean(axis=0, keepdims=True)
-            elif cfg.pool == "max":
-                frames = frames.max(axis=0, keepdims=True)
-    except FloatingPointError as err:
-        raise LomoError(f"sequence {seq.id or '<unnamed>'}: {err} while preprocessing") from None
+            frames = (frames - fitted.mean) @ fitted.components.T
+        if cfg.stack > 1:
+            n = frames.shape[0]
+            idx = np.arange(n)
+            frames = np.concatenate(
+                [frames[np.minimum(idx + j, n - 1)] for j in range(cfg.stack)], axis=1
+            )
+        if cfg.pool == "mean":
+            frames = frames.mean(axis=0, keepdims=True)
+        elif cfg.pool == "max":
+            frames = frames.max(axis=0, keepdims=True)
     if frames is seq.frames:
         return seq
     return FrameSequence(frames, id=seq.id)
@@ -555,25 +546,19 @@ def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tup
 def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
     """Generate all sequences in memory; fully determined by spec.seed.
 
-    A frame value that overflows (a noise_sigma near the float64 maximum)
-    raises a LomoError naming the sequence and noise_sigma, and a dim or
-    num_frames too large to draw one naming that field.
+    A numeric error's message names the sequence and noise_sigma, and a dim
+    or num_frames too large to draw raises a LomoError naming that field.
     """
     rng = Rng(spec.seed)
     raw = _normal(rng, spec, "dim", (spec.num_events, spec.dim))
     prototypes = _l2_rows(raw)
     records: list[SynthRecord] = []
     width = max(4, len(str(max(spec.num_pos, spec.num_neg) - 1)))
-    with np.errstate(over="raise", invalid="raise"):
+    with float_errors(lambda err: f"sequence {rec_id}: {err} with noise_sigma={spec.noise_sigma}"):
         for label, count in (("pos", spec.num_pos), ("neg", spec.num_neg)):
             for i in range(count):
                 rec_id = f"{label}{i:0{width}d}"
-                try:
-                    frames, planted = _plant(rng, spec, prototypes, label)
-                except FloatingPointError as err:
-                    raise LomoError(
-                        f"sequence {rec_id}: {err} with noise_sigma={spec.noise_sigma}"
-                    ) from None
+                frames, planted = _plant(rng, spec, prototypes, label)
                 records.append(SynthRecord(rec_id, label, f"s{i % 10:02d}", frames, planted))
     return records, prototypes
 

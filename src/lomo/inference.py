@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, require_int
+from .core import LomoError, float_errors, require_int
 from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
 
 
@@ -143,8 +143,8 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     Each pick is one matvec per template over the whole stack and a
     first-occurrence argmax per row, so row b equals latent_assign on
     seqs[b] bit for bit; the pattern's index comes from model.ORDER_INDEX.
-    A score that overflows raises a LomoError naming the first sequence
-    whose own assignment overflows.
+    A numeric error's message names the first sequence whose own assignment
+    fails.
     """
     seqs = list(seqs)
     if len({seq.num_frames for seq in seqs}) != 1:
@@ -160,26 +160,25 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     alive = np.ones((count, n), dtype=bool)
     picks = np.empty((count, m), dtype=np.intp)
     scores = np.empty((count, m))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i in range(m):
-                starved = ~alive.any(axis=1)
-                if starved.any():
-                    raise _too_short(seqs[int(np.argmax(starved))], m, t)
-                row = frames @ model.templates[i]
-                f = np.where(alive, row, -np.inf).argmax(axis=1)
-                picks[:, i] = f
-                scores[:, i] = row[batch, f]
-                alive &= np.abs(position - f[:, None]) > t
-            orders = np.argsort(picks, axis=1).tolist()
-            perm = np.array([ORDER_INDEX[tuple(order)] for order in orders])
-            cost = model.costs[perm - 1]
-            total = scores.mean(axis=1) + cost
-    except FloatingPointError as err:
-        if len(seqs) > 1:  # rows are independent: the culprit overflows on its own
+    def describe(err) -> str:
+        if len(seqs) > 1:  # rows are independent: the culprit fails on its own
             for seq in seqs:
                 assign_batch(model, [seq], cfg)
-        raise LomoError(f"sequence {seqs[0].id or '<unnamed>'}: {err} while scoring") from None
+        return f"sequence {seqs[0].id or '<unnamed>'}: {err} while scoring"
+    with float_errors(describe):
+        for i in range(m):
+            starved = ~alive.any(axis=1)
+            if starved.any():
+                raise _too_short(seqs[int(np.argmax(starved))], m, t)
+            row = frames @ model.templates[i]
+            f = np.where(alive, row, -np.inf).argmax(axis=1)
+            picks[:, i] = f
+            scores[:, i] = row[batch, f]
+            alive &= np.abs(position - f[:, None]) > t
+        orders = np.argsort(picks, axis=1).tolist()
+        perm = np.array([ORDER_INDEX[tuple(order)] for order in orders])
+        cost = model.costs[perm - 1]
+        total = scores.mean(axis=1) + cost
     return BatchAssignment(
         chosen=picks + 1,
         template_scores=scores,
@@ -219,12 +218,9 @@ def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:
 
 
 def fuse_scores(scores) -> float:
-    """Late fusion: arithmetic mean of per-model scores; an overflow raises."""
+    """Late fusion: arithmetic mean of per-model scores."""
     values = [float(s) for s in scores]
     if not values:
         raise LomoError("fuse_scores needs at least one score")
-    try:
-        with np.errstate(over="raise"):
-            return float(np.mean(values))
-    except FloatingPointError as err:
-        raise LomoError(f"{err} while fusing {len(values)} scores") from None
+    with float_errors(lambda err: f"{err} while fusing {len(values)} scores"):
+        return float(np.mean(values))

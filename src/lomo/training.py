@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, Rng, child_seed, require_int, require_real
+from .core import LomoError, Rng, child_seed, float_errors, require_int, require_real
 from .inference import FrameSequence, InferenceConfig, score_sequences
 from .model import MAX_TEMPLATES, ORDER_INDEX, LomoModel, init_model
 
@@ -172,7 +172,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
       one draw per step, in memory that does not grow with max_iter;
     - templates and costs are updated in place on a margin violation.
 
-    A step that overflows or makes a NaN raises a LomoError naming it.
+    A numeric error's message names the step.
     """
     data = list(data)
     dim = _validate_train_data(data, cfg)
@@ -192,42 +192,39 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     rows = list(templates)  # views: in-place updates reach them
     order = range(m)
     step = 0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, iters, _DRAW_CHUNK):
-                draws = rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist()
-                for step, j in enumerate(draws, start + 1):
-                    x = frames[j]
-                    picks = []
-                    scores = []
-                    for w in rows:
-                        row = x.dot(w)
-                        f = int(row.argmax())
-                        for p in picks:
-                            if -t <= f - p <= t:
-                                for q in picks:
-                                    row[max(0, q - t) : q + t + 1] = -np.inf
-                                f = int(row.argmax())
-                                break
-                        picks.append(f)
-                        scores.append(row.item(f))
-                    y = labels[j]
-                    perm = ORDER_INDEX[tuple(sorted(order, key=picks.__getitem__))]
-                    # _add_reduce / m is latent_assign's np.mean of the scores
-                    if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
-                        continue
-                    templates *= shrink
-                    templates += (eta * y / m) * x.take(picks, axis=0)
-                    if freeze:
-                        continue
-                    if gradient:
-                        costs[perm - 1] += eta * y
-                    else:
-                        costs[perm - 1] -= eta
-    except FloatingPointError as err:
-        raise LomoError(
-            f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
-        ) from None
+    with float_errors(
+        lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
+    ):
+        for start in range(0, iters, _DRAW_CHUNK):
+            draws = rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist()
+            for step, j in enumerate(draws, start + 1):
+                x = frames[j]
+                picks = []
+                scores = []
+                for w in rows:
+                    row = x.dot(w)
+                    f = int(row.argmax())
+                    for p in picks:
+                        if -t <= f - p <= t:
+                            for q in picks:
+                                row[max(0, q - t) : q + t + 1] = -np.inf
+                            f = int(row.argmax())
+                            break
+                    picks.append(f)
+                    scores.append(row.item(f))
+                y = labels[j]
+                perm = ORDER_INDEX[tuple(sorted(order, key=picks.__getitem__))]
+                # _add_reduce / m is latent_assign's np.mean of the scores
+                if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
+                    continue
+                templates *= shrink
+                templates += (eta * y / m) * x.take(picks, axis=0)
+                if freeze:
+                    continue
+                if gradient:
+                    costs[perm - 1] += eta * y
+                else:
+                    costs[perm - 1] -= eta
     return LomoModel(templates, np.array(costs))
 
 
