@@ -31,6 +31,19 @@ def require_int(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def real_array(name: str, value, order: str = "K") -> np.ndarray:
+    """`value` as a float64 array in `order`; complex or non-numeric input
+    raises a LomoError naming `name`. An array that needs no conversion is
+    returned as it is."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind != "c":
+            return arr.astype(np.float64, order=order, copy=False)
+    except (TypeError, ValueError) as err:
+        raise LomoError(f"{name} must be real numbers: {err}") from None
+    raise LomoError(f"{name} must be real numbers, got complex values")
+
+
 def require_real(name: str, value) -> None:
     """A LomoError naming the field unless `value` is a real number (numpy
     floats pass; bools, str and None do not). The value is only checked,
@@ -115,7 +128,8 @@ class Rng:
 def child_seed(seed: int, index: int) -> int:
     """Stable 63-bit integer seed for child stream `index` of `seed`."""
     seed = require_int("seed", seed, minimum=0)
-    ss = np.random.SeedSequence(seed, spawn_key=(int(index),))
+    index = require_int("index", index, minimum=0)
+    ss = np.random.SeedSequence(seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1))
 
 

@@ -405,14 +405,14 @@ def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSeque
     """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself."""
     cfg = fitted.config
     frames = seq.frames
-    with float_errors(lambda err: f"sequence {seq.id or '<unnamed>'}: {err} while preprocessing"):
+    with float_errors(lambda err: f"sequence {seq.name}: {err} while preprocessing"):
         if cfg.l2:
             frames = _l2_rows(frames)
         if fitted.mean is not None:
             if fitted.mean.shape[0] != seq.dim:
                 raise LomoError(
                     f"dimension mismatch: basis d={fitted.mean.shape[0]}, sequence "
-                    f"{seq.id or '<unnamed>'} d={seq.dim}"
+                    f"{seq.name} d={seq.dim}"
                 )
             frames = (frames - fitted.mean) @ fitted.components.T
         if cfg.stack > 1:

@@ -13,11 +13,12 @@ reference (oracle) that tests hold the kernel to, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, float_errors, require_int
+from .core import LomoError, float_errors, real_array, require_int
 from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
 
 
@@ -30,16 +31,20 @@ class FrameSequence:
 
     def __post_init__(self):
         # C order: a matvec's rounding depends on the memory layout
-        self.frames = np.asarray(self.frames, dtype=np.float64, order="C")
+        self.frames = real_array(f"sequence {self.name}: frames", self.frames, order="C")
         if self.frames.ndim != 2:
             raise LomoError(
-                f"sequence {self.id or '<unnamed>'}: frames must be (N, d), "
-                f"got shape {self.frames.shape}"
+                f"sequence {self.name}: frames must be (N, d), got shape {self.frames.shape}"
             )
         if self.frames.shape[0] < 1:
-            raise LomoError(f"sequence {self.id or '<unnamed>'}: needs at least one frame")
+            raise LomoError(f"sequence {self.name}: needs at least one frame")
         if not np.isfinite(self.frames).all():
-            raise LomoError(f"sequence {self.id or '<unnamed>'}: non-finite frame values")
+            raise LomoError(f"sequence {self.name}: non-finite frame values")
+
+    @property
+    def name(self) -> str:
+        """The id, or '<unnamed>' when it is empty: how messages name it."""
+        return self.id or "<unnamed>"
 
     @property
     def num_frames(self) -> int:
@@ -52,9 +57,7 @@ class FrameSequence:
     def require_dim(self, dim: int) -> None:
         """A LomoError naming this sequence unless its frames have `dim` columns."""
         if self.dim != dim:
-            raise LomoError(
-                f"sequence {self.id or '<unnamed>'}: dimension {self.dim} differs from {dim}"
-            )
+            raise LomoError(f"sequence {self.name}: dimension {self.dim} differs from {dim}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,7 @@ class LatentAssignment:
 def _check_dim(model: LomoModel, seq: FrameSequence) -> None:
     if model.dim != seq.dim:
         raise LomoError(
-            f"dimension mismatch: model d={model.dim}, sequence "
-            f"{seq.id or '<unnamed>'} d={seq.dim}"
+            f"dimension mismatch: model d={model.dim}, sequence {seq.name} d={seq.dim}"
         )
 
 
@@ -164,7 +166,7 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
         if len(seqs) > 1:  # rows are independent: the culprit fails on its own
             for seq in seqs:
                 assign_batch(model, [seq], cfg)
-        return f"sequence {seqs[0].id or '<unnamed>'}: {err} while scoring"
+        return f"sequence {seqs[0].name}: {err} while scoring"
     with float_errors(describe):
         for i in range(m):
             starved = ~alive.any(axis=1)
@@ -218,8 +220,15 @@ def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:
 
 
 def fuse_scores(scores) -> float:
-    """Late fusion: arithmetic mean of per-model scores."""
-    values = [float(s) for s in scores]
+    """Late fusion: arithmetic mean of per-model scores, each a finite number."""
+    values = []
+    for k, s in enumerate(scores):
+        try:
+            values.append(float(s))
+        except (TypeError, ValueError):
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise LomoError(f"scores[{k}] is {s!r}; fusion needs finite numbers")
     if not values:
         raise LomoError("fuse_scores needs at least one score")
     with float_errors(lambda err: f"{err} while fusing {len(values)} scores"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, Rng, format_float, read_text, write_text
+from .core import LomoError, Rng, format_float, read_text, real_array, require_int, write_text
 
 MAX_TEMPLATES = 8  # dense cost table; 8! = 40320 entries is the ceiling
 
@@ -28,8 +28,8 @@ class LomoModel:
     costs: np.ndarray
 
     def __post_init__(self):
-        self.templates = np.asarray(self.templates, dtype=np.float64)
-        self.costs = np.asarray(self.costs, dtype=np.float64)
+        self.templates = real_array("templates", self.templates)
+        self.costs = real_array("costs", self.costs)
         if self.templates.ndim != 2:
             raise LomoError(
                 f"templates must be 2-dimensional (M, d), got shape {self.templates.shape}"
@@ -70,7 +70,7 @@ def rank_pattern(k) -> tuple[int, ...]:
 
     rank_i = 1 + |{j : k_j < k_i}|; requires distinct indices.
     """
-    ks = [int(v) for v in k]
+    ks = [require_int("frame index", v) for v in k]
     if len(ks) == 0:
         raise LomoError("rank_pattern needs at least one index")
     if any(v < 1 for v in ks):
@@ -81,7 +81,7 @@ def rank_pattern(k) -> tuple[int, ...]:
 
 
 def _check_permutation(p) -> list[int]:
-    ps = [int(v) for v in p]
+    ps = [require_int("permutation entry", v) for v in p]
     if sorted(ps) != list(range(1, len(ps) + 1)):
         raise LomoError(f"{tuple(ps)} is not a permutation of 1..{len(ps)}")
     return ps
@@ -121,8 +121,8 @@ ORDER_INDEX = PermTable()
 
 def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     """Inverse of perm_index: the permutation of (1..m) with the given rank."""
-    if m < 1:
-        raise LomoError(f"m must be >= 1, got {m}")
+    m = require_int("m", m, minimum=1)
+    index = require_int("permutation index", index)
     total = math.factorial(m)
     if not 1 <= index <= total:
         raise LomoError(f"permutation index {index} out of range 1..{total} for M={m}")
@@ -138,10 +138,8 @@ def perm_unrank(index: int, m: int) -> tuple[int, ...]:
 
 def init_model(d: int, m: int, rng: Rng) -> LomoModel:
     """Fresh model: template entries 0.01*uniform[0,1), costs exactly zero."""
-    if d < 1:
-        raise LomoError(f"dimension must be >= 1, got {d}")
-    if m < 1:
-        raise LomoError(f"number of templates must be >= 1, got {m}")
+    d = require_int("dimension", d, minimum=1)
+    m = require_int("number of templates", m, minimum=1)
     if m > MAX_TEMPLATES:
         raise LomoError(f"at most {MAX_TEMPLATES} templates supported, got {m}")
     templates = 0.01 * rng.uniform(size=(m, d))

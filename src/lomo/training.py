@@ -128,12 +128,12 @@ def _validate_train_data(data, cfg: TrainConfig) -> int:
         seq.require_dim(dim)
         if seq.num_frames < need:
             raise LomoError(
-                f"sequence {seq.id or '<unnamed>'}: {seq.num_frames} frames is too short "
+                f"sequence {seq.name}: {seq.num_frames} frames is too short "
                 f"for M={cfg.num_templates}, t={cfg.exclusion_t} (needs >= {need})"
             )
         if cfg.variant == "svm_pool" and seq.num_frames != 1:
             raise LomoError(
-                f"sequence {seq.id or '<unnamed>'}: svm_pool expects pre-pooled "
+                f"sequence {seq.name}: svm_pool expects pre-pooled "
                 f"single-frame sequences, got {seq.num_frames} frames"
             )
     return dim

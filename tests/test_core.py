@@ -1,13 +1,17 @@
-"""Unit tests for the seeded RNG wrapper, float formatting and the package's
-exported names."""
+"""Unit tests for the seeded RNG wrapper, float formatting, the numeric-error
+guard, integer arguments and the package's exported names."""
 
 from __future__ import annotations
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import lomo
-from lomo.core import LomoError, Rng, child_seed, format_float
+from lomo.core import LomoError, Rng, child_seed, float_errors, format_float
+from lomo.model import init_model, perm_index, perm_unrank, rank_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -144,3 +148,81 @@ def test_every_exported_name_resolves_once():
     assert len(lomo.__all__) == len(set(lomo.__all__))
     missing = [name for name in lomo.__all__ if not hasattr(lomo, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# the numeric-error guard
+
+
+def test_float_errors_turns_overflow_invalid_and_linalg_errors_into_lomo_errors():
+    with pytest.raises(LomoError, match="^x: overflow encountered in multiply$"):
+        with float_errors(lambda err: f"x: {err}"):
+            np.array([1e308]) * 10.0
+    with pytest.raises(LomoError, match="^invalid value encountered in subtract$"):
+        with float_errors(str):
+            np.array([np.inf]) - np.inf
+    with pytest.raises(LomoError, match="^Eigenvalues did not converge$"):
+        with float_errors(str):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_float_errors_lets_other_errors_through_and_restores_the_error_state():
+    before = np.geterr()
+    with pytest.raises(KeyError):
+        with float_errors(str):
+            raise KeyError("k")
+    with float_errors(str):
+        inside = np.geterr()
+    assert inside == {**before, "over": "raise", "invalid": "raise"}
+    assert np.geterr() == before
+
+
+def test_float_errors_describe_reads_the_loop_as_it_stands():
+    with pytest.raises(LomoError, match="^step 3: overflow"):
+        with float_errors(lambda err: f"step {step}: {err}"):
+            for step in range(1, 5):
+                np.array([10.0 ** (100 * step)]) * 1e10
+
+
+def test_only_core_knows_which_numpy_errors_are_fatal():
+    src = pathlib.Path(lomo.__file__).parent
+    words = re.compile(r"errstate|FloatingPointError|LinAlgError")
+    found = sorted(p.name for p in src.glob("*.py") if words.search(p.read_text("utf-8")))
+    assert found == ["core.py"]
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: perm_index([1.5]), r"^permutation entry must be an integer, got 1\.5$"),
+        (lambda: perm_index([2, 1.0]), r"^permutation entry must be an integer, got 1\.0$"),
+        (lambda: rank_pattern([0.5, 2]), r"^frame index must be an integer, got 0\.5$"),
+        (lambda: perm_unrank(1.5, 2), r"^permutation index must be an integer, got 1\.5$"),
+        (lambda: perm_unrank(1, 2.0), r"^m must be an integer, got 2\.0$"),
+        (lambda: init_model(2.5, 1, Rng(0)), r"^dimension must be an integer, got 2\.5$"),
+        (lambda: init_model(2, True, Rng(0)),
+         r"^number of templates must be an integer, got True$"),
+        (lambda: child_seed(1, -1), r"^index must be >= 0, got -1$"),
+        (lambda: child_seed(1, 1.5), r"^index must be an integer, got 1\.5$"),
+    ],
+    ids=[
+        "perm_index-float", "perm_index-integral-float", "rank_pattern-float",
+        "perm_unrank-index", "perm_unrank-m", "init_model-d", "init_model-m-bool",
+        "child_seed-negative", "child_seed-float",
+    ],
+)
+def test_integer_arguments_reject_other_types_and_negative_indices(call, message):
+    with pytest.raises(LomoError, match=message):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert perm_index(np.array([2, 1])) == 2
+    assert rank_pattern(np.array([9, 4])) == (2, 1)
+    assert perm_unrank(np.int64(2), np.int64(2)) == (2, 1)
+    assert init_model(np.int64(2), np.int64(1), Rng(0)).templates.shape == (1, 2)
+    assert child_seed(1, np.int64(0)) == child_seed(1, 0)

@@ -218,3 +218,52 @@ def test_fuse_scores_is_the_mean():
 def test_fuse_scores_rejects_empty():
     with pytest.raises(LomoError, match="at least one score"):
         fuse_scores([])
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ([float("nan")], "^scores\\[0\\] is nan; fusion needs finite numbers$"),
+        ([1.0, "a"], "^scores\\[1\\] is 'a'; fusion needs finite numbers$"),
+        ([float("inf"), -float("inf")], "^scores\\[0\\] is inf; fusion needs finite numbers$"),
+        ([0.5, None], "^scores\\[1\\] is None; fusion needs finite numbers$"),
+    ],
+    ids=["nan", "str", "inf-and-minus-inf", "none"],
+)
+def test_fuse_scores_names_the_first_score_that_is_not_a_finite_number(scores, message):
+    with pytest.raises(LomoError, match=message):
+        fuse_scores(scores)
+
+
+# ---------------------------------------------------------------------------
+# array arguments
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FrameSequence(np.array([[1 + 2j]]), id="c"),
+         "^sequence c: frames must be real numbers, got complex values$"),
+        (lambda: FrameSequence([[1 + 2j]]),
+         "^sequence <unnamed>: frames must be real numbers, got complex values$"),
+        (lambda: FrameSequence("abc"), "^sequence <unnamed>: frames must be real numbers: "),
+        (lambda: FrameSequence([[1.0], [1.0, 2.0]], id="r"), "^sequence r: frames must be real"),
+        (lambda: LomoModel("a", [0.0]), "^templates must be real numbers: "),
+        (lambda: LomoModel([[1.0]], [1j]), "^costs must be real numbers, got complex values$"),
+    ],
+    ids=[
+        "frames-complex-array", "frames-complex-list", "frames-str", "frames-ragged",
+        "templates-str", "costs-complex",
+    ],
+)
+def test_complex_or_non_numeric_arrays_raise_a_lomo_error(make, message):
+    with pytest.raises(LomoError, match=message):
+        make()
+
+
+def test_array_arguments_that_need_no_conversion_are_kept():
+    frames = np.ones((3, 2))
+    assert FrameSequence(frames).frames is frames
+    assert FrameSequence([[1, 2]]).frames.dtype == np.float64
+    templates = np.asfortranarray(np.ones((2, 3)))
+    assert LomoModel(templates, np.zeros(2)).templates is templates
