@@ -224,11 +224,12 @@ def fuse_scores(scores) -> float:
     values = []
     for k, s in enumerate(scores):
         try:
-            values.append(float(s))
+            value = float(s)
         except (TypeError, ValueError):
-            values.append(math.nan)
-        if not math.isfinite(values[-1]):
+            value = math.nan
+        if not math.isfinite(value):
             raise LomoError(f"scores[{k}] is {s!r}; fusion needs finite numbers")
+        values.append(value)
     if not values:
         raise LomoError("fuse_scores needs at least one score")
     with float_errors(lambda err: f"{err} while fusing {len(values)} scores"):
