@@ -25,7 +25,7 @@ from .data import (
 from .evaluation import format_cv_results, run_cv
 from .inference import InferenceConfig, assign_batch, fuse_scores, score_sequences
 from .model import load_model, save_model
-from .training import LabeledSequence, TrainConfig, train, train_ova
+from .training import TrainConfig, train_binary, train_ova
 
 # --variant -> (TrainConfig.variant, PreprocessConfig.pool)
 VARIANT_FLAGS = {
@@ -115,27 +115,19 @@ def _cmd_train(args) -> int:
         ("max_iter", resolved_iter), ("seed", cfg.seed), ("cost_update", cfg.cost_update),
         ("ova", args.ova), ("positive_label", args.positive_label),
     ])
+    pairs = [(seq, rec.label) for rec, seq in zip(manifest.records, seqs)]
     if args.ova:
-        models = train_ova([(seq, rec.label) for rec, seq in zip(manifest.records, seqs)], cfg)
+        models = train_ova(pairs, cfg)
         os.makedirs(args.out, exist_ok=True)
         for name, model in sorted(models.items()):
             save_model(model, os.path.join(args.out, f"{name}.lomo"))
         print(f"wrote {len(models)} models to {args.out}", file=sys.stderr)
         return 0
-    classes = manifest.classes
     if args.positive_label is None:
         raise LomoError(
-            f"binary training needs --positive-label (classes here: {', '.join(classes)})"
+            f"binary training needs --positive-label (classes here: {', '.join(manifest.classes)})"
         )
-    if args.positive_label not in classes:
-        raise LomoError(
-            f"positive label {args.positive_label!r} not among classes {classes}"
-        )
-    data = [
-        LabeledSequence(seq, 1 if rec.label == args.positive_label else -1)
-        for rec, seq in zip(manifest.records, seqs)
-    ]
-    model = train(data, cfg)
+    model = train_binary(pairs, args.positive_label, cfg)
     save_model(model, args.out)
     print(f"wrote model to {args.out}", file=sys.stderr)
     return 0

@@ -140,9 +140,6 @@ class DatasetManifest:
     def groups(self) -> list[str]:
         return sorted({r.group for r in self.records})
 
-    def by_id(self) -> dict[str, ManifestRecord]:
-        return {r.id: r for r in self.records}
-
 
 def parse_manifest(path) -> DatasetManifest:
     """Read and validate a manifest; every referenced sequence must share d.

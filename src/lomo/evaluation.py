@@ -18,7 +18,7 @@ import numpy as np
 from .core import LomoError, child_seed, forked_map, format_float
 from .data import DatasetManifest, Fold, PreprocessConfig, prepare
 from .inference import score_sequences
-from .training import LabeledSequence, TrainConfig, train, train_ova
+from .training import TrainConfig, binary_targets, check_positive_label, train_binary, train_ova
 
 METRICS = ("acc", "auc", "eer")
 
@@ -96,16 +96,10 @@ class CvResult:
 
 
 def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
-    train_data = [
-        LabeledSequence(seq, 1 if r.label == positive_label else -1)
-        for r, seq in train_pairs
-    ]
-    if {ex.label for ex in train_data} != {-1, 1}:
-        raise LomoError("training split lacks one of the two classes")
-    model = train(train_data, cfg)
-    icfg = cfg.inference_config()
-    truths = [1 if r.label == positive_label else -1 for r, _ in test_pairs]
-    values = score_sequences(model, [seq for _, seq in test_pairs], icfg).tolist()
+    model = train_binary(train_pairs, positive_label, cfg)
+    truths = binary_targets([label for _, label in test_pairs], positive_label)
+    test_seqs = [seq for seq, _ in test_pairs]
+    values = score_sequences(model, test_seqs, cfg.inference_config()).tolist()
     if metric == "acc":
         preds = [1 if v > 0 else -1 for v in values]
         return avg_class_accuracy(list(zip(truths, preds)), classes=(-1, 1))
@@ -117,13 +111,13 @@ def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
 def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
     """One-vs-all: the class whose model scores a sequence highest; a tie goes
     to the smallest class name, the first maximum over the sorted names."""
-    models = train_ova([(seq, r.label) for r, seq in train_pairs], cfg, classes=classes)
+    models = train_ova(train_pairs, cfg, classes=classes)
     names = sorted(models)
     icfg = cfg.inference_config()
-    test_seqs = [seq for _, seq in test_pairs]
+    test_seqs = [seq for seq, _ in test_pairs]
     scores = np.stack([score_sequences(models[name], test_seqs, icfg) for name in names])
-    pairs = [(r.label, names[k]) for (r, _), k in zip(test_pairs, scores.argmax(axis=0).tolist())]
-    return avg_class_accuracy(pairs, classes=sorted({r.label for r, _ in test_pairs}))
+    pairs = [(label, names[k]) for (_, label), k in zip(test_pairs, scores.argmax(axis=0).tolist())]
+    return avg_class_accuracy(pairs, classes=sorted({label for _, label in test_pairs}))
 
 
 def run_cv(
@@ -161,10 +155,9 @@ def run_cv(
     if not multiclass:
         if positive_label is None:
             raise LomoError("binary cross-validation needs a positive_label")
-        if positive_label not in classes:
-            raise LomoError(f"positive_label {positive_label!r} not among classes {classes}")
+        check_positive_label(positive_label, classes)
     seqs = manifest.sequences
-    by_id = manifest.by_id()
+    labels = {rec.id: rec.label for rec in manifest.records}
 
     def fold_value(fold_no: int) -> float:
         fold = folds[fold_no]
@@ -175,8 +168,8 @@ def run_cv(
             _, train_seqs, test_seqs = prepare(
                 preprocess, raw_train, raw_train, [seqs[i] for i in fold.test_ids]
             )
-            train_pairs = list(zip([by_id[i] for i in fold.train_ids], train_seqs))
-            test_pairs = list(zip([by_id[i] for i in fold.test_ids], test_seqs))
+            train_pairs = list(zip(train_seqs, [labels[i] for i in fold.train_ids]))
+            test_pairs = list(zip(test_seqs, [labels[i] for i in fold.test_ids]))
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
             if multiclass:
                 return _multiclass_fold_value(train_pairs, test_pairs, fold_cfg, classes)

@@ -228,27 +228,42 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     return LomoModel(templates, np.array(costs))
 
 
+def binary_targets(labels, positive_label) -> list[int]:
+    """One-vs-rest targets: +1 for `positive_label`, -1 for every other class."""
+    return [1 if label == positive_label else -1 for label in labels]
+
+
+def check_positive_label(positive_label, classes) -> None:
+    """A binary task's positive class must be one of the sorted `classes`."""
+    if positive_label not in classes:
+        raise LomoError(f"positive label {positive_label!r} not among classes {classes}")
+
+
+def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
+    """One model of `positive_label` against every other class.
+
+    `data` is a sequence of (FrameSequence, class label) pairs, as for
+    train_ova; the labels become targets through binary_targets.
+    """
+    data = list(data)
+    labels = [label for _, label in data]
+    check_positive_label(positive_label, sorted(set(labels)))
+    targets = binary_targets(labels, positive_label)
+    return train([LabeledSequence(seq, y) for (seq, _), y in zip(data, targets)], cfg)
+
+
 def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
-    """One binary model per class (sorted order fixes the per-class child seed).
+    """One train_binary model per class (sorted order fixes the per-class child seed).
 
     `data` is a sequence of (FrameSequence, class label) pairs; passing an
     explicit class list makes a missing class an error rather than a silent
     omission (used by cross-validation on sparse folds).
     """
     data = list(data)
-    if not data:
-        raise LomoError("training data is empty")
-    present = sorted({label for _, label in data})
-    classes = sorted(classes) if classes is not None else present
+    classes = sorted(classes if classes is not None else {label for _, label in data})
     if len(classes) < 2:
         raise LomoError(f"one-vs-all needs >= 2 classes, got {classes}")
-    models: dict[str, LomoModel] = {}
-    for idx, name in enumerate(classes):
-        if name not in present:
-            raise LomoError(f"class {name!r} has zero examples in training data")
-        relabeled = [
-            LabeledSequence(seq, 1 if label == name else -1) for seq, label in data
-        ]
-        sub_cfg = replace(cfg, seed=child_seed(cfg.seed, idx))
-        models[name] = train(relabeled, sub_cfg)
-    return models
+    return {
+        name: train_binary(data, name, replace(cfg, seed=child_seed(cfg.seed, idx)))
+        for idx, name in enumerate(classes)
+    }

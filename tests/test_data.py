@@ -291,14 +291,14 @@ def test_kfold_groups_never_straddle_folds():
         k = int(rng.integers(2, len(manifest.groups) + 1))
         folds = make_folds(manifest, "kfold", seed=seed, k=k)
         assert len(folds) == k
-        by_id = manifest.by_id()
+        group_of = {rec.id: rec.group for rec in manifest.records}
         all_test = []
         for fold in folds:
-            test_groups = {by_id[i].group for i in fold.test_ids}
-            train_groups = {by_id[i].group for i in fold.train_ids}
+            test_groups = {group_of[i] for i in fold.test_ids}
+            train_groups = {group_of[i] for i in fold.train_ids}
             assert not (test_groups & train_groups)
             all_test.extend(fold.test_ids)
-        assert sorted(all_test) == sorted(by_id)  # a partition of the records
+        assert sorted(all_test) == sorted(group_of)  # a partition of the records
 
 
 def test_kfold_deal_is_seeded_round_robin():

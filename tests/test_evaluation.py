@@ -277,7 +277,7 @@ def test_run_cv_argument_validation(tmp_path):
     folds = make_folds(manifest, "kfold", seed=0, k=2)
     with pytest.raises(LomoError, match="needs a positive_label"):
         run_cv(manifest, folds, _fast_cfg(), "acc")
-    with pytest.raises(LomoError, match="positive_label 'yes' not among"):
+    with pytest.raises(LomoError, match=r"^positive label 'yes' not among classes \['neg', 'pos'\]$"):
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="yes")
     with pytest.raises(LomoError, match="metric must be one of"):
         run_cv(manifest, folds, _fast_cfg(), "f1", positive_label="pos")
@@ -289,7 +289,7 @@ def test_run_cv_rejects_single_class_training_split(tmp_path):
     for rec in manifest.records:
         by_label[rec.label].append(rec.id)
     folds = [Fold(train_ids=tuple(by_label["neg"]), test_ids=tuple(by_label["pos"]))]
-    with pytest.raises(LomoError, match="fold 0: training split lacks"):
+    with pytest.raises(LomoError, match=r"^fold 0: positive label 'pos' not among classes \['neg'\]$"):
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 

@@ -346,7 +346,8 @@ def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):
     one_class = Fold(train_ids=neg_only, test_ids=ids[:2])
     for folds, message in (
         ([good, empty, good, one_class], "fold 1: empty train or test split"),
-        ([good, good, one_class, empty], "fold 2: training split lacks one of the two classes"),
+        ([good, good, one_class, empty],
+         r"fold 2: positive label 'pos' not among classes \['neg'\]"),
     ):
         for n in (1, 2):
             cpus(n)

@@ -362,7 +362,7 @@ def test_train_ova_rejects_missing_class():
     rng = np.random.default_rng(15)
     data = _ova_data(rng)
     cfg = TrainConfig(num_templates=1, exclusion_t=0, max_iter=100)
-    with pytest.raises(LomoError, match="class 'd' has zero examples"):
+    with pytest.raises(LomoError, match=r"^positive label 'd' not among classes \['a', 'b', 'c'\]$"):
         train_ova(data, cfg, classes=["a", "b", "c", "d"])
 
 
