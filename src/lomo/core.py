@@ -7,6 +7,7 @@ through :class:`Rng` so that a run is a pure function of its seeds.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import pickle
@@ -50,6 +51,37 @@ def require_real(name: str, value) -> None:
     not converted, so an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LomoError(f"{name} must be a real number, got {value!r}")
+
+
+def require_pairs(name: str, items, what: str, first: type = object) -> list[tuple]:
+    """`items` as a list of (a, b) tuples, each `a` an instance of `first`;
+    any other item raises LomoError "<name>[k] must be a <what> pair, got <item>"."""
+    pairs = []
+    for k, item in enumerate(items):
+        try:
+            a, b = item
+            ok = isinstance(a, first)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise LomoError(f"{name}[{k}] must be a {what} pair, got {item!r}")
+        pairs.append((a, b))
+    return pairs
+
+
+def finite_floats(name: str, values, need: str) -> list[float]:
+    """Each of `values` as a Python float. The first one that is not a
+    finite real number raises LomoError "<name>[k] is <value>; <need>"."""
+    out = []
+    for k, v in enumerate(values):
+        try:
+            value = float(v)
+        except (TypeError, ValueError, OverflowError):
+            raise LomoError(f"{name}[{k}] is {v!r}; {need}") from None
+        if not math.isfinite(value):
+            raise LomoError(f"{name}[{k}] is {value!r}; {need}")
+        out.append(value)
+    return out
 
 
 class float_errors:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, child_seed, forked_map, format_float
+from .core import LomoError, child_seed, finite_floats, forked_map, format_float, require_pairs
 from .data import DatasetManifest, Fold, PreprocessConfig, prepare
 from .inference import score_sequences
 from .training import TrainConfig, binary_targets, check_positive_label, train_binary, train_ova
@@ -25,7 +25,7 @@ METRICS = ("acc", "auc", "eer")
 
 def avg_class_accuracy(pairs, classes=None) -> float:
     """Mean per-class recall over (true label, predicted label) pairs."""
-    pairs = list(pairs)
+    pairs = require_pairs("pairs", pairs, "(true, predicted)")
     if not pairs:
         raise LomoError("avg_class_accuracy needs at least one prediction")
     names = sorted(classes) if classes is not None else sorted({t for t, _ in pairs})
@@ -42,12 +42,9 @@ def avg_class_accuracy(pairs, classes=None) -> float:
 def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     """(positive, negative) scores, each sorted; every score must be finite."""
     labels = list(labels)
-    scores = np.asarray(list(scores), dtype=np.float64)
+    scores = np.array(finite_floats("scores", scores, "ROC metrics need finite scores"))
     if len(labels) != scores.shape[0]:
         raise LomoError(f"{len(labels)} labels vs {scores.shape[0]} scores")
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise LomoError(f"scores[{bad[0]}] is {scores[bad[0]]}; ROC metrics need finite scores")
     mask = np.array([bool(l == 1 or l is True) for l in labels])
     pos = np.sort(scores[mask])
     neg = np.sort(scores[~mask])
@@ -144,6 +141,11 @@ def run_cv(
     core.forked_map for when it runs serially and for the threads that
     make forking unsafe.
     """
+    if not isinstance(manifest, DatasetManifest):
+        raise LomoError(f"manifest must be a DatasetManifest, got {manifest!r}")
+    for k, fold in enumerate(folds):
+        if not isinstance(fold, Fold):
+            raise LomoError(f"folds[{k}] must be a Fold, got {fold!r}")
     metric = str(metric).lower()
     if metric not in METRICS:
         raise LomoError(f"metric must be one of {METRICS}, got {metric!r}")

@@ -13,12 +13,11 @@ reference (oracle) that tests hold the kernel to, bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, float_errors, real_array, require_int
+from .core import LomoError, finite_floats, float_errors, real_array, require_int
 from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
 
 
@@ -221,15 +220,7 @@ def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:
 
 def fuse_scores(scores) -> float:
     """Late fusion: arithmetic mean of per-model scores, each a finite number."""
-    values = []
-    for k, s in enumerate(scores):
-        try:
-            value = float(s)
-        except (TypeError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise LomoError(f"scores[{k}] is {s!r}; fusion needs finite numbers")
-        values.append(value)
+    values = finite_floats("scores", scores, "fusion needs finite numbers")
     if not values:
         raise LomoError("fuse_scores needs at least one score")
     with float_errors(lambda err: f"{err} while fusing {len(values)} scores"):

@@ -8,6 +8,7 @@ index 1 and the reverse pattern to index M!.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,14 +66,30 @@ class LomoModel:
         )
 
 
+def _require_order_size(name: str, m) -> int:
+    """`m` as an int in 1..MAX_TEMPLATES, the order lengths a cost table
+    indexes; anything else raises a LomoError naming `name`."""
+    m = require_int(name, m, minimum=1)
+    if m > MAX_TEMPLATES:
+        raise LomoError(f"{name} must be at most {MAX_TEMPLATES}")
+    return m
+
+
+def _order_entries(name: str, values) -> list[int]:
+    """The entries of an order as ints. Reading stops one entry past
+    MAX_TEMPLATES, so an order too long to index costs no more than that."""
+    return [require_int(name, v) for v in itertools.islice(values, MAX_TEMPLATES + 1)]
+
+
 def rank_pattern(k) -> tuple[int, ...]:
     """Rank of each chosen frame index among all chosen indices (1-based).
 
-    rank_i = 1 + |{j : k_j < k_i}|; requires distinct indices.
+    rank_i = 1 + |{j : k_j < k_i}|; requires 1..MAX_TEMPLATES distinct indices.
     """
-    ks = [require_int("frame index", v) for v in k]
+    ks = _order_entries("frame index", k)
     if len(ks) == 0:
         raise LomoError("rank_pattern needs at least one index")
+    _require_order_size("number of frame indices", len(ks))
     if any(v < 1 for v in ks):
         raise LomoError(f"frame indices must be >= 1, got {ks}")
     if len(set(ks)) != len(ks):
@@ -81,14 +98,16 @@ def rank_pattern(k) -> tuple[int, ...]:
 
 
 def _check_permutation(p) -> list[int]:
-    ps = [require_int("permutation entry", v) for v in p]
+    ps = _order_entries("permutation entry", p)
+    _require_order_size("number of permutation entries", len(ps))
     if sorted(ps) != list(range(1, len(ps) + 1)):
         raise LomoError(f"{tuple(ps)} is not a permutation of 1..{len(ps)}")
     return ps
 
 
 def perm_index(p) -> int:
-    """1-based lexicographic rank of a permutation of (1..M) via Lehmer code."""
+    """1-based lexicographic rank of a permutation of (1..M), M <= MAX_TEMPLATES,
+    via Lehmer code."""
     ps = _check_permutation(p)
     m = len(ps)
     index = 0
@@ -121,7 +140,7 @@ ORDER_INDEX = PermTable()
 
 def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     """Inverse of perm_index: the permutation of (1..m) with the given rank."""
-    m = require_int("m", m, minimum=1)
+    m = _require_order_size("m", m)
     index = require_int("permutation index", index)
     total = math.factorial(m)
     if not 1 <= index <= total:
@@ -139,9 +158,7 @@ def perm_unrank(index: int, m: int) -> tuple[int, ...]:
 def init_model(d: int, m: int, rng: Rng) -> LomoModel:
     """Fresh model: template entries 0.01*uniform[0,1), costs exactly zero."""
     d = require_int("dimension", d, minimum=1)
-    m = require_int("number of templates", m, minimum=1)
-    if m > MAX_TEMPLATES:
-        raise LomoError(f"at most {MAX_TEMPLATES} templates supported, got {m}")
+    m = _require_order_size("number of templates", m)
     templates = 0.01 * rng.uniform(size=(m, d))
     costs = np.zeros(math.factorial(m))
     return LomoModel(templates, costs)

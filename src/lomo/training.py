@@ -19,7 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, Rng, child_seed, float_errors, require_int, require_real
+from .core import (
+    LomoError,
+    Rng,
+    child_seed,
+    float_errors,
+    require_int,
+    require_pairs,
+    require_real,
+)
 from .inference import FrameSequence, InferenceConfig, score_sequences
 from .model import MAX_TEMPLATES, ORDER_INDEX, LomoModel, init_model
 
@@ -34,6 +42,8 @@ class LabeledSequence:
     label: int  # +1 or -1
 
     def __post_init__(self):
+        if not isinstance(self.sequence, FrameSequence):
+            raise LomoError(f"sequence must be a FrameSequence, got {self.sequence!r}")
         if self.label not in (-1, 1):
             raise LomoError(f"label must be +1 or -1, got {self.label!r}")
 
@@ -99,6 +109,7 @@ class TrainConfig:
 
 def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> float:
     """(lambda/2) * sum ||w_i||^2 + mean hinge [1 - y*s]_+ over the data."""
+    data = _examples(data)
     if not data:
         raise LomoError("objective needs at least one example")
     scores = score_sequences(model, [ex.sequence for ex in data], cfg.inference_config())
@@ -107,6 +118,16 @@ def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> fl
     for ex, s in zip(data, scores.tolist()):
         hinge += max(0.0, 1.0 - ex.label * s)
     return reg + hinge / len(data)
+
+
+def _examples(data) -> list[LabeledSequence]:
+    """`data` as a list; an item that is not a LabeledSequence raises a
+    LomoError naming its position."""
+    data = list(data)
+    for k, ex in enumerate(data):
+        if not isinstance(ex, LabeledSequence):
+            raise LomoError(f"data[{k}] must be a LabeledSequence, got {ex!r}")
+    return data
 
 
 def _min_frames(m: int, t: int) -> int:
@@ -174,7 +195,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
 
     A numeric error's message names the step.
     """
-    data = list(data)
+    data = _examples(data)
     dim = _validate_train_data(data, cfg)
     rng = Rng(cfg.seed)
     init = init_model(dim, cfg.num_templates, rng)
@@ -245,7 +266,7 @@ def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
     `data` is a sequence of (FrameSequence, class label) pairs, as for
     train_ova; the labels become targets through binary_targets.
     """
-    data = list(data)
+    data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
     labels = [label for _, label in data]
     check_positive_label(positive_label, sorted(set(labels)))
     targets = binary_targets(labels, positive_label)
@@ -259,7 +280,7 @@ def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
     explicit class list makes a missing class an error rather than a silent
     omission (used by cross-validation on sparse folds).
     """
-    data = list(data)
+    data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
     classes = sorted(classes if classes is not None else {label for _, label in data})
     if len(classes) < 2:
         raise LomoError(f"one-vs-all needs >= 2 classes, got {classes}")

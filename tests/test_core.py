@@ -191,6 +191,13 @@ def test_only_core_knows_which_numpy_errors_are_fatal():
     assert found == ["core.py"]
 
 
+def test_only_training_turns_class_labels_into_binary_targets():
+    src = pathlib.Path(lomo.__file__).parent
+    words = re.compile(r"LabeledSequence\(|\b1 if \w+ == \w+ else -1\b")
+    found = sorted(p.name for p in src.glob("*.py") if words.search(p.read_text("utf-8")))
+    assert found == ["training.py"]
+
+
 # ---------------------------------------------------------------------------
 # integer arguments
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -325,6 +326,27 @@ def test_make_folds_validation():
         make_folds(manifest, "kfold", seed=0, k=5)
     with pytest.raises(LomoError, match="unknown scheme"):
         make_folds(manifest, "stratified", seed=0)
+
+
+def _manifest_row(tmp_path, row):
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"id,label,group,path\n{row}\n", encoding="utf-8")
+    return parse_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: _manifest_row(tmp, ",pos,g0,a.csv"), "{tmp}/manifest.csv: row 2: empty id or label"),
+        (lambda tmp: _manifest_row(tmp, "a, ,g0,a.csv"), "{tmp}/manifest.csv: row 2: empty id or label"),
+        (lambda tmp: make_folds(_manifest_with_groups(["g0", "g1"]), "kfold", seed=0, k=1),
+         "kfold needs k >= 2, got 1"),
+    ],
+    ids=["manifest-empty-id", "manifest-blank-label", "kfold-k-1"],
+)
+def test_data_validation_messages(tmp_path, call, message):
+    with pytest.raises(LomoError, match="^" + re.escape(message.format(tmp=tmp_path)) + "$"):
+        call(tmp_path)
 
 
 def test_make_folds_requires_an_integer_k():

@@ -103,6 +103,21 @@ def test_avg_class_accuracy_empty_error():
         avg_class_accuracy([])
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(1,)], r"^pairs\[0\] must be a \(true, predicted\) pair, got \(1,\)$"),
+        ([(1, 1), 5], r"^pairs\[1\] must be a \(true, predicted\) pair, got 5$"),
+        ([(1, 1, 1)], r"^pairs\[0\] must be a \(true, predicted\) pair, got \(1, 1, 1\)$"),
+    ],
+    ids=["one-value", "not-iterable", "three-values"],
+)
+def test_avg_class_accuracy_names_an_item_that_is_not_a_pair(pairs, message):
+    with pytest.raises(LomoError, match=message):
+        avg_class_accuracy(pairs)
+    assert avg_class_accuracy([[1, 1], [-1, 1]]) == 0.5  # any two-item pair is one
+
+
 def _heavy_ties_case(data):
     """Labels with both classes and scores drawn mostly from a pool of at
     most four floats, plus signed zeros and values up to the float64 maximum."""
@@ -196,6 +211,21 @@ def test_roc_eer_rate_validation():
         roc_eer_rate([1, -1], [float("inf"), -float("inf")])
 
 
+
+@pytest.mark.parametrize(
+    "metric, scores, message",
+    [
+        (roc_auc, ["a", 0.0], r"^scores\[0\] is 'a'; ROC metrics need finite scores$"),
+        (roc_eer_rate, [None, 0.0], r"^scores\[0\] is None; ROC metrics need finite scores$"),
+        (roc_auc, [0.0, np.float64("nan")], r"^scores\[1\] is nan; ROC metrics need finite scores$"),
+        (roc_eer_rate, [0.0, 10**400], r"^scores\[1\] is 1000*; ROC metrics need finite scores$"),
+    ],
+    ids=["auc-str", "eer-none", "auc-numpy-nan", "eer-int-too-large-for-a-float"],
+)
+def test_roc_metrics_name_the_first_score_that_is_not_a_finite_number(metric, scores, message):
+    with pytest.raises(LomoError, match=message):
+        metric([1, -1], scores)
+
 # ---------------------------------------------------------------------------
 # results containers
 
@@ -281,6 +311,21 @@ def test_run_cv_argument_validation(tmp_path):
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="yes")
     with pytest.raises(LomoError, match="metric must be one of"):
         run_cv(manifest, folds, _fast_cfg(), "f1", positive_label="pos")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, []), r"^manifest must be a DatasetManifest, got None$"),
+        (("manifest", [None]), r"^folds\[0\] must be a Fold, got None$"),
+    ],
+    ids=["manifest", "fold"],
+)
+def test_run_cv_names_an_argument_that_is_not_a_manifest_or_a_fold(tmp_path, args, message):
+    manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
+    args = tuple(manifest if a == "manifest" else a for a in args)
+    with pytest.raises(LomoError, match=message):
+        run_cv(*args, _fast_cfg(), "acc", positive_label="pos")
 
 
 def test_run_cv_rejects_single_class_training_split(tmp_path):

@@ -227,8 +227,9 @@ def test_fuse_scores_rejects_empty():
         ([1.0, "a"], "^scores\\[1\\] is 'a'; fusion needs finite numbers$"),
         ([float("inf"), -float("inf")], "^scores\\[0\\] is inf; fusion needs finite numbers$"),
         ([0.5, None], "^scores\\[1\\] is None; fusion needs finite numbers$"),
+        ([10**400], "^scores\\[0\\] is 1000*; fusion needs finite numbers$"),
     ],
-    ids=["nan", "str", "inf-and-minus-inf", "none"],
+    ids=["nan", "str", "inf-and-minus-inf", "none", "int-too-large-for-a-float"],
 )
 def test_fuse_scores_names_the_first_score_that_is_not_a_finite_number(scores, message):
     with pytest.raises(LomoError, match=message):

@@ -118,6 +118,30 @@ def test_perm_index_rejects_non_permutations():
         perm_index((1, 3))
     with pytest.raises(LomoError, match="not a permutation"):
         perm_index((2, 2, 1))
+    with pytest.raises(LomoError, match="^number of permutation entries must be >= 1, got 0$"):
+        perm_index(())
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: perm_unrank(1, MAX_TEMPLATES + 1), "m"),
+        (lambda: perm_unrank(1, 2**63), "m"),
+        (lambda: perm_index(range(1, MAX_TEMPLATES + 2)), "number of permutation entries"),
+        (lambda: perm_index(range(1, 2**63 + 1)), "number of permutation entries"),
+        (lambda: rank_pattern(range(1, MAX_TEMPLATES + 2)), "number of frame indices"),
+        (lambda: rank_pattern(range(1, 2**63 + 1)), "number of frame indices"),
+        (lambda: rank_pattern(itertools.count(1)), "number of frame indices"),
+        (lambda: init_model(1, MAX_TEMPLATES + 1, Rng(0)), "number of templates"),
+    ],
+    ids=[
+        "perm_unrank-M+1", "perm_unrank-2**63", "perm_index-M+1", "perm_index-2**63",
+        "rank_pattern-M+1", "rank_pattern-2**63", "rank_pattern-endless", "init_model-M+1",
+    ],
+)
+def test_orders_longer_than_a_cost_table_indexes_are_refused(call, what):
+    with pytest.raises(LomoError, match=f"^{what} must be at most {MAX_TEMPLATES}$"):
+        call()
 
 
 def test_perm_unrank_range_checks():
@@ -220,6 +244,24 @@ def _write(tmp_path, text):
     path = tmp_path / "bad.lomo"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: LomoModel(np.zeros(3), np.zeros(1)),
+         r"templates must be 2-dimensional \(M, d\), got shape \(3,\)"),
+        (lambda tmp: LomoModel(np.zeros((0, 2)), np.zeros(1)), "model needs at least one template"),
+        (lambda tmp: LomoModel(np.zeros((1, 0)), np.zeros(1)), "template dimension must be >= 1"),
+        (lambda tmp: load_model(_write(tmp, "LOMO v1\n")), "line 2: missing dimensions line"),
+        (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1\ncosts 0.0\nw1 0.0\n")),
+         r"line 2: expected 'M=<int> d=<int>', got 'M=1'"),
+    ],
+    ids=["1-d-templates", "no-templates", "zero-width", "no-dimensions-line", "bad-dimensions-line"],
+)
+def test_model_validation_messages(tmp_path, call, message):
+    with pytest.raises(LomoError, match=f"^{message}$"):
+        call(tmp_path)
 
 
 def test_load_rejects_unsupported_version(tmp_path):

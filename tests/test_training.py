@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lomo.core import LomoError, Rng
+from lomo.core import LomoError, Rng, child_seed
 from lomo.inference import FrameSequence, InferenceConfig, latent_assign, score, score_sequences
 from lomo.model import LomoModel, init_model
 from lomo.training import (
@@ -16,6 +16,7 @@ from lomo.training import (
     TrainConfig,
     objective,
     train,
+    train_binary,
     train_ova,
 )
 from oracle import sgd_step
@@ -222,6 +223,12 @@ def test_objective_rejects_empty_data():
         objective(model, [], 0.0, TrainConfig(num_templates=1))
 
 
+def test_objective_names_an_item_that_is_not_a_labeled_sequence():
+    model = LomoModel(np.zeros((1, 1)), np.zeros(1))
+    with pytest.raises(LomoError, match=r"^data\[0\] must be a LabeledSequence, got 1$"):
+        objective(model, [1], 0.0, TrainConfig(num_templates=1))
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -272,6 +279,21 @@ def test_train_rejects_single_class_data():
     data = [_seq([[1.0]], 1), _seq([[2.0]], 1)]
     with pytest.raises(LomoError, match=r"only label \+1"):
         train(data, TrainConfig(num_templates=1, exclusion_t=0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: train([1, 2], TrainConfig()), r"^data\[0\] must be a LabeledSequence, got 1$"),
+        (lambda: train([_seq([[1.0]], 1), "x"], TrainConfig()),
+         r"^data\[1\] must be a LabeledSequence, got 'x'$"),
+        (lambda: LabeledSequence("x", 1), r"^sequence must be a FrameSequence, got 'x'$"),
+    ],
+    ids=["int", "str", "str-as-sequence"],
+)
+def test_train_names_an_item_that_is_not_a_labeled_sequence(build, message):
+    with pytest.raises(LomoError, match=message):
+        build()
 
 
 def test_train_rejects_dimension_mixture():
@@ -364,6 +386,53 @@ def test_train_ova_rejects_missing_class():
     cfg = TrainConfig(num_templates=1, exclusion_t=0, max_iter=100)
     with pytest.raises(LomoError, match=r"^positive label 'd' not among classes \['a', 'b', 'c'\]$"):
         train_ova(data, cfg, classes=["a", "b", "c", "d"])
+
+
+def test_train_binary_is_train_on_one_vs_rest_targets():
+    rng = np.random.default_rng(19)
+    data = _ova_data(rng)
+    cfg = TrainConfig(num_templates=1, exclusion_t=0, seed=5, max_iter=300)
+    expected = train([LabeledSequence(seq, 1 if label == "b" else -1) for seq, label in data], cfg)
+    assert train_binary(data, "b", cfg) == expected
+    # train_ova is train_binary per sorted class, with the class index's child seed
+    models = train_ova(data, cfg)
+    for idx, name in enumerate(sorted(models)):
+        sub_cfg = TrainConfig(num_templates=1, exclusion_t=0, seed=child_seed(5, idx), max_iter=300)
+        assert models[name] == train_binary(data, name, sub_cfg)
+
+
+_ONE_FRAME = FrameSequence(np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1], r"^data\[0\] must be a \(FrameSequence, label\) pair, got 1$"),
+        ([(1, "a")], r"^data\[0\] must be a \(FrameSequence, label\) pair, got \(1, 'a'\)$"),
+        (["ab"], r"^data\[0\] must be a \(FrameSequence, label\) pair, got 'ab'$"),
+        ([], r"^positive label 'a' not among classes \[\]$"),
+        ([(_ONE_FRAME, "b"), (_ONE_FRAME, "c")],
+         r"^positive label 'a' not among classes \['b', 'c'\]$"),
+    ],
+    ids=["int", "pair-without-sequence", "str", "empty", "unknown-positive-label"],
+)
+def test_train_binary_validation(data, message):
+    with pytest.raises(LomoError, match=message):
+        train_binary(data, "a", TrainConfig(num_templates=1, exclusion_t=0))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], r"^one-vs-all needs >= 2 classes, got \[\]$"),
+        ([(_ONE_FRAME, "a"), None],
+         r"^data\[1\] must be a \(FrameSequence, label\) pair, got None$"),
+    ],
+    ids=["empty", "not-a-pair"],
+)
+def test_train_ova_validation(data, message):
+    with pytest.raises(LomoError, match=message):
+        train_ova(data, TrainConfig(num_templates=1, exclusion_t=0))
 
 
 def test_train_ova_needs_two_classes():
