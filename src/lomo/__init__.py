@@ -36,7 +36,7 @@ from .model import (
     rank_pattern,
     save_model,
 )
-from .training import LabeledSequence, TrainConfig, objective, train, train_ova
+from .training import LabeledSequence, TrainConfig, objective, train, train_binary, train_ova
 
 __version__ = "0.1.0"
 
@@ -77,6 +77,7 @@ __all__ = [
     "score",
     "score_sequences",
     "train",
+    "train_binary",
     "train_ova",
     "write_sequence",
 ]

@@ -211,7 +211,6 @@ def test_roc_eer_rate_validation():
         roc_eer_rate([1, -1], [float("inf"), -float("inf")])
 
 
-
 @pytest.mark.parametrize(
     "metric, scores, message",
     [
@@ -225,6 +224,7 @@ def test_roc_eer_rate_validation():
 def test_roc_metrics_name_the_first_score_that_is_not_a_finite_number(metric, scores, message):
     with pytest.raises(LomoError, match=message):
         metric([1, -1], scores)
+
 
 # ---------------------------------------------------------------------------
 # results containers
@@ -313,19 +313,13 @@ def test_run_cv_argument_validation(tmp_path):
         run_cv(manifest, folds, _fast_cfg(), "f1", positive_label="pos")
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        ((None, []), r"^manifest must be a DatasetManifest, got None$"),
-        (("manifest", [None]), r"^folds\[0\] must be a Fold, got None$"),
-    ],
-    ids=["manifest", "fold"],
-)
-def test_run_cv_names_an_argument_that_is_not_a_manifest_or_a_fold(tmp_path, args, message):
+def test_run_cv_names_an_argument_that_is_not_a_manifest_or_a_fold(tmp_path):
+    with pytest.raises(LomoError, match=r"^manifest must be a DatasetManifest, got None$"):
+        run_cv(None, [], _fast_cfg())
     manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
-    args = tuple(manifest if a == "manifest" else a for a in args)
-    with pytest.raises(LomoError, match=message):
-        run_cv(*args, _fast_cfg(), "acc", positive_label="pos")
+    with pytest.raises(LomoError, match=r"^folds\[1\] must be a Fold, got None$"):
+        run_cv(manifest, [*make_folds(manifest, "logo", seed=0)[:1], None], _fast_cfg(),
+               "acc", positive_label="pos")
 
 
 def test_run_cv_rejects_single_class_training_split(tmp_path):
