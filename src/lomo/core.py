@@ -7,6 +7,7 @@ through :class:`Rng` so that a run is a pure function of its seeds.
 
 from __future__ import annotations
 
+import codecs
 import math
 import numbers
 import os
@@ -51,6 +52,14 @@ def require_real(name: str, value) -> None:
     not converted, so an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LomoError(f"{name} must be a real number, got {value!r}")
+
+
+def require_instance(name: str, value, kind: type) -> None:
+    """A LomoError "<name> must be a <kind>, got <value>" unless `value` is
+    an instance of `kind` ("an" before a vowel)."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise LomoError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 def require_pairs(name: str, items, what: str, first: type = object) -> list[tuple]:
@@ -103,13 +112,30 @@ class float_errors:
             raise LomoError(self._describe(err)) from None
 
 
-def read_text(path, encoding: str = "utf-8") -> str:
-    """Whole text file; bytes that do not decode raise a LomoError naming it."""
+def read_bytes(path) -> bytes:
+    """Whole file as bytes."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def decode_text(path, raw: bytes, encoding: str = "utf-8") -> str:
+    """`raw`, the bytes of the file at `path`, as text; bytes that do not
+    decode raise a LomoError naming the file.
+
+    The incremental decoder is the one a text-mode read runs, so a file that
+    holds only the start of a byte-order mark reads as empty text. Newlines
+    are kept as they are: str.splitlines gives the lines a text-mode read
+    would.
+    """
     try:
-        with open(path, "r", encoding=encoding) as fh:
-            return fh.read()
+        return codecs.getincrementaldecoder(encoding)().decode(raw, final=True)
     except UnicodeDecodeError as err:
         raise LomoError(f"{path}: not valid UTF-8 text ({err.reason})") from None
+
+
+def read_text(path, encoding: str = "utf-8") -> str:
+    """Whole text file, newlines as they are in it (see decode_text)."""
+    return decode_text(path, read_bytes(path), encoding)
 
 
 def write_text(path, text: str) -> None:

@@ -9,6 +9,7 @@ written with shortest round-trip formatting so rewrites are byte-stable.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -18,24 +19,31 @@ import numpy as np
 from .core import (
     LomoError,
     Rng,
+    decode_text,
     float_errors,
     forked_map,
     format_float,
+    read_bytes,
     read_text,
+    require_instance,
     require_int,
     require_real,
     write_text,
 )
+from .framecache import cached_sequences, write_cache
 from .inference import BLOCK_VALUES, FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
-# parse_manifest and gen_synthetic fork readers or writers only when each
-# worker gets at least this many sequence files (forked_map's min_share). A
-# fork costs about 5 ms and a 40-frame file 0.5 ms (d=20) to 2.5 ms (d=100)
-# to read, about three times that to write; with two CPUs, forked reads lost
-# below 16 files per worker at d=20 and won from 32 on, at both d, and
-# forked writes won from 16.
+# parse_manifest and gen_synthetic fork parsers or writers only when each
+# worker gets at least this many sequence files (forked_map's min_share);
+# parse_manifest counts only the files that miss its frame cache. On two
+# vCPUs a fork costs 2-5 ms and a 40-frame file 0.3-0.4 ms (d=20) to
+# 1.5-2.3 ms (d=100) to read, hash and parse, about three times that to
+# write; a cache hit costs 0.05 ms (d=20) to 0.2 ms (d=100) and never forks.
+# Forked parses lost at 16 files per worker at d=20 in both of two runs and
+# won at 64 per worker at d=100 in both; between those they won or lost as
+# the shared second vCPU allowed. Forked writes won from 16.
 FORK_MIN_FILES = 32
 
 
@@ -48,7 +56,15 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
 
     A UTF-8 byte-order mark and trailing blank lines are ignored.
     """
-    lines = read_text(path, "utf-8-sig").splitlines()
+    return _read_hashed(path, seq_id)[0]
+
+
+def _read_hashed(path, seq_id: str | None) -> tuple[FrameSequence, bytes]:
+    """read_sequence, and the SHA-256 digest of the bytes it parsed."""
+    raw = read_bytes(path)
+    digest = hashlib.sha256(raw).digest()
+    lines = decode_text(path, raw, "utf-8-sig").splitlines()
+    del raw  # held through the parse, it left the heap 0.6 MB larger after 800 files
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -58,7 +74,7 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
         frames = _parse_cells(path, lines)
     if seq_id is None:
         seq_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return FrameSequence(frames, id=seq_id)
+    return FrameSequence(frames, id=seq_id), digest
 
 
 def _parse_lines(lines: list[str]) -> np.ndarray | None:
@@ -124,8 +140,9 @@ class ManifestRecord:
 class DatasetManifest:
     """Manifest records, plus each record's frames keyed by record id.
 
-    parse_manifest reads every sequence file once to check d and keeps the
-    frames, so no caller reads a sequence file a second time.
+    parse_manifest loads every sequence file once, from the frame cache or
+    by a parse, to check d and keeps the frames, so no caller reads a
+    sequence file a second time.
     """
 
     records: list[ManifestRecord]
@@ -146,11 +163,15 @@ def parse_manifest(path) -> DatasetManifest:
 
     A UTF-8 byte-order mark and empty lines are ignored. Rows are checked
     in order and only the sequence files of the rows before the first bad
-    row are read, so the first error in row order is the one raised. The
-    files are read by core.forked_map with at least FORK_MIN_FILES files
-    per worker; the result is the same as a serial read. See
-    core.forked_map for when it forks and for the threads that make
-    forking unsafe.
+    row are read, so the first error in row order is the one raised.
+
+    A file whose bytes have an entry in the manifest's frame cache (see
+    lomo.framecache) is not parsed. The other files are parsed by
+    core.forked_map with at least FORK_MIN_FILES files per worker; the
+    result is the same as a serial read. See core.forked_map for when it
+    forks and for the threads that make forking unsafe. When a file was
+    parsed and every record loaded, the cache is rewritten to hold this
+    manifest's files.
     """
     base = os.path.dirname(os.path.abspath(str(path)))
     lines = read_text(path, "utf-8-sig").splitlines()
@@ -168,11 +189,15 @@ def parse_manifest(path) -> DatasetManifest:
         except LomoError as err:
             row_error = err
             break
+    cached = cached_sequences(path, records)
+    misses = [rec for rec in records if rec.id not in cached]
     sequences: dict[str, FrameSequence] = {}
+    frames_by_digest = {}
     dim = None
-    reads = forked_map(lambda rec: read_sequence(rec.path, rec.id), records, FORK_MIN_FILES)
+    reads = forked_map(lambda rec: _read_hashed(rec.path, rec.id), misses, FORK_MIN_FILES)
     with contextlib.closing(reads):
-        for rec, seq in zip(records, reads):
+        for rec in records:
+            seq, digest = cached.get(rec.id) or next(reads)
             if dim is None:
                 dim = seq.dim
             elif seq.dim != dim:
@@ -180,10 +205,13 @@ def parse_manifest(path) -> DatasetManifest:
                     f"{path}: record {rec.id!r}: dimension {seq.dim} differs from {dim}"
                 )
             sequences[rec.id] = seq
+            frames_by_digest[digest] = seq.frames
     if row_error is not None:
         raise row_error
     if not records:
         raise LomoError(f"{path}: manifest lists no records")
+    if misses:
+        write_cache(path, frames_by_digest)
     return DatasetManifest(records, dim, sequences)
 
 
@@ -226,6 +254,7 @@ def make_folds(
     round-robin, so folds are deterministic and no group straddles a fold.
     LOGO has one fold per group, so giving it k is an error.
     """
+    require_instance("manifest", manifest, DatasetManifest)
     scheme = str(scheme).lower()
     seed = require_int("seed", seed, minimum=0)
     groups = manifest.groups

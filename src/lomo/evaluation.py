@@ -11,11 +11,20 @@ reports 1 - (FPR + FNR) / 2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LomoError, child_seed, finite_floats, forked_map, format_float, require_pairs
+from .core import (
+    LomoError,
+    child_seed,
+    finite_floats,
+    forked_map,
+    format_float,
+    require_instance,
+    require_pairs,
+)
 from .data import DatasetManifest, Fold, PreprocessConfig, prepare
 from .inference import score_sequences
 from .training import TrainConfig, binary_targets, check_positive_label, train_binary, train_ova
@@ -40,12 +49,17 @@ def avg_class_accuracy(pairs, classes=None) -> float:
 
 
 def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) scores, each sorted; every score must be finite."""
+    """(positive, negative) scores, each sorted; every score must be finite
+    and every label +1 or -1. The first label that is neither raises
+    LomoError "labels[k] is <label>; ROC metrics need labels +1 or -1"."""
     labels = list(labels)
     scores = np.array(finite_floats("scores", scores, "ROC metrics need finite scores"))
     if len(labels) != scores.shape[0]:
         raise LomoError(f"{len(labels)} labels vs {scores.shape[0]} scores")
-    mask = np.array([bool(l == 1 or l is True) for l in labels])
+    for k, label in enumerate(labels):
+        if not (isinstance(label, numbers.Real) and label in (1, -1)):
+            raise LomoError(f"labels[{k}] is {label!r}; ROC metrics need labels +1 or -1")
+    mask = np.array([label == 1 for label in labels], dtype=bool)
     pos = np.sort(scores[mask])
     neg = np.sort(scores[~mask])
     if pos.size == 0 or neg.size == 0:
@@ -141,11 +155,9 @@ def run_cv(
     core.forked_map for when it runs serially and for the threads that
     make forking unsafe.
     """
-    if not isinstance(manifest, DatasetManifest):
-        raise LomoError(f"manifest must be a DatasetManifest, got {manifest!r}")
+    require_instance("manifest", manifest, DatasetManifest)
     for k, fold in enumerate(folds):
-        if not isinstance(fold, Fold):
-            raise LomoError(f"folds[{k}] must be a Fold, got {fold!r}")
+        require_instance(f"folds[{k}]", fold, Fold)
     metric = str(metric).lower()
     if metric not in METRICS:
         raise LomoError(f"metric must be one of {METRICS}, got {metric!r}")

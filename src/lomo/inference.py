@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, finite_floats, float_errors, real_array, require_int
+from .core import (
+    LomoError,
+    finite_floats,
+    float_errors,
+    real_array,
+    require_instance,
+    require_int,
+)
 from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
 
 
@@ -77,6 +84,18 @@ class LatentAssignment:
     perm: int  # 1-based lexicographic index of the rank pattern
     ordering_cost: float
     total: float
+
+
+def _batch_args(model, seqs, cfg) -> list[FrameSequence]:
+    """`seqs` as a list, once `model`, `cfg` and every sequence are checked
+    to be a LomoModel, an InferenceConfig and FrameSequences; a LomoError
+    names the first argument or position that is not."""
+    require_instance("model", model, LomoModel)
+    require_instance("cfg", cfg, InferenceConfig)
+    seqs = list(seqs)
+    for k, seq in enumerate(seqs):
+        require_instance(f"seqs[{k}]", seq, FrameSequence)
+    return seqs
 
 
 def _check_dim(model: LomoModel, seq: FrameSequence) -> None:
@@ -147,7 +166,7 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     A numeric error's message names the first sequence whose own assignment
     fails.
     """
-    seqs = list(seqs)
+    seqs = _batch_args(model, seqs, cfg)
     if len({seq.num_frames for seq in seqs}) != 1:
         raise LomoError("assign_batch needs one or more sequences of equal length")
     for seq in seqs:
@@ -200,7 +219,7 @@ def score_sequences(model: LomoModel, seqs, cfg: InferenceConfig) -> np.ndarray:
     Sequences are grouped by length and scored through assign_batch in
     blocks of at most BLOCK_VALUES frame values.
     """
-    seqs = list(seqs)
+    seqs = _batch_args(model, seqs, cfg)
     by_length: dict[int, list[int]] = {}
     for k, seq in enumerate(seqs):
         by_length.setdefault(seq.num_frames, []).append(k)

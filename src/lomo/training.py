@@ -24,6 +24,7 @@ from .core import (
     Rng,
     child_seed,
     float_errors,
+    require_instance,
     require_int,
     require_pairs,
     require_real,
@@ -42,8 +43,7 @@ class LabeledSequence:
     label: int  # +1 or -1
 
     def __post_init__(self):
-        if not isinstance(self.sequence, FrameSequence):
-            raise LomoError(f"sequence must be a FrameSequence, got {self.sequence!r}")
+        require_instance("sequence", self.sequence, FrameSequence)
         if self.label not in (-1, 1):
             raise LomoError(f"label must be +1 or -1, got {self.label!r}")
 
@@ -109,6 +109,8 @@ class TrainConfig:
 
 def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> float:
     """(lambda/2) * sum ||w_i||^2 + mean hinge [1 - y*s]_+ over the data."""
+    require_real("reg_lambda", reg_lambda)
+    require_instance("cfg", cfg, TrainConfig)
     data = _examples(data)
     if not data:
         raise LomoError("objective needs at least one example")
@@ -125,8 +127,7 @@ def _examples(data) -> list[LabeledSequence]:
     LomoError naming its position."""
     data = list(data)
     for k, ex in enumerate(data):
-        if not isinstance(ex, LabeledSequence):
-            raise LomoError(f"data[{k}] must be a LabeledSequence, got {ex!r}")
+        require_instance(f"data[{k}]", ex, LabeledSequence)
     return data
 
 
@@ -195,6 +196,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
 
     A numeric error's message names the step.
     """
+    require_instance("cfg", cfg, TrainConfig)
     data = _examples(data)
     dim = _validate_train_data(data, cfg)
     rng = Rng(cfg.seed)
@@ -280,6 +282,7 @@ def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
     explicit class list makes a missing class an error rather than a silent
     omission (used by cross-validation on sparse folds).
     """
+    require_instance("cfg", cfg, TrainConfig)
     data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
     classes = sorted(classes if classes is not None else {label for _, label in data})
     if len(classes) < 2:

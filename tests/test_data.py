@@ -224,6 +224,10 @@ def test_any_byte_string_loads_as_a_sequence_or_raises_lomo_error(tmp_path, raw)
     assert isinstance(seq, FrameSequence) and np.isfinite(seq.frames).all()
 
 
+def _bits(frames):
+    return frames.shape, frames.tobytes()
+
+
 MANIFEST_CELLS = st.sampled_from([
     b"a", b"b", b"pos", b"neg", b"g0", b"", b" ", b"\xff", b"\x00", b"a.csv", b"b.csv",
     b"missing.csv", b"sub", b".", b"manifest.csv", b"/", b"\xef\xbb\xbfa.csv",
@@ -232,6 +236,13 @@ MANIFEST_ROWS = st.one_of(
     st.tuples(MANIFEST_CELLS, MANIFEST_CELLS, MANIFEST_CELLS, MANIFEST_CELLS).map(b",".join),
     st.lists(MANIFEST_CELLS, max_size=5).map(b",".join),
     st.binary(max_size=8),
+    st.sampled_from([b"a,pos,g0,a.csv", b"b,neg,g1,b.csv", b"c,neg,g1,a.csv"]),
+)
+# sequence files that load, some of the same size, so that a cache left by
+# one example meets files of new content in the next
+MANIFEST_FILES = st.one_of(
+    SEQUENCE_BYTES,
+    st.sampled_from([b"1.0,2.0\n", b"1.0,3.0\n", b"3.0,1.0\n", b"-0.0,5e-324\n1e300,2\n"]),
 )
 
 
@@ -240,24 +251,46 @@ MANIFEST_ROWS = st.one_of(
     header=st.sampled_from([b"id,label,group,path", b"\xef\xbb\xbfid,label,group,path",
                             b"id,label,group", b"", b"\xff"]),
     rows=st.lists(MANIFEST_ROWS, max_size=5),
-    files=st.tuples(SEQUENCE_BYTES, SEQUENCE_BYTES),
+    files=st.tuples(MANIFEST_FILES, MANIFEST_FILES),
 )
 @example(header=b"id,label,group,path", rows=[b"a,pos,g0,a.csv", b"b,neg,g0,b.csv"],
          files=(b"1.0,2.0\n", b"3.0\n"))
+@example(header=b"id,label,group,path", rows=[b"a,pos,g0,a.csv", b"b,neg,g0,b.csv"],
+         files=(b"1.0,2.0\n", b"3.0,4.0\n"))
+@example(header=b"id,label,group,path", rows=[b"a,pos,g0,a.csv", b"b,neg,g0,b.csv"],
+         files=(b"1.0,2.0\n", b"3.0,5.0\n"))
+@example(header=b"id,label,group,path", rows=[b"a,pos,g0,b.csv", b"b,neg,g0,a.csv"],
+         files=(b"3.0,5.0\n", b"1.0,2.0\n"))
 def test_any_byte_string_loads_as_a_manifest_or_raises_lomo_error(tmp_path, header, rows, files):
     """Manifest rows point at a.csv and b.csv, which hold any bytes, at a
-    missing file, a directory, or the manifest itself."""
+    missing file, a directory, or the manifest itself.
+
+    Each manifest is parsed twice: the second parse reads the frame cache
+    the first one left, and must give the same records, dim and frame bits,
+    or the same error. Hypothesis reuses tmp_path, so the first parse may
+    meet a cache that an earlier example's files filled.
+    """
     (tmp_path / "sub").mkdir(exist_ok=True)
     for name, raw in zip(("a.csv", "b.csv"), files):
         (tmp_path / name).write_bytes(raw)
     path = tmp_path / "manifest.csv"
     path.write_bytes(b"\n".join([header, *rows]))
-    try:
-        manifest = parse_manifest(path)
-    except LomoError:
-        return
-    assert isinstance(manifest, DatasetManifest)
-    assert sorted(manifest.sequences) == sorted(r.id for r in manifest.records)
+    outcomes = []
+    for _ in range(2):
+        try:
+            manifest = parse_manifest(path)
+        except LomoError as err:
+            outcomes.append(str(err))
+            continue
+        assert isinstance(manifest, DatasetManifest)
+        assert sorted(manifest.sequences) == sorted(r.id for r in manifest.records)
+        frames = [manifest.sequences[r.id].frames for r in manifest.records]
+        # each as a parse of its file, which no cache serves, gives it
+        assert [_bits(f) for f in frames] == [_bits(read_sequence(r.path).frames)
+                                             for r in manifest.records]
+        outcomes.append((manifest.records, manifest.dim, [_bits(f) for f in frames]))
+    assert outcomes[0] == outcomes[1]
+
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +374,9 @@ def _manifest_row(tmp_path, row):
         (lambda tmp: _manifest_row(tmp, "a, ,g0,a.csv"), "{tmp}/manifest.csv: row 2: empty id or label"),
         (lambda tmp: make_folds(_manifest_with_groups(["g0", "g1"]), "kfold", seed=0, k=1),
          "kfold needs k >= 2, got 1"),
+        (lambda tmp: make_folds(None, "logo", 0), "manifest must be a DatasetManifest, got None"),
     ],
-    ids=["manifest-empty-id", "manifest-blank-label", "kfold-k-1"],
+    ids=["manifest-empty-id", "manifest-blank-label", "kfold-k-1", "folds-of-no-manifest"],
 )
 def test_data_validation_messages(tmp_path, call, message):
     with pytest.raises(LomoError, match="^" + re.escape(message.format(tmp=tmp_path)) + "$"):

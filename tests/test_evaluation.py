@@ -226,6 +226,32 @@ def test_roc_metrics_name_the_first_score_that_is_not_a_finite_number(metric, sc
         metric([1, -1], scores)
 
 
+@pytest.mark.parametrize(
+    "metric, labels, message",
+    [
+        (roc_auc, [1, 2, -1], r"^labels\[1\] is 2; ROC metrics need labels \+1 or -1$"),
+        (roc_eer_rate, [1, 0, -1], r"^labels\[1\] is 0; ROC metrics need labels \+1 or -1$"),
+        (roc_auc, ["pos", "neg", "neg"],
+         r"^labels\[0\] is 'pos'; ROC metrics need labels \+1 or -1$"),
+        (roc_eer_rate, [1, -1, None], r"^labels\[2\] is None; ROC metrics need labels \+1 or -1$"),
+        (roc_auc, [1, False, -1], r"^labels\[1\] is False; ROC metrics need labels \+1 or -1$"),
+        (roc_eer_rate, [1, -1, float("nan")],
+         r"^labels\[2\] is nan; ROC metrics need labels \+1 or -1$"),
+    ],
+    ids=["auc-2", "eer-0", "auc-class-names", "eer-none", "auc-false", "eer-nan"],
+)
+def test_roc_metrics_name_the_first_label_that_is_not_plus_or_minus_one(metric, labels, message):
+    with pytest.raises(LomoError, match=message):
+        metric(labels, [0.9, 0.1, 0.5])
+
+
+def test_roc_metrics_accept_numeric_spellings_of_plus_and_minus_one():
+    labels = [True, np.int64(1), 1.0, np.float64(-1.0), -1]
+    scores = [0.9, 0.2, 0.7, 0.3, 0.8]
+    assert roc_auc(labels, scores) == roc_auc([1, 1, 1, -1, -1], scores)
+    assert roc_eer_rate(labels, scores) == roc_eer_rate([1, 1, 1, -1, -1], scores)
+
+
 # ---------------------------------------------------------------------------
 # results containers
 

@@ -227,24 +227,47 @@ def _bits(manifest):
 
 
 def test_forked_parse_manifest_equals_serial_bit_for_bit(tmp_path, cpus, monkeypatch):
+    """On a cold cache, a warm one, and one that misses four of nine files."""
     rng = np.random.default_rng(4)
-    path = _write_manifest(tmp_path, [rng.normal(size=(int(rng.integers(1, 9)), 3)) * 10.0
-                                      ** int(rng.integers(-5, 5)) for _ in range(9)])
+    frames = [rng.normal(size=(int(rng.integers(1, 9)), 3)) * 10.0 ** int(rng.integers(-5, 5))
+              for _ in range(9)]
+    path = _write_manifest(tmp_path, frames)
+    cache = tmp_path / ".manifest.csv.frames"
     cpus(1)
     serial = parse_manifest(path)
     parent_reads = []
-    original = lomo.data.read_sequence
+    original = lomo.data._read_hashed
 
-    def counting(seq_path, seq_id=None):
+    def counting(seq_path, seq_id):
         parent_reads.append(seq_id)
         return original(seq_path, seq_id)
 
-    monkeypatch.setattr(lomo.data, "read_sequence", counting)
+    monkeypatch.setattr(lomo.data, "_read_hashed", counting)
+    cache.unlink()
     cpus(2)
     forked = parse_manifest(path)
     assert parent_reads == ["r0", "r2", "r4", "r6", "r8"]  # a child's reads are its own
     assert forked.dim == serial.dim == 3
     assert _bits(forked) == _bits(serial)
+    for n in (1, 2):
+        cpus(n)
+        parent_reads.clear()
+        assert _bits(parse_manifest(path)) == _bits(serial)
+        assert parent_reads == []
+    stale = cache.read_bytes()
+    for k in (1, 3, 5, 7):
+        frames[k] = -frames[k]
+        write_sequence(FrameSequence(frames[k]), tmp_path / f"r{k}.csv")
+    cpus(1)
+    parent_reads.clear()
+    serial = parse_manifest(path)
+    assert parent_reads == ["r1", "r3", "r5", "r7"]
+    assert [bits for _, bits in _bits(serial)] == [f.tobytes() for f in frames]
+    cache.write_bytes(stale)
+    cpus(2)
+    parent_reads.clear()
+    assert _bits(parse_manifest(path)) == _bits(serial)
+    assert parent_reads == ["r1", "r5"]  # the misses are dealt round-robin
     assert_no_children()
 
 
@@ -294,9 +317,9 @@ def test_forked_parse_manifest_does_not_read_past_a_bad_row(tmp_path, cpus, monk
     path = _write_manifest(tmp_path, [rng.normal(size=(3, 2)) for _ in range(6)],
                            extra_rows=["r6,pos,g0", "r7,pos,g0,r0.csv"])
     read = []
-    original = lomo.data.read_sequence
-    monkeypatch.setattr(lomo.data, "read_sequence",
-                        lambda p, i=None: read.append(i) or original(p, i))
+    original = lomo.data._read_hashed
+    monkeypatch.setattr(lomo.data, "_read_hashed",
+                        lambda p, i: read.append(i) or original(p, i))
     for n, parent_share in ((1, 1), (2, 2)):
         cpus(n)
         read.clear()

@@ -5,8 +5,8 @@ The first six digests were taken from the reference implementation
 pooled cv, pooled predict and 3-class cv digests from the code that
 pooled outside the preprocessing pipeline. Any refactor of
 training, scoring, parsing or preprocessing must reproduce these files
-byte for byte; a digest may change only in a change that says which
-bytes change and why.
+byte for byte, on a cold and on a warm frame cache; a digest may change
+only in a change that says which bytes change and why.
 
 The synth digests pin every file `lomo synth` writes at a size where the
 sequence files are written by forked workers (80 files, two CPUs); they
@@ -15,6 +15,7 @@ were taken from the serial writer.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 
@@ -118,26 +119,46 @@ def _write_three_class_manifest(data: str) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden")
+def _synth_data(work) -> str:
     data = str(work / "data")
     assert main(["synth", "--out", data, *SYNTH]) == 0
     _write_three_class_manifest(data)
-    digests = {}
-    for name, template in COMMANDS.items():  # models first: predict reads them
-        out = str(work / name)
-        argv = [a.format(out=out, dir=work) for a in template]
-        manifest = os.path.join(data, MANIFESTS.get(name, "manifest.csv"))
-        assert main([argv[0], "--manifest", manifest, *argv[1:]]) == 0, name
-        with open(out, "rb") as fh:
-            digests[name] = hashlib.sha256(fh.read()).hexdigest()
-    return digests
+    return data
+
+
+def _run(work, data: str, name: str) -> str:
+    """Run the command that writes output `name`; the output's digest."""
+    out = str(work / name)
+    argv = [a.format(out=out, dir=work) for a in COMMANDS[name]]
+    manifest = os.path.join(data, MANIFESTS.get(name, "manifest.csv"))
+    assert main([argv[0], "--manifest", manifest, *argv[1:]]) == 0, name
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    data = _synth_data(work)
+    return {name: _run(work, data, name) for name in COMMANDS}  # models first: predict reads them
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_output_bytes_match_golden_digest(outputs, name):
     assert outputs[name] == GOLDEN_SHA256[name]
+
+
+def test_output_bytes_match_golden_digests_on_a_cold_and_a_warm_cache(tmp_path):
+    """Each command once with no frame cache beside its manifest, then
+    again on the cache that run left."""
+    data = _synth_data(tmp_path)
+    digests = {}
+    for name in COMMANDS:
+        for path in glob.glob(os.path.join(data, ".*.frames")):
+            os.remove(path)
+        digests[name] = (_run(tmp_path, data, name), _run(tmp_path, data, name))
+    assert len(glob.glob(os.path.join(data, ".*.frames"))) == 1
+    assert digests == {name: (digest, digest) for name, digest in GOLDEN_SHA256.items()}
 
 
 GOLDEN_SYNTH = [

@@ -11,9 +11,11 @@ from lomo.core import LomoError
 from lomo.inference import (
     FrameSequence,
     InferenceConfig,
+    assign_batch,
     fuse_scores,
     latent_assign,
     score,
+    score_sequences,
 )
 from lomo.model import LomoModel, perm_index, rank_pattern
 
@@ -203,6 +205,22 @@ def test_dimension_mismatch_names_both_sides():
     seq = FrameSequence(np.ones((2, 2)), id="s")
     with pytest.raises(LomoError, match="model d=3.*d=2"):
         latent_assign(model, seq, InferenceConfig())
+
+
+@pytest.mark.parametrize("kernel", [score_sequences, assign_batch])
+def test_scoring_names_an_argument_of_the_wrong_type(kernel):
+    model = LomoModel(np.ones((1, 2)), np.zeros(1))
+    seq = FrameSequence(np.ones((3, 2)), id="s")
+    cfg = InferenceConfig()
+    cases = [
+        ((model, [1], cfg), r"^seqs\[0\] must be a FrameSequence, got 1$"),
+        ((model, [seq, "x"], cfg), r"^seqs\[1\] must be a FrameSequence, got 'x'$"),
+        ((None, [seq], cfg), r"^model must be a LomoModel, got None$"),
+        ((model, [seq], None), r"^cfg must be an InferenceConfig, got None$"),
+    ]
+    for args, message in cases:
+        with pytest.raises(LomoError, match=message):
+            kernel(*args)
 
 
 # ---------------------------------------------------------------------------

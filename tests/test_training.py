@@ -296,6 +296,26 @@ def test_train_names_an_item_that_is_not_a_labeled_sequence(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data: train(data, None), r"^cfg must be a TrainConfig, got None$"),
+        (lambda data: objective(init_model(1, 1, Rng(0)), data, 0.0, None),
+         r"^cfg must be a TrainConfig, got None$"),
+        (lambda data: objective(init_model(1, 1, Rng(0)), data, "x", TrainConfig()),
+         r"^reg_lambda must be a real number, got 'x'$"),
+        (lambda data: train_binary([(ex.sequence, "a") for ex in data], "a", {}),
+         r"^cfg must be a TrainConfig, got \{\}$"),
+        (lambda data: train_ova([(ex.sequence, "a") for ex in data], 3),
+         r"^cfg must be a TrainConfig, got 3$"),
+    ],
+    ids=["train", "objective", "objective-reg-lambda", "train-binary", "train-ova"],
+)
+def test_training_names_a_config_of_the_wrong_type(call, message):
+    with pytest.raises(LomoError, match=message):
+        call([_seq([[1.0]], 1), _seq([[2.0]], -1)])
+
+
 def test_train_rejects_dimension_mixture():
     data = [_seq([[1.0]], 1, "a"), _seq([[1.0, 2.0]], -1, "b")]
     with pytest.raises(LomoError, match="^sequence b: dimension 2 differs from 1$"):
