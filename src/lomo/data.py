@@ -30,17 +30,20 @@ from .core import (
     require_real,
     write_text,
 )
-from .framecache import cached_sequences, write_cache
+from .framecache import FrameCache, write_cache
 from .inference import BLOCK_VALUES, FrameSequence
 from .model import MAX_TEMPLATES, perm_unrank
 
 MANIFEST_HEADER = "id,label,group,path"
-# parse_manifest and gen_synthetic fork parsers or writers only when each
-# worker gets at least this many sequence files (forked_map's min_share);
-# parse_manifest counts only the files that miss its frame cache. On two
-# vCPUs a fork costs 2-5 ms and a 40-frame file 0.3-0.4 ms (d=20) to
+# parse_manifest and gen_synthetic fork readers or writers only when each
+# worker gets at least this many sequence files (forked_map's min_share).
+# On two vCPUs a fork costs 2-5 ms and a 40-frame file 0.3-0.4 ms (d=20) to
 # 1.5-2.3 ms (d=100) to read, hash and parse, about three times that to
-# write; a cache hit costs 0.05 ms (d=20) to 0.2 ms (d=100) and never forks.
+# write. A file with an entry in the frame cache is only read and hashed
+# on the workers, 0.02 ms (d=20) to 0.1 ms (d=100), and its frames are read
+# from the cache in the calling process: on a warm cache the forked load
+# of 800 files at d=20 took 0.042-0.054 s against 0.035-0.044 s serial,
+# and of 600 files at d=100 about the same as serial, 0.08-0.11 s.
 # Forked parses lost at 16 files per worker at d=20 in both of two runs and
 # won at 64 per worker at d=100 in both; between those they won or lost as
 # the shared second vCPU allowed. Forked writes won from 16.
@@ -56,15 +59,31 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
 
     A UTF-8 byte-order mark and trailing blank lines are ignored.
     """
-    return _read_hashed(path, seq_id)[0]
+    return _load(path, seq_id)[0]
 
 
-def _read_hashed(path, seq_id: str | None) -> tuple[FrameSequence, bytes]:
-    """read_sequence, and the SHA-256 digest of the bytes it parsed."""
+def _load(path, seq_id: str | None, cache: FrameCache | None = None
+          ) -> tuple[FrameSequence | None, bytes]:
+    """(sequence, SHA-256 of the file's bytes); the file is read once.
+
+    When the digest has an entry in `cache` the sequence is None: the
+    caller reads its frames from the cache. Otherwise the bytes that were
+    hashed are parsed, so a file edited meanwhile is never stored under a
+    digest its content does not match.
+    """
     raw = read_bytes(path)
     digest = hashlib.sha256(raw).digest()
+    if cache is not None and digest in cache:
+        return None, digest
+    if seq_id is None:
+        seq_id = os.path.splitext(os.path.basename(str(path)))[0]
     lines = decode_text(path, raw, "utf-8-sig").splitlines()
     del raw  # held through the parse, it left the heap 0.6 MB larger after 800 files
+    return _parse(path, lines, seq_id), digest
+
+
+def _parse(path, lines: list[str], seq_id: str) -> FrameSequence:
+    """The decoded lines of the sequence file at `path` as a FrameSequence."""
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -72,9 +91,7 @@ def _read_hashed(path, seq_id: str | None) -> tuple[FrameSequence, bytes]:
     frames = _parse_lines(lines)
     if frames is None:
         frames = _parse_cells(path, lines)
-    if seq_id is None:
-        seq_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return FrameSequence(frames, id=seq_id), digest
+    return FrameSequence(frames, id=seq_id)
 
 
 def _parse_lines(lines: list[str]) -> np.ndarray | None:
@@ -165,13 +182,13 @@ def parse_manifest(path) -> DatasetManifest:
     in order and only the sequence files of the rows before the first bad
     row are read, so the first error in row order is the one raised.
 
-    A file whose bytes have an entry in the manifest's frame cache (see
-    lomo.framecache) is not parsed. The other files are parsed by
-    core.forked_map with at least FORK_MIN_FILES files per worker; the
-    result is the same as a serial read. See core.forked_map for when it
-    forks and for the threads that make forking unsafe. When a file was
-    parsed and every record loaded, the cache is rewritten to hold this
-    manifest's files.
+    Each file is read and hashed once, by core.forked_map with at least
+    FORK_MIN_FILES files per worker: a file whose bytes have an entry in the
+    manifest's frame cache (see lomo.framecache) is read from it, the others
+    are parsed. The result is the same as a serial read. See
+    core.forked_map for when it forks and for the threads that make forking
+    unsafe. When a file was parsed and every record loaded, the cache is
+    rewritten to hold this manifest's files.
     """
     base = os.path.dirname(os.path.abspath(str(path)))
     lines = read_text(path, "utf-8-sig").splitlines()
@@ -189,28 +206,34 @@ def parse_manifest(path) -> DatasetManifest:
         except LomoError as err:
             row_error = err
             break
-    cached = cached_sequences(path, records)
-    misses = [rec for rec in records if rec.id not in cached]
     sequences: dict[str, FrameSequence] = {}
     frames_by_digest = {}
     dim = None
-    reads = forked_map(lambda rec: _read_hashed(rec.path, rec.id), misses, FORK_MIN_FILES)
-    with contextlib.closing(reads):
-        for rec in records:
-            seq, digest = cached.get(rec.id) or next(reads)
-            if dim is None:
-                dim = seq.dim
-            elif seq.dim != dim:
-                raise LomoError(
-                    f"{path}: record {rec.id!r}: dimension {seq.dim} differs from {dim}"
-                )
-            sequences[rec.id] = seq
-            frames_by_digest[digest] = seq.frames
+    parsed = False
+    with FrameCache(path) as cache:
+        loads = forked_map(lambda rec: _load(rec.path, rec.id, cache), records, FORK_MIN_FILES)
+        with contextlib.closing(loads):
+            for rec, (seq, digest) in zip(records, loads):
+                if seq is None:  # a cache entry: its frames are read here
+                    seq = cache.sequence(digest, rec.id)
+                    if seq is None:  # they do not read back whole: parse the file
+                        seq, digest = _load(rec.path, rec.id)
+                        parsed = True
+                else:
+                    parsed = True
+                if dim is None:
+                    dim = seq.dim
+                elif seq.dim != dim:
+                    raise LomoError(
+                        f"{path}: record {rec.id!r}: dimension {seq.dim} differs from {dim}"
+                    )
+                sequences[rec.id] = seq
+                frames_by_digest[digest] = seq.frames
     if row_error is not None:
         raise row_error
     if not records:
         raise LomoError(f"{path}: manifest lists no records")
-    if misses:
+    if parsed:
         write_cache(path, frames_by_digest)
     return DatasetManifest(records, dim, sequences)
 

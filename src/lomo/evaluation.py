@@ -57,7 +57,7 @@ def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     if len(labels) != scores.shape[0]:
         raise LomoError(f"{len(labels)} labels vs {scores.shape[0]} scores")
     for k, label in enumerate(labels):
-        if not (isinstance(label, numbers.Real) and label in (1, -1)):
+        if not (isinstance(label, (numbers.Real, np.bool_)) and label in (1, -1)):
             raise LomoError(f"labels[{k}] is {label!r}; ROC metrics need labels +1 or -1")
     mask = np.array([label == 1 for label in labels], dtype=bool)
     pos = np.sort(scores[mask])

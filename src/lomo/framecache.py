@@ -10,19 +10,23 @@ The file: HEAD (MAGIC, entry count), one ENTRY per distinct file content
 (digest, rows, columns, byte offset of the frames, CRC-32 of the frame
 bytes), then each entry's frames, little-endian float64 in C order, at its
 offset.
+
+The cache is read only when it is a regular file owned by this process's
+user and writable by no one else: a cache another user could write could
+put frames of their choosing in place of the files' own.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
+import stat
 import struct
 import zlib
 
 import numpy as np
 
-from .core import LomoError, read_bytes
+from .core import LomoError
 from .inference import FrameSequence
 
 MAGIC = b"LOMOFRM1"
@@ -37,65 +41,87 @@ def _cache_path(manifest_path) -> str:
     return os.path.join(base, f".{name}.frames")
 
 
-def _index(fh) -> dict[bytes, tuple[int, int, int, int]]:
+def _trusted(fd: int) -> bool:
+    """Whether the open file is a regular file of this user that no other
+    user may write."""
+    st = os.fstat(fd)
+    return (stat.S_ISREG(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _index(fd: int) -> dict[bytes, tuple[int, int, int, int]]:
     """digest -> (rows, columns, offset, crc) of the cache file open as
-    `fh`; empty unless the file holds a whole table of in-bounds entries."""
-    size = os.fstat(fh.fileno()).st_size
-    magic, count = HEAD.unpack(fh.read(HEAD.size))
+    `fd`; empty unless the file holds a whole table of in-bounds entries."""
+    size = os.fstat(fd).st_size
+    magic, count = HEAD.unpack(os.pread(fd, HEAD.size, 0))
     end = HEAD.size + count * ENTRY.size
     if magic != MAGIC or end > size:
         return {}
     index = {}
-    for digest, rows, cols, offset, crc in ENTRY.iter_unpack(fh.read(end - HEAD.size)):
+    for digest, rows, cols, offset, crc in ENTRY.iter_unpack(
+            os.pread(fd, end - HEAD.size, HEAD.size)):
         if rows < 1 or cols < 1 or offset < end or offset + rows * cols * DTYPE.itemsize > size:
             return {}
         index[digest] = (rows, cols, offset, crc)
     return index
 
 
-def cached_sequences(manifest_path, records) -> dict[str, tuple[FrameSequence, bytes]]:
-    """record id -> (sequence, digest) for each of the manifest's records
-    whose file's bytes have an entry in its cache.
+class FrameCache:
+    """The manifest's cache, open for reading while in a `with` block.
 
-    Each file is read and hashed; a hit's frames are read from the cache at
-    the entry's offset, one array per record, with no decimal parse. A
-    cache that is missing, foreign, truncated or unreadable finds nothing,
-    and so does an entry whose frames do not read back whole, with their
-    CRC-32 and finite. A file that cannot be read is left to the parse,
-    which raises its error in row order.
+    A cache that is missing, foreign, truncated, unreadable or not trusted
+    (see the module docstring) holds nothing. `digest in cache` asks for an
+    entry, and forked workers may ask it; the frames are read at the
+    entry's offset (os.preadv), one array per record.
     """
-    hits: dict[str, tuple[FrameSequence, bytes]] = {}
-    path = _cache_path(manifest_path)
-    with contextlib.suppress(OSError, struct.error), open(path, "rb", buffering=0) as fh:
-        index = _index(fh)
-        if not index:
-            return hits
-        for rec in records:
-            try:
-                digest = hashlib.sha256(read_bytes(rec.path)).digest()
-            except OSError:
-                continue
-            if digest not in index:
-                continue
-            rows, cols, offset, crc = index[digest]
-            frames = np.empty((rows, cols), DTYPE)
-            fh.seek(offset)
-            if fh.readinto(frames) != frames.nbytes or zlib.crc32(frames) != crc:
-                continue
-            try:
-                hits[rec.id] = (FrameSequence(frames, id=rec.id), digest)
-            except LomoError:  # non-finite frames: not an entry write_cache wrote
-                continue
-    return hits
+
+    def __init__(self, manifest_path):
+        self._path = _cache_path(manifest_path)
+        self._fd = -1
+        self._index: dict[bytes, tuple[int, int, int, int]] = {}
+
+    def __enter__(self) -> FrameCache:
+        with contextlib.suppress(OSError, struct.error):
+            self._fd = os.open(self._path, os.O_RDONLY)
+            if _trusted(self._fd):
+                self._index = _index(self._fd)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+        self._fd = -1
+        self._index = {}
+
+    def __contains__(self, digest: bytes) -> bool:
+        return digest in self._index
+
+    def sequence(self, digest: bytes, seq_id: str) -> FrameSequence | None:
+        """The frames of the entry for `digest` as a sequence called
+        `seq_id`, read at the entry's offset; None when they do not read
+        back whole, with their CRC-32 and finite."""
+        rows, cols, offset, crc = self._index[digest]
+        frames = np.empty((rows, cols), DTYPE)
+        try:
+            if os.preadv(self._fd, [frames], offset) != frames.nbytes:
+                return None
+        except OSError:
+            return None
+        if zlib.crc32(frames) != crc:
+            return None
+        try:
+            return FrameSequence(frames, id=seq_id)
+        except LomoError:  # non-finite frames: not an entry write_cache wrote
+            return None
 
 
 def write_cache(manifest_path, entries: dict[bytes, np.ndarray]) -> None:
     """Replace the manifest's cache with `entries` (digest -> frames).
 
-    The file is written beside it under a temporary name and renamed over
-    it, so a reader opens the old cache or the new one, whole. An OSError,
-    such as an unwritable directory, leaves the cache as it was and is not
-    raised: the cache only saves time.
+    The file is written beside it under a temporary name, writable by its
+    owner only, and renamed over it, so a reader opens the old cache or the
+    new one, whole. An OSError, such as an unwritable directory, leaves the
+    cache as it was and is not raised: the cache only saves time.
     """
     blocks = [frames.astype(DTYPE, order="C", copy=False) for frames in entries.values()]
     offset = HEAD.size + len(blocks) * ENTRY.size
@@ -106,7 +132,7 @@ def write_cache(manifest_path, entries: dict[bytes, np.ndarray]) -> None:
     path = _cache_path(manifest_path)
     tmp = f"{path}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
     try:
-        with open(tmp, "xb") as fh:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644), "wb") as fh:
             fh.write(HEAD.pack(MAGIC, len(blocks)))
             fh.write(b"".join(table))
             for block in blocks:

@@ -235,10 +235,13 @@ def test_roc_metrics_name_the_first_score_that_is_not_a_finite_number(metric, sc
          r"^labels\[0\] is 'pos'; ROC metrics need labels \+1 or -1$"),
         (roc_eer_rate, [1, -1, None], r"^labels\[2\] is None; ROC metrics need labels \+1 or -1$"),
         (roc_auc, [1, False, -1], r"^labels\[1\] is False; ROC metrics need labels \+1 or -1$"),
+        (roc_eer_rate, np.array([True, False, True]),
+         r"^labels\[1\] is np.False_; ROC metrics need labels \+1 or -1$"),
         (roc_eer_rate, [1, -1, float("nan")],
          r"^labels\[2\] is nan; ROC metrics need labels \+1 or -1$"),
     ],
-    ids=["auc-2", "eer-0", "auc-class-names", "eer-none", "auc-false", "eer-nan"],
+    ids=["auc-2", "eer-0", "auc-class-names", "eer-none", "auc-false", "eer-numpy-false",
+         "eer-nan"],
 )
 def test_roc_metrics_name_the_first_label_that_is_not_plus_or_minus_one(metric, labels, message):
     with pytest.raises(LomoError, match=message):
@@ -246,10 +249,10 @@ def test_roc_metrics_name_the_first_label_that_is_not_plus_or_minus_one(metric, 
 
 
 def test_roc_metrics_accept_numeric_spellings_of_plus_and_minus_one():
-    labels = [True, np.int64(1), 1.0, np.float64(-1.0), -1]
-    scores = [0.9, 0.2, 0.7, 0.3, 0.8]
-    assert roc_auc(labels, scores) == roc_auc([1, 1, 1, -1, -1], scores)
-    assert roc_eer_rate(labels, scores) == roc_eer_rate([1, 1, 1, -1, -1], scores)
+    labels = [True, np.True_, np.int64(1), 1.0, np.float64(-1.0), -1]
+    scores = [0.9, 0.4, 0.2, 0.7, 0.3, 0.8]
+    assert roc_auc(labels, scores) == roc_auc([1, 1, 1, 1, -1, -1], scores)
+    assert roc_eer_rate(labels, scores) == roc_eer_rate([1, 1, 1, 1, -1, -1], scores)
 
 
 # ---------------------------------------------------------------------------

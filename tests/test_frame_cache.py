@@ -45,8 +45,9 @@ def _bits(manifest):
 def parsed(monkeypatch):
     """The ids whose files parse_manifest parses (its cache misses), in order."""
     ids = []
-    original = lomo.data._read_hashed
-    monkeypatch.setattr(lomo.data, "_read_hashed", lambda p, i: ids.append(i) or original(p, i))
+    original = lomo.data._parse
+    monkeypatch.setattr(lomo.data, "_parse",
+                        lambda p, lines, i: ids.append(i) or original(p, lines, i))
     return ids
 
 
@@ -140,6 +141,52 @@ def test_a_cache_that_is_a_directory_is_skipped(tmp_path, parsed):
         assert parsed == IDS
     assert sorted(os.listdir(tmp_path / ".manifest.csv.frames")) == []
     assert not [n for n in os.listdir(tmp_path) if ".tmp-" in n]
+
+
+def _stat_as(uid=None, mode_bits=0):
+    """os.fstat, with st_uid replaced by `uid` and `mode_bits` added."""
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        fields = list(st[:10])
+        fields[0] |= mode_bits
+        fields[4] = st.st_uid if uid is None else uid
+        return os.stat_result(fields)
+
+    return fstat
+
+
+@pytest.mark.parametrize("owner", ["other-user", "group-writable", "world-writable"])
+def test_a_cache_another_user_could_write_is_ignored_and_replaced(tmp_path, parsed,
+                                                                  monkeypatch, owner):
+    path = _dataset(tmp_path)
+    want = _bits(parse_manifest(path))
+    cache = tmp_path / ".manifest.csv.frames"
+    good = cache.read_bytes()
+    fstat = {"other-user": _stat_as(uid=os.getuid() + 1),
+             "group-writable": _stat_as(mode_bits=0o020),
+             "world-writable": _stat_as(mode_bits=0o002)}[owner]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fstat", fstat)
+        parsed.clear()
+        assert _bits(parse_manifest(path)) == want
+        assert parsed == IDS
+    assert cache.read_bytes() == good
+    parsed.clear()
+    parse_manifest(path)
+    assert parsed == []
+
+
+def test_the_cache_is_written_writable_by_its_owner_only(tmp_path):
+    path = _dataset(tmp_path)
+    umask = os.umask(0)
+    try:
+        parse_manifest(path)
+    finally:
+        os.umask(umask)
+    st = (tmp_path / ".manifest.csv.frames").stat()
+    assert (st.st_uid, st.st_mode & 0o777) == (os.getuid(), 0o644)
 
 
 def test_a_failed_parse_writes_no_cache(tmp_path):

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lomo.data
-import lomo.framecache
 import lomo.inference
 from lomo.cli import main
 from lomo.core import LomoError, Rng, format_float
@@ -696,38 +695,45 @@ def test_write_sequence_writes_every_edge_value_like_format_float(tmp_path):
 @pytest.fixture
 def read_counter(monkeypatch):
     """{"read": [...], "parsed": [...]}: file names as parse_manifest reads
-    a file, to parse it or to hash it for the frame cache, and as it parses
+    a file, to hash it and look it up in the frame cache, and as it parses
     one."""
     calls = {"read": [], "parsed": []}
-    read_bytes, read_hashed = lomo.data.read_bytes, lomo.data._read_hashed
+    read_bytes, parse = lomo.data.read_bytes, lomo.data._parse
 
     def reading(path):
         calls["read"].append(os.path.basename(str(path)))
         return read_bytes(path)
 
-    def parsing(path, seq_id):
+    def parsing(path, lines, seq_id):
         calls["parsed"].append(os.path.basename(str(path)))
-        return read_hashed(path, seq_id)
+        return parse(path, lines, seq_id)
 
     monkeypatch.setattr(lomo.data, "read_bytes", reading)
-    monkeypatch.setattr(lomo.framecache, "read_bytes", reading)
-    monkeypatch.setattr(lomo.data, "_read_hashed", parsing)
+    monkeypatch.setattr(lomo.data, "_parse", parsing)
     return calls
 
 
 def test_train_and_predict_read_each_sequence_file_once(tmp_path, read_counter):
     rng = np.random.default_rng(8)
-    manifest = _write_manifest(tmp_path, [rng.normal(size=(6, 2)) for _ in range(6)])
+    frames = [rng.normal(size=(6, 2)) for _ in range(6)]
+    manifest = _write_manifest(tmp_path, frames)
     model = str(tmp_path / "m.lomo")
     files = [f"r{k}.csv" for k in range(6)]
-    assert main(["train", "--manifest", manifest, "--out", model, "--positive-label", "pos",
-                 "--templates", "1", "--exclusion-t", "0", "--max-iter", "20"]) == 0
-    # no cache yet: each file is parsed, and nothing is read to hash it first
+    train = ["train", "--manifest", manifest, "--out", model, "--positive-label", "pos",
+             "--templates", "1", "--exclusion-t", "0", "--max-iter", "20"]
+    assert main(train) == 0
+    # no cache yet: each file is read once and parsed
     assert sorted(read_counter["read"]) == sorted(read_counter["parsed"]) == files
     read_counter["read"].clear()
     read_counter["parsed"].clear()
     assert main(["predict", "--manifest", manifest, "--model", model,
                  "--exclusion-t", "0", "--out", str(tmp_path / "p.csv")]) == 0
-    # train filled the cache: each file is read to hash it, and none is parsed
+    # train filled the cache: each file is read once to hash it, and none is parsed
     assert sorted(read_counter["read"]) == files
     assert read_counter["parsed"] == []
+    # every file edited, the cache stale: each file is read once and parsed
+    for k, f in enumerate(frames):
+        write_sequence(FrameSequence(-f), tmp_path / f"r{k}.csv")
+    read_counter["read"].clear()
+    assert main(train) == 0
+    assert sorted(read_counter["read"]) == sorted(read_counter["parsed"]) == files
