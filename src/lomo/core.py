@@ -46,12 +46,18 @@ def real_array(name: str, value, order: str = "K") -> np.ndarray:
     raise LomoError(f"{name} must be real numbers, got complex values")
 
 
-def require_real(name: str, value) -> None:
+def require_real(name: str, value, minimum: float | None = None, strict: bool = False) -> None:
     """A LomoError naming the field unless `value` is a real number (numpy
-    floats pass; bools, str and None do not). The value is only checked,
-    not converted, so an int setting stays an int."""
+    floats pass; bools, str and None do not) and, with a `minimum`, finite
+    and at least `minimum` (above it when `strict`). The value is only
+    checked, not converted, so an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LomoError(f"{name} must be a real number, got {value!r}")
+    if minimum is None:
+        return
+    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+        op = ">" if strict else ">="
+        raise LomoError(f"{name} must be finite and {op} {minimum}, got {value}")
 
 
 def require_instance(name: str, value, kind: type) -> None:
@@ -60,6 +66,16 @@ def require_instance(name: str, value, kind: type) -> None:
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise LomoError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
+def require_items(name: str, items, kind: type) -> list:
+    """`items` as a list once every item is an instance of `kind`; the first
+    that is not raises LomoError "<name>[k] must be a <kind>, got <item>"."""
+    items = list(items)
+    for k, item in enumerate(items):
+        if not isinstance(item, kind):
+            require_instance(f"{name}[{k}]", item, kind)
+    return items
 
 
 def require_pairs(name: str, items, what: str, first: type = object) -> list[tuple]:

@@ -31,8 +31,8 @@ from .core import (
     write_text,
 )
 from .framecache import FrameCache, write_cache
-from .inference import BLOCK_VALUES, FrameSequence
-from .model import MAX_TEMPLATES, perm_unrank
+from .inference import BLOCK_VALUES, FrameSequence, require_dimension
+from .model import perm_unrank, require_order_size
 
 MANIFEST_HEADER = "id,label,group,path"
 # parse_manifest and gen_synthetic fork readers or writers only when each
@@ -458,11 +458,7 @@ def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSeque
         if cfg.l2:
             frames = _l2_rows(frames)
         if fitted.mean is not None:
-            if fitted.mean.shape[0] != seq.dim:
-                raise LomoError(
-                    f"dimension mismatch: basis d={fitted.mean.shape[0]}, sequence "
-                    f"{seq.name} d={seq.dim}"
-                )
+            require_dimension("basis", fitted.mean.shape[0], seq)
             frames = (frames - fitted.mean) @ fitted.components.T
         if cfg.stack > 1:
             n = frames.shape[0]
@@ -511,13 +507,14 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("dim", "num_frames", "num_events", "min_gap", "num_pos", "num_neg"):
-            setattr(self, name, require_int(name, getattr(self, name)))
+        for name, minimum in (
+            ("dim", 1), ("num_frames", None), ("min_gap", 0), ("num_pos", 1), ("num_neg", 1)
+        ):
+            setattr(self, name, require_int(name, getattr(self, name), minimum))
+        self.num_events = require_order_size("num_events", self.num_events)
         self.seed = require_int("seed", self.seed, minimum=0)
+        require_real("noise_sigma", self.noise_sigma, minimum=0)
         self.neg_mode = str(self.neg_mode).lower()
-        require_int("dim", self.dim, minimum=1)
-        if not 1 <= self.num_events <= MAX_TEMPLATES:
-            raise LomoError(f"num_events must be in 1..{MAX_TEMPLATES}, got {self.num_events}")
         if self.neg_mode not in NEG_MODES:
             raise LomoError(f"neg_mode must be one of {NEG_MODES}, got {self.neg_mode!r}")
         if self.neg_mode == "shuffled" and self.num_events < 2:
@@ -529,12 +526,6 @@ class SynthSpec:
                 f"num_frames must exceed num_events*(min_gap+1) = "
                 f"{self.num_events * (self.min_gap + 1)}, got {self.num_frames}"
             )
-        require_int("min_gap", self.min_gap, minimum=0)
-        require_real("noise_sigma", self.noise_sigma)
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise LomoError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.num_pos < 1 or self.num_neg < 1:
-            raise LomoError("num_pos and num_neg must be >= 1")
 
     def text_fields(self) -> list[tuple[str, str]]:
         """(field, text) for every field in declaration order, floats in

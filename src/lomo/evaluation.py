@@ -23,6 +23,7 @@ from .core import (
     forked_map,
     format_float,
     require_instance,
+    require_items,
     require_pairs,
 )
 from .data import DatasetManifest, Fold, PreprocessConfig, prepare
@@ -156,8 +157,7 @@ def run_cv(
     make forking unsafe.
     """
     require_instance("manifest", manifest, DatasetManifest)
-    for k, fold in enumerate(folds):
-        require_instance(f"folds[{k}]", fold, Fold)
+    folds = require_items("folds", folds, Fold)
     metric = str(metric).lower()
     if metric not in METRICS:
         raise LomoError(f"metric must be one of {METRICS}, got {metric!r}")

@@ -24,6 +24,7 @@ from .core import (
     real_array,
     require_instance,
     require_int,
+    require_items,
 )
 from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
 
@@ -92,17 +93,15 @@ def _batch_args(model, seqs, cfg) -> list[FrameSequence]:
     names the first argument or position that is not."""
     require_instance("model", model, LomoModel)
     require_instance("cfg", cfg, InferenceConfig)
-    seqs = list(seqs)
-    for k, seq in enumerate(seqs):
-        require_instance(f"seqs[{k}]", seq, FrameSequence)
-    return seqs
+    return require_items("seqs", seqs, FrameSequence)
 
 
-def _check_dim(model: LomoModel, seq: FrameSequence) -> None:
-    if model.dim != seq.dim:
-        raise LomoError(
-            f"dimension mismatch: model d={model.dim}, sequence {seq.name} d={seq.dim}"
-        )
+def require_dimension(owner: str, dim: int, seq: FrameSequence) -> None:
+    """A LomoError "dimension mismatch: <owner> d=<dim>, sequence <name> d=<d>"
+    unless `seq` has the `dim` columns that its `owner`, a model or a PCA
+    basis, was built for."""
+    if seq.dim != dim:
+        raise LomoError(f"dimension mismatch: {owner} d={dim}, sequence {seq.name} d={seq.dim}")
 
 
 def _too_short(seq: FrameSequence, m: int, t: int) -> LomoError:
@@ -118,7 +117,7 @@ def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) ->
 
     The reference implementation; scoring runs through `assign_batch`.
     """
-    _check_dim(model, seq)
+    require_dimension("model", model.dim, seq)
     n = seq.num_frames
     m = model.num_templates
     t = cfg.exclusion_t
@@ -170,7 +169,7 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     if len({seq.num_frames for seq in seqs}) != 1:
         raise LomoError("assign_batch needs one or more sequences of equal length")
     for seq in seqs:
-        _check_dim(model, seq)
+        require_dimension("model", model.dim, seq)
     frames = np.stack([seq.frames for seq in seqs])
     count, n, _ = frames.shape
     m = model.num_templates

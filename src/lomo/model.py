@@ -36,10 +36,7 @@ class LomoModel:
                 f"templates must be 2-dimensional (M, d), got shape {self.templates.shape}"
             )
         m, d = self.templates.shape
-        if m < 1:
-            raise LomoError("model needs at least one template")
-        if m > MAX_TEMPLATES:
-            raise LomoError(f"model supports at most {MAX_TEMPLATES} templates, got {m}")
+        require_order_size("number of templates", m)
         if d < 1:
             raise LomoError("template dimension must be >= 1")
         if self.costs.shape != (math.factorial(m),):
@@ -66,9 +63,10 @@ class LomoModel:
         )
 
 
-def _require_order_size(name: str, m) -> int:
+def require_order_size(name: str, m) -> int:
     """`m` as an int in 1..MAX_TEMPLATES, the order lengths a cost table
-    indexes; anything else raises a LomoError naming `name`."""
+    indexes; anything else raises a LomoError naming `name`. Models, the
+    training and synth configs and the permutation helpers bound M here."""
     m = require_int(name, m, minimum=1)
     if m > MAX_TEMPLATES:
         raise LomoError(f"{name} must be at most {MAX_TEMPLATES}")
@@ -89,7 +87,7 @@ def rank_pattern(k) -> tuple[int, ...]:
     ks = _order_entries("frame index", k)
     if len(ks) == 0:
         raise LomoError("rank_pattern needs at least one index")
-    _require_order_size("number of frame indices", len(ks))
+    require_order_size("number of frame indices", len(ks))
     if any(v < 1 for v in ks):
         raise LomoError(f"frame indices must be >= 1, got {ks}")
     if len(set(ks)) != len(ks):
@@ -99,7 +97,7 @@ def rank_pattern(k) -> tuple[int, ...]:
 
 def _check_permutation(p) -> list[int]:
     ps = _order_entries("permutation entry", p)
-    _require_order_size("number of permutation entries", len(ps))
+    require_order_size("number of permutation entries", len(ps))
     if sorted(ps) != list(range(1, len(ps) + 1)):
         raise LomoError(f"{tuple(ps)} is not a permutation of 1..{len(ps)}")
     return ps
@@ -140,7 +138,7 @@ ORDER_INDEX = PermTable()
 
 def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     """Inverse of perm_index: the permutation of (1..m) with the given rank."""
-    m = _require_order_size("m", m)
+    m = require_order_size("m", m)
     index = require_int("permutation index", index)
     total = math.factorial(m)
     if not 1 <= index <= total:
@@ -158,7 +156,7 @@ def perm_unrank(index: int, m: int) -> tuple[int, ...]:
 def init_model(d: int, m: int, rng: Rng) -> LomoModel:
     """Fresh model: template entries 0.01*uniform[0,1), costs exactly zero."""
     d = require_int("dimension", d, minimum=1)
-    m = _require_order_size("number of templates", m)
+    m = require_order_size("number of templates", m)
     templates = 0.01 * rng.uniform(size=(m, d))
     costs = np.zeros(math.factorial(m))
     return LomoModel(templates, costs)

@@ -14,7 +14,6 @@ returns, bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,11 +25,12 @@ from .core import (
     float_errors,
     require_instance,
     require_int,
+    require_items,
     require_pairs,
     require_real,
 )
 from .inference import FrameSequence, InferenceConfig, score_sequences
-from .model import MAX_TEMPLATES, ORDER_INDEX, LomoModel, init_model
+from .model import ORDER_INDEX, LomoModel, init_model, require_order_size
 
 VARIANTS = ("lomo", "mil", "svm_pool")
 COST_UPDATES = ("gradient", "literal")
@@ -77,27 +77,17 @@ class TrainConfig:
                 f"cost_update must be one of {COST_UPDATES}, got {self.cost_update!r}"
             )
         self.num_templates = require_int("num_templates", self.num_templates)
-        self.exclusion_t = require_int("exclusion_t", self.exclusion_t)
-        if self.max_iter is not None:
-            self.max_iter = require_int("max_iter", self.max_iter)
-        self.seed = require_int("seed", self.seed, minimum=0)
-        require_real("eta", self.eta)
-        require_real("reg_lambda", self.reg_lambda)
         if self.variant != "lomo":
             self.num_templates = 1  # MIL / pooled SVM are the single-template restriction
-        if not 1 <= self.num_templates <= MAX_TEMPLATES:
-            raise LomoError(
-                f"num_templates must be in 1..{MAX_TEMPLATES}, got {self.num_templates}"
-            )
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise LomoError(f"eta must be finite and > 0, got {self.eta}")
-        if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
-            raise LomoError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
+        self.num_templates = require_order_size("num_templates", self.num_templates)
+        self.exclusion_t = require_int("exclusion_t", self.exclusion_t, minimum=0)
+        if self.max_iter is not None:
+            self.max_iter = require_int("max_iter", self.max_iter, minimum=1)
+        self.seed = require_int("seed", self.seed, minimum=0)
+        require_real("eta", self.eta, minimum=0, strict=True)
+        require_real("reg_lambda", self.reg_lambda, minimum=0)
         if self.reg_lambda * self.eta >= 1:  # else an update zeroes or flips the templates
             raise LomoError(f"reg_lambda * eta must be < 1, got {self.reg_lambda} * {self.eta}")
-        require_int("exclusion_t", self.exclusion_t, minimum=0)
-        if self.max_iter is not None:
-            require_int("max_iter", self.max_iter, minimum=1)
 
     @property
     def freeze_costs(self) -> bool:
@@ -111,7 +101,7 @@ def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> fl
     """(lambda/2) * sum ||w_i||^2 + mean hinge [1 - y*s]_+ over the data."""
     require_real("reg_lambda", reg_lambda)
     require_instance("cfg", cfg, TrainConfig)
-    data = _examples(data)
+    data = require_items("data", data, LabeledSequence)
     if not data:
         raise LomoError("objective needs at least one example")
     scores = score_sequences(model, [ex.sequence for ex in data], cfg.inference_config())
@@ -120,15 +110,6 @@ def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> fl
     for ex, s in zip(data, scores.tolist()):
         hinge += max(0.0, 1.0 - ex.label * s)
     return reg + hinge / len(data)
-
-
-def _examples(data) -> list[LabeledSequence]:
-    """`data` as a list; an item that is not a LabeledSequence raises a
-    LomoError naming its position."""
-    data = list(data)
-    for k, ex in enumerate(data):
-        require_instance(f"data[{k}]", ex, LabeledSequence)
-    return data
 
 
 def _min_frames(m: int, t: int) -> int:
@@ -197,7 +178,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     A numeric error's message names the step.
     """
     require_instance("cfg", cfg, TrainConfig)
-    data = _examples(data)
+    data = require_items("data", data, LabeledSequence)
     dim = _validate_train_data(data, cfg)
     rng = Rng(cfg.seed)
     init = init_model(dim, cfg.num_templates, rng)

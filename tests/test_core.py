@@ -3,6 +3,7 @@ guard, integer arguments and the package's exported names."""
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 
@@ -196,6 +197,32 @@ def test_only_training_turns_class_labels_into_binary_targets():
     words = re.compile(r"LabeledSequence\(|\b1 if \w+ == \w+ else -1\b")
     found = sorted(p.name for p in src.glob("*.py") if words.search(p.read_text("utf-8")))
     assert found == ["training.py"]
+
+
+def test_only_model_reads_the_longest_order():
+    # every other module bounds M through model.require_order_size
+    src = pathlib.Path(lomo.__file__).parent
+    readers = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "MAX_TEMPLATES" in names or getattr(node, "attr", None) == "MAX_TEMPLATES":
+                readers.append(path.name)
+    assert readers == []
+
+
+@pytest.mark.parametrize(
+    "text, home",
+    [
+        ("dimension mismatch", "inference.py"),  # inference.require_dimension
+        ("must be finite and", "core.py"),  # core.require_real(…, minimum=…)
+        ('require_instance(f"', "core.py"),  # core.require_items
+    ],
+)
+def test_each_argument_rule_is_written_in_one_module(text, home):
+    src = pathlib.Path(lomo.__file__).parent
+    found = sorted(p.name for p in src.glob("*.py") if text in p.read_text("utf-8"))
+    assert found == [home]
 
 
 # ---------------------------------------------------------------------------

@@ -860,7 +860,7 @@ def test_synth_spec_validation():
         _small_spec(num_events=1)
     with pytest.raises(LomoError, match="neg_mode"):
         _small_spec(neg_mode="inverted")
-    with pytest.raises(LomoError, match="num_events must be in"):
+    with pytest.raises(LomoError, match="^num_events must be >= 1, got 0$"):
         _small_spec(num_events=0)
     with pytest.raises(LomoError, match="noise_sigma"):
         _small_spec(noise_sigma=-0.1)

@@ -251,7 +251,8 @@ def _write(tmp_path, text):
     [
         (lambda tmp: LomoModel(np.zeros(3), np.zeros(1)),
          r"templates must be 2-dimensional \(M, d\), got shape \(3,\)"),
-        (lambda tmp: LomoModel(np.zeros((0, 2)), np.zeros(1)), "model needs at least one template"),
+        (lambda tmp: LomoModel(np.zeros((0, 2)), np.zeros(1)),
+         "number of templates must be >= 1, got 0"),
         (lambda tmp: LomoModel(np.zeros((1, 0)), np.zeros(1)), "template dimension must be >= 1"),
         (lambda tmp: load_model(_write(tmp, "LOMO v1\n")), "line 2: missing dimensions line"),
         (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1\ncosts 0.0\nw1 0.0\n")),
