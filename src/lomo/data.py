@@ -27,6 +27,7 @@ from .core import (
     read_text,
     require_instance,
     require_int,
+    require_items,
     require_real,
     write_text,
 )
@@ -391,6 +392,8 @@ class PreprocessConfig:
     pool: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.l2, (bool, np.bool_)):
+            raise LomoError(f"l2 must be True or False, got {self.l2!r}")
         self.stack = require_int("stack", self.stack)
         if self.stack < 1:
             raise LomoError(f"stack window must be >= 1, got {self.stack}")
@@ -423,10 +426,11 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     order), each signed so its largest-magnitude entry is positive. A
     numeric error's message suggests l2 normalisation when it is off.
     """
+    require_instance("config", config, PreprocessConfig)
+    seqs = require_items("train_seqs", train_seqs, FrameSequence)
     k = config.pca_dim
     if k is None:
         return FittedPreprocess(config)
-    seqs = list(train_seqs)
     if not seqs:
         raise LomoError("PCA needs training sequences, got none")
     d = seqs[0].dim
@@ -452,6 +456,8 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
 
 def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
     """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself."""
+    require_instance("fitted", fitted, FittedPreprocess)
+    require_instance("seq", seq, FrameSequence)
     cfg = fitted.config
     frames = seq.frames
     with float_errors(lambda err: f"sequence {seq.name}: {err} while preprocessing"):
@@ -589,6 +595,7 @@ def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
     A numeric error's message names the sequence and noise_sigma, and a dim
     or num_frames too large to draw raises a LomoError naming that field.
     """
+    require_instance("spec", spec, SynthSpec)
     rng = Rng(spec.seed)
     raw = _normal(rng, spec, "dim", (spec.num_events, spec.dim))
     prototypes = _l2_rows(raw)

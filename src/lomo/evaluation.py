@@ -158,10 +158,13 @@ def run_cv(
     """
     require_instance("manifest", manifest, DatasetManifest)
     folds = require_items("folds", folds, Fold)
+    require_instance("cfg", cfg, TrainConfig)
+    if preprocess is None:
+        preprocess = PreprocessConfig()
+    require_instance("preprocess", preprocess, PreprocessConfig)
     metric = str(metric).lower()
     if metric not in METRICS:
         raise LomoError(f"metric must be one of {METRICS}, got {metric!r}")
-    preprocess = preprocess or PreprocessConfig()
     classes = manifest.classes
     multiclass = len(classes) > 2
     if multiclass and metric != "acc":

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LomoError, Rng, format_float, read_text, real_array, require_int, write_text
+from .core import (
+    LomoError,
+    Rng,
+    format_float,
+    read_text,
+    real_array,
+    require_instance,
+    require_int,
+    write_text,
+)
 
 MAX_TEMPLATES = 8  # dense cost table; 8! = 40320 entries is the ceiling
 
@@ -164,6 +173,7 @@ def init_model(d: int, m: int, rng: Rng) -> LomoModel:
 
 def save_model(model: LomoModel, path) -> None:
     """Write the versioned plain-text model file (LF endings, exact decimals)."""
+    require_instance("model", model, LomoModel)
     lines = [
         MODEL_FORMAT_VERSION,
         f"M={model.num_templates} d={model.dim}",

@@ -17,6 +17,7 @@ import lomo.data
 from lomo.core import LomoError, Rng
 from lomo.data import (
     DatasetManifest,
+    FittedPreprocess,
     ManifestRecord,
     PreprocessConfig,
     SynthSpec,
@@ -25,6 +26,7 @@ from lomo.data import (
     gen_synthetic,
     make_folds,
     parse_manifest,
+    prepare,
     read_sequence,
     synth_records,
     write_sequence,
@@ -375,8 +377,20 @@ def _manifest_row(tmp_path, row):
         (lambda tmp: make_folds(_manifest_with_groups(["g0", "g1"]), "kfold", seed=0, k=1),
          "kfold needs k >= 2, got 1"),
         (lambda tmp: make_folds(None, "logo", 0), "manifest must be a DatasetManifest, got None"),
+        (lambda tmp: prepare(None, []), "config must be a PreprocessConfig, got None"),
+        (lambda tmp: fit_preprocess([1, 2], PreprocessConfig(pca_dim=1)),
+         "train_seqs[0] must be a FrameSequence, got 1"),
+        (lambda tmp: apply_preprocess(None, FrameSequence([[1.0]])),
+         "fitted must be a FittedPreprocess, got None"),
+        (lambda tmp: apply_preprocess(FittedPreprocess(PreprocessConfig()), 1),
+         "seq must be a FrameSequence, got 1"),
+        (lambda tmp: gen_synthetic(None, tmp / "synth"), "spec must be a SynthSpec, got None"),
     ],
-    ids=["manifest-empty-id", "manifest-blank-label", "kfold-k-1", "folds-of-no-manifest"],
+    ids=[
+        "manifest-empty-id", "manifest-blank-label", "kfold-k-1", "folds-of-no-manifest",
+        "prepare-config", "fit-preprocess-item", "apply-preprocess-fitted",
+        "apply-preprocess-seq", "gen-synthetic-spec",
+    ],
 )
 def test_data_validation_messages(tmp_path, call, message):
     with pytest.raises(LomoError, match="^" + re.escape(message.format(tmp=tmp_path)) + "$"):
@@ -761,6 +775,11 @@ def test_preprocess_config_validation():
         PreprocessConfig(pca_dim=0)
     with pytest.raises(LomoError, match="pool"):
         PreprocessConfig(pool="median")
+    with pytest.raises(LomoError, match="^l2 must be True or False, got 'no'$"):
+        PreprocessConfig(l2="no")
+    with pytest.raises(LomoError, match="^l2 must be True or False, got 1$"):
+        PreprocessConfig(l2=1)
+    assert PreprocessConfig(l2=np.True_).l2
 
 
 @pytest.mark.parametrize("field, value", [
@@ -872,6 +891,10 @@ def test_synth_spec_validation():
         _small_spec(dim=0)
     with pytest.raises(LomoError, match="^min_gap must be >= 0, got -1$"):
         _small_spec(min_gap=-1)
+    with pytest.raises(LomoError, match="^num_pos must be >= 1, got 0$"):
+        _small_spec(num_pos=0)
+    with pytest.raises(LomoError, match="^num_neg must be >= 1, got 0$"):
+        _small_spec(num_neg=0)
 
 
 @pytest.mark.parametrize(

@@ -351,6 +351,31 @@ def test_run_cv_names_an_argument_that_is_not_a_manifest_or_a_fold(tmp_path):
                "acc", positive_label="pos")
 
 
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        ({"cfg": None}, r"^cfg must be a TrainConfig, got None$"),
+        ({"preprocess": {"l2": True}},
+         r"^preprocess must be a PreprocessConfig, got \{'l2': True\}$"),
+        ({"preprocess": {}}, r"^preprocess must be a PreprocessConfig, got \{\}$"),
+    ],
+    ids=["cfg-none", "preprocess-dict", "preprocess-empty-dict"],
+)
+def test_run_cv_names_a_config_of_the_wrong_type_before_it_forks(
+    tmp_path, monkeypatch, wrong, message
+):
+    manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
+    folds = make_folds(manifest, "logo", seed=0)
+
+    def no_folds(*args, **kwargs):
+        raise AssertionError("run_cv started its folds")
+
+    monkeypatch.setattr(lomo.evaluation, "forked_map", no_folds)
+    args = {"cfg": _fast_cfg(), "positive_label": "pos", **wrong}
+    with pytest.raises(LomoError, match=message):
+        run_cv(manifest, folds, **args)
+
+
 def test_run_cv_rejects_single_class_training_split(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
     by_label = {"pos": [], "neg": []}

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lomo.core import LomoError, Rng
+from lomo.data import SynthSpec
 from lomo.model import (
     MAX_TEMPLATES,
     LomoModel,
@@ -22,6 +23,7 @@ from lomo.model import (
     rank_pattern,
     save_model,
 )
+from lomo.training import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +135,14 @@ def test_perm_index_rejects_non_permutations():
         (lambda: rank_pattern(range(1, 2**63 + 1)), "number of frame indices"),
         (lambda: rank_pattern(itertools.count(1)), "number of frame indices"),
         (lambda: init_model(1, MAX_TEMPLATES + 1, Rng(0)), "number of templates"),
+        (lambda: LomoModel(np.zeros((MAX_TEMPLATES + 1, 2)), np.zeros(1)), "number of templates"),
+        (lambda: TrainConfig(num_templates=MAX_TEMPLATES + 1), "num_templates"),
+        (lambda: SynthSpec(num_events=MAX_TEMPLATES + 1), "num_events"),
     ],
     ids=[
         "perm_unrank-M+1", "perm_unrank-2**63", "perm_index-M+1", "perm_index-2**63",
         "rank_pattern-M+1", "rank_pattern-2**63", "rank_pattern-endless", "init_model-M+1",
+        "LomoModel-M+1", "TrainConfig-M+1", "SynthSpec-M+1",
     ],
 )
 def test_orders_longer_than_a_cost_table_indexes_are_refused(call, what):
@@ -257,8 +263,12 @@ def _write(tmp_path, text):
         (lambda tmp: load_model(_write(tmp, "LOMO v1\n")), "line 2: missing dimensions line"),
         (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1\ncosts 0.0\nw1 0.0\n")),
          r"line 2: expected 'M=<int> d=<int>', got 'M=1'"),
+        (lambda tmp: save_model(None, tmp / "none.lomo"), "model must be a LomoModel, got None"),
     ],
-    ids=["1-d-templates", "no-templates", "zero-width", "no-dimensions-line", "bad-dimensions-line"],
+    ids=[
+        "1-d-templates", "no-templates", "zero-width", "no-dimensions-line",
+        "bad-dimensions-line", "save-no-model",
+    ],
 )
 def test_model_validation_messages(tmp_path, call, message):
     with pytest.raises(LomoError, match=f"^{message}$"):
