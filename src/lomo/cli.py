@@ -31,8 +31,8 @@ from .training import TrainConfig, train_binary, train_ova
 VARIANT_FLAGS = {
     "lomo": ("lomo", None),
     "mil": ("mil", None),
-    "svm-mean": ("svm_pool", "mean"),
-    "svm-max": ("svm_pool", "max"),
+    "svm-mean": ("mil", "mean"),
+    "svm-max": ("mil", "max"),
 }
 
 
@@ -64,6 +64,20 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _train_settings(args, cfg: TrainConfig, max_iter) -> list[tuple]:
+    """The training settings that train and cv echo, one per _add_train_flags flag."""
+    return [
+        ("variant", args.variant), ("templates", cfg.num_templates), ("eta", cfg.eta),
+        ("lambda", cfg.reg_lambda), ("exclusion_t", cfg.exclusion_t),
+        ("max_iter", max_iter), ("seed", cfg.seed), ("cost_update", cfg.cost_update),
+    ]
+
+
+def _add_exclusion_flag(sub) -> None:
+    sub.add_argument("--exclusion-t", type=int, default=5, metavar="T",
+                     help="frames excluded on each side of a chosen frame")
+
+
 def _add_train_flags(sub) -> None:
     sub.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="lomo",
                      help="model family: full ordinal model, MIL, or pooled SVM")
@@ -72,8 +86,7 @@ def _add_train_flags(sub) -> None:
     sub.add_argument("--eta", type=float, default=0.05, help="SGD learning rate")
     sub.add_argument("--lambda", dest="reg_lambda", type=float, default=1e-5,
                      help="L2 regularizer on the templates")
-    sub.add_argument("--exclusion-t", type=int, default=5, metavar="T",
-                     help="frames excluded on each side of a chosen frame")
+    _add_exclusion_flag(sub)
     sub.add_argument("--max-iter", type=int, default=None,
                      help="SGD iterations (default: 100 x number of training sequences)")
     sub.add_argument("--seed", type=int, default=42, help="RNG seed")
@@ -108,13 +121,8 @@ def _cmd_train(args) -> int:
     manifest = parse_manifest(args.manifest)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
     _, seqs = prepare(PreprocessConfig(pool=VARIANT_FLAGS[args.variant][1]), seqs, seqs)
-    resolved_iter = cfg.max_iter if cfg.max_iter is not None else 100 * len(seqs)
-    _echo("train", [
-        ("variant", args.variant), ("templates", cfg.num_templates), ("eta", cfg.eta),
-        ("lambda", cfg.reg_lambda), ("exclusion_t", cfg.exclusion_t),
-        ("max_iter", resolved_iter), ("seed", cfg.seed), ("cost_update", cfg.cost_update),
-        ("ova", args.ova), ("positive_label", args.positive_label),
-    ])
+    _echo("train", [*_train_settings(args, cfg, cfg.num_steps(len(seqs))),
+                    ("ova", args.ova), ("positive_label", args.positive_label)])
     pairs = [(seq, rec.label) for rec, seq in zip(manifest.records, seqs)]
     if args.ova:
         models = train_ova(pairs, cfg)
@@ -159,9 +167,7 @@ def _cmd_cv(args) -> int:
     cfg = _train_config(args)
     _echo("cv", [
         ("scheme", args.scheme), ("folds", args.folds), ("metric", args.metric),
-        ("variant", args.variant), ("templates", cfg.num_templates), ("eta", cfg.eta),
-        ("lambda", cfg.reg_lambda), ("exclusion_t", cfg.exclusion_t),
-        ("seed", cfg.seed), ("positive_label", args.positive_label),
+        *_train_settings(args, cfg, cfg.max_iter), ("positive_label", args.positive_label),
         ("l2", args.l2), ("pca_dim", args.pca_dim), ("stack", args.stack),
     ])
     manifest = parse_manifest(args.manifest)
@@ -235,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="path to manifest.csv")
     p.add_argument("--model", action="append", required=True,
                    help="model file; repeat to average scores (late fusion)")
-    p.add_argument("--exclusion-t", type=int, default=5, metavar="T",
-                   help="frames excluded on each side of a chosen frame")
+    _add_exclusion_flag(p)
     p.add_argument("--pool", choices=("none", "mean", "max"), default="none",
                    help="pool each sequence to one frame before scoring")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -264,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="detection timeline for one sequence")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--sequence", required=True, help="sequence CSV file")
-    p.add_argument("--exclusion-t", type=int, default=5, metavar="T",
-                   help="frames excluded on each side of a chosen frame")
+    _add_exclusion_flag(p)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_report)
 

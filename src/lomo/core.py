@@ -33,6 +33,14 @@ def require_int(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def require_choice(name: str, value, choices: tuple[str, ...]) -> str:
+    """`value` lower-cased if it is a str in `choices` in any case; anything else
+    raises LomoError "<name> must be one of <choices>, got <value as given>"."""
+    if isinstance(value, str) and value.lower() in choices:
+        return value.lower()
+    raise LomoError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def real_array(name: str, value, order: str = "K") -> np.ndarray:
     """`value` as a float64 array in `order`; complex or non-numeric input
     raises a LomoError naming `name`. An array that needs no conversion is

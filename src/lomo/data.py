@@ -25,6 +25,7 @@ from .core import (
     format_float,
     read_bytes,
     read_text,
+    require_choice,
     require_instance,
     require_int,
     require_items,
@@ -279,7 +280,7 @@ def make_folds(
     LOGO has one fold per group, so giving it k is an error.
     """
     require_instance("manifest", manifest, DatasetManifest)
-    scheme = str(scheme).lower()
+    scheme = require_choice("scheme", scheme, (SCHEME_LOGO, SCHEME_KFOLD))
     seed = require_int("seed", seed, minimum=0)
     groups = manifest.groups
     if len(groups) < 2:
@@ -288,20 +289,16 @@ def make_folds(
         if k is not None:
             raise LomoError(f"the logo scheme takes no fold count k, got k={k}")
         fold_groups = [[g] for g in groups]
-    elif scheme == SCHEME_KFOLD:
+    else:
         if k is None:
             raise LomoError("kfold scheme needs a fold count k")
-        k = require_int("k", k)
-        if k < 2:
-            raise LomoError(f"kfold needs k >= 2, got {k}")
+        k = require_int("k", k, minimum=2)
         if k > len(groups):
             raise LomoError(f"k={k} exceeds the {len(groups)} available groups")
         order = Rng(seed).permutation(len(groups))
         fold_groups = [[] for _ in range(k)]
         for pos, gi in enumerate(order):
             fold_groups[pos % k].append(groups[int(gi)])
-    else:
-        raise LomoError(f"unknown scheme {scheme!r}, expected 'logo' or 'kfold'")
     folds = []
     for members in fold_groups:
         member_set = set(members)
@@ -382,7 +379,7 @@ class PreprocessConfig:
 
     stack concatenates each frame with the next stack - 1 frames, the last
     frame repeated as padding. pool collapses each sequence to one frame by
-    elementwise mean or max, the input the svm_pool variant expects; None
+    elementwise mean or max, the input of the pooled SVM (variant mil); None
     keeps every frame.
     """
 
@@ -394,13 +391,11 @@ class PreprocessConfig:
     def __post_init__(self):
         if not isinstance(self.l2, (bool, np.bool_)):
             raise LomoError(f"l2 must be True or False, got {self.l2!r}")
-        self.stack = require_int("stack", self.stack)
-        if self.stack < 1:
-            raise LomoError(f"stack window must be >= 1, got {self.stack}")
+        self.stack = require_int("stack", self.stack, minimum=1)
         if self.pca_dim is not None:
             self.pca_dim = require_int("pca_dim", self.pca_dim, minimum=1)
-        if self.pool not in (None, "mean", "max"):
-            raise LomoError(f"pool must be None, 'mean' or 'max', got {self.pool!r}")
+        if self.pool is not None:
+            self.pool = require_choice("pool", self.pool, ("mean", "max"))
 
 
 @dataclass
@@ -520,9 +515,7 @@ class SynthSpec:
         self.num_events = require_order_size("num_events", self.num_events)
         self.seed = require_int("seed", self.seed, minimum=0)
         require_real("noise_sigma", self.noise_sigma, minimum=0)
-        self.neg_mode = str(self.neg_mode).lower()
-        if self.neg_mode not in NEG_MODES:
-            raise LomoError(f"neg_mode must be one of {NEG_MODES}, got {self.neg_mode!r}")
+        self.neg_mode = require_choice("neg_mode", self.neg_mode, NEG_MODES)
         if self.neg_mode == "shuffled" and self.num_events < 2:
             raise LomoError(
                 "shuffled negatives need num_events >= 2 (no non-identity permutation exists)"

@@ -22,6 +22,7 @@ from .core import (
     finite_floats,
     forked_map,
     format_float,
+    require_choice,
     require_instance,
     require_items,
     require_pairs,
@@ -143,7 +144,7 @@ def run_cv(
     """Per-fold train/evaluate with train-only preprocessing statistics.
 
     Each fold fits `preprocess` on its training sequences and applies it to
-    both splits; the svm_pool variant needs `preprocess.pool` set.
+    both splits; the pooled SVM is the mil variant with `preprocess.pool` set.
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
@@ -162,9 +163,7 @@ def run_cv(
     if preprocess is None:
         preprocess = PreprocessConfig()
     require_instance("preprocess", preprocess, PreprocessConfig)
-    metric = str(metric).lower()
-    if metric not in METRICS:
-        raise LomoError(f"metric must be one of {METRICS}, got {metric!r}")
+    metric = require_choice("metric", metric, METRICS)
     classes = manifest.classes
     multiclass = len(classes) > 2
     if multiclass and metric != "acc":

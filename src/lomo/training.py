@@ -3,8 +3,8 @@
 One uniformly sampled example per step; on a margin violation every
 template shrinks and moves toward its chosen frame, and the cost of the
 realized ordering moves by eta (sign per the configured update mode).
-The MIL and pooled-SVM baselines are the M=1 restriction with the cost
-table frozen at zero.
+The MIL baseline is the M=1 restriction with the cost table frozen at
+zero; on sequences pooled to one frame it is the pooled-SVM baseline.
 
 `train` is the training kernel: one loop over plain arrays updated in
 place. Its reference step, `sgd_step` in tests/oracle.py, is a test
@@ -26,13 +26,14 @@ from .core import (
     require_instance,
     require_int,
     require_items,
+    require_choice,
     require_pairs,
     require_real,
 )
 from .inference import FrameSequence, InferenceConfig, score_sequences
 from .model import ORDER_INDEX, LomoModel, init_model, require_order_size
 
-VARIANTS = ("lomo", "mil", "svm_pool")
+VARIANTS = ("lomo", "mil")
 COST_UPDATES = ("gradient", "literal")
 _DRAW_CHUNK = 4096  # sample indices drawn per rng call in train
 
@@ -52,10 +53,8 @@ class LabeledSequence:
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    max_iter=None means 100 passes' worth of uniform samples (100 * |data|).
-    Variants mil and svm_pool force a single template and keep costs at 0;
-    svm_pool trains on sequences already pooled to one frame
-    (PreprocessConfig.pool).
+    Variant mil forces a single template and keeps costs at 0; on sequences
+    pooled to one frame (PreprocessConfig.pool) it is the pooled SVM.
     """
 
     num_templates: int = 3
@@ -68,17 +67,11 @@ class TrainConfig:
     cost_update: str = "gradient"
 
     def __post_init__(self):
-        self.variant = str(self.variant).lower()
-        self.cost_update = str(self.cost_update).lower()
-        if self.variant not in VARIANTS:
-            raise LomoError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.cost_update not in COST_UPDATES:
-            raise LomoError(
-                f"cost_update must be one of {COST_UPDATES}, got {self.cost_update!r}"
-            )
+        self.variant = require_choice("variant", self.variant, VARIANTS)
+        self.cost_update = require_choice("cost_update", self.cost_update, COST_UPDATES)
         self.num_templates = require_int("num_templates", self.num_templates)
         if self.variant != "lomo":
-            self.num_templates = 1  # MIL / pooled SVM are the single-template restriction
+            self.num_templates = 1  # MIL is the single-template restriction
         self.num_templates = require_order_size("num_templates", self.num_templates)
         self.exclusion_t = require_int("exclusion_t", self.exclusion_t, minimum=0)
         if self.max_iter is not None:
@@ -88,6 +81,10 @@ class TrainConfig:
         require_real("reg_lambda", self.reg_lambda, minimum=0)
         if self.reg_lambda * self.eta >= 1:  # else an update zeroes or flips the templates
             raise LomoError(f"reg_lambda * eta must be < 1, got {self.reg_lambda} * {self.eta}")
+
+    def num_steps(self, n: int) -> int:
+        """SGD steps for n training sequences: max_iter, else 100 per sequence."""
+        return self.max_iter if self.max_iter is not None else 100 * n
 
     @property
     def freeze_costs(self) -> bool:
@@ -134,11 +131,6 @@ def _validate_train_data(data, cfg: TrainConfig) -> int:
                 f"sequence {seq.name}: {seq.num_frames} frames is too short "
                 f"for M={cfg.num_templates}, t={cfg.exclusion_t} (needs >= {need})"
             )
-        if cfg.variant == "svm_pool" and seq.num_frames != 1:
-            raise LomoError(
-                f"sequence {seq.name}: svm_pool expects pre-pooled "
-                f"single-frame sequences, got {seq.num_frames} frames"
-            )
     return dim
 
 
@@ -184,7 +176,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     init = init_model(dim, cfg.num_templates, rng)
     templates = init.templates
     costs = init.costs.tolist()
-    iters = cfg.max_iter if cfg.max_iter is not None else 100 * len(data)
+    iters = cfg.num_steps(len(data))
     frames = [ex.sequence.frames for ex in data]
     labels = [ex.label for ex in data]
     m = cfg.num_templates

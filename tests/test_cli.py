@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lomo.core
-from lomo.cli import build_parser, main
+from lomo.cli import _add_train_flags, build_parser, main
 from lomo.core import format_float
 from lomo.data import write_sequence
 from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, latent_assign, score
@@ -278,6 +278,33 @@ def test_cv_writes_fold_rows_and_mean(tmp_path, capsys):
     assert lines[3].startswith("mean,acc,")
     fold_values = [float(line.split(",")[2]) for line in lines[1:3]]
     assert float(lines[3].split(",")[2]) == pytest.approx(np.mean(fold_values))
+
+
+def _config_line(err: str, command: str) -> dict[str, str]:
+    line = next(line for line in err.splitlines() if line.startswith(f"{command} config: "))
+    return dict(pair.split("=", 1) for pair in line.removeprefix(f"{command} config: ").split(" "))
+
+
+def test_train_and_cv_echo_every_training_flag(tmp_path, capsys):
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_train_flags(flags)
+    keys = {a.option_strings[0].removeprefix("--").replace("-", "_") for a in flags._actions}
+    assert {"lambda", "exclusion_t", "cost_update"} <= keys
+    data = _synth(tmp_path)
+    _train(tmp_path, data, extra=["--cost-update", "literal"])
+    train_echo = _config_line(capsys.readouterr().err, "train")
+    argv = [
+        "cv", "--manifest", os.path.join(data, "manifest.csv"), "--scheme", "kfold",
+        "--folds", "2", "--positive-label", "pos", "--out", str(tmp_path / "cv.csv"),
+        "--cost-update", "literal", *TRAIN_FAST,
+    ]
+    assert main(argv) == 0
+    cv_echo = _config_line(capsys.readouterr().err, "cv")
+    for echo in (train_echo, cv_echo):
+        assert keys <= set(echo)
+        assert (echo["max_iter"], echo["cost_update"]) == ("300", "literal")
+    assert main([*argv[:-len(TRAIN_FAST)], "--templates", "1"]) == 0
+    assert _config_line(capsys.readouterr().err, "cv")["max_iter"] == "None"
 
 
 def test_cv_rerun_is_byte_identical(tmp_path):

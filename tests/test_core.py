@@ -217,12 +217,22 @@ def test_only_model_reads_the_longest_order():
         ("dimension mismatch", "inference.py"),  # inference.require_dimension
         ("must be finite and", "core.py"),  # core.require_real(…, minimum=…)
         ('require_instance(f"', "core.py"),  # core.require_items
+        (".lower()", "core.py"),  # core.require_choice
+        ("100 * ", "training.py"),  # TrainConfig.num_steps
     ],
 )
 def test_each_argument_rule_is_written_in_one_module(text, home):
     src = pathlib.Path(lomo.__file__).parent
     found = sorted(p.name for p in src.glob("*.py") if text in p.read_text("utf-8"))
     assert found == [home]
+
+
+def test_the_pooled_svm_is_no_variant_of_its_own():
+    # --variant svm-mean/svm-max train mil on frames pooled by PreprocessConfig
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [*root.glob("src/lomo/*.py"), *root.glob("tests/*.py"), root / "README.md"]
+    retired = "svm" + "_pool"
+    assert [p.name for p in paths if retired in p.read_text("utf-8")] == []
 
 
 # ---------------------------------------------------------------------------

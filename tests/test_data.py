@@ -359,7 +359,7 @@ def test_make_folds_validation():
         make_folds(manifest, "kfold", seed=0)
     with pytest.raises(LomoError, match="k=5 exceeds the 3 available groups"):
         make_folds(manifest, "kfold", seed=0, k=5)
-    with pytest.raises(LomoError, match="unknown scheme"):
+    with pytest.raises(LomoError, match=r"^scheme must be one of \('logo', 'kfold'\), got 'stratified'$"):
         make_folds(manifest, "stratified", seed=0)
 
 
@@ -375,7 +375,7 @@ def _manifest_row(tmp_path, row):
         (lambda tmp: _manifest_row(tmp, ",pos,g0,a.csv"), "{tmp}/manifest.csv: row 2: empty id or label"),
         (lambda tmp: _manifest_row(tmp, "a, ,g0,a.csv"), "{tmp}/manifest.csv: row 2: empty id or label"),
         (lambda tmp: make_folds(_manifest_with_groups(["g0", "g1"]), "kfold", seed=0, k=1),
-         "kfold needs k >= 2, got 1"),
+         "k must be >= 2, got 1"),
         (lambda tmp: make_folds(None, "logo", 0), "manifest must be a DatasetManifest, got None"),
         (lambda tmp: prepare(None, []), "config must be a PreprocessConfig, got None"),
         (lambda tmp: fit_preprocess([1, 2], PreprocessConfig(pca_dim=1)),
@@ -473,7 +473,7 @@ def test_stack_frames_shape_and_padding_property():
 
 
 def test_stack_frames_rejects_bad_window():
-    with pytest.raises(LomoError, match="stack window must be >= 1"):
+    with pytest.raises(LomoError, match="^stack must be >= 1, got 0$"):
         PreprocessConfig(stack=0)
 
 
@@ -484,7 +484,7 @@ def test_pool_mean_max_and_single_frame():
     single = FrameSequence(np.array([[7.0, -1.0]]))
     np.testing.assert_array_equal(_apply(single, pool="mean").frames, [[7.0, -1.0]])
     np.testing.assert_array_equal(_apply(single, pool="max").frames, [[7.0, -1.0]])
-    with pytest.raises(LomoError, match="pool must be None, 'mean' or 'max', got 'sum'"):
+    with pytest.raises(LomoError, match=r"^pool must be one of \('mean', 'max'\), got 'sum'$"):
         PreprocessConfig(pool="sum")
 
 
@@ -769,7 +769,7 @@ def test_preprocess_identity_passthrough():
 
 
 def test_preprocess_config_validation():
-    with pytest.raises(LomoError, match="stack window"):
+    with pytest.raises(LomoError, match="^stack must be >= 1, got 0$"):
         PreprocessConfig(stack=0)
     with pytest.raises(LomoError, match="^pca_dim must be >= 1, got 0$"):
         PreprocessConfig(pca_dim=0)

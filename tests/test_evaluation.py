@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -325,10 +327,40 @@ def test_run_cv_works_with_preprocessing_and_pooling(tmp_path):
     )
     assert all(0.0 <= v <= 1.0 for v in result.fold_values)
     pooled = run_cv(
-        manifest, folds, _fast_cfg(variant="svm_pool"), "acc", positive_label="pos",
+        manifest, folds, _fast_cfg(variant="mil"), "acc", positive_label="pos",
         preprocess=PreprocessConfig(pool="mean"),
     )
     assert all(0.0 <= v <= 1.0 for v in pooled.fold_values)
+
+
+# each string-choice field: its choices, and a call that sets it on `manifest`
+CHOICE_FIELDS = {
+    "variant": (("lomo", "mil"), lambda v, manifest: TrainConfig(variant=v)),
+    "cost_update": (("gradient", "literal"), lambda v, manifest: TrainConfig(cost_update=v)),
+    "neg_mode": (("shuffled", "absent"), lambda v, manifest: SynthSpec(neg_mode=v)),
+    "pool": (("mean", "max"), lambda v, manifest: PreprocessConfig(pool=v)),
+    "scheme": (("logo", "kfold"), lambda v, manifest: make_folds(
+        manifest, v, 0, k=2 if isinstance(v, str) and v.lower() == "kfold" else None)),
+    "metric": (("acc", "auc", "eer"), lambda v, manifest: run_cv(
+        manifest, make_folds(manifest, "kfold", 0, k=2), _fast_cfg(max_iter=50), v,
+        positive_label="pos")),
+}
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    return _synthetic_manifest(tmp_path_factory.mktemp("choices"), num_pos=4, num_neg=4)
+
+
+@pytest.mark.parametrize("name", sorted(CHOICE_FIELDS))
+def test_choice_fields_take_any_case_and_refuse_other_values(name, small_manifest):
+    choices, call = CHOICE_FIELDS[name]
+    for choice in choices:
+        assert call(choice.capitalize(), small_manifest) == call(choice, small_manifest)
+    for value in ([] if name == "pool" else [None]) + [1, b"x"]:
+        message = f"^{name} must be one of {re.escape(repr(choices))}, got {re.escape(repr(value))}$"
+        with pytest.raises(LomoError, match=message):
+            call(value, small_manifest)
 
 
 def test_run_cv_argument_validation(tmp_path):

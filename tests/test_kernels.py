@@ -80,8 +80,7 @@ def _sgd_fold(data, cfg):
     """The reference trainer: one sgd_step per randint draw."""
     rng = Rng(cfg.seed)
     model = init_model(data[0].sequence.dim, cfg.num_templates, rng)
-    iters = cfg.max_iter if cfg.max_iter is not None else 100 * len(data)
-    for _ in range(iters):
+    for _ in range(cfg.num_steps(len(data))):
         model = sgd_step(model, data[rng.randint(len(data))], cfg)
     return model
 
@@ -92,7 +91,8 @@ def _sgd_fold(data, cfg):
 
 @st.composite
 def train_cases(draw):
-    variant = draw(st.sampled_from(["lomo", "mil", "svm_pool"]))
+    kind = draw(st.sampled_from(["lomo", "mil", "pooled"]))  # pooled: mil on one frame
+    variant = "lomo" if kind == "lomo" else "mil"
     m = draw(st.integers(1, MAX_TEMPLATES)) if variant == "lomo" else 1
     t = draw(st.integers(0, 2 if m > 4 else 4))
     cfg = TrainConfig(
@@ -111,7 +111,7 @@ def train_cases(draw):
     count = draw(st.integers(2, 7))
     data = []
     for k in range(count):
-        n = 1 if variant == "svm_pool" else _min_frames(m, t) + int(rng.integers(0, 6))
+        n = 1 if kind == "pooled" else _min_frames(m, t) + int(rng.integers(0, 6))
         label = 1 if k % 2 == 0 else -1
         data.append(LabeledSequence(FrameSequence(_frames(rng, n, d, ties), id=f"s{k}"), label))
     return data, cfg

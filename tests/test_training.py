@@ -44,10 +44,9 @@ def test_config_defaults():
 
 
 def test_config_baselines_force_single_template_and_frozen_costs():
-    for variant in ("mil", "svm_pool"):
-        cfg = TrainConfig(variant=variant, num_templates=5)
-        assert cfg.num_templates == 1
-        assert cfg.freeze_costs
+    cfg = TrainConfig(variant="mil", num_templates=5)
+    assert cfg.num_templates == 1
+    assert cfg.freeze_costs
 
 
 def test_config_validation_errors():
@@ -69,6 +68,9 @@ def test_config_validation_errors():
         TrainConfig(exclusion_t=-1)
     with pytest.raises(LomoError, match="num_templates"):
         TrainConfig(num_templates=9)
+    # the retired pooled-SVM variant, now mil on pooled frames, quoted as given
+    with pytest.raises(LomoError, match=r"^variant must be one of \('lomo', 'mil'\), got 'SVM_POOL'$"):
+        TrainConfig(variant="SVM_POOL")
     with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
         TrainConfig(seed=-1)
 
@@ -171,11 +173,10 @@ def test_sgd_step_literal_mode_always_subtracts_eta():
 
 def test_sgd_step_keeps_costs_frozen_for_baselines():
     model = LomoModel(np.array([[0.0, 0.0]]), np.array([0.0]))
-    ex = _seq([[1.0, 2.0]], 1)
-    for variant in ("mil", "svm_pool"):
-        out = sgd_step(model, ex, TrainConfig(variant=variant, exclusion_t=0))
-        assert out.costs[0] == 0.0
-        assert out.templates[0, 1] != 0.0  # template update still happens
+    ex = _seq([[1.0, 2.0]], 1)  # one frame, as pooling leaves it
+    out = sgd_step(model, ex, TrainConfig(variant="mil", exclusion_t=0))
+    assert out.costs[0] == 0.0
+    assert out.templates[0, 1] != 0.0  # template update still happens
 
 
 def test_sgd_step_uses_the_realized_pattern_index():
@@ -346,12 +347,6 @@ def test_min_frames_bound_is_tight():
     padded = np.vstack([starved, [[0.0]]])
     a = latent_assign(model, FrameSequence(padded), InferenceConfig(exclusion_t=t))
     assert a.chosen == (3, 8, 11)
-
-
-def test_train_svm_pool_requires_single_frame_sequences():
-    data = [_seq([[1.0], [2.0]], 1, "two"), _seq([[0.0]], -1)]
-    with pytest.raises(LomoError, match="sequence two: svm_pool expects pre-pooled"):
-        train(data, TrainConfig(variant="svm_pool"))
 
 
 def test_train_empty_data_error():
