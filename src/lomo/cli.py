@@ -117,6 +117,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.ova and args.positive_label is not None:
+        raise LomoError("--positive-label has no effect with --ova")
     cfg = _train_config(args)
     manifest = parse_manifest(args.manifest)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]

@@ -63,7 +63,11 @@ def require_real(name: str, value, minimum: float | None = None, strict: bool = 
         raise LomoError(f"{name} must be a real number, got {value!r}")
     if minimum is None:
         return
-    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float64
+        finite = False
+    if not (finite and (value > minimum if strict else value >= minimum)):
         op = ">" if strict else ">="
         raise LomoError(f"{name} must be finite and {op} {minimum}, got {value}")
 

@@ -168,6 +168,10 @@ def run_cv(
     multiclass = len(classes) > 2
     if multiclass and metric != "acc":
         raise LomoError(f"metric {metric!r} is binary-only; this manifest has {len(classes)} classes")
+    if multiclass and positive_label is not None:
+        raise LomoError(
+            f"positive_label applies to binary manifests; this manifest has {len(classes)} classes"
+        )
     if not multiclass:
         if positive_label is None:
             raise LomoError("binary cross-validation needs a positive_label")

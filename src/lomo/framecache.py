@@ -82,7 +82,8 @@ class FrameCache:
 
     def __enter__(self) -> FrameCache:
         with contextlib.suppress(OSError, struct.error):
-            self._fd = os.open(self._path, os.O_RDONLY)
+            # non-blocking: opening a FIFO planted at the path would wait for a writer
+            self._fd = os.open(self._path, os.O_RDONLY | os.O_NONBLOCK)
             if _trusted(self._fd):
                 self._index = _index(self._fd)
         return self

@@ -169,6 +169,23 @@ def test_train_ova_writes_one_model_per_class(tmp_path, capsys):
         assert load_model(os.path.join(out_dir, f"{name}.lomo")).num_templates == 1
 
 
+def test_a_positive_label_that_would_go_unused_is_refused(tmp_path, capsys):
+    manifest = _multiclass_manifest(tmp_path)
+    fast = ["--templates", "1", "--exclusion-t", "0", "--max-iter", "40"]
+    out_dir = tmp_path / "models"
+    argv = ["train", "--manifest", manifest, "--out", str(out_dir), "--ova",
+            "--positive-label", "nosuch", *fast]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --positive-label has no effect with --ova\n"
+    assert not out_dir.exists()
+    argv = ["cv", "--manifest", manifest, "--scheme", "kfold", "--folds", "2",
+            "--positive-label", "nosuch", *fast]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: positive_label applies to binary manifests; this manifest has 3 classes"
+    )
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -885,6 +885,8 @@ def test_synth_spec_validation():
         _small_spec(noise_sigma=-0.1)
     with pytest.raises(LomoError, match="noise_sigma must be finite"):
         _small_spec(noise_sigma=float("nan"))
+    with pytest.raises(LomoError, match=f"^noise_sigma must be finite and >= 0, got {10**400}$"):
+        _small_spec(noise_sigma=10**400)  # an int beyond float64
     with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
         _small_spec(seed=-1)
     with pytest.raises(LomoError, match="^dim must be >= 1, got 0$"):

@@ -486,3 +486,6 @@ def test_run_cv_multiclass_one_vs_all(tmp_path):
     assert result.mean >= 0.9  # cleanly separated blobs
     with pytest.raises(LomoError, match="binary-only"):
         run_cv(manifest, folds, cfg, "auc")
+    message = "^positive_label applies to binary manifests; this manifest has 3 classes$"
+    with pytest.raises(LomoError, match=message):
+        run_cv(manifest, folds, cfg, "acc", positive_label="a")

@@ -11,11 +11,15 @@ test_golden.py.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lomo
 import lomo.data
 from lomo.cli import main
 from lomo.core import LomoError
@@ -141,6 +145,24 @@ def test_a_cache_that_is_a_directory_is_skipped(tmp_path, parsed):
         assert parsed == IDS
     assert sorted(os.listdir(tmp_path / ".manifest.csv.frames")) == []
     assert not [n for n in os.listdir(tmp_path) if ".tmp-" in n]
+
+
+def test_a_cache_that_is_a_fifo_is_skipped_without_waiting(tmp_path, parsed):
+    # The parse runs in a child with a time limit: opening a FIFO for reading
+    # blocks until a writer opens it, so a blocking open would never return.
+    path = _dataset(tmp_path)
+    want = _bits(parse_manifest(path))
+    cache = tmp_path / ".manifest.csv.frames"
+    cache.unlink()
+    os.mkfifo(cache)
+    paths = [str(Path(lomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = "import sys; from lomo.data import parse_manifest; parse_manifest(sys.argv[1])"
+    subprocess.run([sys.executable, "-c", script, str(path)], env=env, timeout=60, check=True)
+    # the child parsed every file and wrote a cache over the FIFO
+    parsed.clear()
+    assert _bits(parse_manifest(path)) == want
+    assert parsed == []
 
 
 def _stat_as(uid=None, mode_bits=0):

@@ -62,6 +62,11 @@ def test_config_validation_errors():
         TrainConfig(reg_lambda=-1.0)
     with pytest.raises(LomoError, match="reg_lambda must be finite"):
         TrainConfig(reg_lambda=float("nan"))
+    # ints beyond float64
+    with pytest.raises(LomoError, match=f"^eta must be finite and > 0, got {10**400}$"):
+        TrainConfig(eta=10**400)
+    with pytest.raises(LomoError, match=f"^reg_lambda must be finite and >= 0, got {10**400}$"):
+        TrainConfig(reg_lambda=10**400)
     with pytest.raises(LomoError, match="^max_iter must be >= 1, got 0$"):
         TrainConfig(max_iter=0)
     with pytest.raises(LomoError, match="^exclusion_t must be >= 0, got -1$"):
