@@ -23,10 +23,10 @@ from .core import (
     Rng,
     child_seed,
     float_errors,
+    require_choice,
     require_instance,
     require_int,
     require_items,
-    require_choice,
     require_pairs,
     require_real,
 )

@@ -359,7 +359,8 @@ def test_make_folds_validation():
         make_folds(manifest, "kfold", seed=0)
     with pytest.raises(LomoError, match="k=5 exceeds the 3 available groups"):
         make_folds(manifest, "kfold", seed=0, k=5)
-    with pytest.raises(LomoError, match=r"^scheme must be one of \('logo', 'kfold'\), got 'stratified'$"):
+    message = r"^scheme must be one of \('logo', 'kfold'\), got 'stratified'$"
+    with pytest.raises(LomoError, match=message):
         make_folds(manifest, "stratified", seed=0)
 
 

@@ -74,7 +74,8 @@ def test_config_validation_errors():
     with pytest.raises(LomoError, match="num_templates"):
         TrainConfig(num_templates=9)
     # the retired pooled-SVM variant, now mil on pooled frames, quoted as given
-    with pytest.raises(LomoError, match=r"^variant must be one of \('lomo', 'mil'\), got 'SVM_POOL'$"):
+    message = r"^variant must be one of \('lomo', 'mil'\), got 'SVM_POOL'$"
+    with pytest.raises(LomoError, match=message):
         TrainConfig(variant="SVM_POOL")
     with pytest.raises(LomoError, match="^seed must be >= 0, got -1$"):
         TrainConfig(seed=-1)
