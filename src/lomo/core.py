@@ -23,13 +23,25 @@ class LomoError(ValueError):
     """Domain error raised for invalid inputs, files, or configurations."""
 
 
+def _shown(value, form=repr) -> str:
+    """form(value), repr or str, for an error message. An int with more
+    digits than Python converts to text (sys.get_int_max_str_digits) is
+    shown by its sign and bit length instead."""
+    try:
+        return form(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+
+
 def require_int(name: str, value, minimum: int | None = None) -> int:
     """`value` as a Python int; any other type (numpy integers pass, bools
     do not), or a value below `minimum`, raises a LomoError naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise LomoError(f"{name} must be an integer, got {value!r}")
+        raise LomoError(f"{name} must be an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise LomoError(f"{name} must be >= {minimum}, got {value}")
+        raise LomoError(f"{name} must be >= {minimum}, got {_shown(value, str)}")
     return int(value)
 
 
@@ -38,7 +50,7 @@ def require_choice(name: str, value, choices: tuple[str, ...]) -> str:
     raises LomoError "<name> must be one of <choices>, got <value as given>"."""
     if isinstance(value, str) and value.lower() in choices:
         return value.lower()
-    raise LomoError(f"{name} must be one of {choices}, got {value!r}")
+    raise LomoError(f"{name} must be one of {choices}, got {_shown(value)}")
 
 
 def real_array(name: str, value, order: str = "K") -> np.ndarray:
@@ -60,7 +72,7 @@ def require_real(name: str, value, minimum: float | None = None, strict: bool = 
     and at least `minimum` (above it when `strict`). The value is only
     checked, not converted, so an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise LomoError(f"{name} must be a real number, got {value!r}")
+        raise LomoError(f"{name} must be a real number, got {_shown(value)}")
     if minimum is None:
         return
     try:
@@ -69,7 +81,7 @@ def require_real(name: str, value, minimum: float | None = None, strict: bool = 
         finite = False
     if not (finite and (value > minimum if strict else value >= minimum)):
         op = ">" if strict else ">="
-        raise LomoError(f"{name} must be finite and {op} {minimum}, got {value}")
+        raise LomoError(f"{name} must be finite and {op} {minimum}, got {_shown(value, str)}")
 
 
 def require_instance(name: str, value, kind: type) -> None:
@@ -77,7 +89,7 @@ def require_instance(name: str, value, kind: type) -> None:
     an instance of `kind` ("an" before a vowel)."""
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise LomoError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        raise LomoError(f"{name} must be {article} {kind.__name__}, got {_shown(value)}")
 
 
 def require_items(name: str, items, kind: type) -> list:
@@ -114,7 +126,7 @@ def finite_floats(name: str, values, need: str) -> list[float]:
         try:
             value = float(v)
         except (TypeError, ValueError, OverflowError):
-            raise LomoError(f"{name}[{k}] is {v!r}; {need}") from None
+            raise LomoError(f"{name}[{k}] is {_shown(v)}; {need}") from None
         if not math.isfinite(value):
             raise LomoError(f"{name}[{k}] is {value!r}; {need}")
         out.append(value)

@@ -344,33 +344,59 @@ def _frame_blocks(seqs):
         yield np.vstack(run)
 
 
-def _pca_moments(seqs, l2: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, M2) of the training frames, l2-normalised when `l2` is set.
+def _merge_moments(into, part):
+    """`into` and `part`, two (n, mean, M2) moments, merged into `into`.
 
-    M2 is the sum of the outer products of the centred frames. Each block
-    from _frame_blocks is normalised and centred on its own mean in place,
-    and its moments are merged into the running ones by the pairwise update
-    of Chan, Golub and LeVeque, so no more than one block is held at once.
+    The one merge rule, the pairwise update of Chan, Golub and LeVeque:
+    `into`'s mean and M2 arrays are updated in place and `part` is left as
+    it is. Returns the merged moments.
     """
-    n, mean, m2 = 0, None, None
+    n, mean, m2 = into
+    nb, mean_b, m2_b = part
+    delta = mean_b - mean
+    total = n + nb
+    mean += delta * (nb / total)
+    m2 += m2_b
+    m2 += np.outer(delta, delta * (n * nb / total))
+    return total, mean, m2
+
+
+def _pca_moments(seqs, l2: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, mean, M2) of the frames of `seqs`, l2-normalised when `l2` is set.
+
+    n is the frame count and M2 the sum of the outer products of the
+    centred frames. Each block from _frame_blocks is normalised and
+    centred on its own mean in place, and its moments are merged into the
+    running ones (_merge_moments), so no more than one block is held at
+    once and the sequences are never written to.
+    """
+    moments = None
     for mat in _frame_blocks(seqs):
         if l2:
             _l2_rows(mat, out=mat)
-        nb = mat.shape[0]
         mean_b = mat.mean(axis=0)
         mat -= mean_b
-        m2_b = mat.T @ mat
+        block = (mat.shape[0], mean_b, mat.T @ mat)
         del mat  # else it lives on while _frame_blocks stacks the next block
-        if mean is None:
-            n, mean, m2 = nb, mean_b, m2_b
-            continue
-        delta = mean_b - mean
-        total = n + nb
-        mean += delta * (nb / total)
-        m2 += m2_b
-        m2 += np.outer(delta, delta * (n * nb / total))
-        n = total
-    return mean, m2
+        moments = block if moments is None else _merge_moments(moments, block)
+    return moments
+
+
+def _pca_basis(cov: np.ndarray, k: int) -> np.ndarray:
+    """The (k, d) PCA components of the covariance `cov`: the one basis rule.
+
+    Rows are unit eigenvectors from LAPACK eigh, sorted by decreasing
+    eigenvalue (ties in eigh's order), each signed so its largest-magnitude
+    entry is positive.
+    """
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(-eigvals, kind="stable")
+    components = eigvecs[:, order[:k]].T.copy()
+    for row in components:
+        lead = int(np.argmax(np.abs(row)))
+        if row[lead] < 0:
+            row *= -1.0
+    return components
 
 
 @dataclass
@@ -409,17 +435,19 @@ class FittedPreprocess:
     components: np.ndarray | None = None
 
 
-def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
+def fit_preprocess(train_seqs, config: PreprocessConfig, *, moments=None) -> FittedPreprocess:
     """Fit the PCA mean and top-k components on unpooled training frames.
 
     With pca_dim set there must be a sequence, all must share d, and there
-    must be two frames. The frames, l2-normalised first when config.l2 is
-    set, are summed one block of consecutive sequences at a time
-    (_pca_moments), so the fit's memory does not grow with the number of
-    training sequences; the sequences are never written to. Eigenvectors
-    come from LAPACK eigh, sorted by decreasing eigenvalue (ties in eigh's
-    order), each signed so its largest-magnitude entry is positive. A
-    numeric error's message suggests l2 normalisation when it is off.
+    must be two frames. The (n, mean, M2) moments of the frames,
+    l2-normalised first when config.l2 is set, are summed one block of
+    consecutive sequences at a time (_pca_moments), so the fit's memory does
+    not grow with the number of training sequences; the sequences are never
+    written to. A cv fold passes `moments`, a function of no argument that
+    returns the same moments merged from per-split sums (_merge_moments);
+    it is called only once the checks pass, inside the same numeric-error
+    guard. The components are _pca_basis of M2 / (n - 1). A numeric
+    error's message suggests l2 normalisation when it is off.
     """
     require_instance("config", config, PreprocessConfig)
     seqs = require_items("train_seqs", train_seqs, FrameSequence)
@@ -438,14 +466,8 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
         raise LomoError(f"pca dimension k={k} out of range 1..{d}")
     hint = "" if config.l2 else "; try --l2 to normalise the frames"
     with float_errors(lambda err: f"PCA fit: {err}{hint}"):
-        mean, m2 = _pca_moments(seqs, config.l2)
-        eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
-    order = np.argsort(-eigvals, kind="stable")
-    components = eigvecs[:, order[:k]].T.copy()
-    for row in components:
-        lead = int(np.argmax(np.abs(row)))
-        if row[lead] < 0:
-            row *= -1.0
+        _, mean, m2 = _pca_moments(seqs, config.l2) if moments is None else moments()
+        components = _pca_basis(m2 / (n - 1), k)
     return FittedPreprocess(config, mean, components)
 
 
@@ -476,13 +498,14 @@ def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSeque
     return FrameSequence(frames, id=seq.id)
 
 
-def prepare(config: PreprocessConfig, fit_on, *splits) -> tuple:
+def prepare(config: PreprocessConfig, fit_on, *splits, moments=None) -> tuple:
     """Fit `config` on the sequences `fit_on` only, then apply it to each split.
 
     Returns the FittedPreprocess, then one list of prepared sequences per
-    split. `train`, `predict` and every cv fold prepare their sequences here.
+    split. `train`, `predict` and every cv fold prepare their sequences
+    here; a cv fold passes the `moments` of fit_preprocess.
     """
-    fitted = fit_preprocess(fit_on, config)
+    fitted = fit_preprocess(fit_on, config, moments=moments)
     return (fitted, *([apply_preprocess(fitted, seq) for seq in split] for split in splits))
 
 

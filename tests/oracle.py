@@ -4,7 +4,8 @@
 and folding `sgd_step` over the same sample draws must give the model it
 returns, bit for bit. `stacked_pca_moments` is the PCA fit's mean and
 covariance over one stacked copy of all training frames; the block-by-block
-moments of `fit_preprocess` must agree with it to rounding.
+moments of `fit_preprocess`, and the moments a cv fold merges from its
+splits', must agree with it to rounding.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
-one BLAS thread."""
+one BLAS thread, after printing numpy's BLAS core."""
 
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,17 @@ def test_ci_workflow_runs_the_tier1_suite():
     assert any(step.get("with", {}).get("python-version") == "3.11" for step in steps)
     assert runs.index('pip install -e ".[test]"') < runs.index(command)
     assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_ci_prints_numpys_blas_core_before_the_tests():
+    yaml = pytest.importorskip("yaml")
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    runs = [step.get("run", "") for step in yaml.safe_load(
+        workflow.read_text(encoding="utf-8"))["jobs"]["tier1"]["steps"]]
+    (core,) = [k for k, run in enumerate(runs) if "get_corename" in run]
+    (tests,) = [k for k, run in enumerate(runs) if "pytest" in run]
+    assert core < tests
+    script = re.fullmatch(r"python - <<'EOF'\n(.*)EOF\n", runs[core], re.S).group(1)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert re.match(r"numpy's (OpenBLAS core: \S+\n$|BLAS is not scipy-openblas64)", out)

@@ -264,6 +264,14 @@ def test_integer_arguments_reject_other_types_and_negative_indices(call, message
         call()
 
 
+def test_messages_show_an_int_too_long_to_print_by_its_bit_length():
+    huge = 10**5000  # more digits than Python converts to text
+    with pytest.raises(LomoError, match=r"^manifest must be a DatasetManifest, got a 16610-bit integer$"):
+        lomo.make_folds(huge, "logo", 0)
+    with pytest.raises(LomoError, match=r"^scores\[0\] is a negative 16610-bit integer; ROC"):
+        lomo.roc_auc([1, -1], [-huge, 0.0])
+
+
 def test_integer_arguments_accept_numpy_integers():
     assert perm_index(np.array([2, 1])) == 2
     assert rank_pattern(np.array([9, 4])) == (2, 1)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lomo.core
 import lomo.evaluation
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +21,7 @@ from lomo.data import (
     Fold,
     PreprocessConfig,
     SynthSpec,
+    fit_preprocess,
     gen_synthetic,
     make_folds,
     parse_manifest,
@@ -432,6 +438,86 @@ def test_run_cv_names_the_fold_of_a_preprocessing_error(tmp_path):
     with pytest.raises(LomoError, match=r"^fold 0: pca dimension k=7 out of range 1\.\.6$"):
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos",
                preprocess=PreprocessConfig(pca_dim=7))
+
+
+def _spread_manifest(tmp_path):
+    """12 records of 5 frames whose six axes have well-separated variances,
+    so each PCA component is far from a tie; labels alternate pos, neg."""
+    rng = np.random.default_rng(21)
+    lines = ["id,label,group,path"]
+    for k in range(12):
+        frames = rng.normal(size=(5, 6)) * [6.0, 5.0, 4.0, 3.0, 2.0, 1.0] + 0.5
+        write_sequence(FrameSequence(frames), tmp_path / f"r{k}.csv")
+        lines.append(f"r{k},{'neg' if k % 2 else 'pos'},g{k % 4},r{k}.csv")
+    path = tmp_path / "manifest.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return parse_manifest(path)
+
+
+def _cv_fits(monkeypatch, manifest, folds, config):
+    """The FittedPreprocess of each fold of a serial run_cv, and the frame
+    count of each _pca_moments call it made."""
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
+    fits, sums = [], []
+    prepare, pca_moments = lomo.evaluation.prepare, lomo.evaluation._pca_moments
+
+    def recording_prepare(*args, **kwargs):
+        out = prepare(*args, **kwargs)
+        fits.append(out[0])
+        return out
+
+    def counting_moments(seqs, l2):
+        sums.append(sum(seq.num_frames for seq in seqs))
+        return pca_moments(seqs, l2)
+
+    monkeypatch.setattr(lomo.evaluation, "prepare", recording_prepare)
+    monkeypatch.setattr(lomo.evaluation, "_pca_moments", counting_moments)
+    run_cv(manifest, folds, _fast_cfg(num_templates=1), "acc", positive_label="pos",
+           preprocess=config)
+    return fits, sums
+
+
+@pytest.mark.parametrize("l2", [False, True])
+def test_run_cv_fits_each_hand_built_fold_as_fit_preprocess_does(tmp_path, monkeypatch, l2):
+    manifest = _spread_manifest(tmp_path)
+    r = [f"r{k}" for k in range(12)]
+    folds = [
+        Fold(train_ids=tuple(r[0:8]), test_ids=tuple(r[8:12])),
+        # overlaps the first; r10 and r11 are in no training split
+        Fold(train_ids=tuple(r[2:10]), test_ids=tuple(r[10:12])),
+        # r4 and r5 listed twice count twice
+        Fold(train_ids=tuple(r[4:10] + r[4:6]), test_ids=tuple(r[0:4])),
+    ]
+    config = PreprocessConfig(l2=l2, pca_dim=3)
+    fits, sums = _cv_fits(monkeypatch, manifest, folds, config)
+    # one sum per group of records listed by the same folds: r0-1, r2-3,
+    # r4-5, r6-7 and r8-9, 5 frames each
+    assert sums == [10] * 5
+    top = 1.0 if l2 else max(float(np.abs(seq.frames).max()) for seq in manifest.sequences.values())
+    for fold, got in zip(folds, fits, strict=True):
+        want = fit_preprocess([manifest.sequences[i] for i in fold.train_ids], config)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12 * top)
+        np.testing.assert_allclose(got.components, want.components, rtol=1e-12, atol=1e-12)
+
+
+def test_run_cv_sums_each_frame_once_per_process(tmp_path, monkeypatch):
+    manifest = _synthetic_manifest(tmp_path)
+    folds = make_folds(manifest, "kfold", seed=1, k=5)
+    _, sums = _cv_fits(monkeypatch, manifest, folds, PreprocessConfig(l2=True, pca_dim=3))
+    # one sum per fold's test split, where each fold once summed its
+    # training split: 4 of 5 splits
+    assert sorted(sums) == sorted(len(fold.test_ids) * 16 for fold in folds)
+
+
+def test_roc_eer_rate_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, 1.3 MB resident, on its first call
+    code = ("import sys, lomo; lomo.roc_eer_rate([1, -1, 1], [0.5, 0.5, 0.1]); "
+            "print('numpy.ma' in sys.modules)")
+    paths = [str(Path(lomo.evaluation.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout == "False\n"
 
 
 def _multiclass_manifest(tmp_path):

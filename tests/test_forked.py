@@ -23,6 +23,7 @@ from lomo.cli import main
 from lomo.core import LomoError, forked_map
 from lomo.data import (
     Fold,
+    PreprocessConfig,
     SynthSpec,
     gen_synthetic,
     make_folds,
@@ -358,6 +359,25 @@ def test_forked_run_cv_equals_serial_bit_for_bit(tmp_path, cpus, metric):
         values.append(np.asarray(result.fold_values).tobytes())
         assert_no_children()
     assert values[0] == values[1]
+
+
+def test_forked_run_cv_with_pca_equals_serial_bit_for_bit(tmp_path, cpus):
+    # each worker sums the split moments its folds need; the fold values
+    # must not depend on which worker summed them
+    manifest = _cv_manifest(tmp_path)
+    ids = [r.id for r in manifest.records]
+    hand_built = [Fold(train_ids=tuple(ids[k:k + 14] + ids[k:k + 2]), test_ids=tuple(ids[:4]))
+                  for k in range(0, 10, 2)]
+    preprocess = PreprocessConfig(l2=True, pca_dim=2)
+    for folds in (make_folds(manifest, "kfold", seed=0, k=3), hand_built):
+        values = []
+        for n in (1, 2, 3):
+            cpus(n)
+            result = run_cv(manifest, folds, CV_CFG, "auc", positive_label="pos",
+                            preprocess=preprocess)
+            values.append(np.asarray(result.fold_values).tobytes())
+            assert_no_children()
+        assert values[1] == values[0] and values[2] == values[0]
 
 
 def test_forked_run_cv_raises_the_first_fold_error(tmp_path, cpus):

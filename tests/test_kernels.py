@@ -32,6 +32,7 @@ from lomo.core import LomoError, Rng, format_float
 from lomo.data import (
     PreprocessConfig,
     _l2_rows,
+    _merge_moments,
     _pca_moments,
     apply_preprocess,
     fit_preprocess,
@@ -450,9 +451,9 @@ def test_l2_row_kernel_equals_per_row_norm_division(frames):
 # fit_preprocess: block-by-block PCA moments == the stacked fit
 
 
-@SETTINGS
-@given(st.data())
-def test_pca_moments_equal_the_stacked_fit_for_any_block_size(data):
+def _moment_inputs(data):
+    """Drawn sequences of one d, at least two frames in all, with zero rows
+    and an offset of up to 10x their scale, and whether to l2-normalise."""
     d = data.draw(st.integers(1, 12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     lengths = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
@@ -465,21 +466,46 @@ def test_pca_moments_equal_the_stacked_fit_for_any_block_size(data):
         frames = rng.normal(size=(n, d)) * scale + offset
         frames[rng.random(n) < 0.2] = 0.0  # zero rows hit the l2 guard
         seqs.append(FrameSequence(frames))
-    l2 = data.draw(st.booleans())
-    # 1 makes every sequence a block of its own; the largest keeps one block
-    block_values = data.draw(st.integers(1, sum(lengths) * d + 1))
-    original = lomo.data.BLOCK_VALUES
-    lomo.data.BLOCK_VALUES = block_values
-    try:
-        mean, m2 = _pca_moments(seqs, l2)
-    finally:
-        lomo.data.BLOCK_VALUES = original
+    return seqs, data.draw(st.booleans())
+
+
+def _assert_stacked_moments(moments, seqs, l2):
+    """(n, mean, M2) agree with the one-stacked-copy fit of `seqs`."""
+    n, mean, m2 = moments
+    assert n == sum(seq.num_frames for seq in seqs)
     want_mean, want_cov = stacked_pca_moments(seqs, l2)
     # absolute slack on the frames' scale: a covariance that is 0 in the
     # stacked fit may come out as a rounding error of that scale
     top = 1.0 if l2 else max(float(np.abs(seq.frames).max()) for seq in seqs)
     np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=1e-12 * top)
-    np.testing.assert_allclose(m2 / (sum(lengths) - 1), want_cov, rtol=1e-12, atol=1e-12 * top * top)
+    np.testing.assert_allclose(m2 / (n - 1), want_cov, rtol=1e-12, atol=1e-12 * top * top)
+
+
+@SETTINGS
+@given(st.data())
+def test_pca_moments_equal_the_stacked_fit_for_any_block_size(data):
+    seqs, l2 = _moment_inputs(data)
+    # 1 makes every sequence a block of its own; the largest keeps one block
+    block_values = data.draw(st.integers(1, sum(seq.frames.size for seq in seqs) + 1))
+    original = lomo.data.BLOCK_VALUES
+    lomo.data.BLOCK_VALUES = block_values
+    try:
+        moments = _pca_moments(seqs, l2)
+    finally:
+        lomo.data.BLOCK_VALUES = original
+    _assert_stacked_moments(moments, seqs, l2)
+
+
+@SETTINGS
+@given(st.data())
+def test_merged_moments_of_a_partition_equal_the_stacked_fit_of_its_union(data):
+    seqs, l2 = _moment_inputs(data)
+    parts = data.draw(st.lists(st.integers(0, 3), min_size=len(seqs), max_size=len(seqs)))
+    merged = None
+    for label in sorted(set(parts)):
+        part = _pca_moments([seq for seq, p in zip(seqs, parts) if p == label], l2)
+        merged = part if merged is None else _merge_moments(merged, part)
+    _assert_stacked_moments(merged, seqs, l2)
 
 
 # ---------------------------------------------------------------------------

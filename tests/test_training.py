@@ -81,6 +81,22 @@ def test_config_validation_errors():
         TrainConfig(seed=-1)
 
 
+# more digits than Python converts to text (sys.get_int_max_str_digits)
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eta", HUGE, "eta must be finite and > 0, got a 16610-bit integer"),
+    ("seed", -HUGE, "seed must be >= 0, got a negative 16610-bit integer"),
+    ("variant", HUGE, r"variant must be one of \('lomo', 'mil'\), got a 16610-bit integer"),
+    ("num_templates", -HUGE, "num_templates must be >= 1, got a negative 16610-bit integer"),
+    ("exclusion_t", -HUGE, "exclusion_t must be >= 0, got a negative 16610-bit integer"),
+], ids=["eta", "seed", "variant", "num_templates", "exclusion_t"])
+def test_config_names_the_field_of_an_int_too_long_to_print(field, value, message):
+    with pytest.raises(LomoError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("num_templates", 2.0), ("exclusion_t", 1.5), ("max_iter", 2.5), ("max_iter", "10"),
     ("exclusion_t", True), ("seed", 1.5), ("seed", True),
