@@ -244,17 +244,20 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def forked_map(fn, items, min_share: int = 1):
+def forked_map(fn, items, min_share: int = 1, start=None):
     """Yield fn(item) for every item, in item order, on W forked workers.
 
     The one worker rule: W = min(cpu_count(), len(items) // min_share).
-    Item k runs on worker k % W. Worker 0 is this process; workers 1..W-1
-    are os.fork() children, each streaming one pickled (ok, value or
-    exception) per item through its own pipe. Dealing items round-robin
-    keeps every pipe draining, so no child stalls on a full pipe while the
-    parent waits on another. A child stops after its first failed item, and
-    the error is raised here at that item's place, so the first error in
-    item order wins as in a serial loop. Results and errors must pickle.
+    Item k runs on worker k % W, and each worker, before its first item,
+    calls start(share) when `start` is given, with the list of the items it
+    runs (all of them when serial); start must not raise. Worker 0 is this
+    process; workers 1..W-1 are os.fork() children, each streaming one
+    pickled (ok, value or exception) per item through its own pipe.
+    Dealing items round-robin keeps every pipe draining, so no child stalls
+    on a full pipe while the parent waits on another. A child stops after
+    its first failed item, and the error is raised here at that item's
+    place, so the first error in item order wins as in a serial loop.
+    Results and errors must pickle.
 
     With W < 2, without os.fork, or while other Python threads run, the
     items run serially in this process. When the generator finishes, is
@@ -269,6 +272,8 @@ def forked_map(fn, items, min_share: int = 1):
     items = list(items)
     workers = min(cpu_count(), len(items) // min_share)
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        if start is not None:
+            start(items)
         for item in items:
             yield fn(item)
         return
@@ -283,10 +288,12 @@ def forked_map(fn, items, min_share: int = 1):
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _serve(fn, items[w::workers], read_fd, write_fd)
+                _serve(fn, items[w::workers], read_fd, write_fd, start)
             os.close(write_fd)
             pids.append(pid)
             readers.append(open(read_fd, "rb"))
+        if start is not None:
+            start(items[::workers])
         for k, item in enumerate(items):
             w = k % workers
             if w == 0:
@@ -311,7 +318,7 @@ def forked_map(fn, items, min_share: int = 1):
             os.waitpid(pid, 0)
 
 
-def _serve(fn, share, read_fd: int, write_fd: int) -> None:
+def _serve(fn, share, read_fd: int, write_fd: int, start) -> None:
     """Body of a forked_map child; ends the process and never returns.
 
     os._exit skips atexit handlers and leaves the parent's stdio buffers,
@@ -319,6 +326,8 @@ def _serve(fn, share, read_fd: int, write_fd: int) -> None:
     """
     try:
         os.close(read_fd)
+        if start is not None:
+            start(share)
         with open(write_fd, "wb") as out:
             for item in share:
                 try:

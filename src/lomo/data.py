@@ -349,8 +349,11 @@ def _merge_moments(into, part):
 
     The one merge rule, the pairwise update of Chan, Golub and LeVeque:
     `into`'s mean and M2 arrays are updated in place and `part` is left as
-    it is. Returns the merged moments.
+    it is. Returns the merged moments; None, for no frames, merges as the
+    other side.
     """
+    if into is None or part is None:
+        return part if into is None else into
     n, mean, m2 = into
     nb, mean_b, m2_b = part
     delta = mean_b - mean
@@ -361,8 +364,9 @@ def _merge_moments(into, part):
     return total, mean, m2
 
 
-def _pca_moments(seqs, l2: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, mean, M2) of the frames of `seqs`, l2-normalised when `l2` is set.
+def _pca_moments(seqs, l2: bool) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(n, mean, M2) of the frames of `seqs`, l2-normalised when `l2` is
+    set; None when there are no frames.
 
     n is the frame count and M2 the sum of the outer products of the
     centred frames. Each block from _frame_blocks is normalised and
@@ -378,25 +382,8 @@ def _pca_moments(seqs, l2: bool) -> tuple[int, np.ndarray, np.ndarray]:
         mat -= mean_b
         block = (mat.shape[0], mean_b, mat.T @ mat)
         del mat  # else it lives on while _frame_blocks stacks the next block
-        moments = block if moments is None else _merge_moments(moments, block)
+        moments = _merge_moments(moments, block)
     return moments
-
-
-def _pca_basis(cov: np.ndarray, k: int) -> np.ndarray:
-    """The (k, d) PCA components of the covariance `cov`: the one basis rule.
-
-    Rows are unit eigenvectors from LAPACK eigh, sorted by decreasing
-    eigenvalue (ties in eigh's order), each signed so its largest-magnitude
-    entry is positive.
-    """
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(-eigvals, kind="stable")
-    components = eigvecs[:, order[:k]].T.copy()
-    for row in components:
-        lead = int(np.argmax(np.abs(row)))
-        if row[lead] < 0:
-            row *= -1.0
-    return components
 
 
 @dataclass
@@ -444,10 +431,12 @@ def fit_preprocess(train_seqs, config: PreprocessConfig, *, moments=None) -> Fit
     consecutive sequences at a time (_pca_moments), so the fit's memory does
     not grow with the number of training sequences; the sequences are never
     written to. A cv fold passes `moments`, a function of no argument that
-    returns the same moments merged from per-split sums (_merge_moments);
-    it is called only once the checks pass, inside the same numeric-error
-    guard. The components are _pca_basis of M2 / (n - 1). A numeric
-    error's message suggests l2 normalisation when it is off.
+    returns the same moments merged from sums over parts of its split
+    (_merge_moments); it is called only once the checks pass, inside the
+    same numeric-error guard. Eigenvectors of M2 / (n - 1) come from LAPACK
+    eigh, sorted by decreasing eigenvalue (ties in eigh's order), each
+    signed so its largest-magnitude entry is positive. A numeric error's
+    message suggests l2 normalisation when it is off.
     """
     require_instance("config", config, PreprocessConfig)
     seqs = require_items("train_seqs", train_seqs, FrameSequence)
@@ -467,7 +456,13 @@ def fit_preprocess(train_seqs, config: PreprocessConfig, *, moments=None) -> Fit
     hint = "" if config.l2 else "; try --l2 to normalise the frames"
     with float_errors(lambda err: f"PCA fit: {err}{hint}"):
         _, mean, m2 = _pca_moments(seqs, config.l2) if moments is None else moments()
-        components = _pca_basis(m2 / (n - 1), k)
+        eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
+    order = np.argsort(-eigvals, kind="stable")
+    components = eigvecs[:, order[:k]].T.copy()
+    for row in components:
+        lead = int(np.argmax(np.abs(row)))
+        if row[lead] < 0:
+            row *= -1.0
     return FittedPreprocess(config, mean, components)
 
 

@@ -12,6 +12,7 @@ reports 1 - (FPR + FNR) / 2.
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,44 +140,55 @@ def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
 
 
 def _fold_moments(folds, sequences, l2: bool):
-    """A function fold_no -> the (n, mean, M2) PCA moments of the training
-    frames of folds[fold_no], the sequences looked up by id in `sequences`
-    and l2-normalised when `l2` is set.
+    """(start, moments) for the PCA fits of the folds of run_cv.
 
-    The records are grouped by the folds whose training split lists them;
-    with make_folds, kfold or logo, a group is one fold's test split. A
-    process sums a group's moments (data._pca_moments) in the first call
-    that needs them and drops them after the call for the last fold that
-    lists the group, so folds run in increasing order sum each group once.
-    A fold's moments are a copy of its first group's with the others merged
-    in (data._merge_moments), in the order of each group's first listing; a
-    record listed twice in a split counts twice.
+    start(share) takes the fold numbers this process runs, in order (the
+    `start` of core.forked_map). moments(fold_no) returns the (n, mean, M2)
+    moments of the training frames of folds[fold_no], the sequences looked
+    up by id in `sequences` and l2-normalised when `l2` is set; a record
+    listed twice in a split counts twice.
+
+    A process holds one set of moments, whatever the number of folds: those
+    of the frames that every one of its remaining folds trains on. A fold
+    first sums into them the frames that its remaining folds, itself
+    included, now all list; then it sums the rest of its training split
+    and merges the held moments into that (data._pca_moments,
+    data._merge_moments). So a fold sums only frames of its own split, and
+    a float error in them is raised inside that fold, with its prefix.
+    With make_folds, a process that runs m of the folds sums each frame
+    once into the held moments and, in its i-th fold, the test splits of
+    its m - i later folds.
     """
-    listings: dict[str, list[int]] = {}
-    for fold_no, fold in enumerate(folds):
-        for rec_id in fold.train_ids:
-            listings.setdefault(rec_id, []).append(fold_no)
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for rec_id, fold_nos in listings.items():
-        groups.setdefault(tuple(fold_nos), []).append(rec_id)
-    held: dict[tuple[int, ...], tuple] = {}
+    share: list[int] = []
+    held = None
+
+    def start(fold_nos) -> None:
+        nonlocal held
+        share[:] = fold_nos
+        held = None
+
+    def listed(counts: Counter) -> list:
+        return [sequences[i] for i, count in counts.items() for _ in range(count)]
 
     def moments(fold_no: int):
-        merged = None
-        for key, ids in groups.items():
-            for _ in range(key.count(fold_no)):
-                part = held.get(key)
-                if part is None:
-                    part = held[key] = _pca_moments([sequences[i] for i in ids], l2)
-                if merged is None:
-                    merged = (part[0], part[1].copy(), part[2].copy())
-                else:
-                    merged = _merge_moments(merged, part)
-            if key[-1] == fold_no:
-                held.pop(key, None)
-        return merged
+        nonlocal held
+        at = share.index(fold_no)
+        mine = Counter(folds[fold_no].train_ids)
+        shared = mine.copy()  # Counter & keeps the smaller count
+        for later in share[at + 1:]:
+            shared &= Counter(folds[later].train_ids)
+        # held has what the previous fold shares with all remaining folds
+        had = Counter(folds[share[at - 1]].train_ids) & shared if at else Counter()
+        held = _merge_moments(held, _pca_moments(listed(shared - had), l2))
+        own = _pca_moments(listed(mine - shared), l2)
+        if at == len(share) - 1:
+            last, held = held, None
+            return _merge_moments(own, last)
+        if own is None:
+            return held[0], held[1].copy(), held[2]
+        return _merge_moments(own, held)
 
-    return moments
+    return start, moments
 
 
 def run_cv(
@@ -191,9 +203,8 @@ def run_cv(
 
     Each fold fits `preprocess` on its training sequences and applies it to
     both splits; the pooled SVM is the mil variant with `preprocess.pool` set.
-    A fold's PCA moments are merged from per-split sums (_fold_moments), so
-    a worker sums each training frame once, not once per fold that trains
-    on it.
+    With PCA, a fold's moments come from _fold_moments, which sums once
+    the frames that all of a worker's remaining folds train on.
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
@@ -227,7 +238,9 @@ def run_cv(
         check_positive_label(positive_label, classes)
     seqs = manifest.sequences
     labels = {rec.id: rec.label for rec in manifest.records}
-    moments = _fold_moments(folds, seqs, preprocess.l2)
+    start = moments = None
+    if preprocess.pca_dim is not None:
+        start, moments = _fold_moments(folds, seqs, preprocess.l2)
 
     def fold_value(fold_no: int) -> float:
         fold = folds[fold_no]
@@ -237,7 +250,7 @@ def run_cv(
             raw_train = [seqs[i] for i in fold.train_ids]
             _, train_seqs, test_seqs = prepare(
                 preprocess, raw_train, raw_train, [seqs[i] for i in fold.test_ids],
-                moments=lambda: moments(fold_no),
+                moments=None if moments is None else lambda: moments(fold_no),
             )
             train_pairs = list(zip(train_seqs, [labels[i] for i in fold.train_ids]))
             test_pairs = list(zip(test_seqs, [labels[i] for i in fold.test_ids]))
@@ -248,7 +261,7 @@ def run_cv(
         except LomoError as err:
             raise LomoError(f"fold {fold_no}: {err}") from None
 
-    values = list(forked_map(fold_value, range(len(folds))))
+    values = list(forked_map(fold_value, range(len(folds)), start=start))
     return CvResult(metric=metric, fold_values=values)
 
 

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,10 +450,10 @@ def _spread_manifest(tmp_path):
     return parse_manifest(path)
 
 
-def _cv_fits(monkeypatch, manifest, folds, config):
-    """The FittedPreprocess of each fold of a serial run_cv, and the frame
-    count of each _pca_moments call it made."""
-    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
+def _cv_fits(monkeypatch, manifest, folds, config, cpus=1):
+    """The FittedPreprocess of each fold that run_cv runs in this process,
+    and the frame count of each _pca_moments call made here."""
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: cpus)
     fits, sums = [], []
     prepare, pca_moments = lomo.evaluation.prepare, lomo.evaluation._pca_moments
 
@@ -482,17 +478,21 @@ def test_run_cv_fits_each_hand_built_fold_as_fit_preprocess_does(tmp_path, monke
     manifest = _spread_manifest(tmp_path)
     r = [f"r{k}" for k in range(12)]
     folds = [
+        # every later fold trains on all of this split
+        Fold(train_ids=tuple(r[4:8]), test_ids=tuple(r[0:2])),
         Fold(train_ids=tuple(r[0:8]), test_ids=tuple(r[8:12])),
-        # overlaps the first; r10 and r11 are in no training split
+        # overlaps the one before; r10 and r11 are in no training split
         Fold(train_ids=tuple(r[2:10]), test_ids=tuple(r[10:12])),
         # r4 and r5 listed twice count twice
         Fold(train_ids=tuple(r[4:10] + r[4:6]), test_ids=tuple(r[0:4])),
     ]
     config = PreprocessConfig(l2=l2, pca_dim=3)
     fits, sums = _cv_fits(monkeypatch, manifest, folds, config)
-    # one sum per group of records listed by the same folds: r0-1, r2-3,
-    # r4-5, r6-7 and r8-9, 5 frames each
-    assert sums == [10] * 5
+    # per fold, what all remaining folds list that is not yet held, then
+    # the rest of its split: fold 0 holds r4-7 and has no rest; fold 1
+    # sums r0-3; fold 2 adds r8-9 and sums r2-3; fold 3 adds its second
+    # r4-5 and has no rest
+    assert sums == [20, 0, 0, 20, 10, 10, 10, 0]
     top = 1.0 if l2 else max(float(np.abs(seq.frames).max()) for seq in manifest.sequences.values())
     for fold, got in zip(folds, fits, strict=True):
         want = fit_preprocess([manifest.sequences[i] for i in fold.train_ids], config)
@@ -500,24 +500,24 @@ def test_run_cv_fits_each_hand_built_fold_as_fit_preprocess_does(tmp_path, monke
         np.testing.assert_allclose(got.components, want.components, rtol=1e-12, atol=1e-12)
 
 
-def test_run_cv_sums_each_frame_once_per_process(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_cv_sums_what_its_remaining_folds_share_once(tmp_path, monkeypatch, cpus):
     manifest = _synthetic_manifest(tmp_path)
     folds = make_folds(manifest, "kfold", seed=1, k=5)
-    _, sums = _cv_fits(monkeypatch, manifest, folds, PreprocessConfig(l2=True, pca_dim=3))
-    # one sum per fold's test split, where each fold once summed its
-    # training split: 4 of 5 splits
-    assert sorted(sums) == sorted(len(fold.test_ids) * 16 for fold in folds)
-
-
-def test_roc_eer_rate_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma, 1.3 MB resident, on its first call
-    code = ("import sys, lomo; lomo.roc_eer_rate([1, -1, 1], [0.5, 0.5, 0.1]); "
-            "print('numpy.ma' in sys.modules)")
-    paths = [str(Path(lomo.evaluation.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60, check=True)
-    assert out.stdout == "False\n"
+    _, sums = _cv_fits(monkeypatch, manifest, folds, PreprocessConfig(l2=True, pca_dim=3), cpus)
+    # 16 frames per record; a fold's training split is the other test splits
+    split = [len(fold.test_ids) * 16 for fold in folds]
+    if cpus == 1:
+        # fold i adds fold i-1's test split to the held moments, then sums
+        # the test splits of the later folds
+        want = [0, sum(split[1:])]
+        for i in range(1, 5):
+            want += [split[i - 1], sum(split[i + 1:])]
+    else:
+        # this process runs folds 0, 2 and 4 and holds folds 1 and 3's
+        # test splits from the start
+        want = [split[1] + split[3], split[2] + split[4], split[0], split[4], split[2], 0]
+    assert sums == want
 
 
 def _multiclass_manifest(tmp_path):

@@ -73,6 +73,20 @@ def test_forked_map_deals_items_round_robin_and_keeps_order(cpus):
     assert_no_children()
 
 
+def test_forked_map_starts_each_worker_with_the_items_it_runs(cpus):
+    shares = []
+
+    def share_and_pid(k):
+        return shares[-1], os.getpid()
+
+    for count in (1, 3):
+        cpus(count)
+        results = list(forked_map(share_and_pid, range(7), start=shares.append))
+        for k, (share, _) in enumerate(results):
+            assert share == list(range(7))[k % count::count]
+        assert_no_children()
+
+
 def test_forked_map_runs_serially_below_two_workers_or_without_fork(cpus, monkeypatch):
     for count, items in ((1, range(5)), (4, range(1)), (3, range(0))):
         cpus(count)
