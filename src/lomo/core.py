@@ -26,13 +26,14 @@ class LomoError(ValueError):
 def _shown(value, form=repr) -> str:
     """form(value), repr or str, for an error message. An int with more
     digits than Python converts to text (sys.get_int_max_str_digits) is
-    shown by its sign and bit length instead."""
+    shown by its sign and bit length instead, and any other value whose
+    text raises ValueError (a tuple holding such an int) by its type."""
     try:
         return form(value)
     except ValueError:
-        if not isinstance(value, int):
-            raise
-        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+        return f"a {type(value).__name__} too long to print"
 
 
 def require_int(name: str, value, minimum: int | None = None) -> int:
@@ -113,7 +114,7 @@ def require_pairs(name: str, items, what: str, first: type = object) -> list[tup
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            raise LomoError(f"{name}[{k}] must be a {what} pair, got {item!r}")
+            raise LomoError(f"{name}[{k}] must be a {what} pair, got {_shown(item)}")
         pairs.append((a, b))
     return pairs
 

@@ -7,8 +7,8 @@ the greedy choice itself never sees the cost table.
 
 `assign_batch` is the scoring kernel: it assigns a (B, N, d) stack of
 equal-length sequences at once, and `score_sequences` feeds it bounded
-blocks of any mix of lengths. `latent_assign` is the per-sequence
-reference (oracle) that tests hold the kernel to, bit for bit.
+blocks of any mix of lengths (`shape_blocks`). `latent_assign` is the
+per-sequence reference (oracle) that tests hold the kernel to, bit for bit.
 """
 
 from __future__ import annotations
@@ -207,27 +207,40 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     )
 
 
-# Values in one stacked block; bounds the memory that batching adds
-# (512 KiB of float64) whatever the number and length of the sequences.
+# Frame values in one scoring block of score_sequences (512 KiB of float64),
+# which bounds the memory that stacking adds whatever the number and length
+# of the sequences. data._pca_moments copies the PCA fit's frames in blocks
+# of this size too; data.APPLY_BLOCK_VALUES bounds apply_preprocess.
 BLOCK_VALUES = 1 << 16
+
+
+def shape_blocks(seqs, values: int):
+    """Positions in `seqs` grouped by frame shape (N, d), each group cut into
+    blocks of at most `values` frame values and at least one sequence.
+
+    Groups come in the order of their first sequence and positions within a
+    block in input order, so every block stacks into one (B, N, d) array.
+    score_sequences and data.apply_preprocess run their kernels on these.
+    """
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k, seq in enumerate(seqs):
+        by_shape.setdefault(seq.frames.shape, []).append(k)
+    for (n, d), members in by_shape.items():
+        size = max(1, values // (n * d))
+        for lo in range(0, len(members), size):
+            yield members[lo : lo + size]
 
 
 def score_sequences(model: LomoModel, seqs, cfg: InferenceConfig) -> np.ndarray:
     """Scores of sequences of any lengths, in input order.
 
-    Sequences are grouped by length and scored through assign_batch in
-    blocks of at most BLOCK_VALUES frame values.
+    Sequences are scored through assign_batch in the blocks of shape_blocks,
+    at most BLOCK_VALUES frame values each.
     """
     seqs = _batch_args(model, seqs, cfg)
-    by_length: dict[int, list[int]] = {}
-    for k, seq in enumerate(seqs):
-        by_length.setdefault(seq.num_frames, []).append(k)
     out = np.empty(len(seqs))
-    for n, members in by_length.items():
-        size = max(1, BLOCK_VALUES // (n * model.dim))
-        for lo in range(0, len(members), size):
-            block = members[lo : lo + size]
-            out[block] = assign_batch(model, [seqs[k] for k in block], cfg).total
+    for block in shape_blocks(seqs, BLOCK_VALUES):
+        out[block] = assign_batch(model, [seqs[k] for k in block], cfg).total
     return out
 
 

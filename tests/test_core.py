@@ -12,6 +12,7 @@ import pytest
 
 import lomo
 from lomo.core import LomoError, Rng, child_seed, float_errors, format_float
+from lomo.data import PreprocessConfig, prepare
 from lomo.model import init_model, perm_index, perm_unrank, rank_pattern
 
 
@@ -270,6 +271,28 @@ def test_messages_show_an_int_too_long_to_print_by_its_bit_length():
         lomo.make_folds(huge, "logo", 0)
     with pytest.raises(LomoError, match=r"^scores\[0\] is a negative 16610-bit integer; ROC"):
         lomo.roc_auc([1, -1], [-huge, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda huge: lomo.train_ova([huge], lomo.TrainConfig()),
+         r"^data\[0\] must be a \(FrameSequence, label\) pair, got a 16610-bit integer$"),
+        (lambda huge: lomo.train_ova([(huge, "a")], lomo.TrainConfig()),
+         r"^data\[0\] must be a \(FrameSequence, label\) pair, got a tuple too long to print$"),
+        (lambda huge: lomo.avg_class_accuracy([(huge,)]),
+         r"^pairs\[0\] must be a \(true, predicted\) pair, got a tuple too long to print$"),
+        (lambda huge: lomo.score_sequences(
+            init_model(2, 1, Rng(0)), [(huge,)], lomo.InferenceConfig()),
+         r"^seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
+        (lambda huge: prepare(PreprocessConfig(), [(huge,)]),
+         r"^train_seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
+    ],
+    ids=["train_ova-int", "train_ova-pair", "avg_class_accuracy", "score_sequences", "prepare"],
+)
+def test_messages_show_a_value_holding_an_int_too_long_to_print_by_its_type(call, message):
+    with pytest.raises(LomoError, match=message):
+        call(10**5000)
 
 
 def test_integer_arguments_accept_numpy_integers():

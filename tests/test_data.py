@@ -733,6 +733,81 @@ def test_fit_preprocess_memory_does_not_grow_with_the_training_split(l2):
     assert large <= small + 64 * 1024, (small, large)
 
 
+def _traced_apply_peak(fitted, seqs) -> int:
+    """Bytes prepare's apply of `seqs` allocates at its peak above what it
+    returns, as tracemalloc sees it: its temporaries."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prepared = lomo.data._apply_split(fitted, seqs)
+        current, peak = tracemalloc.get_traced_memory()
+        assert len(prepared) == len(seqs)
+        return peak - max(base, current)
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pool", [None, "max"])
+def test_prepare_memory_does_not_grow_with_the_split(pool):
+    """A split is prepared one block of at most APPLY_BLOCK_VALUES input
+    values at a time, so its temporaries peak at about one block's copy
+    and projection, and 4x the sequences (20 blocks instead of 5) peak no
+    higher. The slack covers the split's lists of positions (measured: 20
+    KB more at 800 sequences than at 200); stacking every sequence at once
+    would peak 4.9 MiB higher."""
+    rng = np.random.default_rng(60)
+    train = [FrameSequence(rng.normal(size=(40, 20))) for _ in range(20)]
+    fitted = fit_preprocess(train, PreprocessConfig(l2=True, pca_dim=5, pool=pool))
+    seqs = [FrameSequence(rng.normal(size=(40, 20))) for _ in range(800)]
+    block = lomo.data.APPLY_BLOCK_VALUES * 8
+    small = _traced_apply_peak(fitted, seqs[:200])
+    large = _traced_apply_peak(fitted, seqs)
+    assert block <= small <= 1.5 * block, (small, block)
+    assert large <= small + 32 * 1024, (small, large)
+
+
+def test_a_split_raises_the_error_of_its_first_failing_sequence():
+    """Whatever order the stacked blocks run in, the error is the one a
+    sequence-by-sequence apply meets first, with the same text."""
+    rng = np.random.default_rng(62)
+    train = [FrameSequence(rng.normal(size=(6, 3))) for _ in range(2)]
+    config = PreprocessConfig(l2=True, pca_dim=2)
+    good = FrameSequence(rng.normal(size=(5, 3)), id="good")
+    huge = FrameSequence(rng.normal(size=(5, 3)) * 1e200, id="huge")  # its l2 overflows
+    wide = FrameSequence(rng.normal(size=(4, 4)), id="wide")
+    overflow = "^sequence huge: overflow encountered in matmul while preprocessing$"
+    mismatch = "^dimension mismatch: basis d=3, sequence wide d=4$"
+    not_a_sequence = "^seq must be a FrameSequence, got 'x'$"
+    for split, message in [
+        ([good, huge, wide], overflow),  # huge shares a block with good, which comes first
+        ([good, wide, huge], mismatch),  # wide's block runs after good's and huge's
+        ([good, huge, "x"], overflow),
+        ([good, "x", huge], not_a_sequence),
+    ]:
+        with pytest.raises(LomoError, match=message):
+            prepare(config, train, [good], split)
+    fitted = fit_preprocess(train, config)
+    for seq, message in [(huge, overflow), (wide, mismatch), ("x", not_a_sequence)]:
+        with pytest.raises(LomoError, match=message):
+            apply_preprocess(fitted, seq)
+
+
+def test_a_split_without_pca_may_mix_dimensions():
+    """Blocks hold sequences of one shape, so a split of one length but two
+    dimensions is prepared as each sequence is on its own."""
+    rng = np.random.default_rng(63)
+    config = PreprocessConfig(l2=True, stack=2, pool="mean")
+    split = [FrameSequence(rng.normal(size=(5, d)), id=f"s{k}") for k, d in enumerate([3, 4, 3])]
+    fitted, prepared = prepare(config, split, split)
+    assert [seq.frames.shape for seq in prepared] == [(1, 6), (1, 8), (1, 6)]
+    for seq, got in zip(split, prepared):
+        assert got.id == seq.id
+        assert got.frames.tobytes() == apply_preprocess(fitted, seq).frames.tobytes()
+
+
 def test_apply_preprocess_order_is_l2_then_pca_then_stack():
     rng = np.random.default_rng(51)
     train = [FrameSequence(rng.normal(size=(12, 5))) for _ in range(2)]

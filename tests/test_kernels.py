@@ -3,7 +3,8 @@
 `train` must equal a fold of `sgd_step` (oracle.py) over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
 the l2 row kernel, in place or not, must equal per-row `np.linalg.norm`
-division, `apply_preprocess` must equal its steps written out one by one,
+division, `apply_preprocess` and every sequence of `prepare`'s stacked
+blocks must equal the preprocessing steps written out one by one,
 and the C-parsed sequence reader must equal the per-cell `float()` parse,
 bit for bit (compared as bytes, so signed zeros count). The one-string sequence
 writer must write the bytes of the per-value `format_float` loop. The PCA
@@ -36,6 +37,7 @@ from lomo.data import (
     _pca_moments,
     apply_preprocess,
     fit_preprocess,
+    prepare,
     read_sequence,
     write_sequence,
 )
@@ -529,11 +531,10 @@ def _apply_reference(fitted, frames):
     return out
 
 
-@SETTINGS
-@given(st.data())
-def test_apply_preprocess_equals_the_steps_written_out(data):
+def _preprocess_case(data):
+    """(config, frames): a drawn PreprocessConfig over every step mix, and
+    frames(n), a source of (n, d) frames at a drawn scale with some zero rows."""
     d = data.draw(st.integers(1, 6))
-    stack = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
 
     def frames(n):
@@ -541,13 +542,21 @@ def test_apply_preprocess_equals_the_steps_written_out(data):
         out[rng.random(n) < 0.2] = 0.0  # zero rows hit the l2 guard
         return out
 
-    train_seqs = [FrameSequence(frames(int(rng.integers(1, 9)))) for _ in range(3)]
     config = PreprocessConfig(
         l2=data.draw(st.booleans()),
         pca_dim=data.draw(st.one_of(st.none(), st.integers(1, d))),
-        stack=stack,
+        stack=data.draw(st.integers(1, 4)),
         pool=data.draw(st.sampled_from([None, "mean", "max"])),
     )
+    return config, frames
+
+
+@SETTINGS
+@given(st.data())
+def test_apply_preprocess_equals_the_steps_written_out(data):
+    config, frames = _preprocess_case(data)
+    stack = config.stack
+    train_seqs = [FrameSequence(frames(int(data.draw(st.integers(1, 8))))) for _ in range(3)]
     fitted = fit_preprocess(train_seqs, config)
     n = data.draw(st.one_of(st.just(1), st.integers(stack + 1, stack + 8)))
     seq = FrameSequence(frames(n), id="s")
@@ -558,6 +567,38 @@ def test_apply_preprocess_equals_the_steps_written_out(data):
     assert _bits(got.frames) == _bits(want)
     if config == PreprocessConfig():
         assert got is seq
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([1, 7, lomo.data.APPLY_BLOCK_VALUES]))
+def test_prepare_splits_equal_the_steps_written_out_for_any_block_size(data, block_values):
+    """prepare's stacked blocks give each sequence of a split what the steps
+    give it on its own; 1 makes every sequence a block of its own, 7 cuts
+    the equal-length groups into blocks of one or more."""
+    config, frames = _preprocess_case(data)
+    train_seqs = [FrameSequence(frames(int(data.draw(st.integers(1, 8))))) for _ in range(3)]
+    splits = [
+        [FrameSequence(frames(n), id=f"{s}-{k}") for k, n in enumerate(lengths)]
+        for s, lengths in enumerate(data.draw(st.lists(
+            st.lists(st.integers(1, 6), max_size=12), min_size=1, max_size=3
+        )))
+    ]
+    original = lomo.data.APPLY_BLOCK_VALUES
+    lomo.data.APPLY_BLOCK_VALUES = block_values
+    try:
+        fitted, *prepared = prepare(config, train_seqs, *splits)
+    finally:
+        lomo.data.APPLY_BLOCK_VALUES = original
+    assert len(prepared) == len(splits)
+    for split, got in zip(splits, prepared):
+        assert len(got) == len(split)
+        for seq, out in zip(split, got):
+            want = _apply_reference(fitted, seq.frames)
+            assert out.id == seq.id
+            assert out.frames.shape == want.shape
+            assert _bits(out.frames) == _bits(want)
+        if config == PreprocessConfig():
+            assert all(out is seq for seq, out in zip(split, got))
 
 
 # ---------------------------------------------------------------------------
