@@ -93,10 +93,21 @@ def require_instance(name: str, value, kind: type) -> None:
         raise LomoError(f"{name} must be {article} {kind.__name__}, got {_shown(value)}")
 
 
+def require_iterable(name: str, value):
+    """iter(value); a value that is not iterable raises LomoError "<name>
+    must be iterable, got <value>". Only the call to iter is guarded: a
+    TypeError raised while the iterator runs, such as one from a caller's
+    generator, propagates as it is."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise LomoError(f"{name} must be iterable, got {_shown(value)}") from None
+
+
 def require_items(name: str, items, kind: type) -> list:
     """`items` as a list once every item is an instance of `kind`; the first
     that is not raises LomoError "<name>[k] must be a <kind>, got <item>"."""
-    items = list(items)
+    items = list(require_iterable(name, items))
     for k, item in enumerate(items):
         if not isinstance(item, kind):
             require_instance(f"{name}[{k}]", item, kind)
@@ -107,7 +118,7 @@ def require_pairs(name: str, items, what: str, first: type = object) -> list[tup
     """`items` as a list of (a, b) tuples, each `a` an instance of `first`;
     any other item raises LomoError "<name>[k] must be a <what> pair, got <item>"."""
     pairs = []
-    for k, item in enumerate(items):
+    for k, item in enumerate(require_iterable(name, items)):
         try:
             a, b = item
             ok = isinstance(a, first)
@@ -123,7 +134,7 @@ def finite_floats(name: str, values, need: str) -> list[float]:
     """Each of `values` as a Python float. The first one that is not a
     finite real number raises LomoError "<name>[k] is <value>; <need>"."""
     out = []
-    for k, v in enumerate(values):
+    for k, v in enumerate(require_iterable(name, values)):
         try:
             value = float(v)
         except (TypeError, ValueError, OverflowError):

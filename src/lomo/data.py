@@ -29,6 +29,7 @@ from .core import (
     require_instance,
     require_int,
     require_items,
+    require_iterable,
     require_real,
     write_text,
 )
@@ -556,7 +557,8 @@ def prepare(config: PreprocessConfig, fit_on, *splits, moments=None) -> tuple:
     here; a cv fold passes the `moments` of fit_preprocess.
     """
     fitted = fit_preprocess(fit_on, config, moments=moments)
-    return (fitted, *(_apply_split(fitted, list(split)) for split in splits))
+    return (fitted, *(_apply_split(fitted, list(require_iterable("split", split)))
+                      for split in splits))
 
 
 # ---------------------------------------------------------------------------

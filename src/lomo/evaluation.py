@@ -26,6 +26,7 @@ from .core import (
     require_choice,
     require_instance,
     require_items,
+    require_iterable,
     require_pairs,
 )
 from .data import DatasetManifest, Fold, PreprocessConfig, _merge_moments, _pca_moments, prepare
@@ -55,7 +56,7 @@ def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     """(positive, negative) scores, each sorted; every score must be finite
     and every label +1 or -1. The first label that is neither raises
     LomoError "labels[k] is <label>; ROC metrics need labels +1 or -1"."""
-    labels = list(labels)
+    labels = list(require_iterable("labels", labels))
     scores = np.array(finite_floats("scores", scores, "ROC metrics need finite scores"))
     if len(labels) != scores.shape[0]:
         raise LomoError(f"{len(labels)} labels vs {scores.shape[0]} scores")

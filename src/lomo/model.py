@@ -22,6 +22,7 @@ from .core import (
     real_array,
     require_instance,
     require_int,
+    require_iterable,
     write_text,
 )
 
@@ -82,10 +83,12 @@ def require_order_size(name: str, m) -> int:
     return m
 
 
-def _order_entries(name: str, values) -> list[int]:
-    """The entries of an order as ints. Reading stops one entry past
-    MAX_TEMPLATES, so an order too long to index costs no more than that."""
-    return [require_int(name, v) for v in itertools.islice(values, MAX_TEMPLATES + 1)]
+def _order_entries(arg: str, values, entry: str) -> list[int]:
+    """The entries of the order `arg` as ints, each checked as `entry`.
+    Reading stops one entry past MAX_TEMPLATES, so an order too long to
+    index costs no more than that."""
+    entries = itertools.islice(require_iterable(arg, values), MAX_TEMPLATES + 1)
+    return [require_int(entry, v) for v in entries]
 
 
 def rank_pattern(k) -> tuple[int, ...]:
@@ -93,7 +96,7 @@ def rank_pattern(k) -> tuple[int, ...]:
 
     rank_i = 1 + |{j : k_j < k_i}|; requires 1..MAX_TEMPLATES distinct indices.
     """
-    ks = _order_entries("frame index", k)
+    ks = _order_entries("k", k, "frame index")
     if len(ks) == 0:
         raise LomoError("rank_pattern needs at least one index")
     require_order_size("number of frame indices", len(ks))
@@ -105,7 +108,7 @@ def rank_pattern(k) -> tuple[int, ...]:
 
 
 def _check_permutation(p) -> list[int]:
-    ps = _order_entries("permutation entry", p)
+    ps = _order_entries("p", p, "permutation entry")
     require_order_size("number of permutation entries", len(ps))
     if sorted(ps) != list(range(1, len(ps) + 1)):
         raise LomoError(f"{tuple(ps)} is not a permutation of 1..{len(ps)}")

@@ -7,9 +7,10 @@ The MIL baseline is the M=1 restriction with the cost table frozen at
 zero; on sequences pooled to one frame it is the pooled-SVM baseline.
 
 `train` is the training kernel: one loop over plain arrays updated in
-place. Its reference step, `sgd_step` in tests/oracle.py, is a test
-oracle: folding it over the same sample draws gives the model `train`
-returns, bit for bit.
+place, with a shorter step for data of one frame per sequence, where the
+latent assignment has a single answer. Its reference step, `sgd_step` in
+tests/oracle.py, is a test oracle: folding it over the same sample draws
+gives the model `train` returns, bit for bit, on either step.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ def train(data, cfg: TrainConfig) -> LomoModel:
       one draw per step, in memory that does not grow with max_iter;
     - templates and costs are updated in place on a margin violation.
 
+    When every sequence has exactly one frame (the pooled SVM), validation
+    has forced M = 1: each pick is frame 0 and each ordering index 1, so
+    that step skips the argmax, the exclusion check and the ordering lookup.
+    Its float operations are the general step's on that frame, the same
+    matvec, one-value sum and updates, so the model is the same bit for bit.
+
     A numeric error's message names the step.
     """
     require_instance("cfg", cfg, TrainConfig)
@@ -187,12 +194,30 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     freeze = cfg.freeze_costs
     rows = list(templates)  # views: in-place updates reach them
     order = range(m)
+    one_frame = all(x.shape[0] == 1 for x in frames)  # then M = 1: pick 0, ordering 1
     step = 0
     with float_errors(
         lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
     ):
         for start in range(0, iters, _DRAW_CHUNK):
             draws = rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist()
+            if one_frame:
+                w = rows[0]
+                for step, j in enumerate(draws, start + 1):
+                    x = frames[j]
+                    y = labels[j]
+                    # 0.0 + s is _add_reduce of the one score
+                    if y * ((0.0 + x.dot(w).item(0)) / m + costs[0]) >= 1.0:
+                        continue
+                    templates *= shrink
+                    templates += (eta * y / m) * x
+                    if freeze:
+                        continue
+                    if gradient:
+                        costs[0] += eta * y
+                    else:
+                        costs[0] -= eta
+                continue
             for step, j in enumerate(draws, start + 1):
                 x = frames[j]
                 picks = []

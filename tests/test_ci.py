@@ -1,5 +1,5 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
-one BLAS thread, after printing numpy's BLAS core."""
+one BLAS thread and under a job time limit, after printing numpy's BLAS core."""
 
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ def test_ci_workflow_runs_the_tier1_suite():
     assert any(step.get("with", {}).get("python-version") == "3.11" for step in steps)
     assert runs.index('pip install -e ".[test]"') < runs.index(command)
     assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    # a worker that deadlocks after a fork is waited for without a limit
+    assert 0 < job["timeout-minutes"] <= 30
 
 
 def test_ci_prints_numpys_blas_core_before_the_tests():

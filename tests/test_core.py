@@ -218,6 +218,7 @@ def test_only_model_reads_the_longest_order():
         ("dimension mismatch", "inference.py"),  # inference.require_dimension
         ("must be finite and", "core.py"),  # core.require_real(…, minimum=…)
         ('require_instance(f"', "core.py"),  # core.require_items
+        ("must be iterable", "core.py"),  # core.require_iterable
         (".lower()", "core.py"),  # core.require_choice
         ("100 * ", "training.py"),  # TrainConfig.num_steps
     ],
@@ -293,6 +294,54 @@ def test_messages_show_an_int_too_long_to_print_by_its_bit_length():
 def test_messages_show_a_value_holding_an_int_too_long_to_print_by_its_type(call, message):
     with pytest.raises(LomoError, match=message):
         call(10**5000)
+
+
+# ---------------------------------------------------------------------------
+# list arguments
+
+
+def _caller_generator():
+    yield from ()
+    raise TypeError("raised by the caller's generator")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: lomo.train(None, lomo.TrainConfig()), LomoError,
+         r"data must be iterable, got None"),
+        (lambda: lomo.train_binary(5, "a", lomo.TrainConfig()), LomoError,
+         r"data must be iterable, got 5"),
+        (lambda: lomo.train_ova(None, lomo.TrainConfig()), LomoError,
+         r"data must be iterable, got None"),
+        (lambda: lomo.score_sequences(init_model(2, 1, Rng(0)), None, lomo.InferenceConfig()),
+         LomoError, r"seqs must be iterable, got None"),
+        (lambda: prepare(PreprocessConfig(), None), LomoError,
+         r"train_seqs must be iterable, got None"),
+        (lambda: prepare(PreprocessConfig(), [], 1.5), LomoError,
+         r"split must be iterable, got 1\.5"),
+        (lambda: lomo.avg_class_accuracy(None), LomoError, r"pairs must be iterable, got None"),
+        (lambda: lomo.roc_auc(None, None), LomoError, r"labels must be iterable, got None"),
+        (lambda: lomo.roc_eer_rate([1, -1], 0.5), LomoError, r"scores must be iterable, got 0\.5"),
+        (lambda: lomo.fuse_scores(None), LomoError, r"scores must be iterable, got None"),
+        (lambda: rank_pattern(3), LomoError, r"k must be iterable, got 3"),
+        (lambda: perm_index(None), LomoError, r"p must be iterable, got None"),
+        (lambda: lomo.train(-10**5000, lomo.TrainConfig()), LomoError,
+         r"data must be iterable, got a negative 16610-bit integer"),
+        (lambda: lomo.train(_caller_generator(), lomo.TrainConfig()), TypeError,
+         r"raised by the caller's generator"),
+    ],
+    ids=[
+        "train", "train_binary", "train_ova", "score_sequences", "prepare-fit", "prepare-split",
+        "avg_class_accuracy", "roc_auc", "roc_eer_rate", "fuse_scores", "rank_pattern",
+        "perm_index", "huge-int", "generator-type-error",
+    ],
+)
+def test_list_arguments_that_are_not_iterable_raise_a_lomo_error(call, error, message):
+    # a wrong Python type is a LomoError; a TypeError from inside an
+    # iterable the caller passed is the caller's own and propagates
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_integer_arguments_accept_numpy_integers():

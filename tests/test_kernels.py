@@ -94,9 +94,12 @@ def _sgd_fold(data, cfg):
 
 @st.composite
 def train_cases(draw):
-    kind = draw(st.sampled_from(["lomo", "mil", "pooled"]))  # pooled: mil on one frame
-    variant = "lomo" if kind == "lomo" else "mil"
-    m = draw(st.integers(1, MAX_TEMPLATES)) if variant == "lomo" else 1
+    # pooled: mil on one frame; pooled-lomo: M=1 on one frame with the cost
+    # table learned; mixed: M=1 on one-frame and longer sequences, which
+    # takes the multi-frame loop
+    kind = draw(st.sampled_from(["lomo", "mil", "pooled", "pooled-lomo", "mixed"]))
+    variant = "mil" if kind in ("mil", "pooled") else "lomo"
+    m = draw(st.integers(1, MAX_TEMPLATES)) if kind == "lomo" else 1
     t = draw(st.integers(0, 2 if m > 4 else 4))
     cfg = TrainConfig(
         num_templates=m,
@@ -114,7 +117,10 @@ def train_cases(draw):
     count = draw(st.integers(2, 7))
     data = []
     for k in range(count):
-        n = 1 if kind == "pooled" else _min_frames(m, t) + int(rng.integers(0, 6))
+        if kind.startswith("pooled") or (kind == "mixed" and k == 0):
+            n = 1
+        else:
+            n = _min_frames(m, t) + int(rng.integers(1 if kind == "mixed" else 0, 6))
         label = 1 if k % 2 == 0 else -1
         data.append(LabeledSequence(FrameSequence(_frames(rng, n, d, ties), id=f"s{k}"), label))
     return data, cfg
@@ -159,14 +165,16 @@ def _assert_train_equals_fold(data, cfg):
 @pytest.mark.parametrize("iters", [_DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1])
 def test_train_equals_sgd_fold_across_draw_chunks(iters):
     # each sequence comes with both labels, so no model meets both margins
-    # and about 96% of the steps update it: a draw lost, added or moved at a
-    # chunk boundary changes the model
+    # and 95-98% of the steps update it: a draw lost, added or moved at a
+    # chunk boundary changes the model. One-frame sequences (M=1) take the
+    # one-frame step.
     rng = np.random.default_rng(iters)
-    seqs = [FrameSequence(rng.normal(size=(7, 2)), id=f"s{k}") for k in range(3)]
-    data = [LabeledSequence(seq, y) for seq in seqs for y in (1, -1)]
-    cfg = TrainConfig(num_templates=2, exclusion_t=1, max_iter=iters, eta=0.05,
-                      reg_lambda=0.1, seed=iters)
-    _assert_train_equals_fold(data, cfg)
+    for m, n in [(2, 7), (1, 1)]:
+        seqs = [FrameSequence(rng.normal(size=(n, 2)), id=f"s{k}") for k in range(3)]
+        data = [LabeledSequence(seq, y) for seq in seqs for y in (1, -1)]
+        cfg = TrainConfig(num_templates=m, exclusion_t=1, max_iter=iters, eta=0.05,
+                          reg_lambda=0.1, seed=iters)
+        _assert_train_equals_fold(data, cfg)
 
 
 @pytest.mark.parametrize("m, t", [(3, 2), (3, 0), (MAX_TEMPLATES, 1)])
