@@ -1,8 +1,11 @@
 """Command-line front end: synth | train | predict | cv | report.
 
-Flags are the single source of truth; every run echoes its resolved
-configuration to stderr and writes data to files or stdout, so reruns
-with identical flags produce byte-identical outputs.
+The library's configs (SynthSpec, TrainConfig, PreprocessConfig,
+InferenceConfig) are the single source of truth for every setting; each
+flag reads its default and choices from them through the *_FLAGS tables.
+Every run echoes its resolved configuration to stderr and writes data to
+files or stdout, so reruns with identical flags produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -11,9 +14,13 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .core import LomoError, format_float, write_text
 from .data import (
+    NEG_MODES,
+    POOLS,
+    SCHEMES,
     PreprocessConfig,
     SynthSpec,
     gen_synthetic,
@@ -22,10 +29,10 @@ from .data import (
     prepare,
     read_sequence,
 )
-from .evaluation import format_cv_results, run_cv
+from .evaluation import METRICS, format_cv_results, run_cv
 from .inference import InferenceConfig, assign_batch, fuse_scores, score_sequences
 from .model import load_model, save_model
-from .training import TrainConfig, train_binary, train_ova
+from .training import COST_UPDATES, TrainConfig, train_binary, train_ova
 
 # --variant -> (TrainConfig.variant, PreprocessConfig.pool)
 VARIANT_FLAGS = {
@@ -36,10 +43,10 @@ VARIANT_FLAGS = {
 }
 
 
-def _echo(command: str, pairs) -> None:
+def _echo(command: str, settings: dict) -> None:
     rendered = " ".join(
         f"{key}={format_float(value) if isinstance(value, float) else value}"
-        for key, value in pairs
+        for key, value in settings.items()
     )
     print(f"{command} config: {rendered}", file=sys.stderr)
 
@@ -51,62 +58,78 @@ def _write_text(text: str, out_path: str | None) -> None:
         write_text(out_path, text)
 
 
+# One table per config: (flag, config field, help text). A flag's default
+# is its field's default and its choices are the constant the config checks
+# against, so cli.py restates neither; its echo key is the flag's name.
+SYNTH_FLAGS = (
+    ("--d", "dim", "feature dimension"),
+    ("--n", "num_frames", "frames per sequence"),
+    ("--m-true", "num_events", "planted sub-events per positive"),
+    ("--noise-sigma", "noise_sigma", "background noise scale"),
+    ("--min-gap", "min_gap", "minimum frames strictly between planted positions"),
+    ("--pos", "num_pos", "number of positive sequences"),
+    ("--neg", "num_neg", "number of negative sequences"),
+    ("--neg-mode", "neg_mode", "negatives reorder the prototypes or omit them"),
+    ("--seed", "seed", "RNG seed"),
+)
+INFERENCE_FLAGS = (
+    ("--exclusion-t", "exclusion_t", "frames excluded on each side of a chosen frame"),
+)
+TRAIN_FLAGS = (
+    ("--templates", "num_templates",
+     "number of sub-event templates (forced to 1 by mil/svm variants)"),
+    ("--eta", "eta", "SGD learning rate"),
+    ("--lambda", "reg_lambda", "L2 regularizer on the templates"),
+    *INFERENCE_FLAGS,
+    ("--max-iter", "max_iter", "SGD iterations (default: 100 x number of training sequences)"),
+    ("--seed", "seed", "RNG seed"),
+    ("--cost-update", "cost_update", "ordering-cost update rule on margin violations"),
+)
+PREPROCESS_FLAGS = (
+    ("--l2", "l2", "unit-l2 normalize every frame"),
+    ("--pca-dim", "pca_dim", "PCA dimension, fit on each fold's training split"),
+    ("--stack", "stack", "stack each frame with the next STACK-1 frames"),
+)
+CHOICES = {"neg_mode": NEG_MODES, "cost_update": COST_UPDATES}
+
+
+def _add_flags(sub, config, rows) -> None:
+    """Add each row's flag: default from the config's field, type from the
+    default (int for None), store_true for a bool, choices from CHOICES."""
+    defaults = {f.name: f.default for f in fields(config)}
+    for flag, name, text in rows:
+        value = defaults[name]
+        kind = (
+            {"action": "store_true"} if isinstance(value, bool)
+            else {"type": int if value is None else type(value), "choices": CHOICES.get(name)}
+        )
+        sub.add_argument(flag, dest=name, default=value, help=text, **kind)
+
+
+def _config(config, rows, args, **extra):
+    """A `config` built from the parsed flags of `rows`, plus `extra` fields."""
+    return config(**{name: getattr(args, name) for _, name, _ in rows}, **extra)
+
+
+def _settings(values, rows) -> dict:
+    """Echo pairs: each row's flag name (underscores for dashes) -> its field
+    in `values`, a config or the parsed flags."""
+    return {flag[2:].replace("-", "_"): getattr(values, name) for flag, name, _ in rows}
+
+
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        num_templates=args.templates,
-        eta=args.eta,
-        reg_lambda=args.reg_lambda,
-        exclusion_t=args.exclusion_t,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        variant=VARIANT_FLAGS[args.variant][0],
-        cost_update=args.cost_update,
-    )
-
-
-def _train_settings(args, cfg: TrainConfig, max_iter) -> list[tuple]:
-    """The training settings that train and cv echo, one per _add_train_flags flag."""
-    return [
-        ("variant", args.variant), ("templates", cfg.num_templates), ("eta", cfg.eta),
-        ("lambda", cfg.reg_lambda), ("exclusion_t", cfg.exclusion_t),
-        ("max_iter", max_iter), ("seed", cfg.seed), ("cost_update", cfg.cost_update),
-    ]
-
-
-def _add_exclusion_flag(sub) -> None:
-    sub.add_argument("--exclusion-t", type=int, default=5, metavar="T",
-                     help="frames excluded on each side of a chosen frame")
+    return _config(TrainConfig, TRAIN_FLAGS, args, variant=VARIANT_FLAGS[args.variant][0])
 
 
 def _add_train_flags(sub) -> None:
     sub.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="lomo",
                      help="model family: full ordinal model, MIL, or pooled SVM")
-    sub.add_argument("--templates", type=int, default=3, metavar="M",
-                     help="number of sub-event templates (forced to 1 by mil/svm variants)")
-    sub.add_argument("--eta", type=float, default=0.05, help="SGD learning rate")
-    sub.add_argument("--lambda", dest="reg_lambda", type=float, default=1e-5,
-                     help="L2 regularizer on the templates")
-    _add_exclusion_flag(sub)
-    sub.add_argument("--max-iter", type=int, default=None,
-                     help="SGD iterations (default: 100 x number of training sequences)")
-    sub.add_argument("--seed", type=int, default=42, help="RNG seed")
-    sub.add_argument("--cost-update", choices=("gradient", "literal"), default="gradient",
-                     help="ordering-cost update rule on margin violations")
+    _add_flags(sub, TrainConfig, TRAIN_FLAGS)
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        dim=args.d,
-        num_frames=args.n,
-        num_events=args.m_true,
-        noise_sigma=args.noise_sigma,
-        min_gap=args.min_gap,
-        num_pos=args.pos,
-        num_neg=args.neg,
-        neg_mode=args.neg_mode,
-        seed=args.seed,
-    )
-    _echo("synth", spec.text_fields())
+    spec = _config(SynthSpec, SYNTH_FLAGS, args)
+    _echo("synth", dict(spec.text_fields()))
     manifest = gen_synthetic(spec, args.out)
     print(
         f"wrote {len(manifest.records)} sequences "
@@ -123,8 +146,9 @@ def _cmd_train(args) -> int:
     manifest = parse_manifest(args.manifest)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
     _, seqs = prepare(PreprocessConfig(pool=VARIANT_FLAGS[args.variant][1]), seqs, seqs)
-    _echo("train", [*_train_settings(args, cfg, cfg.num_steps(len(seqs))),
-                    ("ova", args.ova), ("positive_label", args.positive_label)])
+    _echo("train", {"variant": args.variant, **_settings(cfg, TRAIN_FLAGS),
+                    "max_iter": cfg.num_steps(len(seqs)),  # the steps run, in max_iter's place
+                    "ova": args.ova, "positive_label": args.positive_label})
     pairs = [(seq, rec.label) for rec, seq in zip(manifest.records, seqs)]
     if args.ova:
         models = train_ova(pairs, cfg)
@@ -144,12 +168,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    _echo("predict", [
-        ("models", len(args.model)), ("exclusion_t", args.exclusion_t), ("pool", args.pool),
-    ])
+    _echo("predict", {
+        "models": len(args.model), **_settings(args, INFERENCE_FLAGS), "pool": args.pool,
+    })
     models = [load_model(p) for p in args.model]
     manifest = parse_manifest(args.manifest)
-    icfg = InferenceConfig(exclusion_t=args.exclusion_t)
+    icfg = _config(InferenceConfig, INFERENCE_FLAGS, args)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
     _, seqs = prepare(PreprocessConfig(pool=None if args.pool == "none" else args.pool), seqs, seqs)
     per_model = [score_sequences(m, seqs, icfg).tolist() for m in models]
@@ -167,15 +191,15 @@ def _cmd_predict(args) -> int:
 
 def _cmd_cv(args) -> int:
     cfg = _train_config(args)
-    _echo("cv", [
-        ("scheme", args.scheme), ("folds", args.folds), ("metric", args.metric),
-        *_train_settings(args, cfg, cfg.max_iter), ("positive_label", args.positive_label),
-        ("l2", args.l2), ("pca_dim", args.pca_dim), ("stack", args.stack),
-    ])
+    _echo("cv", {
+        "scheme": args.scheme, "folds": args.folds, "metric": args.metric,
+        "variant": args.variant, **_settings(cfg, TRAIN_FLAGS),
+        "positive_label": args.positive_label, **_settings(args, PREPROCESS_FLAGS),
+    })
     manifest = parse_manifest(args.manifest)
     folds = make_folds(manifest, args.scheme, args.seed, k=args.folds)
-    preprocess = PreprocessConfig(
-        l2=args.l2, pca_dim=args.pca_dim, stack=args.stack, pool=VARIANT_FLAGS[args.variant][1]
+    preprocess = _config(
+        PreprocessConfig, PREPROCESS_FLAGS, args, pool=VARIANT_FLAGS[args.variant][1]
     )
     result = run_cv(
         manifest, folds, cfg,
@@ -188,10 +212,10 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _echo("report", [("exclusion_t", args.exclusion_t)])
+    _echo("report", _settings(args, INFERENCE_FLAGS))
     model = load_model(args.model)
     seq = read_sequence(args.sequence)
-    assign = assign_batch(model, [seq], InferenceConfig(exclusion_t=args.exclusion_t))
+    assign = assign_batch(model, [seq], _config(InferenceConfig, INFERENCE_FLAGS, args))
     n = seq.num_frames
     lines = ["template,frame_index,percentile,template_score"]
     chosen = assign.chosen[0].tolist()
@@ -215,25 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic planted-order dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--d", type=int, default=20, help="feature dimension")
-    p.add_argument("--n", type=int, default=40, help="frames per sequence")
-    p.add_argument("--m-true", type=int, default=3, help="planted sub-events per positive")
-    p.add_argument("--noise-sigma", type=float, default=0.3, help="background noise scale")
-    p.add_argument("--min-gap", type=int, default=5,
-                   help="minimum frames strictly between planted positions")
-    p.add_argument("--pos", type=int, default=200, help="number of positive sequences")
-    p.add_argument("--neg", type=int, default=200, help="number of negative sequences")
-    p.add_argument("--neg-mode", choices=("shuffled", "absent"), default="shuffled",
-                   help="negatives reorder the prototypes or omit them")
-    p.add_argument("--seed", type=int, default=7, help="RNG seed")
+    _add_flags(p, SynthSpec, SYNTH_FLAGS)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model from a manifest")
     p.add_argument("--manifest", required=True, help="path to manifest.csv")
     p.add_argument("--out", required=True,
                    help="model file path (a directory when --ova is set)")
-    p.add_argument("--positive-label", default=None,
-                   help="class treated as +1 for binary training")
+    p.add_argument("--positive-label", help="class treated as +1 for binary training")
     p.add_argument("--ova", action="store_true",
                    help="train one model per class (one-vs-all)")
     _add_train_flags(p)
@@ -243,36 +256,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="path to manifest.csv")
     p.add_argument("--model", action="append", required=True,
                    help="model file; repeat to average scores (late fusion)")
-    _add_exclusion_flag(p)
-    p.add_argument("--pool", choices=("none", "mean", "max"), default="none",
+    _add_flags(p, InferenceConfig, INFERENCE_FLAGS)
+    p.add_argument("--pool", choices=("none", *POOLS), default="none",
                    help="pool each sequence to one frame before scoring")
-    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("cv", help="cross-validate a configuration on a manifest")
     p.add_argument("--manifest", required=True, help="path to manifest.csv")
-    p.add_argument("--scheme", choices=("logo", "kfold"), default="logo",
+    p.add_argument("--scheme", choices=SCHEMES, default="logo",
                    help="leave-one-group-out or grouped k-fold")
-    p.add_argument("--folds", type=int, default=None, metavar="K",
-                   help="fold count for the kfold scheme")
-    p.add_argument("--metric", choices=("acc", "auc", "eer"), default="acc",
+    p.add_argument("--folds", type=int, metavar="K", help="fold count for the kfold scheme")
+    p.add_argument("--metric", choices=METRICS, default="acc",
                    help="acc = average class accuracy; auc/eer are binary-only")
-    p.add_argument("--positive-label", default=None,
-                   help="class treated as +1 for binary tasks")
-    p.add_argument("--l2", action="store_true", help="unit-l2 normalize every frame")
-    p.add_argument("--pca-dim", type=int, default=None,
-                   help="PCA dimension, fit on each fold's training split")
-    p.add_argument("--stack", type=int, default=1, metavar="W",
-                   help="stack each frame with the next W-1 frames")
-    p.add_argument("--out", default=None, help="results CSV path (default stdout)")
+    p.add_argument("--positive-label", help="class treated as +1 for binary tasks")
+    _add_flags(p, PreprocessConfig, PREPROCESS_FLAGS)
+    p.add_argument("--out", help="results CSV path (default stdout)")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("report", help="detection timeline for one sequence")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--sequence", required=True, help="sequence CSV file")
-    _add_exclusion_flag(p)
-    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    _add_flags(p, InferenceConfig, INFERENCE_FLAGS)
+    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_report)
 
     return parser

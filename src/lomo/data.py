@@ -261,8 +261,7 @@ def _manifest_record(path, base: str, row_no: int, line: str, ids: set[str]) -> 
 # ---------------------------------------------------------------------------
 # folds
 
-SCHEME_LOGO = "logo"
-SCHEME_KFOLD = "kfold"
+SCHEMES = ("logo", "kfold")
 
 
 @dataclass(frozen=True)
@@ -281,12 +280,12 @@ def make_folds(
     LOGO has one fold per group, so giving it k is an error.
     """
     require_instance("manifest", manifest, DatasetManifest)
-    scheme = require_choice("scheme", scheme, (SCHEME_LOGO, SCHEME_KFOLD))
+    scheme = require_choice("scheme", scheme, SCHEMES)
     seed = require_int("seed", seed, minimum=0)
     groups = manifest.groups
     if len(groups) < 2:
         raise LomoError(f"grouped folding needs >= 2 groups, got {len(groups)}")
-    if scheme == SCHEME_LOGO:
+    if scheme == "logo":
         if k is not None:
             raise LomoError(f"the logo scheme takes no fold count k, got k={k}")
         fold_groups = [[g] for g in groups]
@@ -387,6 +386,9 @@ def _pca_moments(seqs, l2: bool) -> tuple[int, np.ndarray, np.ndarray] | None:
     return moments
 
 
+POOLS = ("mean", "max")
+
+
 @dataclass
 class PreprocessConfig:
     """Feature pipeline: unit-l2, PCA (fit on train only), stacking, pooling.
@@ -409,7 +411,7 @@ class PreprocessConfig:
         if self.pca_dim is not None:
             self.pca_dim = require_int("pca_dim", self.pca_dim, minimum=1)
         if self.pool is not None:
-            self.pool = require_choice("pool", self.pool, ("mean", "max"))
+            self.pool = require_choice("pool", self.pool, POOLS)
 
 
 @dataclass
@@ -502,10 +504,8 @@ def _apply_stack(fitted: FittedPreprocess, seqs: list[FrameSequence]) -> np.ndar
         frames = np.concatenate(
             [frames[:, np.minimum(idx + j, n - 1)] for j in range(cfg.stack)], axis=2
         )
-    if cfg.pool == "mean":
-        frames = frames.mean(axis=1, keepdims=True)
-    elif cfg.pool == "max":
-        frames = frames.max(axis=1, keepdims=True)
+    if cfg.pool:  # each POOLS name is the ndarray reduction it applies
+        frames = getattr(frames, cfg.pool)(axis=1, keepdims=True)
     return frames
 
 
@@ -556,6 +556,7 @@ def prepare(config: PreprocessConfig, fit_on, *splits, moments=None) -> tuple:
     sequence. `train`, `predict` and every cv fold prepare their sequences
     here; a cv fold passes the `moments` of fit_preprocess.
     """
+    fit_on = require_items("fit_on", fit_on, FrameSequence)
     fitted = fit_preprocess(fit_on, config, moments=moments)
     return (fitted, *(_apply_split(fitted, list(require_iterable("split", split)))
                       for split in splits))

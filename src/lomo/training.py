@@ -61,7 +61,7 @@ class TrainConfig:
     num_templates: int = 3
     eta: float = 0.05
     reg_lambda: float = 1e-5
-    exclusion_t: int = 5
+    exclusion_t: int = InferenceConfig.exclusion_t
     max_iter: int | None = None
     seed: int = 42
     variant: str = "lomo"

@@ -1,5 +1,6 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
-one BLAS thread and under a job time limit, after printing numpy's BLAS core."""
+one BLAS thread and under a job time limit, after printing numpy's BLAS core
+and running the installed console script."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lomo.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +44,16 @@ def test_ci_prints_numpys_blas_core_before_the_tests():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert re.match(r"numpy's (OpenBLAS core: \S+\n$|BLAS is not scipy-openblas64)", out)
+
+
+def test_ci_runs_the_installed_console_script_before_the_tests():
+    yaml = pytest.importorskip("yaml")
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    runs = [step.get("run", "") for step in yaml.safe_load(
+        workflow.read_text(encoding="utf-8"))["jobs"]["tier1"]["steps"]]
+    (script,) = [k for k, run in enumerate(runs) if 'lomo "$command" --help' in run]
+    (tests,) = [k for k, run in enumerate(runs) if "pytest" in run]
+    assert runs.index('pip install -e ".[test]"') < script < tests
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    listed = re.search(r"^for command in ([\w ]+); do$", runs[script], re.M).group(1)
+    assert sorted(listed.split()) == sorted(commands)

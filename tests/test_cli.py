@@ -9,6 +9,7 @@ import re
 import shutil
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lomo.core
+from lomo import cli
 from lomo.cli import _add_train_flags, build_parser, main
 from lomo.core import format_float
-from lomo.data import write_sequence
+from lomo.data import NEG_MODES, POOLS, SCHEMES, PreprocessConfig, SynthSpec, write_sequence
+from lomo.evaluation import METRICS
 from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, latent_assign, score
 from lomo.model import LomoModel, load_model, save_model
+from lomo.training import COST_UPDATES, TrainConfig
 
 
 def _synth(tmp_path, name="data", **overrides):
@@ -322,6 +326,52 @@ def test_train_and_cv_echo_every_training_flag(tmp_path, capsys):
         assert (echo["max_iter"], echo["cost_update"]) == ("300", "literal")
     assert main([*argv[:-len(TRAIN_FAST)], "--templates", "1"]) == 0
     assert _config_line(capsys.readouterr().err, "cv")["max_iter"] == "None"
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return commands.choices
+
+
+@pytest.mark.parametrize(
+    "argv, config, rows",
+    [
+        (["synth", "--out", "o"], SynthSpec, cli.SYNTH_FLAGS),
+        (["train", "--manifest", "m", "--out", "o"], TrainConfig, cli.TRAIN_FLAGS),
+        (["cv", "--manifest", "m"], TrainConfig, cli.TRAIN_FLAGS),
+        (["cv", "--manifest", "m"], PreprocessConfig, cli.PREPROCESS_FLAGS),
+        (["predict", "--manifest", "m", "--model", "f"], InferenceConfig, cli.INFERENCE_FLAGS),
+        (["report", "--model", "f", "--sequence", "s"], InferenceConfig, cli.INFERENCE_FLAGS),
+    ],
+    ids=["synth", "train", "cv-train", "cv-preprocess", "predict", "report"],
+)
+def test_every_table_flag_defaults_to_its_config_field(argv, config, rows):
+    actions = {a.option_strings[0]: a for a in _subcommands()[argv[0]]._actions}
+    for flag, name, _ in rows:
+        (field,) = [f for f in fields(config) if f.name == name]
+        assert (actions[flag].dest, actions[flag].default) == (name, field.default), flag
+        assert type(actions[flag].default) is type(field.default), flag
+    # the flags of a bare command line build the config's own defaults
+    assert cli._config(config, rows, build_parser().parse_args(argv)) == config()
+
+
+def test_every_flag_offers_the_choices_of_its_library_constant():
+    offered = {}
+    for command, parser in _subcommands().items():
+        for action in parser._actions:
+            if action.choices is not None:
+                offered[command, action.option_strings[0]] = list(action.choices)
+    variants = sorted(cli.VARIANT_FLAGS)
+    assert offered == {
+        ("synth", "--neg-mode"): list(NEG_MODES),
+        ("train", "--variant"): variants,
+        ("train", "--cost-update"): list(COST_UPDATES),
+        ("predict", "--pool"): ["none", *POOLS],
+        ("cv", "--scheme"): list(SCHEMES),
+        ("cv", "--metric"): list(METRICS),
+        ("cv", "--variant"): variants,
+        ("cv", "--cost-update"): list(COST_UPDATES),
+    }
 
 
 def test_cv_rerun_is_byte_identical(tmp_path):

@@ -221,6 +221,11 @@ def test_only_model_reads_the_longest_order():
         ("must be iterable", "core.py"),  # core.require_iterable
         (".lower()", "core.py"),  # core.require_choice
         ("100 * ", "training.py"),  # TrainConfig.num_steps
+        ('"gradient", "literal"', "training.py"),  # training.COST_UPDATES
+        ('"acc", "auc", "eer"', "evaluation.py"),  # evaluation.METRICS
+        ('"shuffled", "absent"', "data.py"),  # data.NEG_MODES
+        ('"logo", "kfold"', "data.py"),  # data.SCHEMES
+        ('"mean", "max"', "data.py"),  # data.POOLS
     ],
 )
 def test_each_argument_rule_is_written_in_one_module(text, home):
@@ -287,7 +292,7 @@ def test_messages_show_an_int_too_long_to_print_by_its_bit_length():
             init_model(2, 1, Rng(0)), [(huge,)], lomo.InferenceConfig()),
          r"^seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
         (lambda huge: prepare(PreprocessConfig(), [(huge,)]),
-         r"^train_seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
+         r"^fit_on\[0\] must be a FrameSequence, got a tuple too long to print$"),
     ],
     ids=["train_ova-int", "train_ova-pair", "avg_class_accuracy", "score_sequences", "prepare"],
 )
@@ -317,7 +322,7 @@ def _caller_generator():
         (lambda: lomo.score_sequences(init_model(2, 1, Rng(0)), None, lomo.InferenceConfig()),
          LomoError, r"seqs must be iterable, got None"),
         (lambda: prepare(PreprocessConfig(), None), LomoError,
-         r"train_seqs must be iterable, got None"),
+         r"fit_on must be iterable, got None"),
         (lambda: prepare(PreprocessConfig(), [], 1.5), LomoError,
          r"split must be iterable, got 1\.5"),
         (lambda: lomo.avg_class_accuracy(None), LomoError, r"pairs must be iterable, got None"),
