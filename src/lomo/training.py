@@ -97,7 +97,7 @@ class TrainConfig:
 
 def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> float:
     """(lambda/2) * sum ||w_i||^2 + mean hinge [1 - y*s]_+ over the data."""
-    require_real("reg_lambda", reg_lambda)
+    require_real("reg_lambda", reg_lambda, minimum=0)
     require_instance("cfg", cfg, TrainConfig)
     data = require_items("data", data, LabeledSequence)
     if not data:
@@ -156,14 +156,18 @@ def train(data, cfg: TrainConfig) -> LomoModel:
 
     Each step repeats the reference step's arithmetic (tests/oracle.py) on
     arrays owned by the loop, with as few numpy calls as that allows:
-    - one matvec per template, then the argmax of the whole score row;
-      only when that frame lies within +-t of an earlier pick are the
-      exclusion windows written as -inf and the argmax taken again (a
+    - one stacked product scores all M templates into a (M, N, 1) buffer
+      kept per sequence length N; it equals one matvec per template bit
+      for bit (tests/test_kernels.py checks five OpenBLAS cores);
+    - one argmax over that buffer takes every template's first pick; only
+      when a pick lies within +-t of an earlier pick are the exclusion
+      windows written as -inf into its row and the argmax taken again (a
       first-occurrence maximum that is not excluded is also the
       first-occurrence maximum of the frames left; validation guarantees
       a frame always survives);
     - the decision sums the picked scores as Python floats in
-      np.add.reduce's order (`_add_reduce`);
+      np.add.reduce's order: left to right from 0.0, or for M = 8 the
+      pairwise tree of `_add_reduce`;
     - sample indices are drawn _DRAW_CHUNK at a time, the same stream as
       one draw per step, in memory that does not grow with max_iter;
     - templates and costs are updated in place on a margin violation.
@@ -172,7 +176,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     has forced M = 1: each pick is frame 0 and each ordering index 1, so
     that step skips the argmax, the exclusion check and the ordering lookup.
     Its float operations are the general step's on that frame, the same
-    matvec, one-value sum and updates, so the model is the same bit for bit.
+    product, one-value sum and updates, so the model is the same bit for bit.
 
     A numeric error's message names the step.
     """
@@ -192,9 +196,13 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     shrink = 1.0 - cfg.reg_lambda * eta
     gradient = cfg.cost_update == "gradient"
     freeze = cfg.freeze_costs
-    rows = list(templates)  # views: in-place updates reach them
+    stacked = templates[:, :, None]  # a view: in-place updates reach it
+    buffers = {}  # per length N, an (M, N, 1) buffer for the M score rows and its (M, N) view
+    for n in {len(x) for x in frames}:
+        buf = np.empty((m, n, 1))
+        buffers[n] = buf, buf[:, :, 0]
     order = range(m)
-    one_frame = all(x.shape[0] == 1 for x in frames)  # then M = 1: pick 0, ordering 1
+    one_frame = buffers.keys() == {1}  # then M = 1: pick 0, ordering 1
     step = 0
     with float_errors(
         lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
@@ -202,7 +210,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
         for start in range(0, iters, _DRAW_CHUNK):
             draws = rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist()
             if one_frame:
-                w = rows[0]
+                w = templates[0]
                 for step, j in enumerate(draws, start + 1):
                     x = frames[j]
                     y = labels[j]
@@ -220,26 +228,31 @@ def train(data, cfg: TrainConfig) -> LomoModel:
                 continue
             for step, j in enumerate(draws, start + 1):
                 x = frames[j]
+                buf, scores = buffers[len(x)]
+                np.matmul(x, stacked, out=buf)
                 picks = []
-                scores = []
-                for w in rows:
-                    row = x.dot(w)
-                    f = int(row.argmax())
+                total = 0.0
+                for i, f in enumerate(scores.argmax(axis=1).tolist()):
                     for p in picks:
                         if -t <= f - p <= t:
+                            row = scores[i]
                             for q in picks:
                                 row[max(0, q - t) : q + t + 1] = -np.inf
                             f = int(row.argmax())
                             break
                     picks.append(f)
-                    scores.append(row.item(f))
+                    total += scores.item(i, f)
+                if m == 8:  # numpy sums 8 values as a pairwise tree
+                    total = _add_reduce(scores[order, picks].tolist())
                 y = labels[j]
                 perm = ORDER_INDEX[tuple(sorted(order, key=picks.__getitem__))]
-                # _add_reduce / m is latent_assign's np.mean of the scores
-                if y * (_add_reduce(scores) / m + costs[perm - 1]) >= 1.0:
+                # total / m is latent_assign's np.mean of the scores
+                if y * (total / m + costs[perm - 1]) >= 1.0:
                     continue
+                picked = x.take(picks, axis=0)
+                picked *= eta * y / m
                 templates *= shrink
-                templates += (eta * y / m) * x.take(picks, axis=0)
+                templates += picked
                 if freeze:
                     continue
                 if gradient:

@@ -10,12 +10,18 @@ bit for bit (compared as bytes, so signed zeros count). The one-string sequence
 writer must write the bytes of the per-value `format_float` loop. The PCA
 fit's block-by-block mean and covariance must agree with one stacked copy of
 the training frames (oracle.py) to 1e-12 of their scale, for any block size.
+`train`'s stacked score product must equal one matvec per template under each
+of five OpenBLAS cores, each forced in a child process.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import platform
+import signal
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -28,6 +34,7 @@ from hypothesis.extra.numpy import arrays
 
 import lomo.data
 import lomo.inference
+import lomo.training
 from lomo.cli import main
 from lomo.core import LomoError, Rng, format_float
 from lomo.data import (
@@ -79,10 +86,10 @@ def _min_frames(m, t):
     return (m - 1) * (2 * t + 1) + 1
 
 
-def _sgd_fold(data, cfg):
+def _sgd_fold(data, cfg, init=init_model):
     """The reference trainer: one sgd_step per randint draw."""
     rng = Rng(cfg.seed)
-    model = init_model(data[0].sequence.dim, cfg.num_templates, rng)
+    model = init(data[0].sequence.dim, cfg.num_templates, rng)
     for _ in range(cfg.num_steps(len(data))):
         model = sgd_step(model, data[rng.randint(len(data))], cfg)
     return model
@@ -195,6 +202,131 @@ def test_train_equals_sgd_fold_when_later_picks_collide(m, t):
     ]
     cfg = TrainConfig(num_templates=m, exclusion_t=t, max_iter=300, eta=0.5, seed=t)
     _assert_train_equals_fold(data, cfg)
+
+
+@pytest.mark.parametrize("m", [1, 3, MAX_TEMPLATES])
+def test_train_equals_sgd_fold_on_sequences_of_alternating_lengths(m):
+    # Consecutive sequences cycle through three lengths, so the steps switch
+    # between train's per-length score buffers. The frames are small integers
+    # in d=2, so most sequences repeat a frame: a score row then holds tied
+    # maxima, and argmax(axis=1) must take each row's first. M=8 runs the
+    # pairwise-sum branch.
+    rng = np.random.default_rng(40 + m)
+    t = 1
+    lengths = [_min_frames(m, t) + extra for extra in (0, 3, 8)]
+    data = [
+        LabeledSequence(FrameSequence(_frames(rng, lengths[k % 3], 2, ties=True), id=f"s{k}"),
+                        1 - 2 * (k % 2))
+        for k in range(9)
+    ]
+    cfg = TrainConfig(num_templates=m, exclusion_t=t, max_iter=600, eta=0.3, seed=m)
+    _assert_train_equals_fold(data, cfg)
+
+
+def test_train_equals_sgd_fold_on_mixed_one_frame_and_longer_sequences():
+    # M=1 on one-frame sequences beside longer ones: not every sequence has
+    # one frame, so every step, a one-frame draw too, takes the general step
+    rng = np.random.default_rng(5)
+    data = [
+        LabeledSequence(FrameSequence(_frames(rng, n, 3, ties=k % 2 == 0), id=f"s{k}"),
+                        1 - 2 * (k % 2))
+        for k, n in enumerate([1, 1, 6, 1, 2, 9])
+    ]
+    for variant in ("lomo", "mil"):
+        cfg = TrainConfig(num_templates=1, exclusion_t=2, max_iter=500, eta=0.5,
+                          reg_lambda=0.1, seed=3, variant=variant)
+        _assert_train_equals_fold(data, cfg)
+
+
+def test_train_decides_eight_templates_on_the_pairwise_sum(monkeypatch):
+    # Eight identity templates each pick their own frame of the positive
+    # sequence, with scores B, 8, -B, 8, B, 8, -B, 8 (B = 2**60, whose ulp is
+    # 256). Left to right they sum to 8, a margin of exactly 1; numpy's
+    # pairwise tree, which latent_assign's mean runs, sums them to 0, a
+    # violation that the fold updates on.
+    b = 2.0**60
+    pos = np.full((8, 8), -(2.0**80))
+    np.fill_diagonal(pos, [b, 8, -b, 8, b, 8, -b, 8])
+    data = [LabeledSequence(FrameSequence(pos, id="pos"), 1),
+            LabeledSequence(FrameSequence(np.zeros((8, 8)), id="neg"), -1)]
+
+    def identity_init(dim, m, rng):
+        init_model(dim, m, rng)  # draws what it always draws
+        return LomoModel(np.eye(8), np.zeros(math.factorial(8)))
+
+    monkeypatch.setattr(lomo.training, "init_model", identity_init)
+    cfg = TrainConfig(num_templates=8, exclusion_t=0, max_iter=20, eta=0.5, seed=1)
+    got, want = train(data, cfg), _sgd_fold(data, cfg, identity_init)
+    assert _bits(got.templates) == _bits(want.templates)
+    assert _bits(got.costs) == _bits(want.costs)
+
+
+# ---------------------------------------------------------------------------
+# the stacked score product on every OpenBLAS kernel
+
+# OPENBLAS_CORETYPE value -> the core scipy-openblas then reports running
+_OPENBLAS_CORES = {"SkylakeX": "SkylakeX", "Haswell": "Haswell", "Prescott": "Katmai",
+                   "Sandybridge": "Sandybridge", "Nehalem": "Nehalem"}
+_NOT_SCIPY_OPENBLAS = 3  # exit status of a child whose numpy has another BLAS
+
+
+def _openblas_core():
+    """The core numpy's scipy-openblas64 runs, looked up in numpy.libs as the
+    CI workflow does; None when numpy's BLAS is another library."""
+    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not found:
+        return None
+    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _check_stacked_scores_on_forced_core(core):
+    """Runs in a child started with OPENBLAS_CORETYPE=core: that core runs,
+    train's stacked product equals one matvec per template, bit for bit, and
+    train equals the sgd_step fold."""
+    running = _openblas_core()
+    if running is None:
+        sys.exit(_NOT_SCIPY_OPENBLAS)
+    assert running == _OPENBLAS_CORES[core], f"OPENBLAS_CORETYPE={core} runs {running}"
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 3, 4, 5, 7, 8, 13, 40, 57, 100):
+        for d in (1, 2, 3, 4, 5, 7, 8, 20, 33, 100, 256):
+            for m in (1, 2, 3, 5, 8):
+                for _ in range(3):
+                    x = rng.normal(size=(n, d))
+                    templates = rng.normal(size=(m, d))
+                    buf = np.empty((m, n, 1))
+                    np.matmul(x, templates[:, :, None], out=buf)
+                    # latent_assign's x @ w, and the one-frame step's x.dot(w)
+                    want = _bits([x @ w for w in templates])
+                    assert _bits(buf) == want == _bits([x.dot(w) for w in templates]), (n, d, m)
+    data = [
+        LabeledSequence(FrameSequence(rng.normal(size=(n, 20)), id=f"s{k}"), 1 - 2 * (k % 2))
+        for k, n in enumerate([40, 33, 40, 57, 24, 40])
+    ]
+    _assert_train_equals_fold(data, TrainConfig(num_templates=3, exclusion_t=5, max_iter=400,
+                                                eta=0.3, seed=25))
+
+
+@pytest.mark.parametrize("core", list(_OPENBLAS_CORES))
+def test_stacked_scores_equal_per_template_dots_on_every_openblas_core(core):
+    # Picks are argmaxes of BLAS score rows, so train's bytes hold on a
+    # kernel only if its stacked product rounds as its matvec does
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip(f"{core} is an x86-64 OpenBLAS core; this machine is {platform.machine()}")
+    here = str(Path(__file__).parent)
+    paths = [here, str(Path(lomo.data.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = f"import test_kernels; test_kernels._check_stacked_scores_on_forced_core({core!r})"
+    child = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
+                           capture_output=True, text=True, timeout=300)
+    if child.returncode == -signal.SIGILL:
+        pytest.skip(f"{core} kernels use instructions this CPU lacks (SIGILL)")
+    if child.returncode == _NOT_SCIPY_OPENBLAS:
+        pytest.skip("numpy's BLAS is not scipy-openblas64, so OPENBLAS_CORETYPE forces nothing")
+    assert child.returncode == 0, child.stderr[-3000:]
 
 
 _SUM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,

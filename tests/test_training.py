@@ -224,6 +224,27 @@ def test_train_turns_an_overflowing_step_into_a_lomo_error():
                                        exclusion_t=0, max_iter=6, seed=0)).dim == 2
 
 
+@pytest.mark.parametrize("m, step", [(1, 7), (2, 3), (3, 2)])
+def test_train_names_the_overflowing_step_of_multi_frame_data(m, step):
+    # multi-frame data takes the general step, which scores all M templates
+    # with one stacked matmul
+    data = [_seq([[1e5, 0.0], [0.0, 1.0], [2.0, 1e5]], 1, "a"),
+            _seq([[0.0, 1e5], [1e5, 3.0], [1.0, 1.0]], -1, "b")]
+
+    def cfg(max_iter):
+        return TrainConfig(num_templates=m, eta=1e300, reg_lambda=0.0, exclusion_t=0,
+                           max_iter=max_iter, seed=0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LomoError, match=(
+            rf"^training step {step}: overflow encountered in matmul "
+            r"with eta=1e\+300, reg_lambda=0\.0$"
+        )):
+            train(data, cfg(50))
+        assert train(data, cfg(step - 1)).num_templates == m
+
+
 # ---------------------------------------------------------------------------
 # objective
 
@@ -238,6 +259,16 @@ def test_objective_hand_computed():
     lam = 0.2
     expected = 0.5 * lam * 1.0 + (0.0 + 1.5) / 2
     assert objective(model, data, lam, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("reg_lambda", [float("nan"), float("inf"), -float("inf"), -1.0, 10**400])
+def test_objective_rejects_a_reg_lambda_that_config_refuses(reg_lambda):
+    model = LomoModel(np.zeros((1, 1)), np.zeros(1))
+    data = [_seq([[1.0]], 1), _seq([[2.0]], -1)]
+    message = f"reg_lambda must be finite and >= 0, got {reg_lambda}"
+    with pytest.raises(LomoError, match=f"^{re.escape(message)}$"):
+        objective(model, data, reg_lambda, TrainConfig(num_templates=1))
+    assert objective(model, data, 0.0, TrainConfig(num_templates=1)) == 1.0
 
 
 def test_objective_rejects_empty_data():
