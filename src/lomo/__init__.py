@@ -20,10 +20,8 @@ from .inference import (
     BatchAssignment,
     FrameSequence,
     InferenceConfig,
-    LatentAssignment,
     assign_batch,
     fuse_scores,
-    latent_assign,
     score,
     score_sequences,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "FrameSequence",
     "InferenceConfig",
     "LabeledSequence",
-    "LatentAssignment",
     "LomoError",
     "LomoModel",
     "PreprocessConfig",
@@ -61,7 +58,6 @@ __all__ = [
     "fuse_scores",
     "gen_synthetic",
     "init_model",
-    "latent_assign",
     "load_model",
     "make_folds",
     "objective",

@@ -8,6 +8,7 @@ through :class:`Rng` so that a run is a pure function of its seeds.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import math
 import numbers
 import os
@@ -55,14 +56,14 @@ def require_choice(name: str, value, choices: tuple[str, ...]) -> str:
 
 
 def real_array(name: str, value, order: str = "K") -> np.ndarray:
-    """`value` as a float64 array in `order`; complex or non-numeric input
-    raises a LomoError naming `name`. An array that needs no conversion is
-    returned as it is."""
+    """`value` as a float64 array in `order`; complex or non-numeric input,
+    or an int beyond float64, raises a LomoError naming `name`. An array
+    that needs no conversion is returned as it is."""
     try:
         arr = np.asarray(value)
         if arr.dtype.kind != "c":
             return arr.astype(np.float64, order=order, copy=False)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise LomoError(f"{name} must be real numbers: {err}") from None
     raise LomoError(f"{name} must be real numbers, got complex values")
 
@@ -130,6 +131,18 @@ def require_pairs(name: str, items, what: str, first: type = object) -> list[tup
     return pairs
 
 
+def sorted_classes(name: str, labels) -> list:
+    """The distinct `labels`, sorted: the one order in which class names
+    are listed, seeded and averaged. Labels that do not hash, or that do not
+    sort against each other (such as 'a' and 1), raise a LomoError naming
+    `name`."""
+    labels = list(require_iterable(name, labels))
+    try:  # dict keeps first appearances in order, so a message is the same every run
+        return sorted(dict.fromkeys(labels))
+    except TypeError as err:
+        raise LomoError(f"{name} must be hashable and of one sortable kind: {err}") from None
+
+
 def finite_floats(name: str, values, need: str) -> list[float]:
     """Each of `values` as a Python float. The first one that is not a
     finite real number raises LomoError "<name>[k] is <value>; <need>"."""
@@ -162,6 +175,18 @@ class float_errors:
         self._state.__exit__(kind, err, tb)
         if isinstance(err, (FloatingPointError, np.linalg.LinAlgError)):
             raise LomoError(self._describe(err)) from None
+
+
+@contextlib.contextmanager
+def too_large(name: str, value):
+    """Context manager: a ValueError or MemoryError in its body, numpy
+    refusing or failing to allocate an array whose size the setting `name`
+    fixed, leaves it as LomoError "<name>=<value> is too large: <reason>"."""
+    try:
+        yield
+    except (ValueError, MemoryError) as err:
+        reason = str(err) or "out of memory"
+        raise LomoError(f"{name}={_shown(value, str)} is too large: {reason}") from None
 
 
 def read_bytes(path) -> bytes:

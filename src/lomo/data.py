@@ -31,6 +31,7 @@ from .core import (
     require_items,
     require_iterable,
     require_real,
+    too_large,
     write_text,
 )
 from .framecache import FrameCache, write_cache
@@ -145,6 +146,7 @@ def write_sequence(seq: FrameSequence, path) -> None:
 
     The text is built as one string: repr of a Python float is format_float.
     """
+    require_instance("seq", seq, FrameSequence)
     write_text(path, "".join(",".join(map(repr, row)) + "\n" for row in seq.frames.tolist()))
 
 
@@ -631,12 +633,9 @@ def _draw_positions(rng: Rng, n: int, m: int, min_gap: int) -> list[int]:
 
 def _normal(rng: Rng, spec: SynthSpec, name: str, shape: tuple[int, int]) -> np.ndarray:
     """rng.normal(size=shape); a shape numpy cannot hold or allocate raises a
-    LomoError naming the spec field `name` that set it."""
-    try:
+    LomoError naming the spec field `name` that set it (core.too_large)."""
+    with too_large(name, getattr(spec, name)):
         return rng.normal(size=shape)
-    except (ValueError, MemoryError) as err:
-        value = getattr(spec, name)
-        raise LomoError(f"{name}={value} is too large: {str(err) or 'out of memory'}") from None
 
 
 def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -28,6 +28,7 @@ from .core import (
     require_items,
     require_iterable,
     require_pairs,
+    sorted_classes,
 )
 from .data import DatasetManifest, Fold, PreprocessConfig, _merge_moments, _pca_moments, prepare
 from .inference import score_sequences
@@ -41,7 +42,10 @@ def avg_class_accuracy(pairs, classes=None) -> float:
     pairs = require_pairs("pairs", pairs, "(true, predicted)")
     if not pairs:
         raise LomoError("avg_class_accuracy needs at least one prediction")
-    names = sorted(classes) if classes is not None else sorted({t for t, _ in pairs})
+    names = (sorted_classes("classes", classes) if classes is not None
+             else sorted_classes("class labels", [t for t, _ in pairs]))
+    if not names:
+        raise LomoError("avg_class_accuracy needs at least one class")
     recalls = []
     for name in names:
         total = sum(1 for t, _ in pairs if t == name)
@@ -239,6 +243,12 @@ def run_cv(
         check_positive_label(positive_label, classes)
     seqs = manifest.sequences
     labels = {rec.id: rec.label for rec in manifest.records}
+    for fold_no, fold in enumerate(folds):
+        for i in (*fold.train_ids, *fold.test_ids):
+            if i not in labels:
+                raise LomoError(f"fold {fold_no}: id {i!r} is not a manifest record")
+            if i not in seqs:
+                raise LomoError(f"fold {fold_no}: record {i!r} has no sequence in the manifest")
     start = moments = None
     if preprocess.pca_dim is not None:
         start, moments = _fold_moments(folds, seqs, preprocess.l2)

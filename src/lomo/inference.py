@@ -7,8 +7,9 @@ the greedy choice itself never sees the cost table.
 
 `assign_batch` is the scoring kernel: it assigns a (B, N, d) stack of
 equal-length sequences at once, and `score_sequences` feeds it bounded
-blocks of any mix of lengths (`shape_blocks`). `latent_assign` is the
-per-sequence reference (oracle) that tests hold the kernel to, bit for bit.
+blocks of any mix of lengths (`shape_blocks`). The per-sequence reference
+that tests hold the kernel to, bit for bit, is `latent_assign` in
+tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (
     require_int,
     require_items,
 )
-from .model import ORDER_INDEX, LomoModel, perm_index, rank_pattern
+from .model import ORDER_INDEX, LomoModel
 
 
 @dataclass
@@ -78,15 +79,6 @@ class InferenceConfig:
         object.__setattr__(self, "exclusion_t", t)
 
 
-@dataclass(frozen=True)
-class LatentAssignment:
-    chosen: tuple[int, ...]  # 1-based frame index per template
-    template_scores: tuple[float, ...]
-    perm: int  # 1-based lexicographic index of the rank pattern
-    ordering_cost: float
-    total: float
-
-
 def _batch_args(model, seqs, cfg) -> list[FrameSequence]:
     """`seqs` as a list, once `model`, `cfg` and every sequence are checked
     to be a LomoModel, an InferenceConfig and FrameSequences; a LomoError
@@ -112,42 +104,10 @@ def _too_short(seq: FrameSequence, m: int, t: int) -> LomoError:
     )
 
 
-def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> LatentAssignment:
-    """Greedy per-template argmax with closed exclusion window [k-t, k+t].
-
-    The reference implementation; scoring runs through `assign_batch`.
-    """
-    require_dimension("model", model.dim, seq)
-    n = seq.num_frames
-    m = model.num_templates
-    t = cfg.exclusion_t
-    alive = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    scores: list[float] = []
-    for i in range(m):
-        if not alive.any():
-            raise _too_short(seq, m, t)
-        row = seq.frames @ model.templates[i]
-        masked = np.where(alive, row, -np.inf)
-        f = int(np.argmax(masked))  # first occurrence = lowest frame index
-        chosen.append(f + 1)
-        scores.append(float(row[f]))
-        alive[max(0, f - t) : f + t + 1] = False
-    perm = perm_index(rank_pattern(chosen))
-    cost = float(model.costs[perm - 1])
-    total = float(np.mean(scores)) + cost
-    return LatentAssignment(
-        chosen=tuple(chosen),
-        template_scores=tuple(scores),
-        perm=perm,
-        ordering_cost=cost,
-        total=total,
-    )
-
-
 @dataclass(frozen=True)
 class BatchAssignment:
-    """Assignments of B sequences: row b holds what latent_assign returns."""
+    """Assignments of B sequences: row b holds what the per-sequence
+    reference, latent_assign in tests/oracle.py, returns."""
 
     chosen: np.ndarray  # (B, M) 1-based frame index per template
     template_scores: np.ndarray  # (B, M)

@@ -23,6 +23,7 @@ from .core import (
     require_instance,
     require_int,
     require_iterable,
+    too_large,
     write_text,
 )
 
@@ -169,7 +170,9 @@ def init_model(d: int, m: int, rng: Rng) -> LomoModel:
     """Fresh model: template entries 0.01*uniform[0,1), costs exactly zero."""
     d = require_int("dimension", d, minimum=1)
     m = require_order_size("number of templates", m)
-    templates = 0.01 * rng.uniform(size=(m, d))
+    require_instance("rng", rng, Rng)
+    with too_large("dimension", d):
+        templates = 0.01 * rng.uniform(size=(m, d))
     costs = np.zeros(math.factorial(m))
     return LomoModel(templates, costs)
 

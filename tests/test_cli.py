@@ -23,9 +23,10 @@ from lomo.cli import _add_train_flags, build_parser, main
 from lomo.core import format_float
 from lomo.data import NEG_MODES, POOLS, SCHEMES, PreprocessConfig, SynthSpec, write_sequence
 from lomo.evaluation import METRICS
-from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, latent_assign, score
+from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, score
 from lomo.model import LomoModel, load_model, save_model
 from lomo.training import COST_UPDATES, TrainConfig
+from oracle import latent_assign
 
 
 def _synth(tmp_path, name="data", **overrides):

@@ -220,6 +220,8 @@ def test_only_model_reads_the_longest_order():
         ('require_instance(f"', "core.py"),  # core.require_items
         ("must be iterable", "core.py"),  # core.require_iterable
         (".lower()", "core.py"),  # core.require_choice
+        ("sortable kind", "core.py"),  # core.sorted_classes
+        ("is too large", "core.py"),  # core.too_large
         ("100 * ", "training.py"),  # TrainConfig.num_steps
         ('"gradient", "literal"', "training.py"),  # training.COST_UPDATES
         ('"acc", "auc", "eer"', "evaluation.py"),  # evaluation.METRICS
@@ -326,6 +328,10 @@ def _caller_generator():
         (lambda: prepare(PreprocessConfig(), [], 1.5), LomoError,
          r"split must be iterable, got 1\.5"),
         (lambda: lomo.avg_class_accuracy(None), LomoError, r"pairs must be iterable, got None"),
+        (lambda: lomo.avg_class_accuracy([(1, 1)], classes=float("nan")), LomoError,
+         r"classes must be iterable, got nan"),
+        (lambda: lomo.train_ova([], lomo.TrainConfig(), classes=float("nan")), LomoError,
+         r"classes must be iterable, got nan"),
         (lambda: lomo.roc_auc(None, None), LomoError, r"labels must be iterable, got None"),
         (lambda: lomo.roc_eer_rate([1, -1], 0.5), LomoError, r"scores must be iterable, got 0\.5"),
         (lambda: lomo.fuse_scores(None), LomoError, r"scores must be iterable, got None"),
@@ -338,7 +344,7 @@ def _caller_generator():
     ],
     ids=[
         "train", "train_binary", "train_ova", "score_sequences", "prepare-fit", "prepare-split",
-        "avg_class_accuracy", "roc_auc", "roc_eer_rate", "fuse_scores", "rank_pattern",
+        "avg_class_accuracy", "avg_class_accuracy-classes", "train_ova-classes", "roc_auc", "roc_eer_rate", "fuse_scores", "rank_pattern",
         "perm_index", "huge-int", "generator-type-error",
     ],
 )

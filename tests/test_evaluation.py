@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lomo.core import LomoError
 from lomo.data import (
+    DatasetManifest,
     Fold,
     PreprocessConfig,
     SynthSpec,
@@ -105,6 +106,8 @@ def test_avg_class_accuracy_explicit_class_list():
 def test_avg_class_accuracy_empty_error():
     with pytest.raises(LomoError, match="at least one prediction"):
         avg_class_accuracy([])
+    with pytest.raises(LomoError, match="^avg_class_accuracy needs at least one class$"):
+        avg_class_accuracy([("a", "a")], classes=[])
 
 
 @pytest.mark.parametrize(
@@ -113,8 +116,11 @@ def test_avg_class_accuracy_empty_error():
         ([(1,)], r"^pairs\[0\] must be a \(true, predicted\) pair, got \(1,\)$"),
         ([(1, 1), 5], r"^pairs\[1\] must be a \(true, predicted\) pair, got 5$"),
         ([(1, 1, 1)], r"^pairs\[0\] must be a \(true, predicted\) pair, got \(1, 1, 1\)$"),
+        ([("a", "a"), (1, 1)],
+         r"^class labels must be hashable and of one sortable kind: '<' not supported "
+         r"between instances of 'int' and 'str'$"),
     ],
-    ids=["one-value", "not-iterable", "three-values"],
+    ids=["one-value", "not-iterable", "three-values", "mixed-label-types"],
 )
 def test_avg_class_accuracy_names_an_item_that_is_not_a_pair(pairs, message):
     with pytest.raises(LomoError, match=message):
@@ -425,6 +431,32 @@ def test_run_cv_rejects_empty_fold(tmp_path):
     ids = tuple(r.id for r in manifest.records)
     folds = [Fold(train_ids=ids, test_ids=())]
     with pytest.raises(LomoError, match="fold 0: empty train or test split"):
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
+
+
+@pytest.mark.parametrize(
+    "unlisted, message",
+    [
+        ("fold", r"^fold 1: id 'nope' is not a manifest record$"),
+        ("sequences", r"^fold 0: record '(pos|neg)\d{4}' has no sequence in the manifest$"),
+    ],
+    ids=["unknown-id", "manifest-without-sequences"],
+)
+def test_run_cv_names_a_fold_id_with_no_sequence_before_it_forks(
+    tmp_path, monkeypatch, unlisted, message
+):
+    manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
+    folds = make_folds(manifest, "logo", seed=0)
+    if unlisted == "fold":
+        folds[1] = Fold(train_ids=(*folds[1].train_ids, "nope"), test_ids=folds[1].test_ids)
+    else:
+        manifest = DatasetManifest(manifest.records, manifest.dim)
+
+    def no_folds(*args, **kwargs):
+        raise AssertionError("run_cv started its folds")
+
+    monkeypatch.setattr(lomo.evaluation, "forked_map", no_folds)
+    with pytest.raises(LomoError, match=message):
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 

@@ -13,11 +13,11 @@ from lomo.inference import (
     InferenceConfig,
     assign_batch,
     fuse_scores,
-    latent_assign,
     score,
     score_sequences,
 )
 from lomo.model import LomoModel, perm_index, rank_pattern
+from oracle import latent_assign
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +269,17 @@ def test_fuse_scores_names_the_first_score_that_is_not_a_finite_number(scores, m
         (lambda: FrameSequence([[1.0], [1.0, 2.0]], id="r"), "^sequence r: frames must be real"),
         (lambda: LomoModel("a", [0.0]), "^templates must be real numbers: "),
         (lambda: LomoModel([[1.0]], [1j]), "^costs must be real numbers, got complex values$"),
+        (lambda: FrameSequence(10**400),
+         "^sequence <unnamed>: frames must be real numbers: int too large to convert to float$"),
+        (lambda: FrameSequence([[10**400]]),
+         "^sequence <unnamed>: frames must be real numbers: int too large to convert to float$"),
+        (lambda: LomoModel([[10**400]], [0.0]),
+         "^templates must be real numbers: int too large to convert to float$"),
     ],
     ids=[
         "frames-complex-array", "frames-complex-list", "frames-str", "frames-ragged",
-        "templates-str", "costs-complex",
+        "templates-str", "costs-complex", "frames-huge-int", "frames-huge-int-list",
+        "templates-huge-int",
     ],
 )
 def test_complex_or_non_numeric_arrays_raise_a_lomo_error(make, message):

@@ -52,7 +52,6 @@ from lomo.inference import (
     FrameSequence,
     InferenceConfig,
     assign_batch,
-    latent_assign,
     score_sequences,
 )
 from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
@@ -64,7 +63,7 @@ from lomo.training import (
     objective,
     train,
 )
-from oracle import sgd_step, stacked_pca_moments
+from oracle import latent_assign, sgd_step, stacked_pca_moments
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -198,6 +198,13 @@ def test_init_model_validates_arguments():
         init_model(2, 0, Rng(0))
     with pytest.raises(LomoError, match="at most"):
         init_model(2, MAX_TEMPLATES + 1, Rng(0))
+    with pytest.raises(LomoError, match="^rng must be a Rng, got None$"):
+        init_model(2, 1, None)
+    # numpy refuses both shapes before it allocates anything
+    with pytest.raises(LomoError, match=r"^dimension=4611686018427387904 is too large: array is too big"):
+        init_model(2**62, 1, Rng(0))
+    with pytest.raises(LomoError, match=r"^dimension=10{400} is too large: "):
+        init_model(10**400, 1, Rng(0))
 
 
 # ---------------------------------------------------------------------------

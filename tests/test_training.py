@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lomo.core import LomoError, Rng, child_seed
-from lomo.inference import FrameSequence, InferenceConfig, latent_assign, score, score_sequences
+from lomo.inference import FrameSequence, InferenceConfig, score, score_sequences
 from lomo.model import LomoModel, init_model
 from lomo.training import (
     LabeledSequence,
@@ -19,7 +19,7 @@ from lomo.training import (
     train_binary,
     train_ova,
 )
-from oracle import sgd_step
+from oracle import latent_assign, sgd_step
 
 
 def _seq(frames, label, seq_id=""):
@@ -481,8 +481,12 @@ _ONE_FRAME = FrameSequence(np.zeros((1, 1)))
         ([], r"^positive label 'a' not among classes \[\]$"),
         ([(_ONE_FRAME, "b"), (_ONE_FRAME, "c")],
          r"^positive label 'a' not among classes \['b', 'c'\]$"),
+        ([(_ONE_FRAME, "a"), (_ONE_FRAME, 1)],
+         r"^class labels must be hashable and of one sortable kind: '<' not supported "
+         r"between instances of 'int' and 'str'$"),
     ],
-    ids=["int", "pair-without-sequence", "str", "empty", "unknown-positive-label"],
+    ids=["int", "pair-without-sequence", "str", "empty", "unknown-positive-label",
+         "mixed-label-types"],
 )
 def test_train_binary_validation(data, message):
     with pytest.raises(LomoError, match=message):
@@ -495,8 +499,13 @@ def test_train_binary_validation(data, message):
         ([], r"^one-vs-all needs >= 2 classes, got \[\]$"),
         ([(_ONE_FRAME, "a"), None],
          r"^data\[1\] must be a \(FrameSequence, label\) pair, got None$"),
+        ([(_ONE_FRAME, "a"), (_ONE_FRAME, 1)],
+         r"^class labels must be hashable and of one sortable kind: '<' not supported "
+         r"between instances of 'int' and 'str'$"),
+        ([(_ONE_FRAME, ["a"]), (_ONE_FRAME, "b")],
+         r"^class labels must be hashable and of one sortable kind: unhashable type: 'list'$"),
     ],
-    ids=["empty", "not-a-pair"],
+    ids=["empty", "not-a-pair", "mixed-label-types", "unhashable-label"],
 )
 def test_train_ova_validation(data, message):
     with pytest.raises(LomoError, match=message):
