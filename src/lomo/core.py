@@ -132,10 +132,8 @@ def require_pairs(name: str, items, what: str, first: type = object) -> list[tup
 
 
 def sorted_classes(name: str, labels) -> list:
-    """The distinct `labels`, sorted: the one order in which class names
-    are listed, seeded and averaged. Labels that do not hash, or that do not
-    sort against each other (such as 'a' and 1), raise a LomoError naming
-    `name`."""
+    """The distinct `labels`, sorted: the one order of class names. Labels
+    that do not hash or do not sort together ('a' and 1) raise a LomoError."""
     labels = list(require_iterable(name, labels))
     try:  # dict keeps first appearances in order, so a message is the same every run
         return sorted(dict.fromkeys(labels))
@@ -179,9 +177,8 @@ class float_errors:
 
 @contextlib.contextmanager
 def too_large(name: str, value):
-    """Context manager: a ValueError or MemoryError in its body, numpy
-    refusing or failing to allocate an array whose size the setting `name`
-    fixed, leaves it as LomoError "<name>=<value> is too large: <reason>"."""
+    """Context manager: numpy refusing or failing to allocate, in its body,
+    an array that the setting `name` sizes leaves it as a LomoError."""
     try:
         yield
     except (ValueError, MemoryError) as err:

@@ -528,7 +528,7 @@ def _apply_split(fitted: FittedPreprocess, seqs: list) -> list:
             with float_errors(lambda err: f"sequence {members[0].name}: {err} while preprocessing"):
                 frames = _apply_stack(fitted, members)
             for k, seq, prepared in zip(block, members, frames):
-                out[k] = FrameSequence(prepared, id=seq.id)
+                out[k] = seq._with_frames(prepared)  # float_errors kept them finite
         return out
     except LomoError:
         if len(seqs) > 1:
@@ -631,13 +631,6 @@ def _draw_positions(rng: Rng, n: int, m: int, min_gap: int) -> list[int]:
     return [raw[i] + i * step for i in range(m)]
 
 
-def _normal(rng: Rng, spec: SynthSpec, name: str, shape: tuple[int, int]) -> np.ndarray:
-    """rng.normal(size=shape); a shape numpy cannot hold or allocate raises a
-    LomoError naming the spec field `name` that set it (core.too_large)."""
-    with too_large(name, getattr(spec, name)):
-        return rng.normal(size=shape)
-
-
 def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tuple[np.ndarray, tuple[int, ...]]:
     m = spec.num_events
     planted: tuple[int, ...] = ()
@@ -649,7 +642,8 @@ def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tup
             # uniformly drawn non-identity pattern; index 1 is the identity
             pattern = perm_unrank(2 + rng.randint(math.factorial(m) - 1), m)
             planted = tuple(slots[pattern[j] - 1] for j in range(m))
-    frames = spec.noise_sigma * _normal(rng, spec, "num_frames", (spec.num_frames, spec.dim))
+    with too_large("num_frames", spec.num_frames):
+        frames = spec.noise_sigma * rng.normal(size=(spec.num_frames, spec.dim))
     if planted:
         noise = spec.noise_sigma * rng.normal(size=(m, spec.dim))
         for j, position in enumerate(planted):
@@ -665,7 +659,8 @@ def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
     """
     require_instance("spec", spec, SynthSpec)
     rng = Rng(spec.seed)
-    raw = _normal(rng, spec, "dim", (spec.num_events, spec.dim))
+    with too_large("dim", spec.dim):
+        raw = rng.normal(size=(spec.num_events, spec.dim))
     prototypes = _l2_rows(raw)
     records: list[SynthRecord] = []
     width = max(4, len(str(max(spec.num_pos, spec.num_neg) - 1)))

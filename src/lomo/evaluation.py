@@ -42,8 +42,7 @@ def avg_class_accuracy(pairs, classes=None) -> float:
     pairs = require_pairs("pairs", pairs, "(true, predicted)")
     if not pairs:
         raise LomoError("avg_class_accuracy needs at least one prediction")
-    names = (sorted_classes("classes", classes) if classes is not None
-             else sorted_classes("class labels", [t for t, _ in pairs]))
+    names = sorted_classes("classes", classes if classes is not None else [t for t, _ in pairs])
     if not names:
         raise LomoError("avg_class_accuracy needs at least one class")
     recalls = []
@@ -141,7 +140,7 @@ def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
     test_seqs = [seq for seq, _ in test_pairs]
     scores = np.stack([score_sequences(models[name], test_seqs, icfg) for name in names])
     pairs = [(label, names[k]) for (_, label), k in zip(test_pairs, scores.argmax(axis=0).tolist())]
-    return avg_class_accuracy(pairs, classes=sorted({label for _, label in test_pairs}))
+    return avg_class_accuracy(pairs, classes=[label for _, label in test_pairs])
 
 
 def _fold_moments(folds, sequences, l2: bool):
@@ -213,7 +212,9 @@ def run_cv(
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
-    A LomoError raised inside fold i is raised again as "fold i: <message>".
+    Every fold id must name a manifest record with a sequence, which is
+    checked before any fold starts. A LomoError raised inside fold i is
+    raised again as "fold i: <message>".
     Fold i trains with a child seed of cfg.seed, so results are
     deterministic and independent of fold execution order; the folds run
     on forked workers, one per CPU (core.forked_map). Every fold trains a
@@ -245,10 +246,8 @@ def run_cv(
     labels = {rec.id: rec.label for rec in manifest.records}
     for fold_no, fold in enumerate(folds):
         for i in (*fold.train_ids, *fold.test_ids):
-            if i not in labels:
-                raise LomoError(f"fold {fold_no}: id {i!r} is not a manifest record")
-            if i not in seqs:
-                raise LomoError(f"fold {fold_no}: record {i!r} has no sequence in the manifest")
+            if i not in labels or i not in seqs:
+                raise LomoError(f"fold {fold_no}: id {i!r} is no manifest record with a sequence")
     start = moments = None
     if preprocess.pca_dim is not None:
         start, moments = _fold_moments(folds, seqs, preprocess.l2)

@@ -5,11 +5,12 @@ window of neighboring frames from later picks. The ordering cost of the
 realized rank pattern is added to the mean template score afterwards, so
 the greedy choice itself never sees the cost table.
 
-`assign_batch` is the scoring kernel: it assigns a (B, N, d) stack of
-equal-length sequences at once, and `score_sequences` feeds it bounded
-blocks of any mix of lengths (`shape_blocks`). The per-sequence reference
-that tests hold the kernel to, bit for bit, is `latent_assign` in
-tests/oracle.py.
+`assign_batch` is the one checked entry for scoring: it checks the model,
+config and sequences once, then `_assign` assigns each block of
+equal-shape sequences (`shape_blocks`) as one (B, N, d) stack, rows in
+input order. `score_sequences` and `score` are its totals. The
+per-sequence reference that tests hold each row to, bit for bit, is
+`latent_assign` in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ class FrameSequence:
     def dim(self) -> int:
         return self.frames.shape[1]
 
+    def _with_frames(self, frames: np.ndarray) -> FrameSequence:
+        """This id with `frames`, unchecked: the caller guarantees a finite,
+        C-ordered (N, d) float64 array with N >= 1 (see __post_init__)."""
+        seq = object.__new__(FrameSequence)
+        seq.frames, seq.id = frames, self.id
+        return seq
+
     def require_dim(self, dim: int) -> None:
         """A LomoError naming this sequence unless its frames have `dim` columns."""
         if self.dim != dim:
@@ -77,15 +85,6 @@ class InferenceConfig:
     def __post_init__(self):
         t = require_int("exclusion_t", self.exclusion_t, minimum=0)
         object.__setattr__(self, "exclusion_t", t)
-
-
-def _batch_args(model, seqs, cfg) -> list[FrameSequence]:
-    """`seqs` as a list, once `model`, `cfg` and every sequence are checked
-    to be a LomoModel, an InferenceConfig and FrameSequences; a LomoError
-    names the first argument or position that is not."""
-    require_instance("model", model, LomoModel)
-    require_instance("cfg", cfg, InferenceConfig)
-    return require_items("seqs", seqs, FrameSequence)
 
 
 def require_dimension(owner: str, dim: int, seq: FrameSequence) -> None:
@@ -117,23 +116,35 @@ class BatchAssignment:
 
 
 def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignment:
-    """Greedy assignment of equal-length sequences, stacked as (B, N, d).
+    """Greedy assignments of sequences of any lengths, rows in input order:
+    the arguments are checked once, then _assign runs on each block of
+    shape_blocks, at most BLOCK_VALUES frame values. No sequences, no rows."""
+    require_instance("model", model, LomoModel)
+    require_instance("cfg", cfg, InferenceConfig)
+    seqs = require_items("seqs", seqs, FrameSequence)
+    count, m = len(seqs), model.num_templates
+    out = BatchAssignment(np.empty((count, m), np.intp), np.empty((count, m)),
+                          np.empty(count, np.intp), np.empty(count), np.empty(count))
+    for block in shape_blocks(seqs, BLOCK_VALUES):
+        _assign(model, [seqs[k] for k in block], cfg.exclusion_t, out, block)
+    return out
+
+
+def _assign(model: LomoModel, seqs: list, t: int, out: BatchAssignment, rows: list) -> None:
+    """Rows `rows` of `out`: the assignments of `seqs`, sequences of one
+    frame shape, stacked as (B, N, d).
 
     Each pick is one matvec per template over the whole stack and a
-    first-occurrence argmax per row, so row b equals latent_assign on
-    seqs[b] bit for bit; the pattern's index comes from model.ORDER_INDEX.
-    A numeric error's message names the first sequence whose own assignment
-    fails.
+    first-occurrence argmax per row, so each row equals the per-sequence
+    reference bit for bit; the pattern's index comes from model.ORDER_INDEX.
+    A sequence whose d is not the model's is refused first. A numeric
+    error's message names the first sequence whose own assignment fails.
     """
-    seqs = _batch_args(model, seqs, cfg)
-    if len({seq.num_frames for seq in seqs}) != 1:
-        raise LomoError("assign_batch needs one or more sequences of equal length")
     for seq in seqs:
         require_dimension("model", model.dim, seq)
     frames = np.stack([seq.frames for seq in seqs])
     count, n, _ = frames.shape
     m = model.num_templates
-    t = cfg.exclusion_t
     batch = np.arange(count)
     position = np.arange(n)
     alive = np.ones((count, n), dtype=bool)
@@ -141,8 +152,8 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     scores = np.empty((count, m))
     def describe(err) -> str:
         if len(seqs) > 1:  # rows are independent: the culprit fails on its own
-            for seq in seqs:
-                assign_batch(model, [seq], cfg)
+            for k, seq in zip(rows, seqs):
+                _assign(model, [seq], t, out, [k])
         return f"sequence {seqs[0].name}: {err} while scoring"
     with float_errors(describe):
         for i in range(m):
@@ -157,17 +168,14 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
         orders = np.argsort(picks, axis=1).tolist()
         perm = np.array([ORDER_INDEX[tuple(order)] for order in orders])
         cost = model.costs[perm - 1]
-        total = scores.mean(axis=1) + cost
-    return BatchAssignment(
-        chosen=picks + 1,
-        template_scores=scores,
-        perm=perm,
-        ordering_cost=cost,
-        total=total,
-    )
+        out.total[rows] = scores.mean(axis=1) + cost
+    out.chosen[rows] = picks + 1
+    out.template_scores[rows] = scores
+    out.perm[rows] = perm
+    out.ordering_cost[rows] = cost
 
 
-# Frame values in one scoring block of score_sequences (512 KiB of float64),
+# Frame values in one scoring block of assign_batch (512 KiB of float64),
 # which bounds the memory that stacking adds whatever the number and length
 # of the sequences. data._pca_moments copies the PCA fit's frames in blocks
 # of this size too; data.APPLY_BLOCK_VALUES bounds apply_preprocess.
@@ -180,7 +188,7 @@ def shape_blocks(seqs, values: int):
 
     Groups come in the order of their first sequence and positions within a
     block in input order, so every block stacks into one (B, N, d) array.
-    score_sequences and data.apply_preprocess run their kernels on these.
+    assign_batch and data.apply_preprocess run their kernels on these.
     """
     by_shape: dict[tuple[int, int], list[int]] = {}
     for k, seq in enumerate(seqs):
@@ -192,16 +200,8 @@ def shape_blocks(seqs, values: int):
 
 
 def score_sequences(model: LomoModel, seqs, cfg: InferenceConfig) -> np.ndarray:
-    """Scores of sequences of any lengths, in input order.
-
-    Sequences are scored through assign_batch in the blocks of shape_blocks,
-    at most BLOCK_VALUES frame values each.
-    """
-    seqs = _batch_args(model, seqs, cfg)
-    out = np.empty(len(seqs))
-    for block in shape_blocks(seqs, BLOCK_VALUES):
-        out[block] = assign_batch(model, [seqs[k] for k in block], cfg).total
-    return out
+    """Scores of sequences of any lengths, in input order: assign_batch's totals."""
+    return assign_batch(model, seqs, cfg).total
 
 
 def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:

@@ -6,11 +6,11 @@ realized ordering moves by eta (sign per the configured update mode).
 The MIL baseline is the M=1 restriction with the cost table frozen at
 zero; on sequences pooled to one frame it is the pooled-SVM baseline.
 
-`train` is the training kernel: one loop over plain arrays updated in
-place, with a shorter step for data of one frame per sequence, where the
-latent assignment has a single answer. Its reference step, `sgd_step` in
-tests/oracle.py, is a test oracle: folding it over the same sample draws
-gives the model `train` returns, bit for bit, on either step.
+`train`, `train_binary` and `train_ova` check their arguments once, then
+run the training kernel `_train` on sequences and +-1 targets: one loop
+over plain arrays updated in place, with a shorter step for data of one
+frame per sequence. Folding the reference step, `sgd_step` in
+tests/oracle.py, over the same sample draws gives its model bit for bit.
 """
 
 from __future__ import annotations
@@ -116,17 +116,16 @@ def _min_frames(m: int, t: int) -> int:
     return (m - 1) * (2 * t + 1) + 1
 
 
-def _validate_train_data(data, cfg: TrainConfig) -> int:
-    if not data:
+def _validate_train_data(seqs: list, targets: list, cfg: TrainConfig) -> int:
+    if not seqs:
         raise LomoError("training data is empty")
-    labels = {ex.label for ex in data}
+    labels = set(targets)
     if labels != {-1, 1}:
         only = "+1" if labels == {1} else "-1"
         raise LomoError(f"training data contains only label {only}")
-    dim = data[0].sequence.dim
+    dim = seqs[0].dim
     need = _min_frames(cfg.num_templates, cfg.exclusion_t)
-    for ex in data:
-        seq = ex.sequence
+    for seq in seqs:
         seq.require_dim(dim)
         if seq.num_frames < need:
             raise LomoError(
@@ -153,7 +152,16 @@ def _add_reduce(values) -> float:
 
 
 def train(data, cfg: TrainConfig) -> LomoModel:
-    """Run max_iter uniform-with-replacement subgradient steps from cfg.seed.
+    """_train on `data`, LabeledSequence examples that hold +-1 targets."""
+    require_instance("cfg", cfg, TrainConfig)
+    data = require_items("data", data, LabeledSequence)
+    return _train([ex.sequence for ex in data], [ex.label for ex in data], cfg)
+
+
+def _train(seqs: list, targets: list, cfg: TrainConfig) -> LomoModel:
+    """Run max_iter uniform-with-replacement subgradient steps from cfg.seed
+    on FrameSequences `seqs` with +-1 `targets`; the caller has checked the
+    types, and _validate_train_data checks the content.
 
     Each step repeats the reference step's arithmetic (tests/oracle.py) on
     arrays owned by the loop, with as few numpy calls as that allows:
@@ -181,16 +189,13 @@ def train(data, cfg: TrainConfig) -> LomoModel:
 
     A numeric error's message names the step.
     """
-    require_instance("cfg", cfg, TrainConfig)
-    data = require_items("data", data, LabeledSequence)
-    dim = _validate_train_data(data, cfg)
+    dim = _validate_train_data(seqs, targets, cfg)
     rng = Rng(cfg.seed)
     init = init_model(dim, cfg.num_templates, rng)
     templates = init.templates
     costs = init.costs.tolist()
-    iters = cfg.num_steps(len(data))
-    frames = [ex.sequence.frames for ex in data]
-    labels = [ex.label for ex in data]
+    iters = cfg.num_steps(len(seqs))
+    frames = [seq.frames for seq in seqs]
     m = cfg.num_templates
     t = cfg.exclusion_t
     eta = cfg.eta
@@ -209,12 +214,12 @@ def train(data, cfg: TrainConfig) -> LomoModel:
         lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
     ):
         for start in range(0, iters, _DRAW_CHUNK):
-            draws = rng.integers(len(data), min(_DRAW_CHUNK, iters - start)).tolist()
+            draws = rng.integers(len(seqs), min(_DRAW_CHUNK, iters - start)).tolist()
             if one_frame:
                 w = templates[0]
                 for step, j in enumerate(draws, start + 1):
                     x = frames[j]
-                    y = labels[j]
+                    y = targets[j]
                     # 0.0 + s is _add_reduce of the one score
                     if y * ((0.0 + x.dot(w).item(0)) / m + costs[0]) >= 1.0:
                         continue
@@ -245,9 +250,9 @@ def train(data, cfg: TrainConfig) -> LomoModel:
                     total += scores.item(i, f)
                 if m == 8:  # numpy sums 8 values as a pairwise tree
                     total = _add_reduce(scores[order, picks].tolist())
-                y = labels[j]
+                y = targets[j]
                 perm = ORDER_INDEX[tuple(sorted(order, key=picks.__getitem__))]
-                # total / m is latent_assign's np.mean of the scores
+                # total / m is the reference's np.mean of the scores
                 if y * (total / m + costs[perm - 1]) >= 1.0:
                     continue
                 picked = x.take(picks, axis=0)
@@ -283,24 +288,29 @@ def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
     data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
     labels = [label for _, label in data]
     check_positive_label(positive_label, sorted_classes("class labels", labels))
-    targets = binary_targets(labels, positive_label)
-    return train([LabeledSequence(seq, y) for (seq, _), y in zip(data, targets)], cfg)
+    require_instance("cfg", cfg, TrainConfig)
+    return _train([seq for seq, _ in data], binary_targets(labels, positive_label), cfg)
 
 
 def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
-    """One train_binary model per class (sorted order fixes the per-class child seed).
+    """Per sorted class, the train_binary model of that class with its child
+    seed of cfg.seed (sorted order fixes the per-class child seed).
 
-    `data` is a sequence of (FrameSequence, class label) pairs; passing an
-    explicit class list makes a missing class an error rather than a silent
-    omission (used by cross-validation on sparse folds).
+    `data` is a sequence of (FrameSequence, class label) pairs, checked once
+    for all classes; passing an explicit class list makes a missing class an
+    error rather than a silent omission (used by cross-validation on sparse
+    folds).
     """
     require_instance("cfg", cfg, TrainConfig)
     data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
-    classes = (sorted_classes("classes", classes) if classes is not None
-               else sorted_classes("class labels", [label for _, label in data]))
+    seqs, labels = [seq for seq, _ in data], [label for _, label in data]
+    present = sorted_classes("class labels", labels)
+    classes = present if classes is None else sorted_classes("classes", classes)
     if len(classes) < 2:
         raise LomoError(f"one-vs-all needs >= 2 classes, got {classes}")
-    return {
-        name: train_binary(data, name, replace(cfg, seed=child_seed(cfg.seed, idx)))
-        for idx, name in enumerate(classes)
-    }
+    models = {}
+    for idx, name in enumerate(classes):
+        check_positive_label(name, present)
+        sub_cfg = replace(cfg, seed=child_seed(cfg.seed, idx))
+        models[name] = _train(seqs, binary_targets(labels, name), sub_cfg)
+    return models

@@ -152,6 +152,33 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
+def test_every_exported_name_is_used_by_the_package_or_documented():
+    # a name the package reads outside __init__.py, or one README's Python
+    # API section shows; anything else serves only tests
+    src = pathlib.Path(lomo.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    readme = (src.parents[1] / "README.md").read_text("utf-8")
+    api = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"\w+", api))
+    assert [name for name in lomo.__all__ if name not in used | shown] == []
+
+
+def test_no_reference_implementation_is_in_the_package():
+    # the scoring and SGD-step oracles live in tests/oracle.py
+    src = pathlib.Path(lomo.__file__).parent
+    defined = {node.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"latent_assign", "LatentAssignment", "sgd_step"} == set()
+
+
 # ---------------------------------------------------------------------------
 # the numeric-error guard
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from lomo.evaluation import (
 )
 from lomo.inference import FrameSequence
 from lomo.model import LomoModel
-from lomo.training import TrainConfig
+from lomo.training import LabeledSequence, TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def test_avg_class_accuracy_empty_error():
         ([(1, 1), 5], r"^pairs\[1\] must be a \(true, predicted\) pair, got 5$"),
         ([(1, 1, 1)], r"^pairs\[0\] must be a \(true, predicted\) pair, got \(1, 1, 1\)$"),
         ([("a", "a"), (1, 1)],
-         r"^class labels must be hashable and of one sortable kind: '<' not supported "
+         r"^classes must be hashable and of one sortable kind: '<' not supported "
          r"between instances of 'int' and 'str'$"),
     ],
     ids=["one-value", "not-iterable", "three-values", "mixed-label-types"],
@@ -360,6 +361,24 @@ def small_manifest(tmp_path_factory):
     return _synthetic_manifest(tmp_path_factory.mktemp("choices"), num_pos=4, num_neg=4)
 
 
+def test_serial_run_cv_checks_only_the_manifests_sequences(tmp_path, monkeypatch):
+    # prepared splits come from a kernel that checked its own output, and
+    # training takes the fold's sequences and targets without wrappers
+    _synthetic_manifest(tmp_path, num_pos=6, num_neg=6)
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
+    counts = Counter()
+    for cls in (FrameSequence, LabeledSequence):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    manifest = parse_manifest(tmp_path / "data" / "manifest.csv")
+    folds = make_folds(manifest, "kfold", seed=0, k=3)
+    run_cv(manifest, folds, _fast_cfg(variant="mil"), "acc", positive_label="pos",
+           preprocess=PreprocessConfig(l2=True, pool="max"))
+    assert counts == {"FrameSequence": len(manifest.records)}
+
+
 @pytest.mark.parametrize("name", sorted(CHOICE_FIELDS))
 def test_choice_fields_take_any_case_and_refuse_other_values(name, small_manifest):
     choices, call = CHOICE_FIELDS[name]
@@ -437,8 +456,8 @@ def test_run_cv_rejects_empty_fold(tmp_path):
 @pytest.mark.parametrize(
     "unlisted, message",
     [
-        ("fold", r"^fold 1: id 'nope' is not a manifest record$"),
-        ("sequences", r"^fold 0: record '(pos|neg)\d{4}' has no sequence in the manifest$"),
+        ("fold", r"^fold 1: id 'nope' is no manifest record with a sequence$"),
+        ("sequences", r"^fold 0: id '(pos|neg)\d{4}' is no manifest record with a sequence$"),
     ],
     ids=["unknown-id", "manifest-without-sequences"],
 )

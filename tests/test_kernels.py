@@ -442,14 +442,23 @@ def test_assign_batch_edge_cases():
     assert assign_batch(two, [ties], InferenceConfig(exclusion_t=1)).chosen.tolist() == [[1, 3]]
 
 
-def test_assign_batch_rejects_unequal_lengths_and_empty_input():
-    model = LomoModel(np.ones((1, 2)), np.zeros(1))
+def test_assign_batch_takes_unequal_lengths_and_empty_input():
+    rng = np.random.default_rng(8)
+    model = LomoModel(rng.normal(size=(2, 2)), rng.normal(size=2))
     cfg = InferenceConfig(exclusion_t=0)
-    seqs = [FrameSequence(np.ones((2, 2))), FrameSequence(np.ones((3, 2)))]
-    with pytest.raises(LomoError, match="equal length"):
-        assign_batch(model, seqs, cfg)
-    with pytest.raises(LomoError, match="equal length"):
-        assign_batch(model, [], cfg)
+    seqs = [FrameSequence(rng.normal(size=(n, 2)), id=f"s{n}") for n in (2, 3, 2, 5)]
+    got = assign_batch(model, seqs, cfg)
+    refs = [latent_assign(model, seq, cfg) for seq in seqs]  # rows stay in input order
+    assert got.chosen.tolist() == [list(a.chosen) for a in refs]
+    assert _bits(got.template_scores) == _bits([a.template_scores for a in refs])
+    assert got.perm.tolist() == [a.perm for a in refs]
+    assert _bits(got.ordering_cost) == _bits([a.ordering_cost for a in refs])
+    assert _bits(got.total) == _bits([a.total for a in refs])
+    # no sequences: no rows, as score_sequences gives no scores
+    empty = assign_batch(model, [], cfg)
+    assert empty.chosen.shape == empty.template_scores.shape == (0, 2)
+    assert empty.perm.shape == empty.ordering_cost.shape == empty.total.shape == (0,)
+    assert score_sequences(model, [], cfg).shape == (0,)
 
 
 def test_objective_matches_latent_assign_hinge():
