@@ -245,7 +245,8 @@ def run_cv(
     seqs = manifest.sequences
     labels = {rec.id: rec.label for rec in manifest.records}
     for fold_no, fold in enumerate(folds):
-        for i in (*fold.train_ids, *fold.test_ids):
+        # an empty split, such as None, is refused in its fold's turn
+        for i in (*(fold.train_ids or ()), *(fold.test_ids or ())):
             if i not in labels or i not in seqs:
                 raise LomoError(f"fold {fold_no}: id {i!r} is no manifest record with a sequence")
     start = moments = None

@@ -130,7 +130,7 @@ def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignmen
     return out
 
 
-def _assign(model: LomoModel, seqs: list, t: int, out: BatchAssignment, rows: list) -> None:
+def _assign(model: LomoModel, seqs, t: int, out: BatchAssignment, rows) -> None:
     """Rows `rows` of `out`: the assignments of `seqs`, sequences of one
     frame shape, stacked as (B, N, d).
 

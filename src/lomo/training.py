@@ -116,7 +116,7 @@ def _min_frames(m: int, t: int) -> int:
     return (m - 1) * (2 * t + 1) + 1
 
 
-def _validate_train_data(seqs: list, targets: list, cfg: TrainConfig) -> int:
+def _validate_train_data(seqs, targets, cfg: TrainConfig) -> int:
     if not seqs:
         raise LomoError("training data is empty")
     labels = set(targets)
@@ -158,7 +158,7 @@ def train(data, cfg: TrainConfig) -> LomoModel:
     return _train([ex.sequence for ex in data], [ex.label for ex in data], cfg)
 
 
-def _train(seqs: list, targets: list, cfg: TrainConfig) -> LomoModel:
+def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
     """Run max_iter uniform-with-replacement subgradient steps from cfg.seed
     on FrameSequences `seqs` with +-1 `targets`; the caller has checked the
     types, and _validate_train_data checks the content.

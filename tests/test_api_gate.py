@@ -50,6 +50,7 @@ PATH_PARAMS = {
 }
 LEFT_OUT = {("prepare", "moments"), ("fit_preprocess", "moments")}
 EXTRA = {"prepare": prepare, "fit_preprocess": fit_preprocess, "apply_preprocess": apply_preprocess}
+NAMES = sorted({n for n in lomo.__all__ if callable(getattr(lomo, n))} | set(EXTRA))
 
 
 class Calls(dict):
@@ -190,9 +191,6 @@ def _check(good, name, bad_values) -> None:
             allowed = lomo.LomoError
         for bad in bads:
             _call(name, fn, {**kwargs, param: bad}, allowed)
-
-
-NAMES = sorted({n for n in lomo.__all__ if callable(getattr(lomo, n))} | set(EXTRA))
 
 
 @pytest.mark.parametrize("name", NAMES)

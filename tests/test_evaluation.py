@@ -479,6 +479,13 @@ def test_run_cv_names_a_fold_id_with_no_sequence_before_it_forks(
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 
+def test_run_cv_refuses_a_fold_without_ids_in_its_turn(tmp_path):
+    manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
+    folds = [*make_folds(manifest, "logo", seed=0)[:1], Fold(train_ids=None, test_ids=None)]
+    with pytest.raises(LomoError, match="^fold 1: empty train or test split$"):
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
+
+
 def test_run_cv_names_the_fold_of_a_preprocessing_error(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
     folds = make_folds(manifest, "kfold", seed=1, k=2)

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lomo.core import LomoError, Rng, child_seed
+import lomo.training
+from lomo.core import LomoError, Rng, child_seed, require_pairs
 from lomo.inference import FrameSequence, InferenceConfig, score, score_sequences
 from lomo.model import LomoModel, init_model
 from lomo.training import (
@@ -446,6 +447,19 @@ def test_train_ova_returns_sorted_deterministic_models():
     assert all(models[k] == again[k] for k in models)
     # per-class child seeds: class models must differ from one another
     assert models["a"] != models["b"]
+
+
+def test_train_ova_checks_its_pairs_once_for_all_classes(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return require_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(lomo.training, "require_pairs", counted)
+    models = train_ova(_ova_data(np.random.default_rng(17)),
+                       TrainConfig(num_templates=1, exclusion_t=0, max_iter=50))
+    assert sorted(models) == ["a", "b", "c"] and calls == ["data"]
 
 
 def test_train_ova_rejects_missing_class():
