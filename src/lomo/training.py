@@ -152,7 +152,8 @@ def _add_reduce(values) -> float:
 
 
 def train(data, cfg: TrainConfig) -> LomoModel:
-    """_train on `data`, LabeledSequence examples that hold +-1 targets."""
+    """The model _train fits to `data`, LabeledSequence examples that hold
+    +-1 targets."""
     require_instance("cfg", cfg, TrainConfig)
     data = require_items("data", data, LabeledSequence)
     return _train([ex.sequence for ex in data], [ex.label for ex in data], cfg)
