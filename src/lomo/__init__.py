@@ -34,7 +34,7 @@ from .model import (
     rank_pattern,
     save_model,
 )
-from .training import LabeledSequence, TrainConfig, objective, train, train_binary, train_ova
+from .training import TrainConfig, objective, train_binary, train_ova
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "Fold",
     "FrameSequence",
     "InferenceConfig",
-    "LabeledSequence",
     "LomoError",
     "LomoModel",
     "PreprocessConfig",
@@ -72,7 +71,6 @@ __all__ = [
     "save_model",
     "score",
     "score_sequences",
-    "train",
     "train_binary",
     "train_ova",
     "write_sequence",

@@ -178,12 +178,15 @@ class float_errors:
 @contextlib.contextmanager
 def too_large(name: str, value):
     """Context manager: numpy refusing or failing to allocate, in its body,
-    an array that the setting `name` sizes leaves it as a LomoError."""
+    an array that the setting `name` sizes leaves it as a LomoError. Nested
+    in another guard, as in an Rng draw, it hands that guard numpy's error
+    as its cause, so the outermost names its setting and numpy the reason."""
     try:
         yield
     except (ValueError, MemoryError) as err:
-        reason = str(err) or "out of memory"
-        raise LomoError(f"{name}={_shown(value, str)} is too large: {reason}") from None
+        cause = err.__cause__ or err
+        reason = str(cause) or "out of memory"
+        raise LomoError(f"{name}={_shown(value, str)} is too large: {reason}") from cause
 
 
 def read_bytes(path) -> bytes:
@@ -223,38 +226,51 @@ class Rng:
 
     The same seed always yields the identical stream on any platform.
     Folds and one-vs-all classes get their own seeds from `child_seed`, so
-    parallel work never shares a generator.
+    parallel work never shares a generator. A size or bound that is not a
+    count, or that numpy cannot draw, raises a LomoError naming it.
     """
 
     def __init__(self, seed: int):
         self.seed = require_int("seed", seed, minimum=0)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
+    def _floats(self, draw, size):
+        if isinstance(size, tuple):
+            size = tuple(require_int("size", count, minimum=0) for count in size)
+        elif size is not None:
+            size = require_int("size", size, minimum=0)
+        with too_large("size", size):
+            out = draw(size)
+        return float(out) if size is None else out
+
+    def _below(self, method: str, n, size):
+        n = require_int("n", n)
+        if n < 1:
+            raise LomoError(f"{method} needs n >= 1, got {_shown(n, str)}")
+        with too_large("(n, size)", (n, size)):
+            return self._gen.integers(n, size=size)
+
     def uniform(self, size=None):
         """Uniform draw(s) in [0, 1)."""
-        out = self._gen.random(size)
-        return float(out) if size is None else out
+        return self._floats(self._gen.random, size)
 
     def normal(self, size=None):
         """Standard-normal draw(s)."""
-        out = self._gen.standard_normal(size)
-        return float(out) if size is None else out
+        return self._floats(self._gen.standard_normal, size)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        if n < 1:
-            raise LomoError(f"randint needs n >= 1, got {n}")
-        return int(self._gen.integers(n))
+        return int(self._below("randint", n, None))
 
     def integers(self, n: int, size: int) -> np.ndarray:
         """`size` uniform integers in [0, n), the stream of `size` randint calls."""
-        if n < 1:
-            raise LomoError(f"integers needs n >= 1, got {n}")
-        return self._gen.integers(n, size=size)
+        return self._below("integers", n, require_int("size", size, minimum=0))
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n)."""
-        return self._gen.permutation(n)
+        n = require_int("n", n, minimum=0)
+        with too_large("n", n):
+            return self._gen.permutation(n)
 
 
 def child_seed(seed: int, index: int) -> int:

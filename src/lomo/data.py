@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     LomoError,
     Rng,
+    _shown,
     decode_text,
     float_errors,
     forked_map,
@@ -289,14 +290,14 @@ def make_folds(
         raise LomoError(f"grouped folding needs >= 2 groups, got {len(groups)}")
     if scheme == "logo":
         if k is not None:
-            raise LomoError(f"the logo scheme takes no fold count k, got k={k}")
+            raise LomoError(f"the logo scheme takes no fold count k, got k={_shown(k, str)}")
         fold_groups = [[g] for g in groups]
     else:
         if k is None:
             raise LomoError("kfold scheme needs a fold count k")
         k = require_int("k", k, minimum=2)
         if k > len(groups):
-            raise LomoError(f"k={k} exceeds the {len(groups)} available groups")
+            raise LomoError(f"k={_shown(k, str)} exceeds the {len(groups)} available groups")
         order = Rng(seed).permutation(len(groups))
         fold_groups = [[] for _ in range(k)]
         for pos, gi in enumerate(order):
@@ -408,7 +409,7 @@ class PreprocessConfig:
 
     def __post_init__(self):
         if not isinstance(self.l2, (bool, np.bool_)):
-            raise LomoError(f"l2 must be True or False, got {self.l2!r}")
+            raise LomoError(f"l2 must be True or False, got {_shown(self.l2)}")
         self.stack = require_int("stack", self.stack, minimum=1)
         if self.pca_dim is not None:
             self.pca_dim = require_int("pca_dim", self.pca_dim, minimum=1)
@@ -427,7 +428,7 @@ class FittedPreprocess:
     components: np.ndarray | None = None
 
 
-def fit_preprocess(train_seqs, config: PreprocessConfig, *, moments=None) -> FittedPreprocess:
+def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     """Fit the PCA mean and top-k components on unpooled training frames.
 
     With pca_dim set there must be a sequence, all must share d, and there
@@ -435,16 +436,18 @@ def fit_preprocess(train_seqs, config: PreprocessConfig, *, moments=None) -> Fit
     l2-normalised first when config.l2 is set, are summed one block of
     consecutive sequences at a time (_pca_moments), so the fit's memory does
     not grow with the number of training sequences; the sequences are never
-    written to. A cv fold passes `moments`, a function of no argument that
-    returns the same moments merged from sums over parts of its split
-    (_merge_moments); it is called only once the checks pass, inside the
-    same numeric-error guard. Eigenvectors of M2 / (n - 1) come from LAPACK
-    eigh, sorted by decreasing eigenvalue (ties in eigh's order), each
-    signed so its largest-magnitude entry is positive. A numeric error's
-    message suggests l2 normalisation when it is off.
+    written to. Eigenvectors of M2 / (n - 1) come from LAPACK eigh, sorted
+    by decreasing eigenvalue (ties in eigh's order), each signed so its
+    largest-magnitude entry is positive. A numeric error's message suggests
+    l2 normalisation when it is off.
     """
     require_instance("config", config, PreprocessConfig)
-    seqs = require_items("train_seqs", train_seqs, FrameSequence)
+    return _fit(require_items("train_seqs", train_seqs, FrameSequence), config)
+
+
+def _fit(seqs, config, moments=_pca_moments):
+    """fit_preprocess of checked arguments; moments(seqs, l2) runs after the
+    checks, in the float-error guard. A cv fold passes its merged moments."""
     k = config.pca_dim
     if k is None:
         return FittedPreprocess(config)
@@ -457,10 +460,10 @@ def fit_preprocess(train_seqs, config: PreprocessConfig, *, moments=None) -> Fit
     if n < 2:
         raise LomoError(f"PCA needs >= 2 training frames, got {n}")
     if not 1 <= k <= d:
-        raise LomoError(f"pca dimension k={k} out of range 1..{d}")
+        raise LomoError(f"pca dimension k={_shown(k, str)} out of range 1..{d}")
     hint = "" if config.l2 else "; try --l2 to normalise the frames"
     with float_errors(lambda err: f"PCA fit: {err}{hint}"):
-        _, mean, m2 = _pca_moments(seqs, config.l2) if moments is None else moments()
+        _, mean, m2 = moments(seqs, config.l2)
         eigvals, eigvecs = np.linalg.eigh(m2 / (n - 1))
     order = np.argsort(-eigvals, kind="stable")
     components = eigvecs[:, order[:k]].T.copy()
@@ -546,7 +549,7 @@ def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSeque
     return _apply_split(fitted, [seq])[0]
 
 
-def prepare(config: PreprocessConfig, fit_on, *splits, moments=None) -> tuple:
+def prepare(config: PreprocessConfig, fit_on, *splits) -> tuple:
     """Fit `config` on the sequences `fit_on` only, then apply it to each split.
 
     Returns the FittedPreprocess, then one list of prepared sequences per
@@ -555,11 +558,9 @@ def prepare(config: PreprocessConfig, fit_on, *splits, moments=None) -> tuple:
     frame values each (inference.shape_blocks), so its temporaries do not
     grow with the split; with no step set, the list holds the split's own
     sequences. A split that fails raises the error of its first failing
-    sequence. `train`, `predict` and every cv fold prepare their sequences
-    here; a cv fold passes the `moments` of fit_preprocess.
+    sequence. `train` and `predict` prepare their sequences here.
     """
-    fit_on = require_items("fit_on", fit_on, FrameSequence)
-    fitted = fit_preprocess(fit_on, config, moments=moments)
+    fitted = fit_preprocess(require_items("fit_on", fit_on, FrameSequence), config)
     return (fitted, *(_apply_split(fitted, list(require_iterable("split", split)))
                       for split in splits))
 
@@ -601,7 +602,7 @@ class SynthSpec:
         if self.num_frames <= self.num_events * (self.min_gap + 1):
             raise LomoError(
                 f"num_frames must exceed num_events*(min_gap+1) = "
-                f"{self.num_events * (self.min_gap + 1)}, got {self.num_frames}"
+                f"{_shown(self.num_events * (self.min_gap + 1), str)}, got {_shown(self.num_frames, str)}"
             )
 
     def text_fields(self) -> list[tuple[str, str]]:
@@ -634,15 +635,15 @@ def _draw_positions(rng: Rng, n: int, m: int, min_gap: int) -> list[int]:
 def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tuple[np.ndarray, tuple[int, ...]]:
     m = spec.num_events
     planted: tuple[int, ...] = ()
-    if label == "pos" or spec.neg_mode == "shuffled":
-        slots = _draw_positions(rng, spec.num_frames, m, spec.min_gap)
-        if label == "pos":
-            planted = tuple(slots)
-        else:
-            # uniformly drawn non-identity pattern; index 1 is the identity
-            pattern = perm_unrank(2 + rng.randint(math.factorial(m) - 1), m)
-            planted = tuple(slots[pattern[j] - 1] for j in range(m))
     with too_large("num_frames", spec.num_frames):
+        if label == "pos" or spec.neg_mode == "shuffled":
+            slots = _draw_positions(rng, spec.num_frames, m, spec.min_gap)
+            if label == "pos":
+                planted = tuple(slots)
+            else:
+                # uniformly drawn non-identity pattern; index 1 is the identity
+                pattern = perm_unrank(2 + rng.randint(math.factorial(m) - 1), m)
+                planted = tuple(slots[pattern[j] - 1] for j in range(m))
         frames = spec.noise_sigma * rng.normal(size=(spec.num_frames, spec.dim))
     if planted:
         noise = spec.noise_sigma * rng.normal(size=(m, spec.dim))

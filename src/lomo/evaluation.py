@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     LomoError,
+    _shown,
     child_seed,
     finite_floats,
     forked_map,
@@ -30,7 +31,8 @@ from .core import (
     require_pairs,
     sorted_classes,
 )
-from .data import DatasetManifest, Fold, PreprocessConfig, _merge_moments, _pca_moments, prepare
+from .data import (DatasetManifest, Fold, PreprocessConfig, _apply_split, _fit, _merge_moments,
+                   _pca_moments)
 from .inference import score_sequences
 from .training import TrainConfig, binary_targets, check_positive_label, train_binary, train_ova
 
@@ -49,7 +51,7 @@ def avg_class_accuracy(pairs, classes=None) -> float:
     for name in names:
         total = sum(1 for t, _ in pairs if t == name)
         if total == 0:
-            raise LomoError(f"class {name!r} has no examples")
+            raise LomoError(f"class {_shown(name)} has no examples")
         hit = sum(1 for t, p in pairs if t == name and p == name)
         recalls.append(hit / total)
     return float(np.mean(recalls))
@@ -65,7 +67,7 @@ def _split_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
         raise LomoError(f"{len(labels)} labels vs {scores.shape[0]} scores")
     for k, label in enumerate(labels):
         if not (isinstance(label, (numbers.Real, np.bool_)) and label in (1, -1)):
-            raise LomoError(f"labels[{k}] is {label!r}; ROC metrics need labels +1 or -1")
+            raise LomoError(f"labels[{k}] is {_shown(label)}; ROC metrics need labels +1 or -1")
     mask = np.array([label == 1 for label in labels], dtype=bool)
     pos = np.sort(scores[mask])
     neg = np.sort(scores[~mask])
@@ -118,10 +120,9 @@ class CvResult:
         return float(np.mean(self.fold_values))
 
 
-def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
+def _binary_fold_value(train_pairs, test_seqs, test_labels, cfg, metric, positive_label):
     model = train_binary(train_pairs, positive_label, cfg)
-    truths = binary_targets([label for _, label in test_pairs], positive_label)
-    test_seqs = [seq for seq, _ in test_pairs]
+    truths = binary_targets(test_labels, positive_label)
     values = score_sequences(model, test_seqs, cfg.inference_config()).tolist()
     if metric == "acc":
         preds = [1 if v > 0 else -1 for v in values]
@@ -131,16 +132,15 @@ def _binary_fold_value(train_pairs, test_pairs, cfg, metric, positive_label):
     return roc_eer_rate(truths, values)
 
 
-def _multiclass_fold_value(train_pairs, test_pairs, cfg, classes):
+def _multiclass_fold_value(train_pairs, test_seqs, test_labels, cfg, classes):
     """One-vs-all: the class whose model scores a sequence highest; a tie goes
     to the smallest class name, the first maximum over the sorted names."""
     models = train_ova(train_pairs, cfg, classes=classes)
     names = sorted(models)
     icfg = cfg.inference_config()
-    test_seqs = [seq for seq, _ in test_pairs]
     scores = np.stack([score_sequences(models[name], test_seqs, icfg) for name in names])
-    pairs = [(label, names[k]) for (_, label), k in zip(test_pairs, scores.argmax(axis=0).tolist())]
-    return avg_class_accuracy(pairs, classes=[label for _, label in test_pairs])
+    pairs = [(label, names[k]) for label, k in zip(test_labels, scores.argmax(axis=0).tolist())]
+    return avg_class_accuracy(pairs, classes=test_labels)
 
 
 def _fold_moments(folds, sequences, l2: bool):
@@ -249,9 +249,7 @@ def run_cv(
         for i in (*(fold.train_ids or ()), *(fold.test_ids or ())):
             if i not in labels or i not in seqs:
                 raise LomoError(f"fold {fold_no}: id {i!r} is no manifest record with a sequence")
-    start = moments = None
-    if preprocess.pca_dim is not None:
-        start, moments = _fold_moments(folds, seqs, preprocess.l2)
+    start, moments = _fold_moments(folds, seqs, preprocess.l2)  # used only with PCA
 
     def fold_value(fold_no: int) -> float:
         fold = folds[fold_no]
@@ -259,16 +257,16 @@ def run_cv(
             if not fold.train_ids or not fold.test_ids:
                 raise LomoError("empty train or test split")
             raw_train = [seqs[i] for i in fold.train_ids]
-            _, train_seqs, test_seqs = prepare(
-                preprocess, raw_train, raw_train, [seqs[i] for i in fold.test_ids],
-                moments=None if moments is None else lambda: moments(fold_no),
-            )
+            fitted = _fit(raw_train, preprocess, lambda *_: moments(fold_no))
+            train_seqs = _apply_split(fitted, raw_train)
+            test_seqs = _apply_split(fitted, [seqs[i] for i in fold.test_ids])
             train_pairs = list(zip(train_seqs, [labels[i] for i in fold.train_ids]))
-            test_pairs = list(zip(test_seqs, [labels[i] for i in fold.test_ids]))
+            test_labels = [labels[i] for i in fold.test_ids]
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
             if multiclass:
-                return _multiclass_fold_value(train_pairs, test_pairs, fold_cfg, classes)
-            return _binary_fold_value(train_pairs, test_pairs, fold_cfg, metric, positive_label)
+                return _multiclass_fold_value(train_pairs, test_seqs, test_labels, fold_cfg, classes)
+            return _binary_fold_value(train_pairs, test_seqs, test_labels, fold_cfg, metric,
+                                      positive_label)
         except LomoError as err:
             raise LomoError(f"fold {fold_no}: {err}") from None
 

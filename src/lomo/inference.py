@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     LomoError,
+    _shown,
     finite_floats,
     float_errors,
     real_array,
@@ -47,13 +48,15 @@ class FrameSequence:
             )
         if self.frames.shape[0] < 1:
             raise LomoError(f"sequence {self.name}: needs at least one frame")
+        if self.frames.shape[1] < 1:  # write_sequence could not write it
+            raise LomoError(f"sequence {self.name}: needs at least one value per frame")
         if not np.isfinite(self.frames).all():
             raise LomoError(f"sequence {self.name}: non-finite frame values")
 
     @property
     def name(self) -> str:
         """The id, or '<unnamed>' when it is empty: how messages name it."""
-        return self.id or "<unnamed>"
+        return _shown(self.id, str) if self.id else "<unnamed>"
 
     @property
     def num_frames(self) -> int:
@@ -73,7 +76,7 @@ class FrameSequence:
     def require_dim(self, dim: int) -> None:
         """A LomoError naming this sequence unless its frames have `dim` columns."""
         if self.dim != dim:
-            raise LomoError(f"sequence {self.name}: dimension {self.dim} differs from {dim}")
+            raise LomoError(f"sequence {self.name}: dimension {self.dim} differs from {_shown(dim, str)}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def _too_short(seq: FrameSequence, m: int, t: int) -> LomoError:
     return LomoError(
         f"sequence too short for M,t: N={seq.num_frames} frames cannot supply "
         f"M={m} picks with exclusion_t={t}"
-        + (f" (sequence {seq.id})" if seq.id else "")
+        + (f" (sequence {seq.name})" if seq.id else "")
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     LomoError,
     Rng,
+    _shown,
     format_float,
     read_text,
     real_array,
@@ -102,9 +103,9 @@ def rank_pattern(k) -> tuple[int, ...]:
         raise LomoError("rank_pattern needs at least one index")
     require_order_size("number of frame indices", len(ks))
     if any(v < 1 for v in ks):
-        raise LomoError(f"frame indices must be >= 1, got {ks}")
+        raise LomoError(f"frame indices must be >= 1, got {_shown(ks, str)}")
     if len(set(ks)) != len(ks):
-        raise LomoError(f"duplicate frame indices in {ks}")
+        raise LomoError(f"duplicate frame indices in {_shown(ks, str)}")
     return tuple(1 + sum(other < v for other in ks) for v in ks)
 
 
@@ -112,7 +113,7 @@ def _check_permutation(p) -> list[int]:
     ps = _order_entries("p", p, "permutation entry")
     require_order_size("number of permutation entries", len(ps))
     if sorted(ps) != list(range(1, len(ps) + 1)):
-        raise LomoError(f"{tuple(ps)} is not a permutation of 1..{len(ps)}")
+        raise LomoError(f"{_shown(tuple(ps), str)} is not a permutation of 1..{len(ps)}")
     return ps
 
 
@@ -155,7 +156,7 @@ def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     index = require_int("permutation index", index)
     total = math.factorial(m)
     if not 1 <= index <= total:
-        raise LomoError(f"permutation index {index} out of range 1..{total} for M={m}")
+        raise LomoError(f"permutation index {_shown(index, str)} out of range 1..{total} for M={m}")
     remaining = list(range(1, m + 1))
     code = index - 1
     out = []

@@ -6,10 +6,11 @@ realized ordering moves by eta (sign per the configured update mode).
 The MIL baseline is the M=1 restriction with the cost table frozen at
 zero; on sequences pooled to one frame it is the pooled-SVM baseline.
 
-`train`, `train_binary` and `train_ova` check their arguments once, then
-run the training kernel `_train` on sequences and +-1 targets: one loop
-over plain arrays updated in place, with a shorter step for data of one
-frame per sequence. Folding the reference step, `sgd_step` in
+A training example is a (FrameSequence, class label) pair. `train_binary`,
+the one binary trainer, and `train_ova` check their arguments once, then
+run the kernel `_train` on sequences and +-1 targets (`binary_targets`):
+one loop over plain arrays updated in place, with a shorter step for data
+of one frame per sequence. Folding the reference step, `sgd_step` in
 tests/oracle.py, over the same sample draws gives its model bit for bit.
 """
 
@@ -22,12 +23,12 @@ import numpy as np
 from .core import (
     LomoError,
     Rng,
+    _shown,
     child_seed,
     float_errors,
     require_choice,
     require_instance,
     require_int,
-    require_items,
     require_pairs,
     require_real,
     sorted_classes,
@@ -37,18 +38,7 @@ from .model import ORDER_INDEX, LomoModel, init_model, require_order_size
 
 VARIANTS = ("lomo", "mil")
 COST_UPDATES = ("gradient", "literal")
-_DRAW_CHUNK = 4096  # sample indices drawn per rng call in train
-
-
-@dataclass
-class LabeledSequence:
-    sequence: FrameSequence
-    label: int  # +1 or -1
-
-    def __post_init__(self):
-        require_instance("sequence", self.sequence, FrameSequence)
-        if self.label not in (-1, 1):
-            raise LomoError(f"label must be +1 or -1, got {self.label!r}")
+_DRAW_CHUNK = 4096  # sample indices drawn per rng call in _train
 
 
 @dataclass
@@ -96,35 +86,36 @@ class TrainConfig:
         return InferenceConfig(exclusion_t=self.exclusion_t)
 
 
-def objective(model: LomoModel, data, reg_lambda: float, cfg: TrainConfig) -> float:
-    """(lambda/2) * sum ||w_i||^2 + mean hinge [1 - y*s]_+ over the data."""
-    require_real("reg_lambda", reg_lambda, minimum=0)
+def objective(model: LomoModel, data, positive_label, cfg: TrainConfig) -> float:
+    """What train_binary(data, positive_label, cfg) minimizes: (lambda/2) *
+    sum ||w_i||^2 + mean hinge [1 - y*s]_+, lambda being cfg.reg_lambda and
+    y the binary_targets of the labels of the (FrameSequence, label) pairs."""
     require_instance("cfg", cfg, TrainConfig)
-    data = require_items("data", data, LabeledSequence)
-    if not data:
+    seqs, labels = _examples(data)
+    if not seqs:
         raise LomoError("objective needs at least one example")
-    scores = score_sequences(model, [ex.sequence for ex in data], cfg.inference_config())
-    reg = 0.5 * reg_lambda * float(np.sum(model.templates * model.templates))
+    scores = score_sequences(model, seqs, cfg.inference_config())
+    reg = 0.5 * cfg.reg_lambda * float(np.sum(model.templates * model.templates))
     hinge = 0.0
-    for ex, s in zip(data, scores.tolist()):
-        hinge += max(0.0, 1.0 - ex.label * s)
-    return reg + hinge / len(data)
+    for y, s in zip(binary_targets(labels, positive_label), scores.tolist()):
+        hinge += max(0.0, 1.0 - y * s)
+    return reg + hinge / len(seqs)
 
 
-def _min_frames(m: int, t: int) -> int:
-    # worst case: every pick is interior and removes a full 2t+1 window
-    return (m - 1) * (2 * t + 1) + 1
+def _examples(data) -> tuple[list, list]:
+    """The sequences and class labels of `data`, (FrameSequence, label) pairs."""
+    data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
+    return [seq for seq, _ in data], [label for _, label in data]
 
 
 def _validate_train_data(seqs, targets, cfg: TrainConfig) -> int:
     if not seqs:
         raise LomoError("training data is empty")
-    labels = set(targets)
-    if labels != {-1, 1}:
-        only = "+1" if labels == {1} else "-1"
-        raise LomoError(f"training data contains only label {only}")
+    if -1 not in targets:  # every caller checked that +1 is present
+        raise LomoError("training data contains only label +1")
     dim = seqs[0].dim
-    need = _min_frames(cfg.num_templates, cfg.exclusion_t)
+    # worst case: every pick is interior and removes a full 2t+1 window
+    need = (cfg.num_templates - 1) * (2 * cfg.exclusion_t + 1) + 1
     for seq in seqs:
         seq.require_dim(dim)
         if seq.num_frames < need:
@@ -149,14 +140,6 @@ def _add_reduce(values) -> float:
     for v in values:
         total += v
     return total
-
-
-def train(data, cfg: TrainConfig) -> LomoModel:
-    """The model _train fits to `data`, LabeledSequence examples that hold
-    +-1 targets."""
-    require_instance("cfg", cfg, TrainConfig)
-    data = require_items("data", data, LabeledSequence)
-    return _train([ex.sequence for ex in data], [ex.label for ex in data], cfg)
 
 
 def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
@@ -277,7 +260,7 @@ def binary_targets(labels, positive_label) -> list[int]:
 def check_positive_label(positive_label, classes) -> None:
     """A binary task's positive class must be one of the sorted `classes`."""
     if positive_label not in classes:
-        raise LomoError(f"positive label {positive_label!r} not among classes {classes}")
+        raise LomoError(f"positive label {_shown(positive_label)} not among classes {_shown(classes, str)}")
 
 
 def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
@@ -286,11 +269,10 @@ def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
     `data` is a sequence of (FrameSequence, class label) pairs, as for
     train_ova; the labels become targets through binary_targets.
     """
-    data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
-    labels = [label for _, label in data]
+    seqs, labels = _examples(data)
     check_positive_label(positive_label, sorted_classes("class labels", labels))
     require_instance("cfg", cfg, TrainConfig)
-    return _train([seq for seq, _ in data], binary_targets(labels, positive_label), cfg)
+    return _train(seqs, binary_targets(labels, positive_label), cfg)
 
 
 def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
@@ -303,12 +285,11 @@ def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
     folds).
     """
     require_instance("cfg", cfg, TrainConfig)
-    data = require_pairs("data", data, "(FrameSequence, label)", FrameSequence)
-    seqs, labels = [seq for seq, _ in data], [label for _, label in data]
+    seqs, labels = _examples(data)
     present = sorted_classes("class labels", labels)
     classes = present if classes is None else sorted_classes("classes", classes)
     if len(classes) < 2:
-        raise LomoError(f"one-vs-all needs >= 2 classes, got {classes}")
+        raise LomoError(f"one-vs-all needs >= 2 classes, got {_shown(classes, str)}")
     models = {}
     for idx, name in enumerate(classes):
         check_positive_label(name, present)

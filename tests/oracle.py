@@ -2,12 +2,13 @@
 
 `latent_assign` is the per-sequence scoring reference: each row of
 `assign_batch` and each total of `score_sequences` must equal it bit for
-bit, and `sgd_step` scores through it. `sgd_step` is the reference SGD step: `train` runs its own in-place loop,
-and folding `sgd_step` over the same sample draws must give the model it
-returns, bit for bit. `stacked_pca_moments` is the PCA fit's mean and
-covariance over one stacked copy of all training frames; the block-by-block
-moments of `fit_preprocess`, and the moments a cv fold merges from its
-splits', must agree with it to rounding.
+bit, and `sgd_step` scores through it. `sgd_step` is the reference SGD
+step: `train_binary` runs its own in-place loop, and folding `sgd_step`
+over the same sample draws must give the model it returns, bit for bit.
+`stacked_pca_moments` is the PCA fit's mean and covariance over one
+stacked copy of all training frames; the block-by-block moments of
+`fit_preprocess`, and the moments a cv fold merges from its splits', must
+agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from lomo.data import _l2_rows
 from lomo.inference import FrameSequence, InferenceConfig, _too_short, require_dimension
 from lomo.model import LomoModel, perm_index, rank_pattern
-from lomo.training import LabeledSequence, TrainConfig
+from lomo.training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,17 @@ def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) ->
     )
 
 
-def sgd_step(model: LomoModel, example: LabeledSequence, cfg: TrainConfig) -> LomoModel:
-    """One subgradient step; returns the input model when the margin holds."""
-    icfg = cfg.inference_config()
-    assign = latent_assign(model, example.sequence, icfg)
-    y = example.label
+def sgd_step(model: LomoModel, example: tuple[FrameSequence, int], cfg: TrainConfig) -> LomoModel:
+    """One subgradient step on `example`, a (sequence, +-1 target) pair;
+    returns the input model when the margin holds."""
+    seq, y = example
+    assign = latent_assign(model, seq, cfg.inference_config())
     if y * assign.total >= 1.0:
         return model
     eta = cfg.eta
     m = model.num_templates
     shrink = 1.0 - cfg.reg_lambda * eta
-    picked = example.sequence.frames[np.array(assign.chosen) - 1]  # (M, d)
+    picked = seq.frames[np.array(assign.chosen) - 1]  # (M, d)
     templates = model.templates * shrink + (eta * y / m) * picked
     costs = model.costs.copy()
     if not cfg.freeze_costs:

@@ -25,7 +25,7 @@ from lomo.data import SynthSpec, synth_records
 from lomo.evaluation import roc_auc, roc_eer_rate
 from lomo.inference import FrameSequence, InferenceConfig, score
 from lomo.model import LomoModel, perm_index, perm_unrank, rank_pattern
-from lomo.training import LabeledSequence, TrainConfig, objective, train
+from lomo.training import TrainConfig, objective, train_binary
 from oracle import latent_assign
 
 
@@ -45,10 +45,7 @@ def bench_data(seed_offset: int, neg_mode: str):
     pos, neg = records[:400], records[400:]
 
     def pack(recs):
-        return [
-            LabeledSequence(FrameSequence(r.frames, id=r.id), 1 if r.label == "pos" else -1)
-            for r in recs
-        ]
+        return [(FrameSequence(r.frames, id=r.id), r.label) for r in recs]
 
     train_set = pack(pos[:200] + neg[:200])
     test_set = pack(pos[200:] + neg[200:])
@@ -57,9 +54,9 @@ def bench_data(seed_offset: int, neg_mode: str):
 
 def bench_accuracy(model: LomoModel, test_set) -> float:
     hits = 0
-    for ex in test_set:
-        predicted = 1 if score(model, ex.sequence, BENCH_ICFG) > 0 else -1
-        hits += predicted == ex.label
+    for seq, label in test_set:
+        predicted = "pos" if score(model, seq, BENCH_ICFG) > 0 else "neg"
+        hits += predicted == label
     return hits / len(test_set)
 
 
@@ -110,12 +107,12 @@ def test_criterion_02_mil_reduction():
             frames = np.array(
                 [[rng.normal() for _ in range(d)] for _ in range(n)]
             )
-            data.append(LabeledSequence(FrameSequence(frames), 1 if j % 2 else -1))
+            data.append((FrameSequence(frames), 1 if j % 2 else -1))
         cfg = TrainConfig(
             num_templates=1 + rng.randint(3),  # forced to 1 by the variant
             exclusion_t=0, seed=case, variant="mil", max_iter=40,
         )
-        model = train(data, cfg)
+        model = train_binary(data, 1, cfg)
         assert model.num_templates == 1
         assert model.costs.shape == (1,) and model.costs[0] == 0.0
         reference = LomoModel(model.templates.copy(), np.zeros(1))
@@ -261,14 +258,12 @@ def test_criterion_05_convex_convergence():
     data = []
     for center, label in (((2.0, 0.0), 1), ((-2.0, 0.0), -1)):
         points = rng.normal(scale=0.25, size=(100, 2)) + np.asarray(center)
-        data.extend(
-            LabeledSequence(FrameSequence(p[None, :]), label) for p in points
-        )
+        data.extend((FrameSequence(p[None, :]), label) for p in points)
     cfg = TrainConfig(
         variant="mil", eta=0.05, reg_lambda=1e-5, seed=3, max_iter=10000
     )
-    model = train(data, cfg)
-    value = objective(model, data, cfg.reg_lambda, cfg)
+    model = train_binary(data, 1, cfg)
+    value = objective(model, data, 1, cfg)
     assert value < 0.1, f"objective {value:.4f} not below 0.1"
     print(f"criterion 5 (convex convergence): PASS, objective {value:.4f}")
 
@@ -294,8 +289,8 @@ def test_criterion_06_ordinal_benchmark():
     lomo_accs, mil_accs, identity_ok = [], [], 0
     for s in range(5):
         train_set, test_set = bench_data(s, "shuffled")
-        lomo_model = train(train_set, bench_config(s))
-        mil_model = train(train_set, bench_config(s, variant="mil"))
+        lomo_model = train_binary(train_set, "pos", bench_config(s))
+        mil_model = train_binary(train_set, "pos", bench_config(s, variant="mil"))
         lomo_accs.append(bench_accuracy(lomo_model, test_set))
         mil_accs.append(bench_accuracy(mil_model, test_set))
         if lomo_model.costs[0] > float(np.mean(lomo_model.costs[1:])):
@@ -337,9 +332,9 @@ def test_criterion_07_presence_benchmark():
     lomo_accs, mil_accs = [], []
     for s in range(5):
         train_set, test_set = bench_data(s, "absent")
-        lomo_accs.append(bench_accuracy(train(train_set, bench_config(s)), test_set))
+        lomo_accs.append(bench_accuracy(train_binary(train_set, "pos", bench_config(s)), test_set))
         mil_accs.append(
-            bench_accuracy(train(train_set, bench_config(s, variant="mil")), test_set)
+            bench_accuracy(train_binary(train_set, "pos", bench_config(s, variant="mil")), test_set)
         )
     elapsed = time.perf_counter() - start
     lomo_mean = float(np.mean(lomo_accs))
@@ -367,7 +362,7 @@ def test_criterion_08_lambda_insensitivity():
     train_set, test_set = bench_data(0, "shuffled")
     accs = {}
     for lam in (1e-6, 1e-5, 1e-4, 1e-3):
-        model = train(train_set, bench_config(0, reg_lambda=lam))
+        model = train_binary(train_set, "pos", bench_config(0, reg_lambda=lam))
         accs[lam] = bench_accuracy(model, test_set)
     elapsed = time.perf_counter() - start
     spread = max(accs.values()) - min(accs.values())

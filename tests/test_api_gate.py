@@ -1,20 +1,18 @@
 """The public-API gate: every public callable answers a bad argument with a
 result or a LomoError, and warns nothing.
 
-It covers each name in `lomo.__all__`, plus `prepare`, `fit_preprocess` and
+It covers each name in `lomo.__all__`, each public method of an exported
+class (as `Rng.uniform`), plus `prepare`, `fit_preprocess` and
 `apply_preprocess`, which README's Python API uses from `lomo.data`. For
 each parameter in turn hypothesis draws one bad value (a wrong type, NaN,
-±inf, a negative number, an int beyond float64 or an empty container) while
-every other parameter keeps a good value. A path parameter gets only str
-paths under a temporary directory (missing, a directory, an empty file, a
-file that is not UTF-8), and may also raise an OSError.
+±inf, a negative number, an int beyond float64, an int too long to print
+or an empty container) while every other parameter keeps a good value. A
+path parameter gets only str paths under a temporary directory (missing, a
+directory, an empty file, a file that is not UTF-8), and may also raise an
+OSError.
 
-`moments`, the hook through which a cv fold hands `prepare` and
-`fit_preprocess` the PCA moments it merged, is left out: it takes a function, and what that function
-raises is its caller's own, as for an iterable the caller passes.
-
-No value drawn here makes the library allocate more than a few kB: the one
-huge size, 10**400, is refused before anything is allocated.
+No value drawn here makes the library allocate more than a few kB: the
+huge sizes, 10**400 and 10**5000, are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -32,12 +30,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lomo
+from lomo.core import _shown
 from lomo.data import apply_preprocess, fit_preprocess, prepare
 
 # Every public parameter gets each of these, and then values that hypothesis draws
 FIXED = (
     None, "x", b"x", 1j, object(), True, math.nan, math.inf, -math.inf, -1, -0.5,
-    10**400, -10**400, [], (), {}, set(), "", b"",
+    10**400, -10**400, 10**5000, -10**5000, [], (), {}, set(), "", b"",
 )
 DRAWN = st.one_of(
     st.integers(max_value=-1), st.floats(), st.text(max_size=4), st.binary(max_size=4),
@@ -48,9 +47,14 @@ PATH_PARAMS = {
     ("load_model", "path"), ("parse_manifest", "path"), ("read_sequence", "path"),
     ("save_model", "path"), ("write_sequence", "path"), ("gen_synthetic", "out_dir"),
 }
-LEFT_OUT = {("prepare", "moments"), ("fit_preprocess", "moments")}
 EXTRA = {"prepare": prepare, "fit_preprocess": fit_preprocess, "apply_preprocess": apply_preprocess}
-NAMES = sorted({n for n in lomo.__all__ if callable(getattr(lomo, n))} | set(EXTRA))
+METHODS = {
+    f"{name}.{method}"
+    for name in lomo.__all__ if isinstance(getattr(lomo, name), type)
+    for method, fn in vars(getattr(lomo, name)).items()
+    if not method.startswith("_") and inspect.isfunction(fn)
+}
+NAMES = sorted({n for n in lomo.__all__ if callable(getattr(lomo, n))} | set(EXTRA) | METHODS)
 
 
 class Calls(dict):
@@ -76,8 +80,8 @@ def good(tmp_path_factory):
     manifest = lomo.gen_synthetic(spec, base / "data")
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
     pairs = [(seq, rec.label) for rec, seq in zip(manifest.records, seqs)]
-    examples = [lomo.LabeledSequence(seq, 1 if label == "pos" else -1) for seq, label in pairs]
     model = lomo.init_model(2, 1, lomo.Rng(0))
+    rng = lomo.Rng(0)
     lomo.save_model(model, base / "model.lomo")
     icfg = lomo.InferenceConfig(exclusion_t=0)
     cfg = lomo.TrainConfig(num_templates=1, exclusion_t=0, max_iter=5, seed=0)
@@ -91,7 +95,6 @@ def good(tmp_path_factory):
         "Fold": (lomo.Fold, _fields(lomo.Fold, folds[0])),
         "FrameSequence": (lomo.FrameSequence, {"frames": np.ones((2, 2)), "id": "s"}),
         "InferenceConfig": (lomo.InferenceConfig, _fields(lomo.InferenceConfig, icfg)),
-        "LabeledSequence": (lomo.LabeledSequence, {"sequence": seqs[0], "label": 1}),
         "LomoError": (lambda message: lomo.LomoError(message), {"message": "m"}),
         "LomoModel": (lomo.LomoModel, {"templates": np.ones((1, 2)), "costs": np.zeros(1)}),
         "PreprocessConfig": (lomo.PreprocessConfig,
@@ -110,7 +113,7 @@ def good(tmp_path_factory):
         "make_folds": (lomo.make_folds,
                        {"manifest": manifest, "scheme": "kfold", "seed": 0, "k": 2}),
         "objective": (lomo.objective,
-                      {"model": model, "data": examples, "reg_lambda": 0.1, "cfg": cfg}),
+                      {"model": model, "data": pairs, "positive_label": "pos", "cfg": cfg}),
         "parse_manifest": (lomo.parse_manifest, {"path": str(base / "data" / "manifest.csv")}),
         "perm_index": (lomo.perm_index, {"p": [2, 1]}),
         "perm_unrank": (lomo.perm_unrank, {"index": 2, "m": 2}),
@@ -124,7 +127,6 @@ def good(tmp_path_factory):
         "save_model": (lomo.save_model, {"model": model, "path": "{work}/out.lomo"}),
         "score": (lomo.score, {"model": model, "seq": seqs[0], "cfg": icfg}),
         "score_sequences": (lomo.score_sequences, {"model": model, "seqs": seqs, "cfg": icfg}),
-        "train": (lomo.train, {"data": examples, "cfg": cfg}),
         "train_binary": (lomo.train_binary,
                          {"data": pairs, "positive_label": "pos", "cfg": cfg}),
         "train_ova": (lomo.train_ova, {"data": pairs, "cfg": cfg, "classes": ["neg", "pos"]}),
@@ -134,6 +136,15 @@ def good(tmp_path_factory):
         "fit_preprocess": (fit_preprocess, {"train_seqs": seqs, "config": pre}),
         "apply_preprocess": (apply_preprocess,
                              {"fitted": fit_preprocess(seqs, pre), "seq": seqs[0]}),
+        "FrameSequence.require_dim": (seqs[0].require_dim, {"dim": 2}),
+        "Rng.integers": (rng.integers, {"n": 3, "size": 2}),
+        "Rng.normal": (rng.normal, {"size": (2, 1)}),
+        "Rng.permutation": (rng.permutation, {"n": 3}),
+        "Rng.randint": (rng.randint, {"n": 3}),
+        "Rng.uniform": (rng.uniform, {"size": 2}),
+        "SynthSpec.text_fields": (spec.text_fields, {}),
+        "TrainConfig.inference_config": (cfg.inference_config, {}),
+        "TrainConfig.num_steps": (cfg.num_steps, {"n": 4}),
     })
 
 
@@ -141,10 +152,11 @@ def test_the_gate_covers_every_parameter_of_every_public_callable(good):
     _, calls = good
     assert sorted(calls) == NAMES
     for name, (_, kwargs) in calls.items():
-        fn = EXTRA[name] if name in EXTRA else getattr(lomo, name)
+        owner, _, method = name.rpartition(".")
+        fn = EXTRA.get(name) or getattr(getattr(lomo, owner) if owner else lomo, method)
         if name == "LomoError":
             continue  # an exception class takes any arguments
-        params = {p for p in inspect.signature(fn).parameters if (name, p) not in LEFT_OUT}
+        params = set(inspect.signature(fn).parameters) - {"self"}
         if name == "prepare":
             params = params - {"splits"} | {"split"}
         assert set(kwargs) == params, name
@@ -168,7 +180,7 @@ def _call(name, fn, kwargs, allowed):
         except allowed:
             pass
         except Exception as err:
-            args = ", ".join(f"{k}={v!r:.60}" for k, v in kwargs.items())
+            args = ", ".join(f"{k}={_shown(v):.60}" for k, v in kwargs.items())
             raise AssertionError(f"{name}({args}) raised {type(err).__name__}: {err}") from err
 
 

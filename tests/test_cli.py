@@ -639,10 +639,12 @@ def test_undecodable_model_file_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("flag, field, value", [
     ("--d", "dim", "9223372036854775808"),  # "Maximum allowed dimension exceeded"
     ("--n", "num_frames", "4611686018427387904"),  # "array is too big; ..."
+    ("--n", "num_frames", "1" + "0" * 400),  # a planted position: "high is out of bounds ..."
 ])
 def test_synth_size_too_large_to_draw_exits_one(tmp_path, capsys, flag, field, value):
-    """numpy rejects both shapes before it allocates anything; the error
-    names the field and ends in numpy's reason."""
+    """numpy rejects each shape and the bound of each position draw before
+    it allocates anything; the error names the field and ends in numpy's
+    reason."""
     argv = ["synth", "--out", str(tmp_path / "D"), "--pos", "1", "--neg", "1", flag, value]
     assert _single_error(capsys, argv).startswith(f"error: {field}={value} is too large: ")
     assert not (tmp_path / "D").exists()

@@ -90,6 +90,33 @@ def test_rng_integers_rejects_nonpositive():
         Rng(0).integers(0, 3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda r: r.uniform(size=-1), r"size must be >= 0, got -1"),
+        (lambda r: r.uniform(size=10**400),
+         r"size=10{400} is too large: Maximum allowed dimension exceeded"),
+        (lambda r: r.normal(size="x"), r"size must be an integer, got 'x'"),
+        (lambda r: r.normal(size=(2, 1.5)), r"size must be an integer, got 1\.5"),
+        (lambda r: r.randint("x"), r"n must be an integer, got 'x'"),
+        (lambda r: r.randint(10**400),
+         r"\(n, size\)=\(10{400}, None\) is too large: high is out of bounds for int64"),
+        (lambda r: r.integers(2, float("nan")), r"size must be an integer, got nan"),
+        (lambda r: r.integers(True, 2), r"n must be an integer, got True"),
+        (lambda r: r.permutation("x"), r"n must be an integer, got 'x'"),
+        (lambda r: r.permutation(-1), r"n must be >= 0, got -1"),
+    ],
+    ids=["uniform-negative", "uniform-huge", "normal-str", "normal-float-in-shape",
+         "randint-str", "randint-huge", "integers-nan", "integers-bool", "permutation-str",
+         "permutation-negative"],
+)
+def test_rng_refuses_a_bad_size_or_bound_without_drawing(call, message):
+    r = Rng(3)
+    with pytest.raises(LomoError, match=f"^{message}$"):
+        call(r)
+    assert r.uniform() == Rng(3).uniform()  # the stream is where it was
+
+
 def test_child_seed_is_stable_and_63_bit():
     values = [child_seed(42, i) for i in range(100)]
     assert values == [child_seed(42, i) for i in range(100)]
@@ -221,10 +248,11 @@ def test_only_core_knows_which_numpy_errors_are_fatal():
 
 
 def test_only_training_turns_class_labels_into_binary_targets():
-    src = pathlib.Path(lomo.__file__).parent
-    words = re.compile(r"LabeledSequence\(|\b1 if \w+ == \w+ else -1\b")
-    found = sorted(p.name for p in src.glob("*.py") if words.search(p.read_text("utf-8")))
-    assert found == ["training.py"]
+    # a training example is a (sequence, class label) pair, with no type of its own
+    texts = {p.name: p.read_text("utf-8") for p in pathlib.Path(lomo.__file__).parent.glob("*.py")}
+    assert [name for name, text in texts.items() if "LabeledSequence" in text] == []
+    words = re.compile(r"\b1 if \w+ == \w+ else -1\b")
+    assert sorted(name for name, text in texts.items() if words.search(text)) == ["training.py"]
 
 
 def test_only_model_reads_the_longest_order():
@@ -330,6 +358,75 @@ def test_messages_show_a_value_holding_an_int_too_long_to_print_by_its_type(call
         call(10**5000)
 
 
+def _two_group_manifest():
+    # one record per group, with a path that nothing here reads
+    pairs = (("a", "pos"), ("b", "neg"))
+    return lomo.DatasetManifest([lomo.data.ManifestRecord(i, label, i, i) for i, label in pairs], 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda huge: lomo.FrameSequence(np.ones(1), id=huge),
+         r"sequence a 16610-bit integer: frames must be \(N, d\), got shape \(1,\)"),
+        (lambda huge: lomo.FrameSequence(np.ones((1, 2)), id="s").require_dim(huge),
+         r"sequence s: dimension 2 differs from a 16610-bit integer"),
+        (lambda huge: PreprocessConfig(l2=huge),
+         r"l2 must be True or False, got a 16610-bit integer"),
+        (lambda huge: lomo.data.fit_preprocess([lomo.FrameSequence(np.ones((2, 1)))],
+                                               PreprocessConfig(pca_dim=huge)),
+         r"pca dimension k=a 16610-bit integer out of range 1\.\.1"),
+        (lambda huge: lomo.SynthSpec(min_gap=huge),
+         r"num_frames must exceed num_events\*\(min_gap\+1\) = a 16612-bit integer, got 40"),
+        (lambda huge: lomo.SynthSpec(num_frames=-huge),
+         r"num_frames must exceed num_events\*\(min_gap\+1\) = 18, "
+         r"got a negative 16610-bit integer"),
+        (lambda huge: lomo.make_folds(_two_group_manifest(), "kfold", 0, k=huge),
+         r"k=a 16610-bit integer exceeds the 2 available groups"),
+        (lambda huge: lomo.make_folds(_two_group_manifest(), "logo", 0, k=huge),
+         r"the logo scheme takes no fold count k, got k=a 16610-bit integer"),
+        (lambda huge: perm_unrank(huge, 2),
+         r"permutation index a 16610-bit integer out of range 1\.\.2 for M=2"),
+        (lambda huge: rank_pattern([-huge]),
+         r"frame indices must be >= 1, got a list too long to print"),
+        (lambda huge: perm_index([1, huge]),
+         r"a tuple too long to print is not a permutation of 1\.\.2"),
+        (lambda huge: lomo.train_binary([(lomo.FrameSequence(np.ones((1, 1))), "a")], huge,
+                                        lomo.TrainConfig()),
+         r"positive label a 16610-bit integer not among classes \['a'\]"),
+        (lambda huge: lomo.train_ova([(lomo.FrameSequence(np.ones((1, 1))), huge)],
+                                     lomo.TrainConfig()),
+         r"one-vs-all needs >= 2 classes, got a list too long to print"),
+        (lambda huge: lomo.run_cv(_two_group_manifest(), [], lomo.TrainConfig(),
+                                  positive_label=huge),
+         r"positive label a 16610-bit integer not among classes \['neg', 'pos'\]"),
+        (lambda huge: lomo.avg_class_accuracy([(1, 1)], classes=[1, huge]),
+         r"class a 16610-bit integer has no examples"),
+        (lambda huge: lomo.roc_auc([huge, -1], [0.5, 0.1]),
+         r"labels\[0\] is a 16610-bit integer; ROC metrics need labels \+1 or -1"),
+        (lambda huge: lomo.roc_eer_rate([1, -huge], [0.5, 0.1]),
+         r"labels\[1\] is a negative 16610-bit integer; ROC metrics need labels \+1 or -1"),
+        (lambda huge: Rng(0).randint(-huge),
+         r"randint needs n >= 1, got a negative 16610-bit integer"),
+        (lambda huge: Rng(0).integers(-huge, 1),
+         r"integers needs n >= 1, got a negative 16610-bit integer"),
+    ],
+    ids=["FrameSequence-id", "require_dim", "l2", "pca_dim", "min_gap", "num_frames", "kfold-k",
+         "logo-k", "perm_unrank", "rank_pattern", "perm_index", "train_binary", "train_ova",
+         "run_cv", "avg_class_accuracy", "roc_auc", "roc_eer_rate", "randint", "integers"],
+)
+def test_messages_show_an_int_too_long_to_print_in_every_argument(call, message):
+    with pytest.raises(LomoError, match=f"^{message}$"):
+        call(10**5000)
+
+
+def test_a_sequence_id_too_long_to_print_names_the_sequence(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("1.0\n", encoding="utf-8")
+    assert lomo.read_sequence(path, seq_id=10**5000).name == "a 16610-bit integer"
+    assert lomo.FrameSequence(np.ones((1, 1)), id=-10**5000).name == "a negative 16610-bit integer"
+
+
 # ---------------------------------------------------------------------------
 # list arguments
 
@@ -342,8 +439,8 @@ def _caller_generator():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: lomo.train(None, lomo.TrainConfig()), LomoError,
-         r"data must be iterable, got None"),
+        (lambda: lomo.objective(init_model(2, 1, Rng(0)), None, 1, lomo.TrainConfig()),
+         LomoError, r"data must be iterable, got None"),
         (lambda: lomo.train_binary(5, "a", lomo.TrainConfig()), LomoError,
          r"data must be iterable, got 5"),
         (lambda: lomo.train_ova(None, lomo.TrainConfig()), LomoError,
@@ -364,13 +461,13 @@ def _caller_generator():
         (lambda: lomo.fuse_scores(None), LomoError, r"scores must be iterable, got None"),
         (lambda: rank_pattern(3), LomoError, r"k must be iterable, got 3"),
         (lambda: perm_index(None), LomoError, r"p must be iterable, got None"),
-        (lambda: lomo.train(-10**5000, lomo.TrainConfig()), LomoError,
+        (lambda: lomo.train_binary(-10**5000, "a", lomo.TrainConfig()), LomoError,
          r"data must be iterable, got a negative 16610-bit integer"),
-        (lambda: lomo.train(_caller_generator(), lomo.TrainConfig()), TypeError,
+        (lambda: lomo.train_binary(_caller_generator(), "a", lomo.TrainConfig()), TypeError,
          r"raised by the caller's generator"),
     ],
     ids=[
-        "train", "train_binary", "train_ova", "score_sequences", "prepare-fit", "prepare-split",
+        "objective", "train_binary", "train_ova", "score_sequences", "prepare-fit", "prepare-split",
         "avg_class_accuracy", "avg_class_accuracy-classes", "train_ova-classes", "roc_auc", "roc_eer_rate", "fuse_scores", "rank_pattern",
         "perm_index", "huge-int", "generator-type-error",
     ],

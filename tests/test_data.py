@@ -51,6 +51,23 @@ def test_sequence_round_trip_is_exact(tmp_path):
         assert loaded.id == f"seq{case}"  # falls back to the file stem
 
 
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       values=st.lists(st.floats(), min_size=9, max_size=9))
+@example(shape=(2, 0), values=[0.0] * 9)  # frames of zero width write empty lines
+def test_every_sequence_the_constructor_accepts_reads_back_equal(tmp_path, shape, values):
+    n, d = shape
+    try:
+        seq = FrameSequence(np.array(values[: n * d]).reshape(n, d), id="s")
+    except LomoError:
+        return
+    write_sequence(seq, tmp_path / "s.csv")
+    loaded = read_sequence(tmp_path / "s.csv")
+    assert loaded.frames.shape == seq.frames.shape
+    assert loaded.frames.tobytes() == seq.frames.tobytes()  # signed zeros too
+
+
 def test_sequence_file_is_headerless_lf_csv(tmp_path):
     path = tmp_path / "s.csv"
     write_sequence(FrameSequence(np.array([[1.5, -2.0], [0.25, 0.0]])), path)

@@ -35,7 +35,7 @@ from lomo.evaluation import (
 )
 from lomo.inference import FrameSequence
 from lomo.model import LomoModel
-from lomo.training import LabeledSequence, TrainConfig
+from lomo.training import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +363,17 @@ def small_manifest(tmp_path_factory):
 
 def test_serial_run_cv_checks_only_the_manifests_sequences(tmp_path, monkeypatch):
     # prepared splits come from a kernel that checked its own output, and
-    # training takes the fold's sequences and targets without wrappers
+    # training takes the fold's (sequence, label) pairs as they are
     _synthetic_manifest(tmp_path, num_pos=6, num_neg=6)
     monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
     counts = Counter()
-    for cls in (FrameSequence, LabeledSequence):
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
-            counts[name] += 1
-            check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    check = FrameSequence.__post_init__
+
+    def counted(self):
+        counts["FrameSequence"] += 1
+        check(self)
+
+    monkeypatch.setattr(FrameSequence, "__post_init__", counted)
     manifest = parse_manifest(tmp_path / "data" / "manifest.csv")
     folds = make_folds(manifest, "kfold", seed=0, k=3)
     run_cv(manifest, folds, _fast_cfg(variant="mil"), "acc", positive_label="pos",
@@ -513,18 +515,17 @@ def _cv_fits(monkeypatch, manifest, folds, config, cpus=1):
     and the frame count of each _pca_moments call made here."""
     monkeypatch.setattr(lomo.core, "cpu_count", lambda: cpus)
     fits, sums = [], []
-    prepare, pca_moments = lomo.evaluation.prepare, lomo.evaluation._pca_moments
+    fit, pca_moments = lomo.evaluation._fit, lomo.evaluation._pca_moments
 
-    def recording_prepare(*args, **kwargs):
-        out = prepare(*args, **kwargs)
-        fits.append(out[0])
-        return out
+    def recording_fit(*args):
+        fits.append(fit(*args))
+        return fits[-1]
 
     def counting_moments(seqs, l2):
         sums.append(sum(seq.num_frames for seq in seqs))
         return pca_moments(seqs, l2)
 
-    monkeypatch.setattr(lomo.evaluation, "prepare", recording_prepare)
+    monkeypatch.setattr(lomo.evaluation, "_fit", recording_fit)
     monkeypatch.setattr(lomo.evaluation, "_pca_moments", counting_moments)
     run_cv(manifest, folds, _fast_cfg(num_templates=1), "acc", positive_label="pos",
            preprocess=config)

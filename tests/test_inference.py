@@ -67,6 +67,8 @@ def test_frame_sequence_validation():
         FrameSequence(np.zeros(3))
     with pytest.raises(LomoError, match="at least one frame"):
         FrameSequence(np.zeros((0, 2)))
+    with pytest.raises(LomoError, match="^sequence <unnamed>: needs at least one value per frame$"):
+        FrameSequence(np.zeros((2, 0)))
     with pytest.raises(LomoError, match="non-finite"):
         FrameSequence(np.array([[np.inf, 0.0]]))
 

@@ -1,6 +1,6 @@
 """The array kernels against their reference oracles.
 
-`train` must equal a fold of `sgd_step` (oracle.py) over the same sample draws,
+`train_binary` must equal a fold of `sgd_step` (oracle.py) over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
 the l2 row kernel, in place or not, must equal per-row `np.linalg.norm`
 division, `apply_preprocess` and every sequence of `prepare`'s stacked
@@ -10,7 +10,7 @@ bit for bit (compared as bytes, so signed zeros count). The one-string sequence
 writer must write the bytes of the per-value `format_float` loop. The PCA
 fit's block-by-block mean and covariance must agree with one stacked copy of
 the training frames (oracle.py) to 1e-12 of their scale, for any block size.
-`train`'s stacked score product must equal one matvec per template under each
+The training loop's stacked score product must equal one matvec per template under each
 of five OpenBLAS cores, each forced in a child process.
 """
 
@@ -57,11 +57,10 @@ from lomo.inference import (
 from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
 from lomo.training import (
     _DRAW_CHUNK,
-    LabeledSequence,
     TrainConfig,
     _add_reduce,
     objective,
-    train,
+    train_binary,
 )
 from oracle import latent_assign, sgd_step, stacked_pca_moments
 
@@ -88,14 +87,14 @@ def _min_frames(m, t):
 def _sgd_fold(data, cfg, init=init_model):
     """The reference trainer: one sgd_step per randint draw."""
     rng = Rng(cfg.seed)
-    model = init(data[0].sequence.dim, cfg.num_templates, rng)
+    model = init(data[0][0].dim, cfg.num_templates, rng)
     for _ in range(cfg.num_steps(len(data))):
         model = sgd_step(model, data[rng.randint(len(data))], cfg)
     return model
 
 
 # ---------------------------------------------------------------------------
-# train == fold of sgd_step
+# train_binary == fold of sgd_step
 
 
 @st.composite
@@ -128,7 +127,7 @@ def train_cases(draw):
         else:
             n = _min_frames(m, t) + int(rng.integers(1 if kind == "mixed" else 0, 6))
         label = 1 if k % 2 == 0 else -1
-        data.append(LabeledSequence(FrameSequence(_frames(rng, n, d, ties), id=f"s{k}"), label))
+        data.append((FrameSequence(_frames(rng, n, d, ties), id=f"s{k}"), label))
     return data, cfg
 
 
@@ -136,7 +135,7 @@ def train_cases(draw):
 @given(train_cases())
 def test_train_equals_a_fold_of_sgd_step(case):
     data, cfg = case
-    got = train(data, cfg)
+    got = train_binary(data, 1, cfg)
     want = _sgd_fold(data, cfg)
     assert _bits(got.templates) == _bits(want.templates)
     assert _bits(got.costs) == _bits(want.costs)
@@ -148,7 +147,7 @@ def test_train_equals_sgd_fold_for_every_template_count(m, cost_update):
     rng = np.random.default_rng(m)
     t = 1
     data = [
-        LabeledSequence(
+        (
             FrameSequence(rng.normal(size=(_min_frames(m, t) + 3, 3)), id=f"s{k}"),
             1 if k % 2 else -1,
         )
@@ -156,14 +155,14 @@ def test_train_equals_sgd_fold_for_every_template_count(m, cost_update):
     ]
     cfg = TrainConfig(num_templates=m, exclusion_t=t, max_iter=400, eta=0.5, seed=m,
                       cost_update=cost_update)
-    got, want = train(data, cfg), _sgd_fold(data, cfg)
+    got, want = train_binary(data, 1, cfg), _sgd_fold(data, cfg)
     assert _bits(got.templates) == _bits(want.templates)
     assert _bits(got.costs) == _bits(want.costs)
     assert np.any(got.costs != 0.0)  # the cost table was exercised
 
 
 def _assert_train_equals_fold(data, cfg):
-    got, want = train(data, cfg), _sgd_fold(data, cfg)
+    got, want = train_binary(data, 1, cfg), _sgd_fold(data, cfg)
     assert _bits(got.templates) == _bits(want.templates)
     assert _bits(got.costs) == _bits(want.costs)
 
@@ -177,7 +176,7 @@ def test_train_equals_sgd_fold_across_draw_chunks(iters):
     rng = np.random.default_rng(iters)
     for m, n in [(2, 7), (1, 1)]:
         seqs = [FrameSequence(rng.normal(size=(n, 2)), id=f"s{k}") for k in range(3)]
-        data = [LabeledSequence(seq, y) for seq in seqs for y in (1, -1)]
+        data = [(seq, y) for seq in seqs for y in (1, -1)]
         cfg = TrainConfig(num_templates=m, exclusion_t=1, max_iter=iters, eta=0.05,
                           reg_lambda=0.1, seed=iters)
         _assert_train_equals_fold(data, cfg)
@@ -195,7 +194,7 @@ def test_train_equals_sgd_fold_when_later_picks_collide(m, t):
     n = _min_frames(m, t) + 2
     ramp = 1.0 + 1e-3 * np.arange(n)[:, None]
     data = [
-        LabeledSequence(FrameSequence(ramp * (0.5 + np.abs(rng.normal(size=3))), id=f"s{k}"),
+        (FrameSequence(ramp * (0.5 + np.abs(rng.normal(size=3))), id=f"s{k}"),
                         1 - 2 * (k % 2))
         for k in range(4)
     ]
@@ -206,7 +205,7 @@ def test_train_equals_sgd_fold_when_later_picks_collide(m, t):
 @pytest.mark.parametrize("m", [1, 3, MAX_TEMPLATES])
 def test_train_equals_sgd_fold_on_sequences_of_alternating_lengths(m):
     # Consecutive sequences cycle through three lengths, so the steps switch
-    # between train's per-length score buffers. The frames are small integers
+    # between the training loop's per-length score buffers. The frames are small integers
     # in d=2, so most sequences repeat a frame: a score row then holds tied
     # maxima, and argmax(axis=1) must take each row's first. M=8 runs the
     # pairwise-sum branch.
@@ -214,7 +213,7 @@ def test_train_equals_sgd_fold_on_sequences_of_alternating_lengths(m):
     t = 1
     lengths = [_min_frames(m, t) + extra for extra in (0, 3, 8)]
     data = [
-        LabeledSequence(FrameSequence(_frames(rng, lengths[k % 3], 2, ties=True), id=f"s{k}"),
+        (FrameSequence(_frames(rng, lengths[k % 3], 2, ties=True), id=f"s{k}"),
                         1 - 2 * (k % 2))
         for k in range(9)
     ]
@@ -227,7 +226,7 @@ def test_train_equals_sgd_fold_on_mixed_one_frame_and_longer_sequences():
     # one frame, so every step, a one-frame draw too, takes the general step
     rng = np.random.default_rng(5)
     data = [
-        LabeledSequence(FrameSequence(_frames(rng, n, 3, ties=k % 2 == 0), id=f"s{k}"),
+        (FrameSequence(_frames(rng, n, 3, ties=k % 2 == 0), id=f"s{k}"),
                         1 - 2 * (k % 2))
         for k, n in enumerate([1, 1, 6, 1, 2, 9])
     ]
@@ -246,8 +245,8 @@ def test_train_decides_eight_templates_on_the_pairwise_sum(monkeypatch):
     b = 2.0**60
     pos = np.full((8, 8), -(2.0**80))
     np.fill_diagonal(pos, [b, 8, -b, 8, b, 8, -b, 8])
-    data = [LabeledSequence(FrameSequence(pos, id="pos"), 1),
-            LabeledSequence(FrameSequence(np.zeros((8, 8)), id="neg"), -1)]
+    data = [(FrameSequence(pos, id="pos"), 1),
+            (FrameSequence(np.zeros((8, 8)), id="neg"), -1)]
 
     def identity_init(dim, m, rng):
         init_model(dim, m, rng)  # draws what it always draws
@@ -255,7 +254,7 @@ def test_train_decides_eight_templates_on_the_pairwise_sum(monkeypatch):
 
     monkeypatch.setattr(lomo.training, "init_model", identity_init)
     cfg = TrainConfig(num_templates=8, exclusion_t=0, max_iter=20, eta=0.5, seed=1)
-    got, want = train(data, cfg), _sgd_fold(data, cfg, identity_init)
+    got, want = train_binary(data, 1, cfg), _sgd_fold(data, cfg, identity_init)
     assert _bits(got.templates) == _bits(want.templates)
     assert _bits(got.costs) == _bits(want.costs)
 
@@ -282,8 +281,8 @@ def _openblas_core():
 
 def _check_stacked_scores_on_forced_core(core):
     """Runs in a child started with OPENBLAS_CORETYPE=core: that core runs,
-    train's stacked product equals one matvec per template, bit for bit, and
-    train equals the sgd_step fold."""
+    the training loop's stacked product equals one matvec per template, bit
+    for bit, and train_binary equals the sgd_step fold."""
     running = _openblas_core()
     if running is None:
         sys.exit(_NOT_SCIPY_OPENBLAS)
@@ -301,7 +300,7 @@ def _check_stacked_scores_on_forced_core(core):
                     want = _bits([x @ w for w in templates])
                     assert _bits(buf) == want == _bits([x.dot(w) for w in templates]), (n, d, m)
     data = [
-        LabeledSequence(FrameSequence(rng.normal(size=(n, 20)), id=f"s{k}"), 1 - 2 * (k % 2))
+        (FrameSequence(rng.normal(size=(n, 20)), id=f"s{k}"), 1 - 2 * (k % 2))
         for k, n in enumerate([40, 33, 40, 57, 24, 40])
     ]
     _assert_train_equals_fold(data, TrainConfig(num_templates=3, exclusion_t=5, max_iter=400,
@@ -310,7 +309,7 @@ def _check_stacked_scores_on_forced_core(core):
 
 @pytest.mark.parametrize("core", list(_OPENBLAS_CORES))
 def test_stacked_scores_equal_per_template_dots_on_every_openblas_core(core):
-    # Picks are argmaxes of BLAS score rows, so train's bytes hold on a
+    # Picks are argmaxes of BLAS score rows, so a model's bytes hold on a
     # kernel only if its stacked product rounds as its matvec does
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip(f"{core} is an x86-64 OpenBLAS core; this machine is {platform.machine()}")
@@ -465,16 +464,16 @@ def test_objective_matches_latent_assign_hinge():
     rng = np.random.default_rng(4)
     model = LomoModel(rng.normal(size=(2, 3)), rng.normal(size=2))
     data = [
-        LabeledSequence(FrameSequence(rng.normal(size=(n, 3))), 1 if n % 2 else -1)
+        (FrameSequence(rng.normal(size=(n, 3))), 1 if n % 2 else -1)
         for n in (3, 5, 5, 8, 3)
     ]
-    cfg = TrainConfig(num_templates=2, exclusion_t=1)
+    cfg = TrainConfig(num_templates=2, exclusion_t=1, reg_lambda=0.01)
     hinge = 0.0
-    for ex in data:
-        s = latent_assign(model, ex.sequence, cfg.inference_config()).total
-        hinge += max(0.0, 1.0 - ex.label * s)
+    for seq, y in data:
+        s = latent_assign(model, seq, cfg.inference_config()).total
+        hinge += max(0.0, 1.0 - y * s)
     reg = 0.5 * 0.01 * float(np.sum(model.templates * model.templates))
-    assert objective(model, data, 0.01, cfg) == reg + hinge / len(data)
+    assert objective(model, data, 1, cfg) == reg + hinge / len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,19 +13,13 @@ import lomo.training
 from lomo.core import LomoError, Rng, child_seed, require_pairs
 from lomo.inference import FrameSequence, InferenceConfig, score, score_sequences
 from lomo.model import LomoModel, init_model
-from lomo.training import (
-    LabeledSequence,
-    TrainConfig,
-    objective,
-    train,
-    train_binary,
-    train_ova,
-)
+from lomo.training import TrainConfig, objective, train_binary, train_ova
 from oracle import latent_assign, sgd_step
 
 
 def _seq(frames, label, seq_id=""):
-    return LabeledSequence(FrameSequence(np.asarray(frames, dtype=float), id=seq_id), label)
+    """A (sequence, label) pair: train_binary(data, 1, cfg) trains on +-1 labels."""
+    return FrameSequence(np.asarray(frames, dtype=float), id=seq_id), label
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +133,6 @@ def test_config_accepts_numpy_integers_as_python_ints():
     assert all(type(v) is int for v in values)
 
 
-def test_labeled_sequence_rejects_other_labels():
-    with pytest.raises(LomoError, match=r"label must be \+1 or -1"):
-        _seq([[1.0]], 0)
-
-
 # ---------------------------------------------------------------------------
 # sgd_step, the reference step in oracle.py
 
@@ -220,9 +210,9 @@ def test_train_turns_an_overflowing_step_into_a_lomo_error():
         with pytest.raises(LomoError, match=(
             r"^training step 7: overflow encountered in dot with eta=1e\+300, reg_lambda=0\.0$"
         )):
-            train(data, cfg)
-        assert train(data, TrainConfig(num_templates=1, eta=1e300, reg_lambda=0.0,
-                                       exclusion_t=0, max_iter=6, seed=0)).dim == 2
+            train_binary(data, 1, cfg)
+        assert train_binary(data, 1, TrainConfig(num_templates=1, eta=1e300, reg_lambda=0.0,
+                                                 exclusion_t=0, max_iter=6, seed=0)).dim == 2
 
 
 @pytest.mark.parametrize("m, step", [(1, 7), (2, 3), (3, 2)])
@@ -242,8 +232,8 @@ def test_train_names_the_overflowing_step_of_multi_frame_data(m, step):
             rf"^training step {step}: overflow encountered in matmul "
             r"with eta=1e\+300, reg_lambda=0\.0$"
         )):
-            train(data, cfg(50))
-        assert train(data, cfg(step - 1)).num_templates == m
+            train_binary(data, 1, cfg(50))
+        assert train_binary(data, 1, cfg(step - 1)).num_templates == m
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +246,38 @@ def test_objective_hand_computed():
         _seq([[2.0, 0.0]], 1),   # s = 2, hinge 0
         _seq([[0.5, 0.0]], -1),  # s = 0.5, hinge 1.5
     ]
-    cfg = TrainConfig(num_templates=1, exclusion_t=0)
     lam = 0.2
+    cfg = TrainConfig(num_templates=1, exclusion_t=0, reg_lambda=lam)
     expected = 0.5 * lam * 1.0 + (0.0 + 1.5) / 2
-    assert objective(model, data, lam, cfg) == pytest.approx(expected, rel=1e-12)
+    assert objective(model, data, 1, cfg) == pytest.approx(expected, rel=1e-12)
+    # class labels become the same targets as train_binary's
+    named = [(seq, "pos" if y == 1 else "neg") for seq, y in data]
+    assert objective(model, named, "pos", cfg) == objective(model, data, 1, cfg)
 
 
 @pytest.mark.parametrize("reg_lambda", [float("nan"), float("inf"), -float("inf"), -1.0, 10**400])
 def test_objective_rejects_a_reg_lambda_that_config_refuses(reg_lambda):
+    # objective reads lambda from its config; another lambda is another config
     model = LomoModel(np.zeros((1, 1)), np.zeros(1))
     data = [_seq([[1.0]], 1), _seq([[2.0]], -1)]
+    cfg = TrainConfig(num_templates=1)
     message = f"reg_lambda must be finite and >= 0, got {reg_lambda}"
     with pytest.raises(LomoError, match=f"^{re.escape(message)}$"):
-        objective(model, data, reg_lambda, TrainConfig(num_templates=1))
-    assert objective(model, data, 0.0, TrainConfig(num_templates=1)) == 1.0
+        objective(model, data, 1, replace(cfg, reg_lambda=reg_lambda))
+    assert objective(model, data, 1, replace(cfg, reg_lambda=0.0)) == 1.0
 
 
 def test_objective_rejects_empty_data():
     model = LomoModel(np.zeros((1, 1)), np.zeros(1))
     with pytest.raises(LomoError, match="at least one example"):
-        objective(model, [], 0.0, TrainConfig(num_templates=1))
+        objective(model, [], 1, TrainConfig(num_templates=1))
 
 
-def test_objective_names_an_item_that_is_not_a_labeled_sequence():
+def test_objective_names_an_item_that_is_not_a_pair():
     model = LomoModel(np.zeros((1, 1)), np.zeros(1))
-    with pytest.raises(LomoError, match=r"^data\[0\] must be a LabeledSequence, got 1$"):
-        objective(model, [1], 0.0, TrainConfig(num_templates=1))
+    message = r"^data\[0\] must be a \(FrameSequence, label\) pair, got 1$"
+    with pytest.raises(LomoError, match=message):
+        objective(model, [1], 1, TrainConfig(num_templates=1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +299,10 @@ def test_train_is_deterministic_in_the_seed():
     rng = np.random.default_rng(8)
     data = _toy_data(rng)
     cfg = TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=5)
-    a = train(data, cfg)
-    b = train(data, cfg)
+    a = train_binary(data, 1, cfg)
+    b = train_binary(data, 1, cfg)
     assert a == b
-    c = train(data, TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=6))
+    c = train_binary(data, 1, TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=6))
     assert a != c
 
 
@@ -315,56 +311,36 @@ def test_train_default_iterations_are_100_per_example():
     data = _toy_data(rng, n_per_class=3)  # 6 examples -> 600 default iterations
     cfg_default = TrainConfig(num_templates=1, exclusion_t=0, seed=1)
     cfg_explicit = TrainConfig(num_templates=1, exclusion_t=0, seed=1, max_iter=600)
-    assert train(data, cfg_default) == train(data, cfg_explicit)
+    assert train_binary(data, 1, cfg_default) == train_binary(data, 1, cfg_explicit)
 
 
 def test_train_learns_the_separable_toy_problem():
     rng = np.random.default_rng(10)
     data = _toy_data(rng)
     cfg = TrainConfig(num_templates=1, exclusion_t=0, seed=0, max_iter=2000)
-    model = train(data, cfg)
+    model = train_binary(data, 1, cfg)
     icfg = cfg.inference_config()
-    correct = sum(
-        1 for ex in data if (1 if score(model, ex.sequence, icfg) > 0 else -1) == ex.label
-    )
+    correct = sum(1 for seq, y in data if (1 if score(model, seq, icfg) > 0 else -1) == y)
     assert correct >= int(0.9 * len(data))
 
 
 def test_train_rejects_single_class_data():
     data = [_seq([[1.0]], 1), _seq([[2.0]], 1)]
     with pytest.raises(LomoError, match=r"only label \+1"):
-        train(data, TrainConfig(num_templates=1, exclusion_t=0))
-
-
-@pytest.mark.parametrize(
-    "build, message",
-    [
-        (lambda: train([1, 2], TrainConfig()), r"^data\[0\] must be a LabeledSequence, got 1$"),
-        (lambda: train([_seq([[1.0]], 1), "x"], TrainConfig()),
-         r"^data\[1\] must be a LabeledSequence, got 'x'$"),
-        (lambda: LabeledSequence("x", 1), r"^sequence must be a FrameSequence, got 'x'$"),
-    ],
-    ids=["int", "str", "str-as-sequence"],
-)
-def test_train_names_an_item_that_is_not_a_labeled_sequence(build, message):
-    with pytest.raises(LomoError, match=message):
-        build()
+        train_binary(data, 1, TrainConfig(num_templates=1, exclusion_t=0))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda data: train(data, None), r"^cfg must be a TrainConfig, got None$"),
-        (lambda data: objective(init_model(1, 1, Rng(0)), data, 0.0, None),
+        (lambda data: objective(init_model(1, 1, Rng(0)), data, 1, None),
          r"^cfg must be a TrainConfig, got None$"),
-        (lambda data: objective(init_model(1, 1, Rng(0)), data, "x", TrainConfig()),
-         r"^reg_lambda must be a real number, got 'x'$"),
-        (lambda data: train_binary([(ex.sequence, "a") for ex in data], "a", {}),
+        (lambda data: train_binary([(seq, "a") for seq, _ in data], "a", {}),
          r"^cfg must be a TrainConfig, got \{\}$"),
-        (lambda data: train_ova([(ex.sequence, "a") for ex in data], 3),
+        (lambda data: train_ova([(seq, "a") for seq, _ in data], 3),
          r"^cfg must be a TrainConfig, got 3$"),
     ],
-    ids=["train", "objective", "objective-reg-lambda", "train-binary", "train-ova"],
+    ids=["objective", "train-binary", "train-ova"],
 )
 def test_training_names_a_config_of_the_wrong_type(call, message):
     with pytest.raises(LomoError, match=message):
@@ -374,14 +350,14 @@ def test_training_names_a_config_of_the_wrong_type(call, message):
 def test_train_rejects_dimension_mixture():
     data = [_seq([[1.0]], 1, "a"), _seq([[1.0, 2.0]], -1, "b")]
     with pytest.raises(LomoError, match="^sequence b: dimension 2 differs from 1$"):
-        train(data, TrainConfig(num_templates=1, exclusion_t=0))
+        train_binary(data, 1, TrainConfig(num_templates=1, exclusion_t=0))
 
 
 def test_train_rejects_short_sequences_naming_the_offender():
     ok = np.zeros((13, 2))
     data = [_seq(ok, 1, "long"), _seq(np.zeros((5, 2)), -1, "shorty")]
     with pytest.raises(LomoError, match="sequence shorty: 5 frames is too short"):
-        train(data, TrainConfig(num_templates=3, exclusion_t=2))
+        train_binary(data, 1, TrainConfig(num_templates=3, exclusion_t=2))
 
 
 def test_min_frames_bound_is_tight():
@@ -404,8 +380,10 @@ def test_min_frames_bound_is_tight():
 
 
 def test_train_empty_data_error():
+    # every public trainer refuses data without its positive label first;
+    # the kernel's own guard stands behind them
     with pytest.raises(LomoError, match="training data is empty"):
-        train([], TrainConfig())
+        lomo.training._train([], [], TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +393,12 @@ def test_train_empty_data_error():
 def test_mil_model_scores_like_single_template_with_zero_costs():
     rng = np.random.default_rng(12)
     data = _toy_data(rng)
-    mil = train(data, TrainConfig(variant="mil", exclusion_t=0, seed=2, max_iter=400))
+    mil = train_binary(data, 1, TrainConfig(variant="mil", exclusion_t=0, seed=2, max_iter=400))
     np.testing.assert_array_equal(mil.costs, np.zeros(1))
     reference = LomoModel(mil.templates.copy(), np.zeros(1))
     icfg = InferenceConfig(exclusion_t=0)
-    for ex in data:
-        assert score(mil, ex.sequence, icfg) == score(reference, ex.sequence, icfg)
+    for seq, _ in data:
+        assert score(mil, seq, icfg) == score(reference, seq, icfg)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +452,7 @@ def test_train_binary_is_train_on_one_vs_rest_targets():
     rng = np.random.default_rng(19)
     data = _ova_data(rng)
     cfg = TrainConfig(num_templates=1, exclusion_t=0, seed=5, max_iter=300)
-    expected = train([LabeledSequence(seq, 1 if label == "b" else -1) for seq, label in data], cfg)
+    expected = train_binary([(seq, 1 if label == "b" else -1) for seq, label in data], 1, cfg)
     assert train_binary(data, "b", cfg) == expected
     # train_ova is train_binary per sorted class, with the class index's child seed
     models = train_ova(data, cfg)
