@@ -6,9 +6,12 @@ cross-validation, and metrics."""
 from .core import LomoError, Rng, child_seed
 from .data import (
     DatasetManifest,
+    FittedPreprocess,
     Fold,
     PreprocessConfig,
     SynthSpec,
+    apply_preprocess,
+    fit_preprocess,
     gen_synthetic,
     make_folds,
     parse_manifest,
@@ -42,6 +45,7 @@ __all__ = [
     "BatchAssignment",
     "CvResult",
     "DatasetManifest",
+    "FittedPreprocess",
     "Fold",
     "FrameSequence",
     "InferenceConfig",
@@ -51,9 +55,11 @@ __all__ = [
     "Rng",
     "SynthSpec",
     "TrainConfig",
+    "apply_preprocess",
     "assign_batch",
     "avg_class_accuracy",
     "child_seed",
+    "fit_preprocess",
     "fuse_scores",
     "gen_synthetic",
     "init_model",

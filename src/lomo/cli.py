@@ -23,10 +23,11 @@ from .data import (
     SCHEMES,
     PreprocessConfig,
     SynthSpec,
+    apply_preprocess,
+    fit_preprocess,
     gen_synthetic,
     make_folds,
     parse_manifest,
-    prepare,
     read_sequence,
 )
 from .evaluation import METRICS, format_cv_results, run_cv
@@ -145,7 +146,8 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     manifest = parse_manifest(args.manifest)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
-    _, seqs = prepare(PreprocessConfig(pool=VARIANT_FLAGS[args.variant][1]), seqs, seqs)
+    pool = VARIANT_FLAGS[args.variant][1]
+    seqs = apply_preprocess(fit_preprocess(seqs, PreprocessConfig(pool=pool)), seqs)
     _echo("train", {"variant": args.variant, **_settings(cfg, TRAIN_FLAGS),
                     "max_iter": cfg.num_steps(len(seqs)),  # the steps run, in max_iter's place
                     "ova": args.ova, "positive_label": args.positive_label})
@@ -175,7 +177,8 @@ def _cmd_predict(args) -> int:
     manifest = parse_manifest(args.manifest)
     icfg = _config(InferenceConfig, INFERENCE_FLAGS, args)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
-    _, seqs = prepare(PreprocessConfig(pool=None if args.pool == "none" else args.pool), seqs, seqs)
+    pool = None if args.pool == "none" else args.pool
+    seqs = apply_preprocess(fit_preprocess(seqs, PreprocessConfig(pool=pool)), seqs)
     per_model = [score_sequences(m, seqs, icfg).tolist() for m in models]
     lines = ["id,score,decision"]
     for k, rec in enumerate(manifest.records):

@@ -68,15 +68,13 @@ def real_array(name: str, value, order: str = "K") -> np.ndarray:
     raise LomoError(f"{name} must be real numbers, got complex values")
 
 
-def require_real(name: str, value, minimum: float | None = None, strict: bool = False) -> None:
+def require_real(name: str, value, minimum: float, strict: bool = False) -> None:
     """A LomoError naming the field unless `value` is a real number (numpy
-    floats pass; bools, str and None do not) and, with a `minimum`, finite
-    and at least `minimum` (above it when `strict`). The value is only
-    checked, not converted, so an int setting stays an int."""
+    floats pass; bools, str and None do not), finite and at least `minimum`
+    (above it when `strict`). The value is only checked, not converted, so
+    an int setting stays an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LomoError(f"{name} must be a real number, got {_shown(value)}")
-    if minimum is None:
-        return
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond float64

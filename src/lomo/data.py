@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -514,11 +515,19 @@ def _apply_stack(fitted: FittedPreprocess, seqs: list[FrameSequence]) -> np.ndar
     return frames
 
 
-def _apply_split(fitted: FittedPreprocess, seqs: list) -> list:
-    """`seqs` prepared through _apply_stack in the blocks of shape_blocks;
-    with no step set, `seqs` itself. When that fails, each sequence is
-    prepared on its own in input order, so the error raised is the first
-    failing sequence's own, as in a loop over the sequences."""
+def apply_preprocess(fitted: FittedPreprocess, seqs) -> list:
+    """l2, then PCA, then stacking, then pooling, on each of `seqs`; with no
+    step set, a list of the sequences themselves.
+
+    The sequences are prepared in stacked blocks of equal shape, at most
+    APPLY_BLOCK_VALUES frame values each (_apply_stack in the blocks of
+    inference.shape_blocks), so the temporaries do not grow with the list.
+    When a block fails, each sequence is prepared on its own in input
+    order, so the error raised is the first failing sequence's own, as in
+    a loop over the sequences.
+    """
+    require_instance("fitted", fitted, FittedPreprocess)
+    seqs = list(require_iterable("seqs", seqs))
     cfg = fitted.config
     try:
         for seq in seqs:
@@ -536,33 +545,8 @@ def _apply_split(fitted: FittedPreprocess, seqs: list) -> list:
     except LomoError:
         if len(seqs) > 1:
             for seq in seqs:
-                _apply_split(fitted, [seq])
+                apply_preprocess(fitted, [seq])
         raise
-
-
-def apply_preprocess(fitted: FittedPreprocess, seq: FrameSequence) -> FrameSequence:
-    """l2, then PCA, then stacking, then pooling; with no step set, `seq` itself.
-
-    This is prepare's stacked kernel on the one sequence [seq].
-    """
-    require_instance("fitted", fitted, FittedPreprocess)
-    return _apply_split(fitted, [seq])[0]
-
-
-def prepare(config: PreprocessConfig, fit_on, *splits) -> tuple:
-    """Fit `config` on the sequences `fit_on` only, then apply it to each split.
-
-    Returns the FittedPreprocess, then one list of prepared sequences per
-    split, each what apply_preprocess gives for it. A split is prepared in
-    stacked blocks of equal-shape sequences, at most APPLY_BLOCK_VALUES
-    frame values each (inference.shape_blocks), so its temporaries do not
-    grow with the split; with no step set, the list holds the split's own
-    sequences. A split that fails raises the error of its first failing
-    sequence. `train` and `predict` prepare their sequences here.
-    """
-    fitted = fit_preprocess(require_items("fit_on", fit_on, FrameSequence), config)
-    return (fitted, *(_apply_split(fitted, list(require_iterable("split", split)))
-                      for split in splits))
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +575,10 @@ class SynthSpec:
             ("dim", 1), ("num_frames", None), ("min_gap", 0), ("num_pos", 1), ("num_neg", 1)
         ):
             setattr(self, name, require_int(name, getattr(self, name), minimum))
+        for name in ("num_pos", "num_neg"):  # no list holds more records
+            count = getattr(self, name)
+            if count > sys.maxsize:
+                raise LomoError(f"{name} must be <= {sys.maxsize}, got {_shown(count, str)}")
         self.num_events = require_order_size("num_events", self.num_events)
         self.seed = require_int("seed", self.seed, minimum=0)
         require_real("noise_sigma", self.noise_sigma, minimum=0)

@@ -31,8 +31,8 @@ from .core import (
     require_pairs,
     sorted_classes,
 )
-from .data import (DatasetManifest, Fold, PreprocessConfig, _apply_split, _fit, _merge_moments,
-                   _pca_moments)
+from .data import (DatasetManifest, Fold, PreprocessConfig, _fit, _merge_moments, _pca_moments,
+                   apply_preprocess)
 from .inference import score_sequences
 from .training import TrainConfig, binary_targets, check_positive_label, train_binary, train_ova
 
@@ -248,7 +248,7 @@ def run_cv(
         # an empty split, such as None, is refused in its fold's turn
         for i in (*(fold.train_ids or ()), *(fold.test_ids or ())):
             if i not in labels or i not in seqs:
-                raise LomoError(f"fold {fold_no}: id {i!r} is no manifest record with a sequence")
+                raise LomoError(f"fold {fold_no}: id {_shown(i)} is no manifest record with a sequence")
     start, moments = _fold_moments(folds, seqs, preprocess.l2)  # used only with PCA
 
     def fold_value(fold_no: int) -> float:
@@ -258,8 +258,8 @@ def run_cv(
                 raise LomoError("empty train or test split")
             raw_train = [seqs[i] for i in fold.train_ids]
             fitted = _fit(raw_train, preprocess, lambda *_: moments(fold_no))
-            train_seqs = _apply_split(fitted, raw_train)
-            test_seqs = _apply_split(fitted, [seqs[i] for i in fold.test_ids])
+            train_seqs = apply_preprocess(fitted, raw_train)
+            test_seqs = apply_preprocess(fitted, [seqs[i] for i in fold.test_ids])
             train_pairs = list(zip(train_seqs, [labels[i] for i in fold.train_ids]))
             test_labels = [labels[i] for i in fold.test_ids]
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))

@@ -76,6 +76,7 @@ class TrainConfig:
 
     def num_steps(self, n: int) -> int:
         """SGD steps for n training sequences: max_iter, else 100 per sequence."""
+        n = require_int("n", n, minimum=0)
         return self.max_iter if self.max_iter is not None else 100 * n
 
     @property

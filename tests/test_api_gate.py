@@ -1,10 +1,8 @@
 """The public-API gate: every public callable answers a bad argument with a
 result or a LomoError, and warns nothing.
 
-It covers each name in `lomo.__all__`, each public method of an exported
-class (as `Rng.uniform`), plus `prepare`, `fit_preprocess` and
-`apply_preprocess`, which README's Python API uses from `lomo.data`. For
-each parameter in turn hypothesis draws one bad value (a wrong type, NaN,
+It covers each name in `lomo.__all__` and each public method of an
+exported class (as `Rng.uniform`). For each parameter in turn hypothesis draws one bad value (a wrong type, NaN,
 ±inf, a negative number, an int beyond float64, an int too long to print
 or an empty container) while every other parameter keeps a good value. A
 path parameter gets only str paths under a temporary directory (missing, a
@@ -31,7 +29,6 @@ from hypothesis import strategies as st
 
 import lomo
 from lomo.core import _shown
-from lomo.data import apply_preprocess, fit_preprocess, prepare
 
 # Every public parameter gets each of these, and then values that hypothesis draws
 FIXED = (
@@ -47,14 +44,13 @@ PATH_PARAMS = {
     ("load_model", "path"), ("parse_manifest", "path"), ("read_sequence", "path"),
     ("save_model", "path"), ("write_sequence", "path"), ("gen_synthetic", "out_dir"),
 }
-EXTRA = {"prepare": prepare, "fit_preprocess": fit_preprocess, "apply_preprocess": apply_preprocess}
 METHODS = {
     f"{name}.{method}"
     for name in lomo.__all__ if isinstance(getattr(lomo, name), type)
     for method, fn in vars(getattr(lomo, name)).items()
     if not method.startswith("_") and inspect.isfunction(fn)
 }
-NAMES = sorted({n for n in lomo.__all__ if callable(getattr(lomo, n))} | set(EXTRA) | METHODS)
+NAMES = sorted({n for n in lomo.__all__ if callable(getattr(lomo, n))} | METHODS)
 
 
 class Calls(dict):
@@ -86,12 +82,14 @@ def good(tmp_path_factory):
     icfg = lomo.InferenceConfig(exclusion_t=0)
     cfg = lomo.TrainConfig(num_templates=1, exclusion_t=0, max_iter=5, seed=0)
     pre = lomo.PreprocessConfig(l2=True, pca_dim=1)
+    fitted = lomo.fit_preprocess(seqs, pre)
     folds = lomo.make_folds(manifest, "logo", 0)[:1]  # one fold: run_cv runs it in process
     assignment = lomo.assign_batch(model, seqs, icfg)
     return base, Calls({
         "BatchAssignment": (lomo.BatchAssignment, _fields(lomo.BatchAssignment, assignment)),
         "CvResult": (lomo.CvResult, {"metric": "acc", "fold_values": [0.5]}),
         "DatasetManifest": (lomo.DatasetManifest, _fields(lomo.DatasetManifest, manifest)),
+        "FittedPreprocess": (lomo.FittedPreprocess, _fields(lomo.FittedPreprocess, fitted)),
         "Fold": (lomo.Fold, _fields(lomo.Fold, folds[0])),
         "FrameSequence": (lomo.FrameSequence, {"frames": np.ones((2, 2)), "id": "s"}),
         "InferenceConfig": (lomo.InferenceConfig, _fields(lomo.InferenceConfig, icfg)),
@@ -102,10 +100,12 @@ def good(tmp_path_factory):
         "Rng": (lomo.Rng, {"seed": 0}),
         "SynthSpec": (lomo.SynthSpec, _fields(lomo.SynthSpec, spec)),
         "TrainConfig": (lomo.TrainConfig, _fields(lomo.TrainConfig, cfg)),
+        "apply_preprocess": (lomo.apply_preprocess, {"fitted": fitted, "seqs": seqs}),
         "assign_batch": (lomo.assign_batch, {"model": model, "seqs": seqs, "cfg": icfg}),
         "avg_class_accuracy": (lomo.avg_class_accuracy,
                                {"pairs": [("a", "a"), ("b", "a")], "classes": ("a", "b")}),
         "child_seed": (lomo.child_seed, {"seed": 1, "index": 0}),
+        "fit_preprocess": (lomo.fit_preprocess, {"train_seqs": seqs, "config": pre}),
         "fuse_scores": (lomo.fuse_scores, {"scores": [0.5, 1.5]}),
         "gen_synthetic": (lomo.gen_synthetic, {"spec": spec, "out_dir": "{work}/synth"}),
         "init_model": (lomo.init_model, {"d": 2, "m": 1, "rng": lomo.Rng(0)}),
@@ -131,11 +131,6 @@ def good(tmp_path_factory):
                          {"data": pairs, "positive_label": "pos", "cfg": cfg}),
         "train_ova": (lomo.train_ova, {"data": pairs, "cfg": cfg, "classes": ["neg", "pos"]}),
         "write_sequence": (lomo.write_sequence, {"seq": seqs[0], "path": "{work}/out.csv"}),
-        "prepare": (lambda config, fit_on, split: prepare(config, fit_on, split),
-                    {"config": pre, "fit_on": seqs, "split": seqs}),
-        "fit_preprocess": (fit_preprocess, {"train_seqs": seqs, "config": pre}),
-        "apply_preprocess": (apply_preprocess,
-                             {"fitted": fit_preprocess(seqs, pre), "seq": seqs[0]}),
         "FrameSequence.require_dim": (seqs[0].require_dim, {"dim": 2}),
         "Rng.integers": (rng.integers, {"n": 3, "size": 2}),
         "Rng.normal": (rng.normal, {"size": (2, 1)}),
@@ -144,7 +139,8 @@ def good(tmp_path_factory):
         "Rng.uniform": (rng.uniform, {"size": 2}),
         "SynthSpec.text_fields": (spec.text_fields, {}),
         "TrainConfig.inference_config": (cfg.inference_config, {}),
-        "TrainConfig.num_steps": (cfg.num_steps, {"n": 4}),
+        # with max_iter unset, so that the step count depends on n
+        "TrainConfig.num_steps": (lomo.TrainConfig().num_steps, {"n": 4}),
     })
 
 
@@ -153,12 +149,10 @@ def test_the_gate_covers_every_parameter_of_every_public_callable(good):
     assert sorted(calls) == NAMES
     for name, (_, kwargs) in calls.items():
         owner, _, method = name.rpartition(".")
-        fn = EXTRA.get(name) or getattr(getattr(lomo, owner) if owner else lomo, method)
+        fn = getattr(getattr(lomo, owner) if owner else lomo, method)
         if name == "LomoError":
             continue  # an exception class takes any arguments
         params = set(inspect.signature(fn).parameters) - {"self"}
-        if name == "prepare":
-            params = params - {"splits"} | {"split"}
         assert set(kwargs) == params, name
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import lomo
 from lomo.core import LomoError, Rng, child_seed, float_errors, format_float
-from lomo.data import PreprocessConfig, prepare
+from lomo.data import PreprocessConfig
 from lomo.model import init_model, perm_index, perm_unrank, rank_pattern
 
 
@@ -348,10 +348,10 @@ def test_messages_show_an_int_too_long_to_print_by_its_bit_length():
         (lambda huge: lomo.score_sequences(
             init_model(2, 1, Rng(0)), [(huge,)], lomo.InferenceConfig()),
          r"^seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
-        (lambda huge: prepare(PreprocessConfig(), [(huge,)]),
-         r"^fit_on\[0\] must be a FrameSequence, got a tuple too long to print$"),
+        (lambda huge: lomo.fit_preprocess([(huge,)], PreprocessConfig()),
+         r"^train_seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
     ],
-    ids=["train_ova-int", "train_ova-pair", "avg_class_accuracy", "score_sequences", "prepare"],
+    ids=["train_ova-int", "train_ova-pair", "avg_class_accuracy", "score_sequences", "preprocess"],
 )
 def test_messages_show_a_value_holding_an_int_too_long_to_print_by_its_type(call, message):
     with pytest.raises(LomoError, match=message):
@@ -410,10 +410,17 @@ def _two_group_manifest():
          r"randint needs n >= 1, got a negative 16610-bit integer"),
         (lambda huge: Rng(0).integers(-huge, 1),
          r"integers needs n >= 1, got a negative 16610-bit integer"),
+        (lambda huge: lomo.run_cv(_two_group_manifest(),
+                                  [lomo.Fold(train_ids=(huge,), test_ids=("a",))],
+                                  lomo.TrainConfig(), positive_label="pos"),
+         r"fold 0: id a 16610-bit integer is no manifest record with a sequence"),
+        (lambda huge: lomo.SynthSpec(num_pos=huge),
+         r"num_pos must be <= 9223372036854775807, got a 16610-bit integer"),
     ],
     ids=["FrameSequence-id", "require_dim", "l2", "pca_dim", "min_gap", "num_frames", "kfold-k",
          "logo-k", "perm_unrank", "rank_pattern", "perm_index", "train_binary", "train_ova",
-         "run_cv", "avg_class_accuracy", "roc_auc", "roc_eer_rate", "randint", "integers"],
+         "run_cv", "avg_class_accuracy", "roc_auc", "roc_eer_rate", "randint", "integers",
+         "run_cv-fold-id", "num_pos"],
 )
 def test_messages_show_an_int_too_long_to_print_in_every_argument(call, message):
     with pytest.raises(LomoError, match=f"^{message}$"):
@@ -447,10 +454,10 @@ def _caller_generator():
          r"data must be iterable, got None"),
         (lambda: lomo.score_sequences(init_model(2, 1, Rng(0)), None, lomo.InferenceConfig()),
          LomoError, r"seqs must be iterable, got None"),
-        (lambda: prepare(PreprocessConfig(), None), LomoError,
-         r"fit_on must be iterable, got None"),
-        (lambda: prepare(PreprocessConfig(), [], 1.5), LomoError,
-         r"split must be iterable, got 1\.5"),
+        (lambda: lomo.fit_preprocess(None, PreprocessConfig()), LomoError,
+         r"train_seqs must be iterable, got None"),
+        (lambda: lomo.apply_preprocess(lomo.fit_preprocess([], PreprocessConfig()), 1.5),
+         LomoError, r"seqs must be iterable, got 1\.5"),
         (lambda: lomo.avg_class_accuracy(None), LomoError, r"pairs must be iterable, got None"),
         (lambda: lomo.avg_class_accuracy([(1, 1)], classes=float("nan")), LomoError,
          r"classes must be iterable, got nan"),
@@ -467,7 +474,8 @@ def _caller_generator():
          r"raised by the caller's generator"),
     ],
     ids=[
-        "objective", "train_binary", "train_ova", "score_sequences", "prepare-fit", "prepare-split",
+        "objective", "train_binary", "train_ova", "score_sequences", "fit_preprocess",
+        "apply_preprocess",
         "avg_class_accuracy", "avg_class_accuracy-classes", "train_ova-classes", "roc_auc", "roc_eer_rate", "fuse_scores", "rank_pattern",
         "perm_index", "huge-int", "generator-type-error",
     ],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -26,7 +27,6 @@ from lomo.data import (
     gen_synthetic,
     make_folds,
     parse_manifest,
-    prepare,
     read_sequence,
     synth_records,
     write_sequence,
@@ -395,18 +395,18 @@ def _manifest_row(tmp_path, row):
         (lambda tmp: make_folds(_manifest_with_groups(["g0", "g1"]), "kfold", seed=0, k=1),
          "k must be >= 2, got 1"),
         (lambda tmp: make_folds(None, "logo", 0), "manifest must be a DatasetManifest, got None"),
-        (lambda tmp: prepare(None, []), "config must be a PreprocessConfig, got None"),
+        (lambda tmp: fit_preprocess([], None), "config must be a PreprocessConfig, got None"),
         (lambda tmp: fit_preprocess([1, 2], PreprocessConfig(pca_dim=1)),
          "train_seqs[0] must be a FrameSequence, got 1"),
-        (lambda tmp: apply_preprocess(None, FrameSequence([[1.0]])),
+        (lambda tmp: apply_preprocess(None, [FrameSequence([[1.0]])]),
          "fitted must be a FittedPreprocess, got None"),
-        (lambda tmp: apply_preprocess(FittedPreprocess(PreprocessConfig()), 1),
+        (lambda tmp: apply_preprocess(FittedPreprocess(PreprocessConfig()), [1]),
          "seq must be a FrameSequence, got 1"),
         (lambda tmp: gen_synthetic(None, tmp / "synth"), "spec must be a SynthSpec, got None"),
     ],
     ids=[
         "manifest-empty-id", "manifest-blank-label", "kfold-k-1", "folds-of-no-manifest",
-        "prepare-config", "fit-preprocess-item", "apply-preprocess-fitted",
+        "fit-preprocess-config", "fit-preprocess-item", "apply-preprocess-fitted",
         "apply-preprocess-seq", "gen-synthetic-spec",
     ],
 )
@@ -443,7 +443,7 @@ def test_make_folds_requires_an_integer_seed(scheme, k):
 
 def _apply(seq, **config):
     """`seq` through apply_preprocess, with any PCA fit on `seq` alone."""
-    return apply_preprocess(fit_preprocess([seq], PreprocessConfig(**config)), seq)
+    return apply_preprocess(fit_preprocess([seq], PreprocessConfig(**config)), [seq])[0]
 
 
 def test_l2_normalize_unit_norm_and_zero_guard():
@@ -656,7 +656,7 @@ def test_pca_fit_validation():
         _basis([[1.0, 2.0], [0.0, 1.0]], 3)
     fitted = fit_preprocess([FrameSequence([[1.0, 2.0], [0.0, 1.0]])], PreprocessConfig(pca_dim=1))
     with pytest.raises(LomoError, match="^dimension mismatch: basis d=2, sequence clip7 d=3$"):
-        apply_preprocess(fitted, FrameSequence([[1.0, 2.0, 3.0]], id="clip7"))
+        apply_preprocess(fitted, [FrameSequence([[1.0, 2.0, 3.0]], id="clip7")])
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +672,7 @@ def test_fit_preprocess_statistics_come_from_training_data_only():
     np.testing.assert_allclose(fitted.mean, train_frames.mean(axis=0), rtol=1e-12)
     # transforming unseen data uses the training mean, not its own
     test_seq = FrameSequence(rng.normal(size=(6, 4)) - 5.0)
-    out = apply_preprocess(fitted, test_seq)
+    [out] = apply_preprocess(fitted, [test_seq])
     expected = (test_seq.frames - fitted.mean) @ fitted.components.T
     np.testing.assert_allclose(out.frames, expected, rtol=1e-12)
 
@@ -751,14 +751,14 @@ def test_fit_preprocess_memory_does_not_grow_with_the_training_split(l2):
 
 
 def _traced_apply_peak(fitted, seqs) -> int:
-    """Bytes prepare's apply of `seqs` allocates at its peak above what it
+    """Bytes apply_preprocess of `seqs` allocates at its peak above what it
     returns, as tracemalloc sees it: its temporaries."""
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        prepared = lomo.data._apply_split(fitted, seqs)
+        prepared = apply_preprocess(fitted, seqs)
         current, peak = tracemalloc.get_traced_memory()
         assert len(prepared) == len(seqs)
         return peak - max(base, current)
@@ -798,6 +798,7 @@ def test_a_split_raises_the_error_of_its_first_failing_sequence():
     overflow = "^sequence huge: overflow encountered in matmul while preprocessing$"
     mismatch = "^dimension mismatch: basis d=3, sequence wide d=4$"
     not_a_sequence = "^seq must be a FrameSequence, got 'x'$"
+    fitted = fit_preprocess(train, config)
     for split, message in [
         ([good, huge, wide], overflow),  # huge shares a block with good, which comes first
         ([good, wide, huge], mismatch),  # wide's block runs after good's and huge's
@@ -805,11 +806,10 @@ def test_a_split_raises_the_error_of_its_first_failing_sequence():
         ([good, "x", huge], not_a_sequence),
     ]:
         with pytest.raises(LomoError, match=message):
-            prepare(config, train, [good], split)
-    fitted = fit_preprocess(train, config)
+            apply_preprocess(fitted, split)
     for seq, message in [(huge, overflow), (wide, mismatch), ("x", not_a_sequence)]:
         with pytest.raises(LomoError, match=message):
-            apply_preprocess(fitted, seq)
+            apply_preprocess(fitted, [seq])
 
 
 def test_a_split_without_pca_may_mix_dimensions():
@@ -818,11 +818,12 @@ def test_a_split_without_pca_may_mix_dimensions():
     rng = np.random.default_rng(63)
     config = PreprocessConfig(l2=True, stack=2, pool="mean")
     split = [FrameSequence(rng.normal(size=(5, d)), id=f"s{k}") for k, d in enumerate([3, 4, 3])]
-    fitted, prepared = prepare(config, split, split)
+    fitted = fit_preprocess(split, config)
+    prepared = apply_preprocess(fitted, split)
     assert [seq.frames.shape for seq in prepared] == [(1, 6), (1, 8), (1, 6)]
     for seq, got in zip(split, prepared):
         assert got.id == seq.id
-        assert got.frames.tobytes() == apply_preprocess(fitted, seq).frames.tobytes()
+        assert got.frames.tobytes() == apply_preprocess(fitted, [seq])[0].frames.tobytes()
 
 
 def test_apply_preprocess_order_is_l2_then_pca_then_stack():
@@ -831,7 +832,7 @@ def test_apply_preprocess_order_is_l2_then_pca_then_stack():
     config = PreprocessConfig(l2=True, pca_dim=3, stack=2)
     fitted = fit_preprocess(train, config)
     seq = FrameSequence(rng.normal(size=(7, 5)))
-    out = apply_preprocess(fitted, seq)
+    [out] = apply_preprocess(fitted, [seq])
     assert out.frames.shape == (7, 6)  # pca to 3 dims, then stacked pairs
     manual = seq.frames / np.linalg.norm(seq.frames, axis=1, keepdims=True)
     manual = (manual - fitted.mean) @ fitted.components.T
@@ -847,18 +848,18 @@ def test_apply_preprocess_pools_last_after_fitting_pca_on_unpooled_frames():
     unpooled = fit_preprocess(train, PreprocessConfig(l2=True, pca_dim=3, stack=2))
     np.testing.assert_array_equal(fitted.components, unpooled.components)
     seq = FrameSequence(rng.normal(size=(7, 5)), id="s")
-    out = apply_preprocess(fitted, seq)
+    [out] = apply_preprocess(fitted, [seq])
     assert out.id == "s"
     np.testing.assert_array_equal(
-        out.frames, apply_preprocess(unpooled, seq).frames.max(axis=0, keepdims=True)
+        out.frames, apply_preprocess(unpooled, [seq])[0].frames.max(axis=0, keepdims=True)
     )
 
 
 def test_preprocess_identity_passthrough():
     config = PreprocessConfig()
     seq = FrameSequence(np.array([[1.0, 2.0]]))
-    out = apply_preprocess(fit_preprocess([seq], config), seq)
-    assert out is seq
+    out = apply_preprocess(fit_preprocess([seq], config), (seq,))
+    assert type(out) is list and len(out) == 1 and out[0] is seq
 
 
 def test_preprocess_config_validation():
@@ -990,6 +991,12 @@ def test_synth_spec_validation():
         _small_spec(num_pos=0)
     with pytest.raises(LomoError, match="^num_neg must be >= 1, got 0$"):
         _small_spec(num_neg=0)
+    # no list holds more records; only the spec is built, no record
+    with pytest.raises(LomoError, match=f"^num_pos must be <= {sys.maxsize}, got {10**400}$"):
+        _small_spec(num_pos=10**400)
+    with pytest.raises(LomoError, match=f"^num_neg must be <= {sys.maxsize}, got {sys.maxsize + 1}$"):
+        _small_spec(num_neg=sys.maxsize + 1)
+    assert _small_spec(num_neg=sys.maxsize).num_neg == sys.maxsize
 
 
 @pytest.mark.parametrize(

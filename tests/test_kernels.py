@@ -3,8 +3,8 @@
 `train_binary` must equal a fold of `sgd_step` (oracle.py) over the same sample draws,
 `assign_batch`/`score_sequences` must equal `latent_assign` row by row,
 the l2 row kernel, in place or not, must equal per-row `np.linalg.norm`
-division, `apply_preprocess` and every sequence of `prepare`'s stacked
-blocks must equal the preprocessing steps written out one by one,
+division, every sequence of `apply_preprocess`'s stacked blocks must
+equal the preprocessing steps written out one by one,
 and the C-parsed sequence reader must equal the per-cell `float()` parse,
 bit for bit (compared as bytes, so signed zeros count). The one-string sequence
 writer must write the bytes of the per-value `format_float` loop. The PCA
@@ -44,7 +44,6 @@ from lomo.data import (
     _pca_moments,
     apply_preprocess,
     fit_preprocess,
-    prepare,
     read_sequence,
     write_sequence,
 )
@@ -180,6 +179,18 @@ def test_train_equals_sgd_fold_across_draw_chunks(iters):
         cfg = TrainConfig(num_templates=m, exclusion_t=1, max_iter=iters, eta=0.05,
                           reg_lambda=0.1, seed=iters)
         _assert_train_equals_fold(data, cfg)
+
+
+def test_the_one_frame_step_applies_the_literal_cost_update_as_the_fold_does():
+    # lomo with M=1 on one-frame sequences takes the one-frame step and
+    # learns its one cost; each sequence comes with both labels, so most
+    # steps violate the margin and lower the cost by eta
+    rng = np.random.default_rng(11)
+    seqs = [FrameSequence(rng.normal(size=(1, 3)), id=f"s{k}") for k in range(3)]
+    data = [(seq, y) for seq in seqs for y in (1, -1)]
+    cfg = TrainConfig(num_templates=1, max_iter=200, eta=0.5, seed=11, cost_update="literal")
+    _assert_train_equals_fold(data, cfg)
+    assert train_binary(data, 1, cfg).costs[0] < 0.0
 
 
 @pytest.mark.parametrize("m, t", [(3, 2), (3, 0), (MAX_TEMPLATES, 1)])
@@ -707,7 +718,7 @@ def test_apply_preprocess_equals_the_steps_written_out(data):
     fitted = fit_preprocess(train_seqs, config)
     n = data.draw(st.one_of(st.just(1), st.integers(stack + 1, stack + 8)))
     seq = FrameSequence(frames(n), id="s")
-    got = apply_preprocess(fitted, seq)
+    [got] = apply_preprocess(fitted, [seq])
     want = _apply_reference(fitted, seq.frames)
     assert got.id == "s"
     assert got.frames.shape == want.shape
@@ -719,7 +730,7 @@ def test_apply_preprocess_equals_the_steps_written_out(data):
 @SETTINGS
 @given(st.data(), st.sampled_from([1, 7, lomo.data.APPLY_BLOCK_VALUES]))
 def test_prepare_splits_equal_the_steps_written_out_for_any_block_size(data, block_values):
-    """prepare's stacked blocks give each sequence of a split what the steps
+    """apply_preprocess's stacked blocks give each sequence of a split what the steps
     give it on its own; 1 makes every sequence a block of its own, 7 cuts
     the equal-length groups into blocks of one or more."""
     config, frames = _preprocess_case(data)
@@ -732,11 +743,11 @@ def test_prepare_splits_equal_the_steps_written_out_for_any_block_size(data, blo
     ]
     original = lomo.data.APPLY_BLOCK_VALUES
     lomo.data.APPLY_BLOCK_VALUES = block_values
+    fitted = fit_preprocess(train_seqs, config)
     try:
-        fitted, *prepared = prepare(config, train_seqs, *splits)
+        prepared = [apply_preprocess(fitted, split) for split in splits]
     finally:
         lomo.data.APPLY_BLOCK_VALUES = original
-    assert len(prepared) == len(splits)
     for split, got in zip(splits, prepared):
         assert len(got) == len(split)
         for seq, out in zip(split, got):

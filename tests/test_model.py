@@ -270,11 +270,19 @@ def _write(tmp_path, text):
         (lambda tmp: load_model(_write(tmp, "LOMO v1\n")), "line 2: missing dimensions line"),
         (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1\ncosts 0.0\nw1 0.0\n")),
          r"line 2: expected 'M=<int> d=<int>', got 'M=1'"),
+        (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=x d=1\ncosts 0.0\nw1 0.0\n")),
+         r"line 2: expected 'M=<int> d=<int>', got 'M=x d=1'"),
+        (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1 d=1\ncosts nan\nw1 0.0\n")),
+         "line 3: non-finite value"),
+        (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1 d=2\ncosts_x 0.0\nw1 1.0 2.0\n")),
+         r"line 3: expected 'costs \.\.\.', got 'costs_x 0\.0'"),
+        (lambda tmp: load_model(_write(tmp, "LOMO v1\nM=1 d=2\ncosts 0.0\nw2 1.0 2.0\n")),
+         r"line 4: expected 'w1 \.\.\.', got 'w2 1\.0 2\.0'"),
         (lambda tmp: save_model(None, tmp / "none.lomo"), "model must be a LomoModel, got None"),
     ],
     ids=[
         "1-d-templates", "no-templates", "zero-width", "no-dimensions-line",
-        "bad-dimensions-line", "save-no-model",
+        "bad-dimensions-line", "non-integer-dimension", "non-finite-cost", "bad-costs-label", "bad-template-label", "save-no-model",
     ],
 )
 def test_model_validation_messages(tmp_path, call, message):
