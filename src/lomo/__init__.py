@@ -22,7 +22,6 @@ from .evaluation import CvResult, avg_class_accuracy, roc_auc, roc_eer_rate, run
 from .inference import (
     BatchAssignment,
     FrameSequence,
-    InferenceConfig,
     assign_batch,
     fuse_scores,
     score,
@@ -48,7 +47,6 @@ __all__ = [
     "FittedPreprocess",
     "Fold",
     "FrameSequence",
-    "InferenceConfig",
     "LomoError",
     "LomoModel",
     "PreprocessConfig",

@@ -1,8 +1,9 @@
 """Command-line front end: synth | train | predict | cv | report.
 
-The library's configs (SynthSpec, TrainConfig, PreprocessConfig,
-InferenceConfig) are the single source of truth for every setting; each
-flag reads its default and choices from them through the *_FLAGS tables.
+The library's configs (SynthSpec, TrainConfig, PreprocessConfig) are the
+single source of truth for every setting; each flag reads its default and
+choices from them through the *_FLAGS tables, so predict and report take
+--exclusion-t's default from TrainConfig.
 Every run echoes its resolved configuration to stderr and writes data to
 files or stdout, so reruns with identical flags produce byte-identical
 outputs.
@@ -31,7 +32,7 @@ from .data import (
     read_sequence,
 )
 from .evaluation import METRICS, format_cv_results, run_cv
-from .inference import InferenceConfig, assign_batch, fuse_scores, score_sequences
+from .inference import assign_batch, fuse_scores, score_sequences
 from .model import load_model, save_model
 from .training import COST_UPDATES, TrainConfig, train_binary, train_ova
 
@@ -175,11 +176,10 @@ def _cmd_predict(args) -> int:
     })
     models = [load_model(p) for p in args.model]
     manifest = parse_manifest(args.manifest)
-    icfg = _config(InferenceConfig, INFERENCE_FLAGS, args)
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
     pool = None if args.pool == "none" else args.pool
     seqs = apply_preprocess(fit_preprocess(seqs, PreprocessConfig(pool=pool)), seqs)
-    per_model = [score_sequences(m, seqs, icfg).tolist() for m in models]
+    per_model = [score_sequences(m, seqs, args.exclusion_t).tolist() for m in models]
     lines = ["id,score,decision"]
     for k, rec in enumerate(manifest.records):
         try:
@@ -218,7 +218,7 @@ def _cmd_report(args) -> int:
     _echo("report", _settings(args, INFERENCE_FLAGS))
     model = load_model(args.model)
     seq = read_sequence(args.sequence)
-    assign = assign_batch(model, [seq], _config(InferenceConfig, INFERENCE_FLAGS, args))
+    assign = assign_batch(model, [seq], args.exclusion_t)
     n = seq.num_frames
     lines = ["template,frame_index,percentile,template_score"]
     chosen = assign.chosen[0].tolist()
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="path to manifest.csv")
     p.add_argument("--model", action="append", required=True,
                    help="model file; repeat to average scores (late fusion)")
-    _add_flags(p, InferenceConfig, INFERENCE_FLAGS)
+    _add_flags(p, TrainConfig, INFERENCE_FLAGS)
     p.add_argument("--pool", choices=("none", *POOLS), default="none",
                    help="pool each sequence to one frame before scoring")
     p.add_argument("--out", help="output CSV path (default stdout)")
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="detection timeline for one sequence")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--sequence", required=True, help="sequence CSV file")
-    _add_flags(p, InferenceConfig, INFERENCE_FLAGS)
+    _add_flags(p, TrainConfig, INFERENCE_FLAGS)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_report)
 

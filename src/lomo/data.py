@@ -27,6 +27,7 @@ from .core import (
     format_float,
     read_bytes,
     read_text,
+    real_array,
     require_choice,
     require_instance,
     require_int,
@@ -330,24 +331,6 @@ def _l2_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(frames, norms[:, None], out=out)
 
 
-def _frame_blocks(seqs):
-    """The frames of runs of consecutive sequences, one run at a time.
-
-    A run holds at most BLOCK_VALUES frame values; a longer sequence is a
-    run of its own. Each block is a new array, so it may be written to.
-    """
-    run: list[np.ndarray] = []
-    size = 0
-    for seq in seqs:
-        if run and size + seq.frames.size > BLOCK_VALUES:
-            yield np.vstack(run)
-            run, size = [], 0
-        run.append(seq.frames)
-        size += seq.frames.size
-    if run:
-        yield np.vstack(run)
-
-
 def _merge_moments(into, part):
     """`into` and `part`, two (n, mean, M2) moments, merged into `into`.
 
@@ -373,20 +356,22 @@ def _pca_moments(seqs, l2: bool) -> tuple[int, np.ndarray, np.ndarray] | None:
     set; None when there are no frames.
 
     n is the frame count and M2 the sum of the outer products of the
-    centred frames. Each block from _frame_blocks is normalised and
-    centred on its own mean in place, and its moments are merged into the
-    running ones (_merge_moments), so no more than one block is held at
-    once and the sequences are never written to.
+    centred frames. The frames of each block of inference.shape_blocks, at
+    most BLOCK_VALUES values of sequences of one length, are copied into
+    one array, normalised and centred on its own mean in place, and its
+    moments are merged into the running ones (_merge_moments), so no more
+    than one block is held at once and the sequences are never written to.
     """
     moments = None
-    for mat in _frame_blocks(seqs):
+    for block in shape_blocks(seqs, BLOCK_VALUES):
+        mat = np.concatenate([seqs[k].frames for k in block])
         if l2:
             _l2_rows(mat, out=mat)
         mean_b = mat.mean(axis=0)
         mat -= mean_b
-        block = (mat.shape[0], mean_b, mat.T @ mat)
-        del mat  # else it lives on while _frame_blocks stacks the next block
-        moments = _merge_moments(moments, block)
+        part = (mat.shape[0], mean_b, mat.T @ mat)
+        del mat  # else it lives on while the next block is copied
+        moments = _merge_moments(moments, part)
     return moments
 
 
@@ -422,11 +407,29 @@ class PreprocessConfig:
 class FittedPreprocess:
     """A PreprocessConfig plus what fit_preprocess learned for it: the PCA
     mean (d,) and components (k, d), rows unit eigenvectors, both None when
-    config.pca_dim is None."""
+    config.pca_dim is None. Checked when built: with k set, both become
+    finite C-ordered float64 arrays, k <= d (the arrays of a fit are kept)."""
 
     config: PreprocessConfig
     mean: np.ndarray | None = None
     components: np.ndarray | None = None
+
+    def __post_init__(self):
+        require_instance("config", self.config, PreprocessConfig)
+        k = self.config.pca_dim
+        if (self.mean is None, self.components is None) != (k is None, k is None):
+            raise LomoError(f"with config.pca_dim={_shown(k, str)}, mean and components must "
+                            f"both be {'None' if k is None else 'set'}")
+        if k is None:
+            return
+        mean = self.mean = real_array("mean", self.mean, order="C")
+        basis = self.components = real_array("components", self.components, order="C")
+        if mean.ndim != 1 or basis.shape != (k, len(mean)) or k > len(mean):
+            raise LomoError(f"with config.pca_dim={_shown(k, str)}, mean and components must "
+                            f"have shapes (d,) and (pca_dim, d) with d >= pca_dim, got "
+                            f"{mean.shape} and {basis.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(basis).all()):
+            raise LomoError("mean and components must be finite")
 
 
 def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
@@ -435,12 +438,12 @@ def fit_preprocess(train_seqs, config: PreprocessConfig) -> FittedPreprocess:
     With pca_dim set there must be a sequence, all must share d, and there
     must be two frames. The (n, mean, M2) moments of the frames,
     l2-normalised first when config.l2 is set, are summed one block of
-    consecutive sequences at a time (_pca_moments), so the fit's memory does
-    not grow with the number of training sequences; the sequences are never
-    written to. Eigenvectors of M2 / (n - 1) come from LAPACK eigh, sorted
-    by decreasing eigenvalue (ties in eigh's order), each signed so its
-    largest-magnitude entry is positive. A numeric error's message suggests
-    l2 normalisation when it is off.
+    sequences of one length at a time (_pca_moments), so the fit's memory
+    does not grow with the number of training sequences; the sequences are
+    never written to. Eigenvectors of M2 / (n - 1) come from LAPACK eigh,
+    sorted by decreasing eigenvalue (ties in eigh's order), each signed so
+    its largest-magnitude entry is positive. A numeric error's message
+    suggests l2 normalisation when it is off.
     """
     require_instance("config", config, PreprocessConfig)
     return _fit(require_items("train_seqs", train_seqs, FrameSequence), config)

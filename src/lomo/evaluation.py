@@ -123,7 +123,7 @@ class CvResult:
 def _binary_fold_value(train_pairs, test_seqs, test_labels, cfg, metric, positive_label):
     model = train_binary(train_pairs, positive_label, cfg)
     truths = binary_targets(test_labels, positive_label)
-    values = score_sequences(model, test_seqs, cfg.inference_config()).tolist()
+    values = score_sequences(model, test_seqs, cfg.exclusion_t).tolist()
     if metric == "acc":
         preds = [1 if v > 0 else -1 for v in values]
         return avg_class_accuracy(list(zip(truths, preds)), classes=(-1, 1))
@@ -137,8 +137,8 @@ def _multiclass_fold_value(train_pairs, test_seqs, test_labels, cfg, classes):
     to the smallest class name, the first maximum over the sorted names."""
     models = train_ova(train_pairs, cfg, classes=classes)
     names = sorted(models)
-    icfg = cfg.inference_config()
-    scores = np.stack([score_sequences(models[name], test_seqs, icfg) for name in names])
+    t = cfg.exclusion_t
+    scores = np.stack([score_sequences(models[name], test_seqs, t) for name in names])
     pairs = [(label, names[k]) for label, k in zip(test_labels, scores.argmax(axis=0).tolist())]
     return avg_class_accuracy(pairs, classes=test_labels)
 
@@ -212,9 +212,9 @@ def run_cv(
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
-    Every fold id must name a manifest record with a sequence, which is
-    checked before any fold starts. A LomoError raised inside fold i is
-    raised again as "fold i: <message>".
+    There must be a fold, and every fold id must name a manifest record
+    with a sequence, which is checked before any fold starts. A LomoError
+    raised inside fold i is raised again as "fold i: <message>".
     Fold i trains with a child seed of cfg.seed, so results are
     deterministic and independent of fold execution order; the folds run
     on forked workers, one per CPU (core.forked_map). Every fold trains a
@@ -242,12 +242,18 @@ def run_cv(
         if positive_label is None:
             raise LomoError("binary cross-validation needs a positive_label")
         check_positive_label(positive_label, classes)
+    if not folds:
+        raise LomoError("run_cv needs at least one fold")
     seqs = manifest.sequences
     labels = {rec.id: rec.label for rec in manifest.records}
     for fold_no, fold in enumerate(folds):
         # an empty split, such as None, is refused in its fold's turn
         for i in (*(fold.train_ids or ()), *(fold.test_ids or ())):
-            if i not in labels or i not in seqs:
+            try:
+                known = i in labels and i in seqs
+            except TypeError:  # unhashable, so no record's id
+                known = False
+            if not known:
                 raise LomoError(f"fold {fold_no}: id {_shown(i)} is no manifest record with a sequence")
     start, moments = _fold_moments(folds, seqs, preprocess.l2)  # used only with PCA
 

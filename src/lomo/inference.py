@@ -6,9 +6,9 @@ realized rank pattern is added to the mean template score afterwards, so
 the greedy choice itself never sees the cost table.
 
 `assign_batch` is the one checked entry for scoring: it checks the model,
-config and sequences once, then `_assign` assigns each block of
-equal-shape sequences (`shape_blocks`) as one (B, N, d) stack, rows in
-input order. `score_sequences` and `score` are its totals. The
+the exclusion window t and the sequences once, then `_assign` assigns
+each block of equal-shape sequences (`shape_blocks`) as one (B, N, d)
+stack, rows in input order. `score_sequences` and `score` are its totals. The
 per-sequence reference that tests hold each row to, bit for bit, is
 `latent_assign` in tests/oracle.py.
 """
@@ -79,17 +79,6 @@ class FrameSequence:
             raise LomoError(f"sequence {self.name}: dimension {self.dim} differs from {_shown(dim, str)}")
 
 
-@dataclass(frozen=True)
-class InferenceConfig:
-    """exclusion_t: frames removed on each side of a chosen frame."""
-
-    exclusion_t: int = 5
-
-    def __post_init__(self):
-        t = require_int("exclusion_t", self.exclusion_t, minimum=0)
-        object.__setattr__(self, "exclusion_t", t)
-
-
 def require_dimension(owner: str, dim: int, seq: FrameSequence) -> None:
     """A LomoError "dimension mismatch: <owner> d=<dim>, sequence <name> d=<d>"
     unless `seq` has the `dim` columns that its `owner`, a model or a PCA
@@ -118,18 +107,19 @@ class BatchAssignment:
     total: np.ndarray  # (B,)
 
 
-def assign_batch(model: LomoModel, seqs, cfg: InferenceConfig) -> BatchAssignment:
-    """Greedy assignments of sequences of any lengths, rows in input order:
-    the arguments are checked once, then _assign runs on each block of
-    shape_blocks, at most BLOCK_VALUES frame values. No sequences, no rows."""
+def assign_batch(model: LomoModel, seqs, exclusion_t: int) -> BatchAssignment:
+    """Greedy assignments of sequences of any lengths, rows in input order,
+    each pick removing `exclusion_t` frames on each side: the arguments are
+    checked once, then _assign runs on each block of shape_blocks, at most
+    BLOCK_VALUES frame values. No sequences, no rows."""
     require_instance("model", model, LomoModel)
-    require_instance("cfg", cfg, InferenceConfig)
+    t = require_int("exclusion_t", exclusion_t, minimum=0)
     seqs = require_items("seqs", seqs, FrameSequence)
     count, m = len(seqs), model.num_templates
     out = BatchAssignment(np.empty((count, m), np.intp), np.empty((count, m)),
                           np.empty(count, np.intp), np.empty(count), np.empty(count))
     for block in shape_blocks(seqs, BLOCK_VALUES):
-        _assign(model, [seqs[k] for k in block], cfg.exclusion_t, out, block)
+        _assign(model, [seqs[k] for k in block], t, out, block)
     return out
 
 
@@ -178,10 +168,11 @@ def _assign(model: LomoModel, seqs, t: int, out: BatchAssignment, rows) -> None:
     out.ordering_cost[rows] = cost
 
 
-# Frame values in one scoring block of assign_batch (512 KiB of float64),
-# which bounds the memory that stacking adds whatever the number and length
-# of the sequences. data._pca_moments copies the PCA fit's frames in blocks
-# of this size too; data.APPLY_BLOCK_VALUES bounds apply_preprocess.
+# Frame values in one block of shape_blocks (512 KiB of float64), which
+# bounds the memory that stacking adds whatever the number and length of
+# the sequences: assign_batch scores, and data._pca_moments sums the PCA
+# fit's frames, in blocks of this size. data.APPLY_BLOCK_VALUES bounds
+# apply_preprocess.
 BLOCK_VALUES = 1 << 16
 
 
@@ -191,7 +182,8 @@ def shape_blocks(seqs, values: int):
 
     Groups come in the order of their first sequence and positions within a
     block in input order, so every block stacks into one (B, N, d) array.
-    assign_batch and data.apply_preprocess run their kernels on these.
+    assign_batch, data.apply_preprocess and data._pca_moments run their
+    kernels on these.
     """
     by_shape: dict[tuple[int, int], list[int]] = {}
     for k, seq in enumerate(seqs):
@@ -202,14 +194,14 @@ def shape_blocks(seqs, values: int):
             yield members[lo : lo + size]
 
 
-def score_sequences(model: LomoModel, seqs, cfg: InferenceConfig) -> np.ndarray:
+def score_sequences(model: LomoModel, seqs, exclusion_t: int) -> np.ndarray:
     """Scores of sequences of any lengths, in input order: assign_batch's totals."""
-    return assign_batch(model, seqs, cfg).total
+    return assign_batch(model, seqs, exclusion_t).total
 
 
-def score(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> float:
+def score(model: LomoModel, seq: FrameSequence, exclusion_t: int) -> float:
     """Sequence score; the decision boundary is 0."""
-    return float(assign_batch(model, [seq], cfg).total[0])
+    return float(assign_batch(model, [seq], exclusion_t).total[0])
 
 
 def fuse_scores(scores) -> float:

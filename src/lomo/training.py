@@ -33,7 +33,7 @@ from .core import (
     require_real,
     sorted_classes,
 )
-from .inference import FrameSequence, InferenceConfig, score_sequences
+from .inference import FrameSequence, score_sequences
 from .model import ORDER_INDEX, LomoModel, init_model, require_order_size
 
 VARIANTS = ("lomo", "mil")
@@ -52,7 +52,7 @@ class TrainConfig:
     num_templates: int = 3
     eta: float = 0.05
     reg_lambda: float = 1e-5
-    exclusion_t: int = InferenceConfig.exclusion_t
+    exclusion_t: int = 5  # frames removed on each side of a pick, in training and scoring
     max_iter: int | None = None
     seed: int = 42
     variant: str = "lomo"
@@ -83,9 +83,6 @@ class TrainConfig:
     def freeze_costs(self) -> bool:
         return self.variant != "lomo"
 
-    def inference_config(self) -> InferenceConfig:
-        return InferenceConfig(exclusion_t=self.exclusion_t)
-
 
 def objective(model: LomoModel, data, positive_label, cfg: TrainConfig) -> float:
     """What train_binary(data, positive_label, cfg) minimizes: (lambda/2) *
@@ -95,7 +92,7 @@ def objective(model: LomoModel, data, positive_label, cfg: TrainConfig) -> float
     seqs, labels = _examples(data)
     if not seqs:
         raise LomoError("objective needs at least one example")
-    scores = score_sequences(model, seqs, cfg.inference_config())
+    scores = score_sequences(model, seqs, cfg.exclusion_t)
     reg = 0.5 * cfg.reg_lambda * float(np.sum(model.templates * model.templates))
     hinge = 0.0
     for y, s in zip(binary_targets(labels, positive_label), scores.tolist()):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lomo.data import _l2_rows
-from lomo.inference import FrameSequence, InferenceConfig, _too_short, require_dimension
+from lomo.inference import FrameSequence, _too_short, require_dimension
 from lomo.model import LomoModel, perm_index, rank_pattern
 from lomo.training import TrainConfig
 
@@ -32,8 +32,9 @@ class LatentAssignment:
     total: float
 
 
-def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) -> LatentAssignment:
-    """Greedy per-template argmax with closed exclusion window [k-t, k+t].
+def latent_assign(model: LomoModel, seq: FrameSequence, exclusion_t: int) -> LatentAssignment:
+    """Greedy per-template argmax with closed exclusion window [k-t, k+t],
+    t being `exclusion_t`.
 
     One matvec and one masked argmax per template, the rank pattern through
     perm_index(rank_pattern(...)), and np.mean of the template scores.
@@ -41,7 +42,7 @@ def latent_assign(model: LomoModel, seq: FrameSequence, cfg: InferenceConfig) ->
     require_dimension("model", model.dim, seq)
     n = seq.num_frames
     m = model.num_templates
-    t = cfg.exclusion_t
+    t = exclusion_t
     alive = np.ones(n, dtype=bool)
     chosen: list[int] = []
     scores: list[float] = []
@@ -70,7 +71,7 @@ def sgd_step(model: LomoModel, example: tuple[FrameSequence, int], cfg: TrainCon
     """One subgradient step on `example`, a (sequence, +-1 target) pair;
     returns the input model when the margin holds."""
     seq, y = example
-    assign = latent_assign(model, seq, cfg.inference_config())
+    assign = latent_assign(model, seq, cfg.exclusion_t)
     if y * assign.total >= 1.0:
         return model
     eta = cfg.eta

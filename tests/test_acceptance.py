@@ -23,7 +23,7 @@ from lomo.cli import main
 from lomo.core import Rng
 from lomo.data import SynthSpec, synth_records
 from lomo.evaluation import roc_auc, roc_eer_rate
-from lomo.inference import FrameSequence, InferenceConfig, score
+from lomo.inference import FrameSequence, score
 from lomo.model import LomoModel, perm_index, perm_unrank, rank_pattern
 from lomo.training import TrainConfig, objective, train_binary
 from oracle import latent_assign
@@ -32,7 +32,7 @@ from oracle import latent_assign
 # ---------------------------------------------------------------------------
 # shared benchmark harness (criteria 6-8)
 
-BENCH_ICFG = InferenceConfig(exclusion_t=5)
+BENCH_EXCLUSION_T = 5
 
 
 def bench_data(seed_offset: int, neg_mode: str):
@@ -55,7 +55,7 @@ def bench_data(seed_offset: int, neg_mode: str):
 def bench_accuracy(model: LomoModel, test_set) -> float:
     hits = 0
     for seq, label in test_set:
-        predicted = "pos" if score(model, seq, BENCH_ICFG) > 0 else "neg"
+        predicted = "pos" if score(model, seq, BENCH_EXCLUSION_T) > 0 else "neg"
         hits += predicted == label
     return hits / len(test_set)
 
@@ -116,14 +116,13 @@ def test_criterion_02_mil_reduction():
         assert model.num_templates == 1
         assert model.costs.shape == (1,) and model.costs[0] == 0.0
         reference = LomoModel(model.templates.copy(), np.zeros(1))
-        icfg = InferenceConfig(exclusion_t=0)
         for _ in range(2):
             frames = np.array(
                 [[rng.normal() for _ in range(d)] for _ in range(1 + rng.randint(8))]
             )
             seq = FrameSequence(frames)
-            mil_score = score(model, seq, icfg)
-            ref_score = score(reference, seq, icfg)
+            mil_score = score(model, seq, 0)
+            ref_score = score(reference, seq, 0)
             assert mil_score == ref_score  # bit-identical
             assert (mil_score > 0) == (ref_score > 0)
             cases += 1
@@ -149,7 +148,7 @@ def test_criterion_03_greedy_contract():
         templates = np.array([[rng.normal() for _ in range(d)] for _ in range(m)])
         costs = np.array([rng.normal() for _ in range(math.factorial(m))])
         model = LomoModel(templates, costs)
-        assign = latent_assign(model, FrameSequence(frames), InferenceConfig(exclusion_t=t))
+        assign = latent_assign(model, FrameSequence(frames), t)
         ks = assign.chosen
         for a, b in itertools.combinations(ks, 2):
             assert abs(a - b) >= t + 1, f"case {case}: picks {ks} violate gap t+1={t + 1}"
@@ -178,7 +177,7 @@ def test_criterion_03_greedy_contract():
 def test_criterion_04_subgradient_check():
     """Finite differences of the unregularized hinge match the analytic direction."""
     rng = np.random.default_rng(11)
-    icfg = InferenceConfig(exclusion_t=1)
+    t = 1
     m, d, n = 2, 4, 9
     eps = 1e-6
     worst = 0.0
@@ -193,7 +192,7 @@ def test_criterion_04_subgradient_check():
         label = 1 if attempts % 2 else -1
         model = LomoModel(templates, costs)
         seq = FrameSequence(frames)
-        assign = latent_assign(model, seq, icfg)
+        assign = latent_assign(model, seq, t)
         if label * assign.total > 1.0 - 1e-3:
             continue  # not a (comfortable) margin violation
         # reject argmax ties: every pick must win its step by a clear margin
@@ -218,7 +217,7 @@ def test_criterion_04_subgradient_check():
         analytic[m * d + assign.perm - 1] = -label
 
         def hinge(model_variant):
-            return max(0.0, 1.0 - label * score(model_variant, seq, icfg))
+            return max(0.0, 1.0 - label * score(model_variant, seq, t))
 
         fd = np.zeros_like(analytic)
         coord = 0

@@ -79,20 +79,20 @@ def good(tmp_path_factory):
     model = lomo.init_model(2, 1, lomo.Rng(0))
     rng = lomo.Rng(0)
     lomo.save_model(model, base / "model.lomo")
-    icfg = lomo.InferenceConfig(exclusion_t=0)
     cfg = lomo.TrainConfig(num_templates=1, exclusion_t=0, max_iter=5, seed=0)
     pre = lomo.PreprocessConfig(l2=True, pca_dim=1)
     fitted = lomo.fit_preprocess(seqs, pre)
     folds = lomo.make_folds(manifest, "logo", 0)[:1]  # one fold: run_cv runs it in process
-    assignment = lomo.assign_batch(model, seqs, icfg)
+    assignment = lomo.assign_batch(model, seqs, 0)
     return base, Calls({
         "BatchAssignment": (lomo.BatchAssignment, _fields(lomo.BatchAssignment, assignment)),
         "CvResult": (lomo.CvResult, {"metric": "acc", "fold_values": [0.5]}),
         "DatasetManifest": (lomo.DatasetManifest, _fields(lomo.DatasetManifest, manifest)),
-        "FittedPreprocess": (lomo.FittedPreprocess, _fields(lomo.FittedPreprocess, fitted)),
+        # applied once built, so a field value that the record takes must work
+        "FittedPreprocess": (lambda **fit: lomo.apply_preprocess(lomo.FittedPreprocess(**fit), seqs),
+                             _fields(lomo.FittedPreprocess, fitted)),
         "Fold": (lomo.Fold, _fields(lomo.Fold, folds[0])),
         "FrameSequence": (lomo.FrameSequence, {"frames": np.ones((2, 2)), "id": "s"}),
-        "InferenceConfig": (lomo.InferenceConfig, _fields(lomo.InferenceConfig, icfg)),
         "LomoError": (lambda message: lomo.LomoError(message), {"message": "m"}),
         "LomoModel": (lomo.LomoModel, {"templates": np.ones((1, 2)), "costs": np.zeros(1)}),
         "PreprocessConfig": (lomo.PreprocessConfig,
@@ -101,7 +101,7 @@ def good(tmp_path_factory):
         "SynthSpec": (lomo.SynthSpec, _fields(lomo.SynthSpec, spec)),
         "TrainConfig": (lomo.TrainConfig, _fields(lomo.TrainConfig, cfg)),
         "apply_preprocess": (lomo.apply_preprocess, {"fitted": fitted, "seqs": seqs}),
-        "assign_batch": (lomo.assign_batch, {"model": model, "seqs": seqs, "cfg": icfg}),
+        "assign_batch": (lomo.assign_batch, {"model": model, "seqs": seqs, "exclusion_t": 0}),
         "avg_class_accuracy": (lomo.avg_class_accuracy,
                                {"pairs": [("a", "a"), ("b", "a")], "classes": ("a", "b")}),
         "child_seed": (lomo.child_seed, {"seed": 1, "index": 0}),
@@ -125,8 +125,9 @@ def good(tmp_path_factory):
         "run_cv": (lomo.run_cv, {"manifest": manifest, "folds": folds, "cfg": cfg,
                                  "metric": "acc", "positive_label": "pos", "preprocess": pre}),
         "save_model": (lomo.save_model, {"model": model, "path": "{work}/out.lomo"}),
-        "score": (lomo.score, {"model": model, "seq": seqs[0], "cfg": icfg}),
-        "score_sequences": (lomo.score_sequences, {"model": model, "seqs": seqs, "cfg": icfg}),
+        "score": (lomo.score, {"model": model, "seq": seqs[0], "exclusion_t": 0}),
+        "score_sequences": (lomo.score_sequences,
+                            {"model": model, "seqs": seqs, "exclusion_t": 0}),
         "train_binary": (lomo.train_binary,
                          {"data": pairs, "positive_label": "pos", "cfg": cfg}),
         "train_ova": (lomo.train_ova, {"data": pairs, "cfg": cfg, "classes": ["neg", "pos"]}),
@@ -138,7 +139,6 @@ def good(tmp_path_factory):
         "Rng.randint": (rng.randint, {"n": 3}),
         "Rng.uniform": (rng.uniform, {"size": 2}),
         "SynthSpec.text_fields": (spec.text_fields, {}),
-        "TrainConfig.inference_config": (cfg.inference_config, {}),
         # with max_iter unset, so that the step count depends on n
         "TrainConfig.num_steps": (lomo.TrainConfig().num_steps, {"n": 4}),
     })

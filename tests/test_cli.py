@@ -23,7 +23,7 @@ from lomo.cli import _add_train_flags, build_parser, main
 from lomo.core import format_float
 from lomo.data import NEG_MODES, POOLS, SCHEMES, PreprocessConfig, SynthSpec, write_sequence
 from lomo.evaluation import METRICS
-from lomo.inference import FrameSequence, InferenceConfig, fuse_scores, score
+from lomo.inference import FrameSequence, fuse_scores, score
 from lomo.model import LomoModel, load_model, save_model
 from lomo.training import COST_UPDATES, TrainConfig
 from oracle import latent_assign
@@ -219,11 +219,10 @@ def test_predict_stdout_scores_every_record(tmp_path, capsys):
     rows = _parse_predictions(captured.out)
     assert len(rows) == 12
     model = load_model(model_path)
-    icfg = InferenceConfig(exclusion_t=1)
     for rec_id, (value, decision) in rows.items():
         seq_path = os.path.join(data, f"seq_{rec_id}.csv")
         frames = np.loadtxt(seq_path, delimiter=",", ndmin=2)
-        expected = score(model, FrameSequence(frames), icfg)
+        expected = score(model, FrameSequence(frames), 1)
         assert value == expected  # format_float round-trips exactly
         assert decision == (1 if expected > 0 else -1)
 
@@ -341,8 +340,8 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
         (["train", "--manifest", "m", "--out", "o"], TrainConfig, cli.TRAIN_FLAGS),
         (["cv", "--manifest", "m"], TrainConfig, cli.TRAIN_FLAGS),
         (["cv", "--manifest", "m"], PreprocessConfig, cli.PREPROCESS_FLAGS),
-        (["predict", "--manifest", "m", "--model", "f"], InferenceConfig, cli.INFERENCE_FLAGS),
-        (["report", "--model", "f", "--sequence", "s"], InferenceConfig, cli.INFERENCE_FLAGS),
+        (["predict", "--manifest", "m", "--model", "f"], TrainConfig, cli.INFERENCE_FLAGS),
+        (["report", "--model", "f", "--sequence", "s"], TrainConfig, cli.INFERENCE_FLAGS),
     ],
     ids=["synth", "train", "cv-train", "cv-preprocess", "predict", "report"],
 )
@@ -438,7 +437,7 @@ def test_report_timeline_matches_latent_assignment(tmp_path, capsys):
 
     model = load_model(model_path)
     frames = np.loadtxt(seq_path, delimiter=",", ndmin=2)
-    assign = latent_assign(model, FrameSequence(frames), InferenceConfig(exclusion_t=1))
+    assign = latent_assign(model, FrameSequence(frames), 1)
     n = frames.shape[0]
     assert len(lines) == 1 + model.num_templates + 3
     for i, (k, s) in enumerate(zip(assign.chosen, assign.template_scores), start=1):

@@ -299,6 +299,14 @@ def test_the_pooled_svm_is_no_variant_of_its_own():
     assert [p.name for p in paths if retired in p.read_text("utf-8")] == []
 
 
+def test_the_exclusion_window_is_declared_once():
+    # TrainConfig.exclusion_t holds t, and scoring takes it as an int
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [*root.glob("src/lomo/*.py"), *root.glob("tests/*.py"), root / "README.md"]
+    retired = ("Inference" + "Config", "inference" + "_config")
+    assert [(p.name, word) for p in paths for word in retired if word in p.read_text("utf-8")] == []
+
+
 # ---------------------------------------------------------------------------
 # integer arguments
 
@@ -345,8 +353,7 @@ def test_messages_show_an_int_too_long_to_print_by_its_bit_length():
          r"^data\[0\] must be a \(FrameSequence, label\) pair, got a tuple too long to print$"),
         (lambda huge: lomo.avg_class_accuracy([(huge,)]),
          r"^pairs\[0\] must be a \(true, predicted\) pair, got a tuple too long to print$"),
-        (lambda huge: lomo.score_sequences(
-            init_model(2, 1, Rng(0)), [(huge,)], lomo.InferenceConfig()),
+        (lambda huge: lomo.score_sequences(init_model(2, 1, Rng(0)), [(huge,)], 5),
          r"^seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
         (lambda huge: lomo.fit_preprocess([(huge,)], PreprocessConfig()),
          r"^train_seqs\[0\] must be a FrameSequence, got a tuple too long to print$"),
@@ -452,7 +459,7 @@ def _caller_generator():
          r"data must be iterable, got 5"),
         (lambda: lomo.train_ova(None, lomo.TrainConfig()), LomoError,
          r"data must be iterable, got None"),
-        (lambda: lomo.score_sequences(init_model(2, 1, Rng(0)), None, lomo.InferenceConfig()),
+        (lambda: lomo.score_sequences(init_model(2, 1, Rng(0)), None, 5),
          LomoError, r"seqs must be iterable, got None"),
         (lambda: lomo.fit_preprocess(None, PreprocessConfig()), LomoError,
          r"train_seqs must be iterable, got None"),

@@ -403,16 +403,54 @@ def _manifest_row(tmp_path, row):
         (lambda tmp: apply_preprocess(FittedPreprocess(PreprocessConfig()), [1]),
          "seq must be a FrameSequence, got 1"),
         (lambda tmp: gen_synthetic(None, tmp / "synth"), "spec must be a SynthSpec, got None"),
+        (lambda tmp: FittedPreprocess(None), "config must be a PreprocessConfig, got None"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=1), np.zeros(2)),
+         "with config.pca_dim=1, mean and components must both be set"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(), np.zeros(2), np.zeros((1, 2))),
+         "with config.pca_dim=None, mean and components must both be None"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=1), np.zeros(3),
+                                      np.full((1, 3), np.nan)),
+         "mean and components must be finite"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=1), [np.inf], [[1.0]]),
+         "mean and components must be finite"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=2), np.zeros(3), np.zeros((1, 3))),
+         "with config.pca_dim=2, mean and components must have shapes (d,) and (pca_dim, d) "
+         "with d >= pca_dim, got (3,) and (1, 3)"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=1), np.zeros((1, 3)),
+                                      np.zeros((1, 3))),
+         "with config.pca_dim=1, mean and components must have shapes (d,) and (pca_dim, d) "
+         "with d >= pca_dim, got (1, 3) and (1, 3)"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=3), np.zeros(2), np.zeros((3, 2))),
+         "with config.pca_dim=3, mean and components must have shapes (d,) and (pca_dim, d) "
+         "with d >= pca_dim, got (2,) and (3, 2)"),
+        (lambda tmp: FittedPreprocess(PreprocessConfig(pca_dim=1), np.zeros(1), [[1j]]),
+         "components must be real numbers, got complex values"),
     ],
     ids=[
         "manifest-empty-id", "manifest-blank-label", "kfold-k-1", "folds-of-no-manifest",
         "fit-preprocess-config", "fit-preprocess-item", "apply-preprocess-fitted",
-        "apply-preprocess-seq", "gen-synthetic-spec",
+        "apply-preprocess-seq", "gen-synthetic-spec", "fitted-config", "fitted-mean-alone",
+        "fitted-arrays-without-pca", "fitted-nan-components", "fitted-inf-mean",
+        "fitted-components-shape", "fitted-mean-shape", "fitted-pca-dim-above-d",
+        "fitted-complex-components",
     ],
 )
 def test_data_validation_messages(tmp_path, call, message):
     with pytest.raises(LomoError, match="^" + re.escape(message.format(tmp=tmp_path)) + "$"):
         call(tmp_path)
+
+
+def test_fitted_preprocess_keeps_the_arrays_of_a_fit_and_converts_others():
+    rng = np.random.default_rng(6)
+    seqs = [FrameSequence(rng.normal(size=(n, 4))) for n in (3, 5, 3)]
+    fitted = fit_preprocess(seqs, PreprocessConfig(l2=True, pca_dim=2))
+    again = FittedPreprocess(fitted.config, fitted.mean, fitted.components)
+    assert again.mean is fitted.mean and again.components is fitted.components
+    # float32 and Fortran order become C-ordered float64 copies of the same values
+    converted = FittedPreprocess(fitted.config, fitted.mean.astype(np.float32),
+                                 np.asfortranarray(fitted.components))
+    assert converted.mean.dtype == np.float64 and converted.components.flags.c_contiguous
+    assert converted.components.tolist() == fitted.components.tolist()
 
 
 def test_make_folds_requires_an_integer_k():

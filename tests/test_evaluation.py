@@ -481,6 +481,27 @@ def test_run_cv_names_a_fold_id_with_no_sequence_before_it_forks(
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 
+@pytest.mark.parametrize(
+    "folds, message",
+    [
+        ([], r"^run_cv needs at least one fold$"),
+        ([Fold([["a"]], ("b",))], r"^fold 0: id \['a'\] is no manifest record with a sequence$"),
+    ],
+    ids=["no-folds", "unhashable-id"],
+)
+def test_run_cv_refuses_no_folds_and_an_unhashable_id_before_it_forks(
+    tmp_path, monkeypatch, folds, message
+):
+    manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
+
+    def no_folds(*args, **kwargs):
+        raise AssertionError("run_cv started its folds")
+
+    monkeypatch.setattr(lomo.evaluation, "forked_map", no_folds)
+    with pytest.raises(LomoError, match=message):
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
+
+
 def test_run_cv_refuses_a_fold_without_ids_in_its_turn(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
     folds = [*make_folds(manifest, "logo", seed=0)[:1], Fold(train_ids=None, test_ids=None)]

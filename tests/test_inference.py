@@ -10,7 +10,6 @@ import pytest
 from lomo.core import LomoError
 from lomo.inference import (
     FrameSequence,
-    InferenceConfig,
     assign_batch,
     fuse_scores,
     score,
@@ -55,7 +54,7 @@ def random_case(rng):
     t = int(rng.integers(0, 7))
     model = LomoModel(rng.normal(size=(m, d)), rng.normal(size=math.factorial(m)))
     frames = rng.normal(size=(n, d))
-    return model, FrameSequence(frames), InferenceConfig(exclusion_t=t)
+    return model, FrameSequence(frames), t
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +77,19 @@ def test_frame_sequence_error_names_the_sequence():
         FrameSequence(np.array([[np.nan]]), id="clip7")
 
 
-def test_inference_config_rejects_negative_t():
+def test_scoring_rejects_a_negative_exclusion_t():
+    model = LomoModel(np.ones((1, 2)), np.zeros(1))
     with pytest.raises(LomoError, match="^exclusion_t must be >= 0, got -1$"):
-        InferenceConfig(exclusion_t=-1)
+        assign_batch(model, [FrameSequence(np.ones((3, 2)))], -1)
 
 
-def test_inference_config_requires_an_integer_t():
-    with pytest.raises(LomoError, match=r"exclusion_t must be an integer, got 1\.5"):
-        InferenceConfig(exclusion_t=1.5)
-    cfg = InferenceConfig(exclusion_t=np.int64(2))
-    assert cfg.exclusion_t == 2 and type(cfg.exclusion_t) is int
+def test_scoring_requires_an_integer_exclusion_t():
+    model = LomoModel(np.ones((2, 1)), np.zeros(2))
+    seqs = [FrameSequence(np.array([[1.0], [2.0], [3.0]]))]
+    with pytest.raises(LomoError, match=r"^exclusion_t must be an integer, got 1\.5$"):
+        score_sequences(model, seqs, 1.5)
+    # a numpy integer counts as the int it holds
+    assert score_sequences(model, seqs, np.int64(1)).tolist() == [2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def _two_template_model():
 
 def test_greedy_hand_traced_forward():
     seq = FrameSequence(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
-    a = latent_assign(_two_template_model(), seq, InferenceConfig(exclusion_t=0))
+    a = latent_assign(_two_template_model(), seq, 0)
     assert a.chosen == (1, 3)
     assert a.template_scores == (1.0, 2.0)
     assert a.perm == 1
@@ -113,7 +115,7 @@ def test_greedy_hand_traced_forward():
 
 def test_greedy_hand_traced_reversed():
     seq = FrameSequence(np.array([[0.0, 2.0], [0.0, 0.0], [1.0, 0.0]]))
-    a = latent_assign(_two_template_model(), seq, InferenceConfig(exclusion_t=0))
+    a = latent_assign(_two_template_model(), seq, 0)
     assert a.chosen == (3, 1)
     assert a.perm == 2
     assert a.total == 1.5 - 0.5 == 1.0
@@ -122,7 +124,7 @@ def test_greedy_hand_traced_reversed():
 def test_greedy_single_template_degenerate():
     model = LomoModel(np.array([[2.0, -1.0]]), np.array([0.25]))
     frames = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 1.0]])
-    a = latent_assign(model, FrameSequence(frames), InferenceConfig(exclusion_t=50))
+    a = latent_assign(model, FrameSequence(frames), 50)
     assert a.chosen == (3,)
     assert a.template_scores == (5.0,)
     assert a.total == 5.25
@@ -131,7 +133,7 @@ def test_greedy_single_template_degenerate():
 def test_greedy_tie_breaks_to_lowest_frame_index():
     model = LomoModel(np.array([[1.0]]), np.array([0.0]))
     frames = np.array([[2.0], [7.0], [7.0], [1.0]])
-    a = latent_assign(model, FrameSequence(frames), InferenceConfig(exclusion_t=0))
+    a = latent_assign(model, FrameSequence(frames), 0)
     assert a.chosen == (2,)
 
 
@@ -139,7 +141,7 @@ def test_exclusion_window_is_closed_on_both_sides():
     # identical templates: the second pick must sit outside [k1 - t, k1 + t]
     model = LomoModel(np.array([[1.0], [1.0]]), np.array([0.0, 0.0]))
     frames = np.array([[5.0], [4.9], [4.8], [4.7], [4.6], [0.1]])
-    a = latent_assign(model, FrameSequence(frames), InferenceConfig(exclusion_t=2))
+    a = latent_assign(model, FrameSequence(frames), 2)
     assert a.chosen == (1, 4)
 
 
@@ -148,17 +150,16 @@ def test_zero_model_scores_zero_everywhere():
     rng = np.random.default_rng(3)
     for _ in range(10):
         seq = FrameSequence(rng.normal(size=(12, 3)))
-        assert score(model, seq, InferenceConfig(exclusion_t=1)) == 0.0
+        assert score(model, seq, 1) == 0.0
 
 
 def test_score_scales_linearly_with_frames_when_costs_are_zero():
     rng = np.random.default_rng(4)
     model = LomoModel(rng.normal(size=(2, 3)), np.zeros(2))
     frames = rng.normal(size=(15, 3))
-    cfg = InferenceConfig(exclusion_t=2)
-    base = latent_assign(model, FrameSequence(frames), cfg)
+    base = latent_assign(model, FrameSequence(frames), 2)
     for alpha in (0.5, 2.0, 10.0):
-        scaled = latent_assign(model, FrameSequence(alpha * frames), cfg)
+        scaled = latent_assign(model, FrameSequence(alpha * frames), 2)
         assert scaled.chosen == base.chosen
         assert scaled.total == pytest.approx(alpha * base.total, rel=1e-12)
 
@@ -171,19 +172,18 @@ def test_greedy_matches_oracle_on_random_triples():
     rng = np.random.default_rng(17)
     checked_errors = 0
     for _ in range(200):
-        model, seq, cfg = random_case(rng)
-        expected = oracle_greedy(model.templates, seq.frames, cfg.exclusion_t)
+        model, seq, t = random_case(rng)
+        expected = oracle_greedy(model.templates, seq.frames, t)
         if expected is None:
             with pytest.raises(LomoError, match="sequence too short"):
-                latent_assign(model, seq, cfg)
+                latent_assign(model, seq, t)
             checked_errors += 1
             continue
         picks, scores = expected
-        a = latent_assign(model, seq, cfg)
+        a = latent_assign(model, seq, t)
         assert list(a.chosen) == picks
         np.testing.assert_allclose(a.template_scores, scores, rtol=1e-12)
         # exclusion invariant and score bookkeeping
-        t = cfg.exclusion_t
         for i in range(len(picks)):
             for j in range(i + 1, len(picks)):
                 assert abs(picks[i] - picks[j]) >= t + 1
@@ -199,26 +199,25 @@ def test_too_short_error_names_n_m_t():
     model = LomoModel(np.ones((3, 1)), np.zeros(6))
     seq = FrameSequence(np.ones((4, 1)), id="tiny")
     with pytest.raises(LomoError, match=r"N=4.*M=3.*exclusion_t=2.*tiny"):
-        latent_assign(model, seq, InferenceConfig(exclusion_t=2))
+        latent_assign(model, seq, 2)
 
 
 def test_dimension_mismatch_names_both_sides():
     model = LomoModel(np.ones((1, 3)), np.zeros(1))
     seq = FrameSequence(np.ones((2, 2)), id="s")
     with pytest.raises(LomoError, match="model d=3.*d=2"):
-        latent_assign(model, seq, InferenceConfig())
+        latent_assign(model, seq, 5)
 
 
 @pytest.mark.parametrize("kernel", [score_sequences, assign_batch])
 def test_scoring_names_an_argument_of_the_wrong_type(kernel):
     model = LomoModel(np.ones((1, 2)), np.zeros(1))
     seq = FrameSequence(np.ones((3, 2)), id="s")
-    cfg = InferenceConfig()
     cases = [
-        ((model, [1], cfg), r"^seqs\[0\] must be a FrameSequence, got 1$"),
-        ((model, [seq, "x"], cfg), r"^seqs\[1\] must be a FrameSequence, got 'x'$"),
-        ((None, [seq], cfg), r"^model must be a LomoModel, got None$"),
-        ((model, [seq], None), r"^cfg must be an InferenceConfig, got None$"),
+        ((model, [1], 0), r"^seqs\[0\] must be a FrameSequence, got 1$"),
+        ((model, [seq, "x"], 0), r"^seqs\[1\] must be a FrameSequence, got 'x'$"),
+        ((None, [seq], 0), r"^model must be a LomoModel, got None$"),
+        ((model, [seq], None), r"^exclusion_t must be an integer, got None$"),
     ]
     for args, message in cases:
         with pytest.raises(LomoError, match=message):

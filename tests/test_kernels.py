@@ -11,7 +11,8 @@ writer must write the bytes of the per-value `format_float` loop. The PCA
 fit's block-by-block mean and covariance must agree with one stacked copy of
 the training frames (oracle.py) to 1e-12 of their scale, for any block size.
 The training loop's stacked score product must equal one matvec per template under each
-of five OpenBLAS cores, each forced in a child process.
+of five OpenBLAS cores, each forced in a child process, and `train_binary` must
+score every step of its general loop with that product.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from lomo.data import (
 )
 from lomo.inference import (
     FrameSequence,
-    InferenceConfig,
     assign_batch,
     score_sequences,
 )
@@ -270,6 +270,46 @@ def test_train_decides_eight_templates_on_the_pairwise_sum(monkeypatch):
     assert _bits(got.costs) == _bits(want.costs)
 
 
+class _CheckedMatmul:
+    """numpy, but each matmul must be the general step's stacked score
+    product: an (N, d) frame matrix times the (M, d, 1) templates into an
+    (M, N, 1) buffer, equal bit for bit to one x.dot(w) per template."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, stacked, out):
+        np.matmul(x, stacked, out=out)
+        assert x.ndim == 2 and stacked.shape == (len(stacked), x.shape[1], 1)
+        assert _bits(out) == _bits([x.dot(w) for w in stacked[:, :, 0]])
+        self.calls += 1
+        return out
+
+
+@pytest.mark.parametrize("m", [1, 3, MAX_TEMPLATES])
+def test_train_scores_each_general_step_with_the_checked_stacked_product(monkeypatch, m):
+    # the product that train runs, not a copy of it: swapped for another
+    # (an einsum, a 2-D gemm), it is called no more or fails the check
+    rng = np.random.default_rng(60 + m)
+    t = 1
+    data = [
+        (FrameSequence(rng.normal(size=(_min_frames(m, t) + extra, 5)), id=f"s{k}"),
+         1 - 2 * (k % 2))
+        for k, extra in enumerate([0, 4, 0, 9, 2, 4])
+    ]
+    checked = _CheckedMatmul()
+    monkeypatch.setattr(lomo.training, "np", checked)
+    cfg = TrainConfig(num_templates=m, exclusion_t=t, max_iter=300, eta=0.3, seed=m)
+    got = train_binary(data, 1, cfg)
+    assert checked.calls == 300  # one per step: no sequence here has one frame
+    want = _sgd_fold(data, cfg)
+    assert _bits(got.templates) == _bits(want.templates)
+    assert _bits(got.costs) == _bits(want.costs)
+
+
 # ---------------------------------------------------------------------------
 # the stacked score product on every OpenBLAS kernel
 
@@ -381,15 +421,15 @@ def scoring_cases(draw):
     model = LomoModel(_frames(rng, m, d, ties), rng.normal(size=math.factorial(m)))
     lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=12))
     seqs = [FrameSequence(_frames(rng, n, d, ties), id=f"s{k}") for k, n in enumerate(lengths)]
-    return model, seqs, InferenceConfig(exclusion_t=t)
+    return model, seqs, t
 
 
-def _oracle_totals(model, seqs, cfg):
+def _oracle_totals(model, seqs, t):
     """latent_assign totals, or the ids of the sequences it rejects."""
     totals, starved = [], []
     for seq in seqs:
         try:
-            totals.append(latent_assign(model, seq, cfg).total)
+            totals.append(latent_assign(model, seq, t).total)
         except LomoError:
             starved.append(seq.id)
     return totals, starved
@@ -398,17 +438,17 @@ def _oracle_totals(model, seqs, cfg):
 @SETTINGS
 @given(scoring_cases(), st.sampled_from([1, 7, 1 << 16]))
 def test_score_sequences_equals_latent_assign(case, block_values):
-    model, seqs, cfg = case
-    totals, starved = _oracle_totals(model, seqs, cfg)
+    model, seqs, t = case
+    totals, starved = _oracle_totals(model, seqs, t)
     original = lomo.inference.BLOCK_VALUES
     lomo.inference.BLOCK_VALUES = block_values  # small blocks split each length group
     try:
         if starved:
             with pytest.raises(LomoError, match="sequence too short") as err:
-                score_sequences(model, seqs, cfg)
+                score_sequences(model, seqs, t)
             assert any(f"(sequence {i})" in str(err.value) for i in starved)
         else:
-            assert _bits(score_sequences(model, seqs, cfg)) == _bits(totals)
+            assert _bits(score_sequences(model, seqs, t)) == _bits(totals)
     finally:
         lomo.inference.BLOCK_VALUES = original
 
@@ -416,18 +456,18 @@ def test_score_sequences_equals_latent_assign(case, block_values):
 @SETTINGS
 @given(scoring_cases())
 def test_assign_batch_rows_equal_latent_assign(case):
-    model, seqs, cfg = case
+    model, seqs, t = case
     n = seqs[0].num_frames
     same = [FrameSequence(seq.frames[:n], id=seq.id) for seq in seqs if seq.num_frames >= n]
     refs = []
     for seq in same:
         try:
-            refs.append(latent_assign(model, seq, cfg))
+            refs.append(latent_assign(model, seq, t))
         except LomoError:
             with pytest.raises(LomoError, match="sequence too short"):
-                assign_batch(model, same, cfg)
+                assign_batch(model, same, t)
             return
-    got = assign_batch(model, same, cfg)
+    got = assign_batch(model, same, t)
     assert got.chosen.tolist() == [list(a.chosen) for a in refs]
     assert _bits(got.template_scores) == _bits([a.template_scores for a in refs])
     assert got.perm.tolist() == [a.perm for a in refs]
@@ -436,39 +476,36 @@ def test_assign_batch_rows_equal_latent_assign(case):
 
 
 def test_assign_batch_edge_cases():
-    cfg0 = InferenceConfig(exclusion_t=0)
     single = LomoModel(np.array([[1.0, -1.0]]), np.array([0.25]))
     one_frame = FrameSequence(np.array([[3.0, 1.0]]), id="n1")
-    assert assign_batch(single, [one_frame], cfg0).total.tolist() == [2.25]
+    assert assign_batch(single, [one_frame], 0).total.tolist() == [2.25]
     # t >= N: one pick empties the sequence
-    wide = InferenceConfig(exclusion_t=50)
-    assert assign_batch(single, [FrameSequence(np.ones((4, 2)))], wide).chosen.tolist() == [[1]]
+    assert assign_batch(single, [FrameSequence(np.ones((4, 2)))], 50).chosen.tolist() == [[1]]
     two = LomoModel(np.ones((2, 2)), np.zeros(2))
     with pytest.raises(LomoError, match=r"N=4 .*M=2.*exclusion_t=50 \(sequence wide\)"):
-        assign_batch(two, [FrameSequence(np.ones((4, 2)), id="wide")], wide)
+        assign_batch(two, [FrameSequence(np.ones((4, 2)), id="wide")], 50)
     # first-occurrence ties: equal rows pick the lowest surviving frames
     ties = FrameSequence(np.ones((5, 2)), id="flat")
-    assert assign_batch(two, [ties], cfg0).chosen.tolist() == [[1, 2]]
-    assert assign_batch(two, [ties], InferenceConfig(exclusion_t=1)).chosen.tolist() == [[1, 3]]
+    assert assign_batch(two, [ties], 0).chosen.tolist() == [[1, 2]]
+    assert assign_batch(two, [ties], 1).chosen.tolist() == [[1, 3]]
 
 
 def test_assign_batch_takes_unequal_lengths_and_empty_input():
     rng = np.random.default_rng(8)
     model = LomoModel(rng.normal(size=(2, 2)), rng.normal(size=2))
-    cfg = InferenceConfig(exclusion_t=0)
     seqs = [FrameSequence(rng.normal(size=(n, 2)), id=f"s{n}") for n in (2, 3, 2, 5)]
-    got = assign_batch(model, seqs, cfg)
-    refs = [latent_assign(model, seq, cfg) for seq in seqs]  # rows stay in input order
+    got = assign_batch(model, seqs, 0)
+    refs = [latent_assign(model, seq, 0) for seq in seqs]  # rows stay in input order
     assert got.chosen.tolist() == [list(a.chosen) for a in refs]
     assert _bits(got.template_scores) == _bits([a.template_scores for a in refs])
     assert got.perm.tolist() == [a.perm for a in refs]
     assert _bits(got.ordering_cost) == _bits([a.ordering_cost for a in refs])
     assert _bits(got.total) == _bits([a.total for a in refs])
     # no sequences: no rows, as score_sequences gives no scores
-    empty = assign_batch(model, [], cfg)
+    empty = assign_batch(model, [], 0)
     assert empty.chosen.shape == empty.template_scores.shape == (0, 2)
     assert empty.perm.shape == empty.ordering_cost.shape == empty.total.shape == (0,)
-    assert score_sequences(model, [], cfg).shape == (0,)
+    assert score_sequences(model, [], 0).shape == (0,)
 
 
 def test_objective_matches_latent_assign_hinge():
@@ -481,7 +518,7 @@ def test_objective_matches_latent_assign_hinge():
     cfg = TrainConfig(num_templates=2, exclusion_t=1, reg_lambda=0.01)
     hinge = 0.0
     for seq, y in data:
-        s = latent_assign(model, seq, cfg.inference_config()).total
+        s = latent_assign(model, seq, cfg.exclusion_t).total
         hinge += max(0.0, 1.0 - y * s)
     reg = 0.5 * 0.01 * float(np.sum(model.templates * model.templates))
     assert objective(model, data, 1, cfg) == reg + hinge / len(data)
@@ -493,19 +530,17 @@ def test_objective_matches_latent_assign_hinge():
 
 def test_score_sequences_errors_name_the_offending_sequence():
     model = LomoModel(np.ones((2, 2)), np.zeros(2))
-    cfg = InferenceConfig(exclusion_t=1)
     ok = FrameSequence(np.ones((6, 2)), id="ok")
     short = FrameSequence(np.ones((2, 2)), id="shorty")
     with pytest.raises(LomoError, match=r"N=2 frames .*M=2.*\(sequence shorty\)"):
-        score_sequences(model, [ok, short, ok], cfg)
+        score_sequences(model, [ok, short, ok], 1)
     wrong = FrameSequence(np.ones((6, 3)), id="wide")
     with pytest.raises(LomoError, match="model d=2, sequence wide d=3"):
-        score_sequences(model, [ok, wrong], cfg)
+        score_sequences(model, [ok, wrong], 1)
 
 
 def test_an_overflowing_score_names_its_sequence_without_a_warning():
     model = LomoModel(np.full((2, 2), 1e300), np.zeros(2))
-    cfg = InferenceConfig(exclusion_t=1)
     ok = FrameSequence(np.ones((6, 2)), id="ok")
     huge = FrameSequence(np.full((6, 2), 1e10), id="huge")
     for seqs in ([ok, huge, ok], [huge]):  # one block, and a block of one
@@ -514,7 +549,7 @@ def test_an_overflowing_score_names_its_sequence_without_a_warning():
             with pytest.raises(LomoError, match=(
                 "^sequence huge: overflow encountered in matmul while scoring$"
             )):
-                score_sequences(model, seqs, cfg)
+                score_sequences(model, seqs, 1)
 
 
 def _write_manifest(tmp_path, seqs, header="id,label,group,path\n"):
@@ -543,10 +578,9 @@ def test_predict_scores_mixed_lengths_like_latent_assign(tmp_path):
             "--model", _model_file(tmp_path, model), "--exclusion-t", "1", "--out", out]
     assert main(argv) == 0
     rows = Path(out).read_text(encoding="utf-8").splitlines()[1:]
-    cfg = InferenceConfig(exclusion_t=1)
     for k, line in enumerate(rows):
         rec_id, value, _ = line.split(",")
-        expected = latent_assign(model, FrameSequence(frames[k]), cfg).total
+        expected = latent_assign(model, FrameSequence(frames[k]), 1).total
         assert (rec_id, float(value)) == (f"r{k}", expected)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import lomo.training
 from lomo.core import LomoError, Rng, child_seed, require_pairs
-from lomo.inference import FrameSequence, InferenceConfig, score, score_sequences
+from lomo.inference import FrameSequence, score, score_sequences
 from lomo.model import LomoModel, init_model
 from lomo.training import TrainConfig, objective, train_binary, train_ova
 from oracle import latent_assign, sgd_step
@@ -319,8 +319,8 @@ def test_train_learns_the_separable_toy_problem():
     data = _toy_data(rng)
     cfg = TrainConfig(num_templates=1, exclusion_t=0, seed=0, max_iter=2000)
     model = train_binary(data, 1, cfg)
-    icfg = cfg.inference_config()
-    correct = sum(1 for seq, y in data if (1 if score(model, seq, icfg) > 0 else -1) == y)
+    t = cfg.exclusion_t
+    correct = sum(1 for seq, y in data if (1 if score(model, seq, t) > 0 else -1) == y)
     assert correct >= int(0.9 * len(data))
 
 
@@ -372,10 +372,10 @@ def test_min_frames_bound_is_tight():
     starved[2, 0] = 10.0
     starved[7, 0] = 9.0
     with pytest.raises(LomoError, match="sequence too short"):
-        latent_assign(model, FrameSequence(starved), InferenceConfig(exclusion_t=t))
+        latent_assign(model, FrameSequence(starved), t)
     # one extra frame always leaves a survivor, whatever the scores are
     padded = np.vstack([starved, [[0.0]]])
-    a = latent_assign(model, FrameSequence(padded), InferenceConfig(exclusion_t=t))
+    a = latent_assign(model, FrameSequence(padded), t)
     assert a.chosen == (3, 8, 11)
 
 
@@ -396,9 +396,8 @@ def test_mil_model_scores_like_single_template_with_zero_costs():
     mil = train_binary(data, 1, TrainConfig(variant="mil", exclusion_t=0, seed=2, max_iter=400))
     np.testing.assert_array_equal(mil.costs, np.zeros(1))
     reference = LomoModel(mil.templates.copy(), np.zeros(1))
-    icfg = InferenceConfig(exclusion_t=0)
     for seq, _ in data:
-        assert score(mil, seq, icfg) == score(reference, seq, icfg)
+        assert score(mil, seq, 0) == score(reference, seq, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +515,8 @@ def test_train_ova_predictions_recover_the_classes():
     data = _ova_data(rng)
     cfg = TrainConfig(num_templates=1, exclusion_t=0, seed=4, max_iter=600)
     models = train_ova(data, cfg)
-    icfg = cfg.inference_config()
     names = sorted(models)
-    scores = np.stack([score_sequences(models[name], [seq for seq, _ in data], icfg)
+    scores = np.stack([score_sequences(models[name], [seq for seq, _ in data], cfg.exclusion_t)
                        for name in names])
     preds = [names[k] for k in scores.argmax(axis=0)]
     hits = sum(1 for (_, label), pred in zip(data, preds) if pred == label)
