@@ -3,7 +3,7 @@ and a learned cost table over their temporal orderings, plus MIL and
 temporal-pooling baselines, preprocessing, synthetic benchmarks,
 cross-validation, and metrics."""
 
-from .core import LomoError, Rng, child_seed
+from .core import LomoError, child_seed
 from .data import (
     DatasetManifest,
     FittedPreprocess,
@@ -50,7 +50,6 @@ __all__ = [
     "LomoError",
     "LomoModel",
     "PreprocessConfig",
-    "Rng",
     "SynthSpec",
     "TrainConfig",
     "apply_preprocess",

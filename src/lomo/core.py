@@ -2,7 +2,8 @@
 guard and the forked worker map.
 
 Everything downstream (training, folds, synthetic data) draws randomness
-through :class:`Rng` so that a run is a pure function of its seeds.
+from a :func:`generator` stream so that a run is a pure function of its
+seeds.
 """
 
 from __future__ import annotations
@@ -176,15 +177,13 @@ class float_errors:
 @contextlib.contextmanager
 def too_large(name: str, value):
     """Context manager: numpy refusing or failing to allocate, in its body,
-    an array that the setting `name` sizes leaves it as a LomoError. Nested
-    in another guard, as in an Rng draw, it hands that guard numpy's error
-    as its cause, so the outermost names its setting and numpy the reason."""
+    an array that the setting `name` sizes leaves it as a LomoError naming
+    the setting, with numpy's reason."""
     try:
         yield
     except (ValueError, MemoryError) as err:
-        cause = err.__cause__ or err
-        reason = str(cause) or "out of memory"
-        raise LomoError(f"{name}={_shown(value, str)} is too large: {reason}") from cause
+        reason = str(err) or "out of memory"
+        raise LomoError(f"{name}={_shown(value, str)} is too large: {reason}") from err
 
 
 def read_bytes(path) -> bytes:
@@ -219,56 +218,12 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-class Rng:
-    """Seeded PCG64 stream.
-
-    The same seed always yields the identical stream on any platform.
-    Folds and one-vs-all classes get their own seeds from `child_seed`, so
-    parallel work never shares a generator. A size or bound that is not a
-    count, or that numpy cannot draw, raises a LomoError naming it.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = require_int("seed", seed, minimum=0)
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-
-    def _floats(self, draw, size):
-        if isinstance(size, tuple):
-            size = tuple(require_int("size", count, minimum=0) for count in size)
-        elif size is not None:
-            size = require_int("size", size, minimum=0)
-        with too_large("size", size):
-            out = draw(size)
-        return float(out) if size is None else out
-
-    def _below(self, method: str, n, size):
-        n = require_int("n", n)
-        if n < 1:
-            raise LomoError(f"{method} needs n >= 1, got {_shown(n, str)}")
-        with too_large("(n, size)", (n, size)):
-            return self._gen.integers(n, size=size)
-
-    def uniform(self, size=None):
-        """Uniform draw(s) in [0, 1)."""
-        return self._floats(self._gen.random, size)
-
-    def normal(self, size=None):
-        """Standard-normal draw(s)."""
-        return self._floats(self._gen.standard_normal, size)
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self._below("randint", n, None))
-
-    def integers(self, n: int, size: int) -> np.ndarray:
-        """`size` uniform integers in [0, n), the stream of `size` randint calls."""
-        return self._below("integers", n, require_int("size", size, minimum=0))
-
-    def permutation(self, n: int) -> np.ndarray:
-        """Uniform permutation of range(n)."""
-        n = require_int("n", n, minimum=0)
-        with too_large("n", n):
-            return self._gen.permutation(n)
+def generator(seed: int) -> np.random.Generator:
+    """The PCG64 stream of `seed`, the same on any platform. PCG64 is named
+    because numpy does not pin the bit generator of default_rng. Folds and
+    one-vs-all classes get their own seeds from `child_seed`, so parallel
+    work never shares a stream. Callers pass a seed their config checked."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def child_seed(seed: int, index: int) -> int:

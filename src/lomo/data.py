@@ -19,12 +19,12 @@ import numpy as np
 
 from .core import (
     LomoError,
-    Rng,
     _shown,
     decode_text,
     float_errors,
     forked_map,
     format_float,
+    generator,
     read_bytes,
     read_text,
     real_array,
@@ -167,12 +167,16 @@ class DatasetManifest:
 
     parse_manifest loads every sequence file once, from the frame cache or
     by a parse, to check d and keeps the frames, so no caller reads a
-    sequence file a second time.
+    sequence file a second time. The records are kept as a list, and one
+    that is not a ManifestRecord is refused.
     """
 
     records: list[ManifestRecord]
     dim: int
     sequences: dict[str, FrameSequence] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.records = require_items("records", self.records, ManifestRecord)
 
     @property
     def classes(self) -> list[str]:
@@ -280,7 +284,7 @@ def make_folds(
 ) -> list[Fold]:
     """Group-disjoint folds: LOGO (one fold per group) or grouped k-fold.
 
-    For k-fold the group list is shuffled by the seeded Rng and dealt
+    For k-fold the group list is shuffled by core.generator(seed) and dealt
     round-robin, so folds are deterministic and no group straddles a fold.
     LOGO has one fold per group, so giving it k is an error.
     """
@@ -300,7 +304,7 @@ def make_folds(
         k = require_int("k", k, minimum=2)
         if k > len(groups):
             raise LomoError(f"k={_shown(k, str)} exceeds the {len(groups)} available groups")
-        order = Rng(seed).permutation(len(groups))
+        order = generator(seed).permutation(len(groups))
         fold_groups = [[] for _ in range(k)]
         for pos, gi in enumerate(order):
             fold_groups[pos % k].append(groups[int(gi)])
@@ -615,15 +619,15 @@ class SynthRecord:
     planted: tuple[int, ...]  # 1-based position of prototype j; empty if none
 
 
-def _draw_positions(rng: Rng, n: int, m: int, min_gap: int) -> list[int]:
+def _draw_positions(rng: np.random.Generator, n: int, m: int, min_gap: int) -> list[int]:
     """m sorted positions in 1..n with consecutive gaps strictly > min_gap."""
     step = min_gap + 1
     slack = n - (m - 1) * step
-    raw = sorted(rng.randint(slack) + 1 for _ in range(m))
+    raw = sorted(int(rng.integers(slack)) + 1 for _ in range(m))
     return [raw[i] + i * step for i in range(m)]
 
 
-def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tuple[np.ndarray, tuple[int, ...]]:
+def _plant(rng: np.random.Generator, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tuple[np.ndarray, tuple[int, ...]]:
     m = spec.num_events
     planted: tuple[int, ...] = ()
     with too_large("num_frames", spec.num_frames):
@@ -633,11 +637,11 @@ def _plant(rng: Rng, spec: SynthSpec, prototypes: np.ndarray, label: str) -> tup
                 planted = tuple(slots)
             else:
                 # uniformly drawn non-identity pattern; index 1 is the identity
-                pattern = perm_unrank(2 + rng.randint(math.factorial(m) - 1), m)
+                pattern = perm_unrank(2 + int(rng.integers(math.factorial(m) - 1)), m)
                 planted = tuple(slots[pattern[j] - 1] for j in range(m))
-        frames = spec.noise_sigma * rng.normal(size=(spec.num_frames, spec.dim))
+        frames = spec.noise_sigma * rng.standard_normal((spec.num_frames, spec.dim))
     if planted:
-        noise = spec.noise_sigma * rng.normal(size=(m, spec.dim))
+        noise = spec.noise_sigma * rng.standard_normal((m, spec.dim))
         for j, position in enumerate(planted):
             frames[position - 1] = prototypes[j] + noise[j]
     return frames, planted
@@ -650,9 +654,9 @@ def synth_records(spec: SynthSpec) -> tuple[list[SynthRecord], np.ndarray]:
     or num_frames too large to draw raises a LomoError naming that field.
     """
     require_instance("spec", spec, SynthSpec)
-    rng = Rng(spec.seed)
+    rng = generator(spec.seed)
     with too_large("dim", spec.dim):
-        raw = rng.normal(size=(spec.num_events, spec.dim))
+        raw = rng.standard_normal((spec.num_events, spec.dim))
     prototypes = _l2_rows(raw)
     records: list[SynthRecord] = []
     width = max(4, len(str(max(spec.num_pos, spec.num_neg) - 1)))

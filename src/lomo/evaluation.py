@@ -120,13 +120,18 @@ class CvResult:
         return float(np.mean(self.fold_values))
 
 
-def _binary_fold_value(train_pairs, test_seqs, test_labels, cfg, metric, positive_label):
+def _binary_fold_value(train_pairs, test_seqs, test_labels, cfg, metric, positive_label,
+                       classes):
+    """The fold's metric; `acc` averages the recalls of the two `classes`,
+    each sequence predicted `positive_label` when it scores above 0."""
     model = train_binary(train_pairs, positive_label, cfg)
-    truths = binary_targets(test_labels, positive_label)
     values = score_sequences(model, test_seqs, cfg.exclusion_t).tolist()
     if metric == "acc":
-        preds = [1 if v > 0 else -1 for v in values]
-        return avg_class_accuracy(list(zip(truths, preds)), classes=(-1, 1))
+        # training needed both classes, so the manifest has two
+        (negative,) = [name for name in classes if name != positive_label]
+        preds = [positive_label if v > 0 else negative for v in values]
+        return avg_class_accuracy(list(zip(test_labels, preds)), classes=classes)
+    truths = binary_targets(test_labels, positive_label)
     if metric == "auc":
         return roc_auc(truths, values)
     return roc_eer_rate(truths, values)
@@ -162,32 +167,42 @@ def _fold_moments(folds, sequences, l2: bool):
     With make_folds, a process that runs m of the folds sums each frame
     once into the held moments and, in its i-th fold, the test splits of
     its m - i later folds.
-    """
-    share: list[int] = []
-    held = None
 
-    def start(fold_nos) -> None:
-        nonlocal held
-        share[:] = fold_nos
-        held = None
+    start lists, for every fold of its share, the sequences that the held
+    moments gain and the rest of the fold's split, in one backward pass
+    that counts each training split once.
+    """
+    plans = {}  # fold number -> [gained sequences, rest of its split, is last]
+    held = None
 
     def listed(counts: Counter) -> list:
         return [sequences[i] for i, count in counts.items() for _ in range(count)]
 
+    def start(fold_nos) -> None:
+        nonlocal held
+        held = None
+        plans.clear()
+        # `shared` is what fold `later` and every fold after it list;
+        # Counter & keeps the smaller count
+        later = shared = None
+        for fold_no in reversed(fold_nos):
+            mine = Counter(folds[fold_no].train_ids)
+            now = mine if shared is None else mine & shared
+            plans[fold_no] = [None, listed(mine - now), shared is None]
+            if later is not None:
+                plans[later][0] = listed(shared - now)
+            later, shared = fold_no, now
+        if later is not None:
+            plans[later][0] = listed(shared)
+
     def moments(fold_no: int):
         nonlocal held
-        at = share.index(fold_no)
-        mine = Counter(folds[fold_no].train_ids)
-        shared = mine.copy()  # Counter & keeps the smaller count
-        for later in share[at + 1:]:
-            shared &= Counter(folds[later].train_ids)
-        # held has what the previous fold shares with all remaining folds
-        had = Counter(folds[share[at - 1]].train_ids) & shared if at else Counter()
-        held = _merge_moments(held, _pca_moments(listed(shared - had), l2))
-        own = _pca_moments(listed(mine - shared), l2)
-        if at == len(share) - 1:
-            last, held = held, None
-            return _merge_moments(own, last)
+        gained, rest, last = plans.pop(fold_no)
+        held = _merge_moments(held, _pca_moments(gained, l2))
+        own = _pca_moments(rest, l2)
+        if last:
+            kept, held = held, None
+            return _merge_moments(own, kept)
         if own is None:
             return held[0], held[1].copy(), held[2]
         return _merge_moments(own, held)
@@ -208,13 +223,18 @@ def run_cv(
     Each fold fits `preprocess` on its training sequences and applies it to
     both splits; the pooled SVM is the mil variant with `preprocess.pool` set.
     With PCA, a fold's moments come from _fold_moments, which sums once
-    the frames that all of a worker's remaining folds train on.
+    the frames that all of a worker's remaining folds train on. So a fold's
+    PCA mean and components depend, in their last bits, on which folds
+    share its worker, and so on the CPU count; a fold value moves with them
+    only when a decision or ranking is that close to a tie.
 
     Binary manifests score the `positive_label` class; manifests with more
     than two classes run one-vs-all and report average class accuracy.
-    There must be a fold, and every fold id must name a manifest record
-    with a sequence, which is checked before any fold starts. A LomoError
-    raised inside fold i is raised again as "fold i: <message>".
+    There must be a fold, each split of a fold must be an iterable of ids
+    (not a str), read once, and every fold id must name a manifest record
+    with a sequence, which is checked before any fold starts; a split of
+    None is refused as empty in its fold's turn. A LomoError raised inside
+    fold i is raised again as "fold i: <message>".
     Fold i trains with a child seed of cfg.seed, so results are
     deterministic and independent of fold execution order; the folds run
     on forked workers, one per CPU (core.forked_map). Every fold trains a
@@ -247,15 +267,23 @@ def run_cv(
     seqs = manifest.sequences
     labels = {rec.id: rec.label for rec in manifest.records}
     for fold_no, fold in enumerate(folds):
-        # an empty split, such as None, is refused in its fold's turn
-        for i in (*(fold.train_ids or ()), *(fold.test_ids or ())):
+        splits = []  # each as a tuple, read once, so a generator is not used up
+        for name, split in (("train_ids", fold.train_ids), ("test_ids", fold.test_ids)):
+            if isinstance(split, str):
+                raise LomoError(f"fold {fold_no}: {name} must be a collection of ids, "
+                                f"got the str {_shown(split)}")
+            # None is refused, as an empty split, in its fold's turn
+            splits.append(None if split is None else
+                          tuple(require_iterable(f"fold {fold_no}: {name}", split)))
+        for i in (*(splits[0] or ()), *(splits[1] or ())):
             try:
                 known = i in labels and i in seqs
             except TypeError:  # unhashable, so no record's id
                 known = False
             if not known:
                 raise LomoError(f"fold {fold_no}: id {_shown(i)} is no manifest record with a sequence")
-    start, moments = _fold_moments(folds, seqs, preprocess.l2)  # used only with PCA
+        folds[fold_no] = Fold(*splits)
+    start, moments = _fold_moments(folds, seqs, preprocess.l2)
 
     def fold_value(fold_no: int) -> float:
         fold = folds[fold_no]
@@ -272,11 +300,12 @@ def run_cv(
             if multiclass:
                 return _multiclass_fold_value(train_pairs, test_seqs, test_labels, fold_cfg, classes)
             return _binary_fold_value(train_pairs, test_seqs, test_labels, fold_cfg, metric,
-                                      positive_label)
+                                      positive_label, classes)
         except LomoError as err:
             raise LomoError(f"fold {fold_no}: {err}") from None
 
-    values = list(forked_map(fold_value, range(len(folds)), start=start))
+    pca = preprocess.pca_dim is not None  # only a PCA fit calls moments
+    values = list(forked_map(fold_value, range(len(folds)), start=start if pca else None))
     return CvResult(metric=metric, fold_values=values)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     LomoError,
-    Rng,
     _shown,
     format_float,
     read_text,
@@ -167,13 +166,13 @@ def perm_unrank(index: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def init_model(d: int, m: int, rng: Rng) -> LomoModel:
+def init_model(d: int, m: int, rng: np.random.Generator) -> LomoModel:
     """Fresh model: template entries 0.01*uniform[0,1), costs exactly zero."""
     d = require_int("dimension", d, minimum=1)
     m = require_order_size("number of templates", m)
-    require_instance("rng", rng, Rng)
+    require_instance("rng", rng, np.random.Generator)
     with too_large("dimension", d):
-        templates = 0.01 * rng.uniform(size=(m, d))
+        templates = 0.01 * rng.random((m, d))
     costs = np.zeros(math.factorial(m))
     return LomoModel(templates, costs)
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .core import (
     LomoError,
-    Rng,
     _shown,
     child_seed,
     float_errors,
+    generator,
     require_choice,
     require_instance,
     require_int,
@@ -172,7 +172,7 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
     A numeric error's message names the step.
     """
     dim = _validate_train_data(seqs, targets, cfg)
-    rng = Rng(cfg.seed)
+    rng = generator(cfg.seed)
     init = init_model(dim, cfg.num_templates, rng)
     templates = init.templates
     costs = init.costs.tolist()
@@ -196,7 +196,7 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
         lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
     ):
         for start in range(0, iters, _DRAW_CHUNK):
-            draws = rng.integers(len(seqs), min(_DRAW_CHUNK, iters - start)).tolist()
+            draws = rng.integers(len(seqs), size=min(_DRAW_CHUNK, iters - start)).tolist()
             if one_frame:
                 w = templates[0]
                 for step, j in enumerate(draws, start + 1):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from lomo.cli import main
-from lomo.core import Rng
+from lomo.core import generator
 from lomo.data import SynthSpec, synth_records
 from lomo.evaluation import roc_auc, roc_eer_rate
 from lomo.inference import FrameSequence, score
@@ -97,19 +97,19 @@ def test_criterion_01_permutation_bijection():
 def test_criterion_02_mil_reduction():
     """MIL training/scoring is exactly the one-template zero-cost special case."""
     start = time.perf_counter()
-    rng = Rng(20)
+    rng = generator(20)
     cases = 0
     for case in range(50):
-        d = 1 + rng.randint(5)
+        d = 1 + int(rng.integers(5))
         data = []
         for j in range(4):
-            n = 2 + rng.randint(6)
+            n = 2 + int(rng.integers(6))
             frames = np.array(
-                [[rng.normal() for _ in range(d)] for _ in range(n)]
+                [[rng.standard_normal() for _ in range(d)] for _ in range(n)]
             )
             data.append((FrameSequence(frames), 1 if j % 2 else -1))
         cfg = TrainConfig(
-            num_templates=1 + rng.randint(3),  # forced to 1 by the variant
+            num_templates=1 + int(rng.integers(3)),  # forced to 1 by the variant
             exclusion_t=0, seed=case, variant="mil", max_iter=40,
         )
         model = train_binary(data, 1, cfg)
@@ -118,7 +118,7 @@ def test_criterion_02_mil_reduction():
         reference = LomoModel(model.templates.copy(), np.zeros(1))
         for _ in range(2):
             frames = np.array(
-                [[rng.normal() for _ in range(d)] for _ in range(1 + rng.randint(8))]
+                [[rng.standard_normal() for _ in range(d)] for _ in range(1 + int(rng.integers(8)))]
             )
             seq = FrameSequence(frames)
             mil_score = score(model, seq, 0)
@@ -138,15 +138,15 @@ def test_criterion_02_mil_reduction():
 def test_criterion_03_greedy_contract():
     """200 random triples: pairwise gaps >= t+1 and stepwise argmax reconstruction."""
     start = time.perf_counter()
-    rng = Rng(21)
+    rng = generator(21)
     for case in range(200):
-        d = 1 + rng.randint(4)
-        m = 1 + rng.randint(3)
-        t = rng.randint(6)
-        n = (m - 1) * (2 * t + 1) + 1 + rng.randint(11)
-        frames = np.array([[rng.normal() for _ in range(d)] for _ in range(n)])
-        templates = np.array([[rng.normal() for _ in range(d)] for _ in range(m)])
-        costs = np.array([rng.normal() for _ in range(math.factorial(m))])
+        d = 1 + int(rng.integers(4))
+        m = 1 + int(rng.integers(3))
+        t = int(rng.integers(6))
+        n = (m - 1) * (2 * t + 1) + 1 + int(rng.integers(11))
+        frames = np.array([[rng.standard_normal() for _ in range(d)] for _ in range(n)])
+        templates = np.array([[rng.standard_normal() for _ in range(d)] for _ in range(m)])
+        costs = np.array([rng.standard_normal() for _ in range(math.factorial(m))])
         model = LomoModel(templates, costs)
         assign = latent_assign(model, FrameSequence(frames), t)
         ks = assign.chosen

@@ -2,9 +2,10 @@
 result or a LomoError, and warns nothing.
 
 It covers each name in `lomo.__all__` and each public method of an
-exported class (as `Rng.uniform`). For each parameter in turn hypothesis draws one bad value (a wrong type, NaN,
-±inf, a negative number, an int beyond float64, an int too long to print
-or an empty container) while every other parameter keeps a good value. A
+exported class (as `FrameSequence.require_dim`). For each parameter in
+turn hypothesis draws one bad value (a wrong type, NaN, ±inf, a negative
+number, an int beyond float64, an int too long to print or an empty
+container) while every other parameter keeps a good value. A
 path parameter gets only str paths under a temporary directory (missing, a
 directory, an empty file, a file that is not UTF-8), and may also raise an
 OSError.
@@ -28,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lomo
-from lomo.core import _shown
+from lomo.core import _shown, generator
 
 # Every public parameter gets each of these, and then values that hypothesis draws
 FIXED = (
@@ -76,8 +77,7 @@ def good(tmp_path_factory):
     manifest = lomo.gen_synthetic(spec, base / "data")
     seqs = [manifest.sequences[rec.id] for rec in manifest.records]
     pairs = [(seq, rec.label) for rec, seq in zip(manifest.records, seqs)]
-    model = lomo.init_model(2, 1, lomo.Rng(0))
-    rng = lomo.Rng(0)
+    model = lomo.init_model(2, 1, generator(0))
     lomo.save_model(model, base / "model.lomo")
     cfg = lomo.TrainConfig(num_templates=1, exclusion_t=0, max_iter=5, seed=0)
     pre = lomo.PreprocessConfig(l2=True, pca_dim=1)
@@ -97,7 +97,6 @@ def good(tmp_path_factory):
         "LomoModel": (lomo.LomoModel, {"templates": np.ones((1, 2)), "costs": np.zeros(1)}),
         "PreprocessConfig": (lomo.PreprocessConfig,
                              _fields(lomo.PreprocessConfig, lomo.PreprocessConfig(pool="max"))),
-        "Rng": (lomo.Rng, {"seed": 0}),
         "SynthSpec": (lomo.SynthSpec, _fields(lomo.SynthSpec, spec)),
         "TrainConfig": (lomo.TrainConfig, _fields(lomo.TrainConfig, cfg)),
         "apply_preprocess": (lomo.apply_preprocess, {"fitted": fitted, "seqs": seqs}),
@@ -108,7 +107,7 @@ def good(tmp_path_factory):
         "fit_preprocess": (lomo.fit_preprocess, {"train_seqs": seqs, "config": pre}),
         "fuse_scores": (lomo.fuse_scores, {"scores": [0.5, 1.5]}),
         "gen_synthetic": (lomo.gen_synthetic, {"spec": spec, "out_dir": "{work}/synth"}),
-        "init_model": (lomo.init_model, {"d": 2, "m": 1, "rng": lomo.Rng(0)}),
+        "init_model": (lomo.init_model, {"d": 2, "m": 1, "rng": generator(0)}),
         "load_model": (lomo.load_model, {"path": str(base / "model.lomo")}),
         "make_folds": (lomo.make_folds,
                        {"manifest": manifest, "scheme": "kfold", "seed": 0, "k": 2}),
@@ -133,11 +132,6 @@ def good(tmp_path_factory):
         "train_ova": (lomo.train_ova, {"data": pairs, "cfg": cfg, "classes": ["neg", "pos"]}),
         "write_sequence": (lomo.write_sequence, {"seq": seqs[0], "path": "{work}/out.csv"}),
         "FrameSequence.require_dim": (seqs[0].require_dim, {"dim": 2}),
-        "Rng.integers": (rng.integers, {"n": 3, "size": 2}),
-        "Rng.normal": (rng.normal, {"size": (2, 1)}),
-        "Rng.permutation": (rng.permutation, {"n": 3}),
-        "Rng.randint": (rng.randint, {"n": 3}),
-        "Rng.uniform": (rng.uniform, {"size": 2}),
         "SynthSpec.text_fields": (spec.text_fields, {}),
         # with max_iter unset, so that the step count depends on n
         "TrainConfig.num_steps": (lomo.TrainConfig().num_steps, {"n": 4}),

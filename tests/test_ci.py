@@ -1,6 +1,6 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
-one BLAS thread and under a job time limit, after printing numpy's BLAS core
-and running the installed console script."""
+one BLAS thread, a pinned numpy and under a job time limit, after printing
+numpy's BLAS core and running the installed console script."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import pytest
 from lomo.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
+NUMPY_PIN = "numpy==2.4.6"
 
 
 def test_ci_workflow_runs_the_tier1_suite():
@@ -30,6 +31,22 @@ def test_ci_workflow_runs_the_tier1_suite():
     assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
     # a worker that deadlocks after a fork is waited for without a limit
     assert 0 < job["timeout-minutes"] <= 30
+
+
+def test_ci_pins_numpy_before_the_tests():
+    # the golden synth digests hold Generator streams, which NEP 19 lets a
+    # numpy feature release change
+    yaml = pytest.importorskip("yaml")
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    runs = [step.get("run", "") for step in yaml.safe_load(
+        workflow.read_text(encoding="utf-8"))["jobs"]["tier1"]["steps"]]
+    (pin,) = [k for k, run in enumerate(runs) if "numpy==" in run]
+    (tests,) = [k for k, run in enumerate(runs) if "pytest" in run]
+    assert runs[pin] == f'pip install "{NUMPY_PIN}"'
+    assert runs.index('pip install -e ".[test]"') < pin < tests
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Tests\n", 1)[1].split("\n## ", 1)[0]
+    assert f"`{NUMPY_PIN}`" in section
 
 
 def test_ci_prints_numpys_blas_core_before_the_tests():

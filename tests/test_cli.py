@@ -657,14 +657,24 @@ def test_synth_draw_out_of_memory_exits_one(tmp_path, capsys, monkeypatch, field
                                             message):
     """A MemoryError at either draw names the field; the draw is stubbed, so
     nothing large is allocated."""
-    real_normal = lomo.core.Rng.normal
+    real_generator = lomo.data.generator
 
-    def normal(self, size=None):
-        if size == shape:
-            raise MemoryError(message)
-        return real_normal(self, size)
+    class Stream:
+        """The seed's stream, but its standard-normal draw of `shape` runs
+        out of memory."""
 
-    monkeypatch.setattr(lomo.core.Rng, "normal", normal)
+        def __init__(self, seed):
+            self._gen = real_generator(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+        def standard_normal(self, size=None):
+            if size == shape:
+                raise MemoryError(message)
+            return self._gen.standard_normal(size)
+
+    monkeypatch.setattr(lomo.data, "generator", Stream)
     argv = ["synth", "--out", str(tmp_path / "D"), "--pos", "1", "--neg", "1", "--d", "7"]
     assert _single_error(capsys, argv) == (
         f"error: {field}={value} is too large: {message or 'out of memory'}"

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lomo.data
-from lomo.core import LomoError, Rng
+from lomo.core import LomoError, generator
 from lomo.data import (
     DatasetManifest,
     FittedPreprocess,
@@ -357,7 +357,7 @@ def test_kfold_groups_never_straddle_folds():
 def test_kfold_deal_is_seeded_round_robin():
     manifest = _manifest_with_groups([f"g{i}" for i in range(5)])
     folds = make_folds(manifest, "kfold", seed=9, k=2)
-    order = Rng(9).permutation(5)
+    order = generator(9).permutation(5)
     groups = manifest.groups
     expected = [[], []]
     for pos, gi in enumerate(order):
@@ -395,6 +395,8 @@ def _manifest_row(tmp_path, row):
         (lambda tmp: make_folds(_manifest_with_groups(["g0", "g1"]), "kfold", seed=0, k=1),
          "k must be >= 2, got 1"),
         (lambda tmp: make_folds(None, "logo", 0), "manifest must be a DatasetManifest, got None"),
+        (lambda tmp: make_folds(DatasetManifest(5, 1), "logo", 0), "records must be iterable, got 5"),
+        (lambda tmp: DatasetManifest([5], 1), "records[0] must be a ManifestRecord, got 5"),
         (lambda tmp: fit_preprocess([], None), "config must be a PreprocessConfig, got None"),
         (lambda tmp: fit_preprocess([1, 2], PreprocessConfig(pca_dim=1)),
          "train_seqs[0] must be a FrameSequence, got 1"),
@@ -428,6 +430,7 @@ def _manifest_row(tmp_path, row):
     ],
     ids=[
         "manifest-empty-id", "manifest-blank-label", "kfold-k-1", "folds-of-no-manifest",
+        "manifest-records-not-iterable", "manifest-record-type",
         "fit-preprocess-config", "fit-preprocess-item", "apply-preprocess-fitted",
         "apply-preprocess-seq", "gen-synthetic-spec", "fitted-config", "fitted-mean-alone",
         "fitted-arrays-without-pca", "fitted-nan-components", "fitted-inf-mean",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 
@@ -502,6 +503,40 @@ def test_run_cv_refuses_no_folds_and_an_unhashable_id_before_it_forks(
         run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
 
 
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        ({"train_ids": 5}, r"^fold 1: train_ids must be iterable, got 5$"),
+        ({"train_ids": "pos0000", "test_ids": "neg0000"},
+         r"^fold 1: train_ids must be a collection of ids, got the str 'pos0000'$"),
+        ({"test_ids": ""}, r"^fold 1: test_ids must be a collection of ids, got the str ''$"),
+    ],
+    ids=["not-iterable", "str", "empty-str"],
+)
+def test_run_cv_refuses_a_split_that_is_no_collection_of_ids_before_it_forks(
+    tmp_path, monkeypatch, split, message
+):
+    manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
+    folds = make_folds(manifest, "logo", seed=0)
+    folds[1] = dataclasses.replace(folds[1], **split)
+
+    def no_folds(*args, **kwargs):
+        raise AssertionError("run_cv started its folds")
+
+    monkeypatch.setattr(lomo.evaluation, "forked_map", no_folds)
+    with pytest.raises(LomoError, match=message):
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="pos")
+
+
+def test_run_cv_reads_each_split_once(tmp_path):
+    # a split given as a generator is not used up by the id check
+    manifest = _synthetic_manifest(tmp_path, num_pos=5, num_neg=5)
+    folds = make_folds(manifest, "kfold", seed=1, k=2)
+    lazy = [Fold(iter(fold.train_ids), (i for i in fold.test_ids)) for fold in folds]
+    want = run_cv(manifest, folds, _fast_cfg(), "auc", positive_label="pos")
+    assert run_cv(manifest, lazy, _fast_cfg(), "auc", positive_label="pos") == want
+
+
 def test_run_cv_refuses_a_fold_without_ids_in_its_turn(tmp_path):
     manifest = _synthetic_manifest(tmp_path, num_pos=2, num_neg=2)
     folds = [*make_folds(manifest, "logo", seed=0)[:1], Fold(train_ids=None, test_ids=None)]
@@ -598,6 +633,35 @@ def test_run_cv_sums_what_its_remaining_folds_share_once(tmp_path, monkeypatch, 
         # test splits from the start
         want = [split[1] + split[3], split[2] + split[4], split[0], split[4], split[2], 0]
     assert sums == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_cv_counts_each_training_split_of_a_worker_once(tmp_path, monkeypatch, cpus):
+    # the PCA plan of a worker's share is linear in its folds: at most two
+    # Counters per fold, where a scan of every later fold made O(F**2)
+    manifest = _synthetic_manifest(tmp_path)
+    folds = make_folds(manifest, "logo", seed=0)
+    built = []
+
+    def counter(*args):
+        built.append(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(lomo.evaluation, "Counter", counter)
+    fits, _ = _cv_fits(monkeypatch, manifest, folds, PreprocessConfig(pca_dim=2), cpus)
+    share = folds[::cpus]  # the folds this process runs
+    assert len(folds) == 10 and len(fits) == len(share)
+    assert 0 < len(built) <= 2 * len(share)
+
+
+def test_run_cv_accuracy_names_the_class_a_test_split_lacks(tmp_path):
+    # logo's group g0 holds only 'pos' records, so with 'neg' as the positive
+    # class fold 0 tests no sequence of it
+    manifest = _spread_manifest(tmp_path)
+    folds = make_folds(manifest, "logo", seed=0)
+    assert {manifest.records[k].label for k in (0, 4, 8)} == {"pos"}
+    with pytest.raises(LomoError, match=r"^fold 0: class 'neg' has no examples$"):
+        run_cv(manifest, folds, _fast_cfg(), "acc", positive_label="neg")
 
 
 def _multiclass_manifest(tmp_path):

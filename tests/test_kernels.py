@@ -37,7 +37,7 @@ import lomo.data
 import lomo.inference
 import lomo.training
 from lomo.cli import main
-from lomo.core import LomoError, Rng, format_float
+from lomo.core import LomoError, format_float, generator
 from lomo.data import (
     PreprocessConfig,
     _l2_rows,
@@ -84,11 +84,11 @@ def _min_frames(m, t):
 
 
 def _sgd_fold(data, cfg, init=init_model):
-    """The reference trainer: one sgd_step per randint draw."""
-    rng = Rng(cfg.seed)
+    """The reference trainer: one sgd_step per single index draw."""
+    rng = generator(cfg.seed)
     model = init(data[0][0].dim, cfg.num_templates, rng)
     for _ in range(cfg.num_steps(len(data))):
-        model = sgd_step(model, data[rng.randint(len(data))], cfg)
+        model = sgd_step(model, data[int(rng.integers(len(data)))], cfg)
     return model
 
 

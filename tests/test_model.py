@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lomo.core import LomoError, Rng
+from lomo.core import LomoError, generator
 from lomo.data import SynthSpec
 from lomo.model import (
     MAX_TEMPLATES,
@@ -134,7 +134,7 @@ def test_perm_index_rejects_non_permutations():
         (lambda: rank_pattern(range(1, MAX_TEMPLATES + 2)), "number of frame indices"),
         (lambda: rank_pattern(range(1, 2**63 + 1)), "number of frame indices"),
         (lambda: rank_pattern(itertools.count(1)), "number of frame indices"),
-        (lambda: init_model(1, MAX_TEMPLATES + 1, Rng(0)), "number of templates"),
+        (lambda: init_model(1, MAX_TEMPLATES + 1, generator(0)), "number of templates"),
         (lambda: LomoModel(np.zeros((MAX_TEMPLATES + 1, 2)), np.zeros(1)), "number of templates"),
         (lambda: TrainConfig(num_templates=MAX_TEMPLATES + 1), "num_templates"),
         (lambda: SynthSpec(num_events=MAX_TEMPLATES + 1), "num_events"),
@@ -183,8 +183,8 @@ def test_model_properties_and_equality():
 
 
 def test_init_model_is_small_uniform_and_seeded():
-    a = init_model(4, 3, Rng(5))
-    b = init_model(4, 3, Rng(5))
+    a = init_model(4, 3, generator(5))
+    b = init_model(4, 3, generator(5))
     assert a == b
     assert a.templates.shape == (3, 4)
     assert np.all(a.templates >= 0.0) and np.all(a.templates < 0.01)
@@ -193,18 +193,18 @@ def test_init_model_is_small_uniform_and_seeded():
 
 def test_init_model_validates_arguments():
     with pytest.raises(LomoError, match="dimension must be >= 1"):
-        init_model(0, 1, Rng(0))
+        init_model(0, 1, generator(0))
     with pytest.raises(LomoError, match="number of templates must be >= 1"):
-        init_model(2, 0, Rng(0))
+        init_model(2, 0, generator(0))
     with pytest.raises(LomoError, match="at most"):
-        init_model(2, MAX_TEMPLATES + 1, Rng(0))
-    with pytest.raises(LomoError, match="^rng must be a Rng, got None$"):
+        init_model(2, MAX_TEMPLATES + 1, generator(0))
+    with pytest.raises(LomoError, match="^rng must be a Generator, got None$"):
         init_model(2, 1, None)
     # numpy refuses both shapes before it allocates anything
     with pytest.raises(LomoError, match=r"^dimension=4611686018427387904 is too large: array is too big"):
-        init_model(2**62, 1, Rng(0))
+        init_model(2**62, 1, generator(0))
     with pytest.raises(LomoError, match=r"^dimension=10{400} is too large: "):
-        init_model(10**400, 1, Rng(0))
+        init_model(10**400, 1, generator(0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lomo.training
-from lomo.core import LomoError, Rng, child_seed, require_pairs
+from lomo.core import LomoError, child_seed, generator, require_pairs
 from lomo.inference import FrameSequence, score, score_sequences
 from lomo.model import LomoModel, init_model
 from lomo.training import TrainConfig, objective, train_binary, train_ova
@@ -333,7 +333,7 @@ def test_train_rejects_single_class_data():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda data: objective(init_model(1, 1, Rng(0)), data, 1, None),
+        (lambda data: objective(init_model(1, 1, generator(0)), data, 1, None),
          r"^cfg must be a TrainConfig, got None$"),
         (lambda data: train_binary([(seq, "a") for seq, _ in data], "a", {}),
          r"^cfg must be a TrainConfig, got \{\}$"),
