@@ -247,17 +247,20 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def forked_map(fn, items, min_share: int = 1, start=None):
+def forked_map(fn, items, min_share: int = 1, start=None, places=None):
     """Yield fn(item) for every item, in item order, on W forked workers.
 
     The one worker rule: W = min(cpu_count(), len(items) // min_share).
-    Item k runs on worker k % W, and each worker, before its first item,
+    Item k runs on worker k % W, or on worker places[k] % W when `places`
+    gives each item its position in a longer list, so that it runs where
+    it would in that list. Each worker, before its first item,
     calls start(share) when `start` is given, with the list of the items it
     runs (all of them when serial); start must not raise. Worker 0 is this
     process; workers 1..W-1 are os.fork() children, each streaming one
     pickled (ok, value or exception) per item through its own pipe.
-    Dealing items round-robin keeps every pipe draining, so no child stalls
-    on a full pipe while the parent waits on another. A child stops after
+    Each worker runs its items in item order, and this process reads the
+    results in item order, so it never waits on a child that a full pipe
+    holds up. A child stops after
     its first failed item, and the error is raised here at that item's
     place, so the first error in item order wins as in a serial loop.
     Results and errors must pickle.
@@ -280,6 +283,10 @@ def forked_map(fn, items, min_share: int = 1, start=None):
         for item in items:
             yield fn(item)
         return
+    places = range(len(items)) if places is None else places
+    shares = [[] for _ in range(workers)]
+    for item, place in zip(items, places):
+        shares[place % workers].append(item)
     readers, pids = [], []
     try:
         for w in range(1, workers):
@@ -291,14 +298,14 @@ def forked_map(fn, items, min_share: int = 1, start=None):
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _serve(fn, items[w::workers], read_fd, write_fd, start)
+                _serve(fn, shares[w], read_fd, write_fd, start)
             os.close(write_fd)
             pids.append(pid)
             readers.append(open(read_fd, "rb"))
         if start is not None:
-            start(items[::workers])
-        for k, item in enumerate(items):
-            w = k % workers
+            start(shares[0])
+        for k, (item, place) in enumerate(zip(items, places)):
+            w = place % workers
             if w == 0:
                 yield fn(item)
                 continue

@@ -37,20 +37,17 @@ from .core import (
     too_large,
     write_text,
 )
-from .framecache import FrameCache, write_cache
+from .framecache import FrameCache, file_stat
 from .inference import BLOCK_VALUES, FrameSequence, require_dimension, shape_blocks
 from .model import perm_unrank, require_order_size
 
 MANIFEST_HEADER = "id,label,group,path"
 # parse_manifest and gen_synthetic fork readers or writers only when each
 # worker gets at least this many sequence files (forked_map's min_share).
-# On two vCPUs a fork costs 2-5 ms and a 40-frame file 0.3-0.4 ms (d=20) to
-# 1.5-2.3 ms (d=100) to read, hash and parse, about three times that to
-# write. A file with an entry in the frame cache is only read and hashed
-# on the workers, 0.02 ms (d=20) to 0.1 ms (d=100), and its frames are read
-# from the cache in the calling process: on a warm cache the forked load
-# of 800 files at d=20 took 0.042-0.054 s against 0.035-0.044 s serial,
-# and of 600 files at d=100 about the same as serial, 0.08-0.11 s.
+# parse_manifest counts only the files that miss their frame-cache stat
+# rows, so a warm load reads no file and forks no worker. On two vCPUs a
+# fork costs 2-5 ms and a 40-frame file 0.3-0.4 ms (d=20) to 1.5-2.3 ms
+# (d=100) to read, hash and parse, about three times that to write.
 # Forked parses lost at 16 files per worker at d=20 in both of two runs and
 # won at 64 per worker at d=100 in both; between those they won or lost as
 # the shared second vCPU allowed. Forked writes won from 16.
@@ -194,12 +191,13 @@ def parse_manifest(path) -> DatasetManifest:
     in order and only the sequence files of the rows before the first bad
     row are read, so the first error in row order is the one raised.
 
-    Each file is read and hashed once, by core.forked_map with at least
-    FORK_MIN_FILES files per worker: a file whose bytes have an entry in the
-    manifest's frame cache (see lomo.framecache) is read from it, the others
-    are parsed. The result is the same as a serial read. See
+    A file whose stat equals its row in the manifest's frame cache (see
+    lomo.framecache) is not opened. The others are read and hashed once,
+    by core.forked_map with at least FORK_MIN_FILES such files per worker,
+    dealt by row: one whose bytes have an entry is read from the cache,
+    the rest are parsed. The result is the same as a serial read. See
     core.forked_map for when it forks and for the threads that make forking
-    unsafe. When a file was parsed and every record loaded, the cache is
+    unsafe. After such a read, when every record loaded, the cache is
     rewritten to hold this manifest's files.
     """
     base = os.path.dirname(os.path.abspath(str(path)))
@@ -210,29 +208,25 @@ def parse_manifest(path) -> DatasetManifest:
     records: list[ManifestRecord] = []
     ids: set[str] = set()
     row_error = None
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            records.append(_manifest_record(path, base, row_no, line, ids))
-        except LomoError as err:
-            row_error = err
-            break
     sequences: dict[str, FrameSequence] = {}
-    frames_by_digest = {}
     dim = None
-    parsed = False
     with FrameCache(path) as cache:
-        loads = forked_map(lambda rec: _load(rec.path, rec.id, cache), records, FORK_MIN_FILES)
+        for row_no, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            try:
+                rec, st = _manifest_record(path, base, row_no, line, ids)
+            except LomoError as err:
+                row_error = err
+                break
+            records.append(rec)
+            cache.add(rec.path, st)
+        misses = cache.misses()
+        loads = forked_map(lambda k: _load(records[k].path, records[k].id, cache), misses,
+                           FORK_MIN_FILES, places=misses)
         with contextlib.closing(loads):
-            for rec, (seq, digest) in zip(records, loads):
-                if seq is None:  # a cache entry: its frames are read here
-                    seq = cache.sequence(digest, rec.id)
-                    if seq is None:  # they do not read back whole: parse the file
-                        seq, digest = _load(rec.path, rec.id)
-                        parsed = True
-                else:
-                    parsed = True
+            for k, rec in enumerate(records):
+                seq = cache.take(k, rec.id, loads, lambda: _load(rec.path, rec.id))
                 if dim is None:
                     dim = seq.dim
                 elif seq.dim != dim:
@@ -240,18 +234,18 @@ def parse_manifest(path) -> DatasetManifest:
                         f"{path}: record {rec.id!r}: dimension {seq.dim} differs from {dim}"
                     )
                 sequences[rec.id] = seq
-                frames_by_digest[digest] = seq.frames
-    if row_error is not None:
-        raise row_error
-    if not records:
-        raise LomoError(f"{path}: manifest lists no records")
-    if parsed:
-        write_cache(path, frames_by_digest)
+        if row_error is not None:
+            raise row_error
+        if not records:
+            raise LomoError(f"{path}: manifest lists no records")
+        cache.write()
     return DatasetManifest(records, dim, sequences)
 
 
-def _manifest_record(path, base: str, row_no: int, line: str, ids: set[str]) -> ManifestRecord:
-    """One manifest row checked and resolved; its id is added to `ids`."""
+def _manifest_record(path, base: str, row_no: int, line: str, ids: set[str]
+                     ) -> tuple[ManifestRecord, os.stat_result]:
+    """One manifest row checked and resolved, and its file's stat; its id is
+    added to `ids`."""
     cells = line.split(",")
     if len(cells) != 4:
         raise LomoError(f"{path}: row {row_no} has {len(cells)} columns, expected 4")
@@ -261,10 +255,11 @@ def _manifest_record(path, base: str, row_no: int, line: str, ids: set[str]) -> 
     if rec_id in ids:
         raise LomoError(f"{path}: duplicate id {rec_id!r} at row {row_no}")
     seq_path = rel_path if os.path.isabs(rel_path) else os.path.join(base, rel_path)
-    if not os.path.isfile(seq_path):
+    st = file_stat(seq_path)
+    if st is None:
         raise LomoError(f"{path}: record {rec_id!r}: missing sequence file {rel_path!r}")
     ids.add(rec_id)
-    return ManifestRecord(rec_id, label, group, seq_path)
+    return ManifestRecord(rec_id, label, group, seq_path), st
 
 
 # ---------------------------------------------------------------------------

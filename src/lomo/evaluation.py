@@ -112,8 +112,19 @@ def roc_eer_rate(labels, scores) -> float:
 
 @dataclass
 class CvResult:
+    """A cv metric and its value on each fold, in fold order. Checked when
+    built: the metric is one of METRICS, and there is a fold value, each a
+    finite number (kept as a Python float)."""
+
     metric: str
     fold_values: list[float]
+
+    def __post_init__(self):
+        self.metric = require_choice("metric", self.metric, METRICS)
+        self.fold_values = finite_floats("fold_values", self.fold_values,
+                                         "a fold value must be a finite number")
+        if not self.fold_values:
+            raise LomoError("fold_values must hold a value per fold, got none")
 
     @property
     def mean(self) -> float:

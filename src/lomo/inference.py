@@ -98,13 +98,36 @@ def _too_short(seq: FrameSequence, m: int, t: int) -> LomoError:
 @dataclass(frozen=True)
 class BatchAssignment:
     """Assignments of B sequences: row b holds what the per-sequence
-    reference, latent_assign in tests/oracle.py, returns."""
+    reference, latent_assign in tests/oracle.py, returns. Checked when
+    built: chosen and perm become integer arrays and the rest finite
+    float64 arrays (the arrays assign_batch fills are kept), with the
+    shapes below."""
 
     chosen: np.ndarray  # (B, M) 1-based frame index per template
     template_scores: np.ndarray  # (B, M)
     perm: np.ndarray  # (B,) 1-based lexicographic index of the rank pattern
     ordering_cost: np.ndarray  # (B,)
     total: np.ndarray  # (B,)
+
+    def __post_init__(self):
+        for name in ("chosen", "perm"):
+            try:
+                value = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged nest of lists
+                value = np.asarray(None)
+            if value.dtype.kind not in "iu":
+                raise LomoError(f"{name} must be integers, got {_shown(getattr(self, name))}")
+            object.__setattr__(self, name, value)
+        for name in ("template_scores", "ordering_cost", "total"):
+            value = real_array(name, getattr(self, name))
+            if not np.isfinite(value).all():
+                raise LomoError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        shapes = [getattr(self, f).shape for f in ("chosen", "template_scores", "perm",
+                                                   "ordering_cost", "total")]
+        if len(shapes[0]) != 2 or shapes[1] != shapes[0] or shapes[2:] != [shapes[0][:1]] * 3:
+            raise LomoError("chosen and template_scores must have shape (B, M), and perm, "
+                            f"ordering_cost and total shape (B,), got {', '.join(map(str, shapes))}")
 
 
 def assign_batch(model: LomoModel, seqs, exclusion_t: int) -> BatchAssignment:
@@ -116,8 +139,8 @@ def assign_batch(model: LomoModel, seqs, exclusion_t: int) -> BatchAssignment:
     t = require_int("exclusion_t", exclusion_t, minimum=0)
     seqs = require_items("seqs", seqs, FrameSequence)
     count, m = len(seqs), model.num_templates
-    out = BatchAssignment(np.empty((count, m), np.intp), np.empty((count, m)),
-                          np.empty(count, np.intp), np.empty(count), np.empty(count))
+    out = BatchAssignment(np.zeros((count, m), np.intp), np.zeros((count, m)),
+                          np.zeros(count, np.intp), np.zeros(count), np.zeros(count))
     for block in shape_blocks(seqs, BLOCK_VALUES):
         _assign(model, [seqs[k] for k in block], t, out, block)
     return out

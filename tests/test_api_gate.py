@@ -67,6 +67,24 @@ def _fields(cls, value) -> dict:
     return {f.name: getattr(value, f.name) for f in dataclasses.fields(cls)}
 
 
+def _assignment_rows(assignment) -> list:
+    """Each row of a BatchAssignment: B picks of M templates, integer
+    frames and patterns, finite scores."""
+    count, m = assignment.chosen.shape
+    for name in ("perm", "ordering_cost", "total"):
+        assert getattr(assignment, name).shape == (count,), name
+    assert assignment.template_scores.shape == (count, m)
+    assert assignment.chosen.dtype.kind == assignment.perm.dtype.kind == "i"
+    assert np.isfinite(assignment.template_scores).all() and np.isfinite(assignment.total).all()
+    return list(zip(assignment.chosen.tolist(), assignment.total.tolist()))
+
+
+def _cv_mean(result) -> float:
+    """The mean of a CvResult, whose metric must be one cv computes."""
+    assert result.metric in ("acc", "auc", "eer")
+    return result.mean
+
+
 @pytest.fixture(scope="module")
 def good(tmp_path_factory):
     """name -> (callable, good keyword arguments); path arguments name files
@@ -85,8 +103,11 @@ def good(tmp_path_factory):
     folds = lomo.make_folds(manifest, "logo", 0)[:1]  # one fold: run_cv runs it in process
     assignment = lomo.assign_batch(model, seqs, 0)
     return base, Calls({
-        "BatchAssignment": (lomo.BatchAssignment, _fields(lomo.BatchAssignment, assignment)),
-        "CvResult": (lomo.CvResult, {"metric": "acc", "fold_values": [0.5]}),
+        # read once built, so a field value that the record takes must hold
+        "BatchAssignment": (lambda **rows: _assignment_rows(lomo.BatchAssignment(**rows)),
+                            _fields(lomo.BatchAssignment, assignment)),
+        "CvResult": (lambda **result: _cv_mean(lomo.CvResult(**result)),
+                     {"metric": "acc", "fold_values": [0.5]}),
         "DatasetManifest": (lomo.DatasetManifest, _fields(lomo.DatasetManifest, manifest)),
         # applied once built, so a field value that the record takes must work
         "FittedPreprocess": (lambda **fit: lomo.apply_preprocess(lomo.FittedPreprocess(**fit), seqs),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from collections import Counter
 
@@ -273,6 +274,25 @@ def test_roc_metrics_accept_numeric_spellings_of_plus_and_minus_one():
 
 def test_cv_result_mean():
     assert CvResult("acc", [0.5, 0.75]).mean == pytest.approx(0.625)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("acc", None), "fold_values must be iterable, got None"),
+    (("acc", [0.5, "x"]), "fold_values[1] is 'x'; a fold value must be a finite number"),
+    (("acc", [math.nan]), "fold_values[0] is nan; a fold value must be a finite number"),
+    (("acc", []), "fold_values must hold a value per fold, got none"),
+    (("f1", [0.5]), "metric must be one of ('acc', 'auc', 'eer'), got 'f1'"),
+])
+def test_cv_result_checks_its_fields(args, message):
+    with pytest.raises(LomoError) as info:
+        CvResult(*args)
+    assert str(info.value) == message
+
+
+def test_cv_result_keeps_python_floats_and_a_lower_case_metric():
+    result = CvResult("AUC", (np.float64(0.5), 1))
+    assert (result.metric, result.fold_values) == ("auc", [0.5, 1.0])
+    assert all(type(v) is float for v in result.fold_values)
 
 
 def test_format_cv_results_exact_csv():

@@ -1,25 +1,37 @@
 """The frame cache that parse_manifest keeps beside each manifest.
 
 `.<manifest name>.frames` holds the frames of each sequence file, keyed by
-the SHA-256 of the file's bytes. Whatever the cache holds, parse_manifest
+the SHA-256 of the file's bytes, and a stat row per record that finds the
+key without reading the file. Whatever the cache holds, parse_manifest
 must give what a parse of the files gives, with the same errors; the cache
-only saves the parse. The forked loads on a cold and a warm cache are
-tested in test_forked.py, and the golden digests on both in
+only saves the reads and the parse. The forked loads on a cold and a warm
+cache are tested in test_forked.py, and the golden digests on both in
 test_golden.py.
+
+A load trusts no row of a file changed in the timestamp tick of its own
+timestamp, so the datasets here are settled (see `settle`) before a load
+whose reads are counted.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lomo
+import lomo.core
 import lomo.data
 from lomo.cli import main
 from lomo.core import LomoError
@@ -30,14 +42,32 @@ from lomo.inference import FrameSequence
 IDS = ["r0", "r1", "r2", "r3"]
 
 
-def _dataset(tmp_path):
+def settle(paths) -> None:
+    """Return once a new file beside the first of `paths` gets a change
+    time later than that of every one of them: a load after that trusts
+    their rows."""
+    paths = [Path(p) for p in paths]
+    newest = max(p.stat().st_ctime_ns for p in paths)
+    probe = paths[0].parent / ".settle-probe"
+    while True:
+        probe.write_bytes(b"")
+        changed = probe.stat().st_ctime_ns
+        probe.unlink()
+        if changed > newest:
+            return
+        time.sleep(0.001)
+
+
+def _dataset(tmp_path, frames=None):
     rng = np.random.default_rng(11)
+    frames = frames or [rng.normal(size=(6, 3)) for _ in IDS]
     rows = ["id,label,group,path"]
     for k, rec_id in enumerate(IDS):
-        write_sequence(FrameSequence(rng.normal(size=(6, 3))), tmp_path / f"{rec_id}.csv")
+        write_sequence(FrameSequence(frames[k]), tmp_path / f"{rec_id}.csv")
         rows.append(f"{rec_id},{'pos' if k % 2 else 'neg'},g{k % 2},{rec_id}.csv")
     path = tmp_path / "manifest.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    settle(tmp_path / f"{rec_id}.csv" for rec_id in IDS)
     return path
 
 
@@ -53,6 +83,23 @@ def parsed(monkeypatch):
     monkeypatch.setattr(lomo.data, "_parse",
                         lambda p, lines, i: ids.append(i) or original(p, lines, i))
     return ids
+
+
+@pytest.fixture
+def read(monkeypatch):
+    """The names of the sequence files parse_manifest reads, in order."""
+    names = []
+    original = lomo.data.read_bytes
+    monkeypatch.setattr(lomo.data, "read_bytes",
+                        lambda p: names.append(Path(p).stem) or original(p))
+    return names
+
+
+def _edit(seq: Path) -> None:
+    """One digit of the file one up: other frames, the same size."""
+    text = seq.read_bytes()
+    k = next(i for i, c in enumerate(text) if c in b"12345678")
+    seq.write_bytes(text[:k] + bytes([text[k] + 1]) + text[k + 1:])
 
 
 def test_a_parse_fills_the_cache_and_a_later_parse_reads_it(tmp_path, parsed):
@@ -91,6 +138,202 @@ def test_a_file_rewritten_with_the_same_size_and_mtime_is_parsed_again(tmp_path,
     parsed.clear()
     assert _bits(parse_manifest(path)) == _bits(manifest)
     assert parsed == []
+
+
+def test_a_warm_load_reads_no_file_until_one_changes(tmp_path, parsed, read):
+    path = _dataset(tmp_path)
+    want = _bits(parse_manifest(path))
+    assert read == IDS
+    read.clear()
+    assert _bits(parse_manifest(path)) == want
+    assert read == []
+    seq = tmp_path / "r2.csv"
+    before = seq.stat()
+    _edit(seq)
+    os.utime(seq, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (seq.stat().st_size, seq.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    settle([seq])
+    parsed.clear()
+    manifest = parse_manifest(path)
+    assert read == parsed == ["r2"]  # the ctime moved: no row matches
+    assert manifest.sequences["r2"].frames.tobytes() == read_sequence(seq).frames.tobytes()
+    read.clear()
+    parsed.clear()
+    assert _bits(parse_manifest(path)) == _bits(manifest)
+    assert read == parsed == []
+
+
+@pytest.mark.parametrize("field", ["st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns"])
+def test_a_stat_that_differs_from_the_row_in_one_field_reads_the_file(tmp_path, read,
+                                                                      monkeypatch, field):
+    path = _dataset(tmp_path)
+    parse_manifest(path)
+    seq = tmp_path / "r1.csv"
+    stat = os.stat
+
+    def moved(p, *args, **kwargs):
+        st = stat(p, *args, **kwargs)
+        if Path(p) != seq:
+            return st
+        fields = ("st_mode", "st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+        return SimpleNamespace(**{**{f: getattr(st, f) for f in fields},
+                                  field: getattr(st, field) + 1})
+
+    monkeypatch.setattr(os, "stat", moved)
+    read.clear()
+    parse_manifest(path)
+    assert read == ["r1"]
+
+
+def test_two_files_of_one_size_swapped_by_rename_are_read_again(tmp_path, parsed, read):
+    frames = np.random.default_rng(12).normal(size=(6, 3))
+    path = _dataset(tmp_path, [frames, frames[::-1], frames[:, ::-1], -frames])
+    r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    assert r1.stat().st_size == r2.stat().st_size
+    parse_manifest(path)
+    os.rename(r1, tmp_path / "swap")
+    os.rename(r2, r1)
+    os.rename(tmp_path / "swap", r2)
+    settle([r1, r2])
+    read.clear()
+    manifest = parse_manifest(path)
+    assert read == ["r1", "r2"] and parsed == IDS  # the two re-reads are cache hits
+    assert manifest.sequences["r1"].frames.tobytes() == frames[:, ::-1].tobytes()
+    assert manifest.sequences["r2"].frames.tobytes() == frames[::-1].tobytes()
+
+
+def test_a_cache_copied_with_its_dataset_reads_each_copied_file_once(tmp_path, parsed, read):
+    (tmp_path / "a").mkdir()
+    path = _dataset(tmp_path / "a")
+    want = [bits for _, bits in _bits(parse_manifest(path))]
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    assert (tmp_path / "b" / ".manifest.csv.frames").exists()
+    settle((tmp_path / "b").glob("r*.csv"))
+    for directory, reads in (("b", IDS), ("b", []), ("a", [])):
+        read.clear()
+        parsed.clear()
+        manifest = parse_manifest(tmp_path / directory / "manifest.csv")
+        assert read == reads and parsed == []
+        assert [bits for _, bits in _bits(manifest)] == want
+
+
+@pytest.mark.parametrize("field", ["mtime", "ctime"])
+def test_a_file_edited_after_its_read_in_the_tick_of_the_load_is_read_again(
+        tmp_path, parsed, monkeypatch, field):
+    """r2's `field` lies in the tick of the load's timestamp (the temporary
+    cache file's ctime, patched to it), the other time is older, and r2 is
+    edited after the load read it, in the same tick and with the same size,
+    so its stat does not move (the second load's os.stat patched to the
+    first's). Its row must be racy: the second load reads r2 again and gets
+    its new frames."""
+    path = _dataset(tmp_path)
+    parse_manifest(path)
+    seq = tmp_path / "r2.csv"
+    before = seq.stat()
+    _edit(seq)
+    if field == "ctime":  # the mtime set back, as `cp -p` or `touch -r` would
+        os.utime(seq, ns=(before.st_atime_ns, before.st_mtime_ns))
+    else:  # the mtime set ahead of the ctime
+        os.utime(seq, ns=(before.st_atime_ns, seq.stat().st_ctime_ns + 10**9))
+    seen = seq.stat()
+    stamp = getattr(seen, f"st_{field}_ns")
+    assert min(seen.st_mtime_ns, seen.st_ctime_ns) < stamp
+    stat, read_bytes = os.stat, lomo.data.read_bytes
+
+    def stat_in_the_tick(p, *args, **kwargs):
+        if ".frames.tmp-" in str(p):
+            return SimpleNamespace(st_ctime_ns=stamp)
+        return stat(p, *args, **kwargs)
+
+    def edit_after_read(p):
+        # the load took its timestamp before it read a file
+        assert [n for n in os.listdir(tmp_path) if ".frames.tmp-" in n]
+        raw = read_bytes(p)
+        if Path(p) == seq:
+            _edit(seq)
+        return raw
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "stat", stat_in_the_tick)
+        patch.setattr(lomo.data, "read_bytes", edit_after_read)
+        parsed.clear()
+        first = parse_manifest(path)
+    assert parsed == ["r2"]
+    assert first.sequences["r2"].frames.tobytes() != read_sequence(seq).frames.tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "stat", lambda p, *a, **k: seen if Path(p) == seq else stat(p, *a, **k))
+        parsed.clear()
+        second = parse_manifest(path)
+    assert parsed == ["r2"]
+    assert second.sequences["r2"].frames.tobytes() == read_sequence(seq).frames.tobytes()
+
+
+def test_a_touched_file_is_hashed_once_then_trusted(tmp_path, parsed, read):
+    path = _dataset(tmp_path)
+    want = _bits(parse_manifest(path))
+    os.utime(tmp_path / "r1.csv")
+    settle([tmp_path / "r1.csv"])
+    for reads in (["r1"], []):
+        read.clear()
+        assert _bits(parse_manifest(path)) == want
+        assert read == reads
+    assert parsed == IDS  # the first, cold load only
+
+
+def _lomofrm1(manifest) -> bytes:
+    """The cache the previous format (MAGIC LOMOFRM1, no stat rows) held for
+    `manifest`: HEAD, one ENTRY per file, the frames."""
+    blocks = [manifest.sequences[r.id].frames.astype("<f8").tobytes() for r in manifest.records]
+    offset = HEAD.size + len(blocks) * ENTRY.size
+    table = []
+    for rec, block in zip(manifest.records, blocks):
+        digest = hashlib.sha256(Path(rec.path).read_bytes()).digest()
+        table.append(ENTRY.pack(digest, 6, 3, offset, zlib.crc32(block)))
+        offset += len(block)
+    return HEAD.pack(b"LOMOFRM1", len(blocks)) + b"".join(table + blocks)
+
+
+def test_a_cache_of_the_previous_format_reads_as_empty_and_is_replaced(tmp_path, parsed):
+    path = _dataset(tmp_path)
+    cache = tmp_path / ".manifest.csv.frames"
+    want = _bits(parse_manifest(path))
+    good = cache.read_bytes()
+    assert MAGIC != b"LOMOFRM1"
+    cache.write_bytes(_lomofrm1(parse_manifest(path)))
+    parsed.clear()
+    assert _bits(parse_manifest(path)) == want
+    assert parsed == IDS
+    assert cache.read_bytes() == good
+
+
+def test_a_warm_load_of_64_files_reads_none_and_forks_none(tmp_path, monkeypatch, read):
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(13)
+    rows = ["id,label,group,path"]
+    for k in range(64):
+        write_sequence(FrameSequence(rng.normal(size=(5, 4))), tmp_path / f"s{k}.csv")
+        rows.append(f"s{k},{'pos' if k % 2 else 'neg'},g{k % 4},s{k}.csv")
+    path = tmp_path / "manifest.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    settle(tmp_path.glob("s*.csv"))
+    items = []
+    forked_map = lomo.data.forked_map
+
+    def counting(fn, todo, *args, **kwargs):
+        todo = list(todo)
+        items.append(len(todo))
+        return forked_map(fn, todo, *args, **kwargs)
+
+    monkeypatch.setattr(lomo.data, "forked_map", counting)
+    cold = parse_manifest(path)
+    # two workers of 32 files; the forked worker's reads are its own
+    assert items == [64] and read == [f"s{k}" for k in range(0, 64, 2)]
+    written = (tmp_path / ".manifest.csv.frames").stat()
+    items.clear()
+    read.clear()
+    assert _bits(parse_manifest(path)) == _bits(cold)
+    assert read == [] and not any(items)
+    assert (tmp_path / ".manifest.csv.frames").stat().st_ino == written.st_ino
 
 
 def _flip_last_frame_byte(good: bytes) -> bytes:
@@ -280,3 +523,17 @@ def test_a_cache_that_cannot_be_written_changes_no_output(tmp_path, monkeypatch,
         assert not [n for n in os.listdir(tmp_path) if ".tmp-" in n]
     assert runs[0] == runs[1]
     assert runs[0][0][0] == runs[0][2][0] == 0 and runs[0][3][0] == 1
+
+
+def test_load_timings_times_a_cold_a_stale_and_a_warm_load(capsys):
+    script = Path(__file__).parents[1] / "tools" / "load_timings.py"
+    spec = importlib.util.spec_from_file_location("load_timings", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--set", "3:4", "--frames", "20", "--runs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "d=3 files=4 frames=20 runs=2"
+    figures = json.loads(lines[-1])["d3x4"]
+    assert sorted(figures) == ["cold", "stale", "warm"]
+    for cache in figures.values():
+        assert cache["median_ms"] > 0 and cache["iqr_ms"] >= 0

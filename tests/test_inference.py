@@ -9,6 +9,7 @@ import pytest
 
 from lomo.core import LomoError
 from lomo.inference import (
+    BatchAssignment,
     FrameSequence,
     assign_batch,
     fuse_scores,
@@ -294,3 +295,35 @@ def test_array_arguments_that_need_no_conversion_are_kept():
     assert FrameSequence([[1, 2]]).frames.dtype == np.float64
     templates = np.asfortranarray(np.ones((2, 3)))
     assert LomoModel(templates, np.zeros(2)).templates is templates
+
+
+def _rows(**changed):
+    """Fields of a BatchAssignment of two sequences and two templates."""
+    fields = dict(chosen=np.array([[1, 3], [2, 1]]), template_scores=np.zeros((2, 2)),
+                  perm=np.array([1, 2]), ordering_cost=np.zeros(2), total=np.zeros(2))
+    return {**fields, **changed}
+
+
+@pytest.mark.parametrize("changed, message", [
+    (dict(chosen=None), "chosen must be integers, got None"),
+    (dict(perm=np.array([1.0, 2.0])), "perm must be integers, got array([1., 2.])"),
+    (dict(total=np.array([0.0, math.nan])), "total must be finite"),
+    (dict(template_scores=np.full((2, 2), math.inf)), "template_scores must be finite"),
+    (dict(ordering_cost=["x", 0.0]), "ordering_cost must be real numbers: "),
+    (dict(perm=np.array([1, 2, 3])),
+     "chosen and template_scores must have shape (B, M), and perm, ordering_cost and total "
+     "shape (B,), got (2, 2), (2, 2), (3,), (2,), (2,)"),
+    (dict(template_scores=np.zeros((2, 3))),
+     "chosen and template_scores must have shape (B, M), and perm, ordering_cost and total "
+     "shape (B,), got (2, 2), (2, 3), (2,), (2,), (2,)"),
+])
+def test_batch_assignment_checks_its_fields(changed, message):
+    with pytest.raises(LomoError) as info:
+        BatchAssignment(**_rows(**changed))
+    assert str(info.value).startswith(message)
+
+
+def test_batch_assignment_keeps_the_arrays_it_is_given():
+    fields = _rows()
+    built = BatchAssignment(**fields)
+    assert all(getattr(built, name) is value for name, value in fields.items())

@@ -56,12 +56,14 @@ from lomo.inference import (
 from lomo.model import MAX_TEMPLATES, LomoModel, init_model, save_model
 from lomo.training import (
     _DRAW_CHUNK,
+    COST_UPDATES,
     TrainConfig,
     _add_reduce,
     objective,
     train_binary,
 )
 from oracle import latent_assign, sgd_step, stacked_pca_moments
+from test_frame_cache import settle
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -306,6 +308,44 @@ def test_train_scores_each_general_step_with_the_checked_stacked_product(monkeyp
     got = train_binary(data, 1, cfg)
     assert checked.calls == 300  # one per step: no sequence here has one frame
     want = _sgd_fold(data, cfg)
+    assert _bits(got.templates) == _bits(want.templates)
+    assert _bits(got.costs) == _bits(want.costs)
+
+
+@pytest.mark.parametrize("cost_update", COST_UPDATES)
+def test_train_scores_each_one_frame_step_with_the_checked_product(cost_update):
+    # the one-frame step's x.dot(w), not a copy of it: swapped for another
+    # product (np.add.reduce of x[0] * w differs from it in the last bit),
+    # it is called no more; each call must score what the reference step
+    # scores at that step, bit for bit
+    rng = np.random.default_rng(70)
+    scores = []
+
+    class CheckedDot(np.ndarray):
+        def dot(self, w, out=None):
+            got = np.ndarray.dot(self, w, out)
+            scores.append(got.item(0))
+            return got
+
+    plain = [(FrameSequence(rng.normal(size=(1, 20)), id=f"s{k}"), 1 - 2 * (k % 2))
+             for k in range(6)]
+    data = []
+    for seq, label in plain:
+        checked = FrameSequence(seq.frames, id=seq.id)
+        object.__setattr__(checked, "frames", seq.frames.view(CheckedDot))
+        data.append((checked, label))
+    cfg = TrainConfig(num_templates=1, exclusion_t=0, max_iter=300, eta=0.3, seed=9,
+                      cost_update=cost_update)
+    got = train_binary(data, 1, cfg)
+    rng = generator(cfg.seed)
+    want = init_model(20, 1, rng)
+    want_scores = []
+    for _ in range(cfg.max_iter):
+        example = plain[int(rng.integers(len(plain)))]
+        want_scores.append(latent_assign(want, example[0], 0).template_scores[0])
+        want = sgd_step(want, example, cfg)
+    assert len(scores) == cfg.max_iter  # one per step
+    assert _bits(scores) == _bits(want_scores)
     assert _bits(got.templates) == _bits(want.templates)
     assert _bits(got.costs) == _bits(want.costs)
 
@@ -948,7 +988,8 @@ def test_write_sequence_writes_every_edge_value_like_format_float(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# each sequence file is read once per command, and parsed only on a cache miss
+# each sequence file is read at most once per command, and parsed only on a
+# cache miss
 
 
 @pytest.fixture
@@ -978,6 +1019,7 @@ def test_train_and_predict_read_each_sequence_file_once(tmp_path, read_counter):
     manifest = _write_manifest(tmp_path, frames)
     model = str(tmp_path / "m.lomo")
     files = [f"r{k}.csv" for k in range(6)]
+    settle(tmp_path / name for name in files)
     train = ["train", "--manifest", manifest, "--out", model, "--positive-label", "pos",
              "--templates", "1", "--exclusion-t", "0", "--max-iter", "20"]
     assert main(train) == 0
@@ -987,9 +1029,8 @@ def test_train_and_predict_read_each_sequence_file_once(tmp_path, read_counter):
     read_counter["parsed"].clear()
     assert main(["predict", "--manifest", manifest, "--model", model,
                  "--exclusion-t", "0", "--out", str(tmp_path / "p.csv")]) == 0
-    # train filled the cache: each file is read once to hash it, and none is parsed
-    assert sorted(read_counter["read"]) == files
-    assert read_counter["parsed"] == []
+    # train filled the cache, with a stat row per file: no file is read
+    assert read_counter["read"] == read_counter["parsed"] == []
     # every file edited, the cache stale: each file is read once and parsed
     for k, f in enumerate(frames):
         write_sequence(FrameSequence(-f), tmp_path / f"r{k}.csv")
