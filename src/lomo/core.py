@@ -247,15 +247,13 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def forked_map(fn, items, min_share: int = 1, start=None, places=None):
+def forked_map(fn, items, min_share: int = 1, start=None):
     """Yield fn(item) for every item, in item order, on W forked workers.
 
     The one worker rule: W = min(cpu_count(), len(items) // min_share).
-    Item k runs on worker k % W, or on worker places[k] % W when `places`
-    gives each item its position in a longer list, so that it runs where
-    it would in that list. Each worker, before its first item,
-    calls start(share) when `start` is given, with the list of the items it
-    runs (all of them when serial); start must not raise. Worker 0 is this
+    Item k runs on worker k % W. Each worker, before its first item, calls
+    start(share) when `start` is given, with the list of the items it runs
+    (all of them when serial); start must not raise. Worker 0 is this
     process; workers 1..W-1 are os.fork() children, each streaming one
     pickled (ok, value or exception) per item through its own pipe.
     Each worker runs its items in item order, and this process reads the
@@ -283,10 +281,7 @@ def forked_map(fn, items, min_share: int = 1, start=None, places=None):
         for item in items:
             yield fn(item)
         return
-    places = range(len(items)) if places is None else places
-    shares = [[] for _ in range(workers)]
-    for item, place in zip(items, places):
-        shares[place % workers].append(item)
+    shares = [items[w::workers] for w in range(workers)]
     readers, pids = [], []
     try:
         for w in range(1, workers):
@@ -304,8 +299,8 @@ def forked_map(fn, items, min_share: int = 1, start=None, places=None):
             readers.append(open(read_fd, "rb"))
         if start is not None:
             start(shares[0])
-        for k, (item, place) in enumerate(zip(items, places)):
-            w = place % workers
+        for k, item in enumerate(items):
+            w = k % workers
             if w == 0:
                 yield fn(item)
                 continue

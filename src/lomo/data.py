@@ -9,7 +9,6 @@ written with shortest round-trip formatting so rewrites are byte-stable.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import os
 import sys
@@ -47,7 +46,7 @@ MANIFEST_HEADER = "id,label,group,path"
 # parse_manifest counts only the files that miss their frame-cache stat
 # rows, so a warm load reads no file and forks no worker. On two vCPUs a
 # fork costs 2-5 ms and a 40-frame file 0.3-0.4 ms (d=20) to 1.5-2.3 ms
-# (d=100) to read, hash and parse, about three times that to write.
+# (d=100) to read and parse, about three times that to write.
 # Forked parses lost at 16 files per worker at d=20 in both of two runs and
 # won at 64 per worker at d=100 in both; between those they won or lost as
 # the shared second vCPU allowed. Forked writes won from 16.
@@ -63,27 +62,12 @@ def read_sequence(path, seq_id: str | None = None) -> FrameSequence:
 
     A UTF-8 byte-order mark and trailing blank lines are ignored.
     """
-    return _load(path, seq_id)[0]
-
-
-def _load(path, seq_id: str | None, cache: FrameCache | None = None
-          ) -> tuple[FrameSequence | None, bytes]:
-    """(sequence, SHA-256 of the file's bytes); the file is read once.
-
-    When the digest has an entry in `cache` the sequence is None: the
-    caller reads its frames from the cache. Otherwise the bytes that were
-    hashed are parsed, so a file edited meanwhile is never stored under a
-    digest its content does not match.
-    """
     raw = read_bytes(path)
-    digest = hashlib.sha256(raw).digest()
-    if cache is not None and digest in cache:
-        return None, digest
     if seq_id is None:
         seq_id = os.path.splitext(os.path.basename(str(path)))[0]
     lines = decode_text(path, raw, "utf-8-sig").splitlines()
     del raw  # held through the parse, it left the heap 0.6 MB larger after 800 files
-    return _parse(path, lines, seq_id), digest
+    return _parse(path, lines, seq_id)
 
 
 def _parse(path, lines: list[str], seq_id: str) -> FrameSequence:
@@ -192,13 +176,12 @@ def parse_manifest(path) -> DatasetManifest:
     row are read, so the first error in row order is the one raised.
 
     A file whose stat equals its row in the manifest's frame cache (see
-    lomo.framecache) is not opened. The others are read and hashed once,
-    by core.forked_map with at least FORK_MIN_FILES such files per worker,
-    dealt by row: one whose bytes have an entry is read from the cache,
-    the rest are parsed. The result is the same as a serial read. See
-    core.forked_map for when it forks and for the threads that make forking
-    unsafe. After such a read, when every record loaded, the cache is
-    rewritten to hold this manifest's files.
+    lomo.framecache) is not opened. The others are parsed once each, by
+    read_sequence on core.forked_map with at least FORK_MIN_FILES such
+    files per worker, dealt round-robin among themselves. The result is the
+    same as a serial read. See core.forked_map for when it forks and for
+    the threads that make forking unsafe. After such a read, when every
+    record loaded, the cache is rewritten to hold this manifest's files.
     """
     base = os.path.dirname(os.path.abspath(str(path)))
     lines = read_text(path, "utf-8-sig").splitlines()
@@ -222,11 +205,11 @@ def parse_manifest(path) -> DatasetManifest:
             records.append(rec)
             cache.add(rec.path, st)
         misses = cache.misses()
-        loads = forked_map(lambda k: _load(records[k].path, records[k].id, cache), misses,
-                           FORK_MIN_FILES, places=misses)
+        loads = forked_map(lambda k: read_sequence(records[k].path, records[k].id), misses,
+                           FORK_MIN_FILES)
         with contextlib.closing(loads):
             for k, rec in enumerate(records):
-                seq = cache.take(k, rec.id, loads, lambda: _load(rec.path, rec.id))
+                seq = cache.take(k, rec.id, loads, lambda: read_sequence(rec.path, rec.id))
                 if dim is None:
                     dim = seq.dim
                 elif seq.dim != dim:

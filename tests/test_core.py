@@ -280,13 +280,14 @@ def test_the_bit_generator_has_one_home():
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; loaded before the package
     # compiled, it raised the peak resident size of `import lomo.cli` by
-    # 0.7 MB (2.6 MB at the import)
+    # 0.7 MB (2.6 MB at the import); hashlib, which loads OpenSSL, raised
+    # it by 3.7-3.9 MB
     paths = [str(pathlib.Path(lomo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    script = "import sys, lomo.cli; print('numpy.random' in sys.modules)"
+    script = "import sys, lomo.cli; print(sorted({'numpy.random', 'hashlib'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from lomo.data import (
 from lomo.evaluation import run_cv
 from lomo.inference import FrameSequence
 from lomo.training import TrainConfig
+from test_frame_cache import settle
 
 
 def assert_no_children():
@@ -282,7 +284,35 @@ def test_forked_parse_manifest_equals_serial_bit_for_bit(tmp_path, cpus, monkeyp
     cpus(2)
     parent_reads.clear()
     assert _bits(parse_manifest(path)) == _bits(serial)
-    assert parent_reads == ["r2", "r6"]  # every file is dealt round-robin
+    assert parent_reads == ["r1", "r5"]  # the misses are dealt round-robin among themselves
+    assert_no_children()
+
+
+def test_forked_parse_manifest_splits_its_misses_evenly(tmp_path, monkeypatch):
+    """64 misses on even rows, two CPUs and the default FORK_MIN_FILES: each
+    process parses 32, as each records the pid of every parse in a file."""
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(7)
+    frames = [rng.normal(size=(5, 4)) for _ in range(128)]
+    path = _write_manifest(tmp_path, frames)
+    settle(tmp_path.glob("r*.csv"))  # else an odd row may be written racy and miss too
+    parse_manifest(path)
+    for k in range(0, 128, 2):
+        write_sequence(FrameSequence(-frames[k]), tmp_path / f"r{k}.csv")
+    pids = tmp_path / "pids"
+    original = lomo.data._parse
+
+    def recording(seq_path, lines, seq_id):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(seq_path, lines, seq_id)
+
+    monkeypatch.setattr(lomo.data, "_parse", recording)
+    manifest = parse_manifest(path)
+    assert [manifest.sequences[f"r{k}"].frames.tobytes() for k in range(0, 128, 2)] == [
+        (-frames[k]).tobytes() for k in range(0, 128, 2)]
+    counts = Counter(int(pid) for pid in pids.read_text(encoding="utf-8").split())
+    assert os.getpid() in counts and sorted(counts.values()) == [32, 32]
     assert_no_children()
 
 

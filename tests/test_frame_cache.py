@@ -1,10 +1,10 @@
 """The frame cache that parse_manifest keeps beside each manifest.
 
-`.<manifest name>.frames` holds the frames of each sequence file, keyed by
-the SHA-256 of the file's bytes, and a stat row per record that finds the
-key without reading the file. Whatever the cache holds, parse_manifest
-must give what a parse of the files gives, with the same errors; the cache
-only saves the reads and the parse. The forked loads on a cold and a warm
+`.<manifest name>.frames` holds one row per record: the stat of its
+sequence file and the frames that file parsed to, so a file whose stat
+equals its row is not read. Whatever the cache holds, parse_manifest must
+give what a parse of the files gives, with the same errors; the cache only
+saves the reads and the parse. The forked loads on a cold and a warm
 cache are tested in test_forked.py, and the golden digests on both in
 test_golden.py.
 
@@ -20,6 +20,7 @@ import importlib.util
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -36,7 +37,7 @@ import lomo.data
 from lomo.cli import main
 from lomo.core import LomoError
 from lomo.data import parse_manifest, read_sequence, write_sequence
-from lomo.framecache import ENTRY, HEAD, MAGIC
+from lomo.framecache import HEAD, KEY, MAGIC, ROW
 from lomo.inference import FrameSequence
 
 IDS = ["r0", "r1", "r2", "r3"]
@@ -130,6 +131,7 @@ def test_a_file_rewritten_with_the_same_size_and_mtime_is_parsed_again(tmp_path,
     seq.write_bytes(text[:k] + bytes([text[k] + 1]) + text[k + 1:])
     os.utime(seq, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert (seq.stat().st_size, seq.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    settle([seq])  # else the reload writes r2's row racy, and the next load parses it again
     parsed.clear()
     manifest = parse_manifest(path)
     assert parsed == ["r2"]
@@ -186,6 +188,7 @@ def test_a_stat_that_differs_from_the_row_in_one_field_reads_the_file(tmp_path, 
 
 
 def test_two_files_of_one_size_swapped_by_rename_are_read_again(tmp_path, parsed, read):
+    """Each swapped file is parsed once, and the next load reads no file."""
     frames = np.random.default_rng(12).normal(size=(6, 3))
     path = _dataset(tmp_path, [frames, frames[::-1], frames[:, ::-1], -frames])
     r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -195,14 +198,17 @@ def test_two_files_of_one_size_swapped_by_rename_are_read_again(tmp_path, parsed
     os.rename(r2, r1)
     os.rename(tmp_path / "swap", r2)
     settle([r1, r2])
-    read.clear()
-    manifest = parse_manifest(path)
-    assert read == ["r1", "r2"] and parsed == IDS  # the two re-reads are cache hits
-    assert manifest.sequences["r1"].frames.tobytes() == frames[:, ::-1].tobytes()
-    assert manifest.sequences["r2"].frames.tobytes() == frames[::-1].tobytes()
+    for reads in (["r1", "r2"], []):
+        read.clear()
+        parsed.clear()
+        manifest = parse_manifest(path)
+        assert read == parsed == reads
+        assert manifest.sequences["r1"].frames.tobytes() == frames[:, ::-1].tobytes()
+        assert manifest.sequences["r2"].frames.tobytes() == frames[::-1].tobytes()
 
 
 def test_a_cache_copied_with_its_dataset_reads_each_copied_file_once(tmp_path, parsed, read):
+    """Each copied file is parsed once, and the next load of either set reads no file."""
     (tmp_path / "a").mkdir()
     path = _dataset(tmp_path / "a")
     want = [bits for _, bits in _bits(parse_manifest(path))]
@@ -213,7 +219,7 @@ def test_a_cache_copied_with_its_dataset_reads_each_copied_file_once(tmp_path, p
         read.clear()
         parsed.clear()
         manifest = parse_manifest(tmp_path / directory / "manifest.csv")
-        assert read == reads and parsed == []
+        assert read == parsed == reads
         assert [bits for _, bits in _bits(manifest)] == want
 
 
@@ -268,29 +274,41 @@ def test_a_file_edited_after_its_read_in_the_tick_of_the_load_is_read_again(
     assert second.sequences["r2"].frames.tobytes() == read_sequence(seq).frames.tobytes()
 
 
-def test_a_touched_file_is_hashed_once_then_trusted(tmp_path, parsed, read):
+def test_a_touched_file_is_parsed_once_then_trusted(tmp_path, parsed, read):
     path = _dataset(tmp_path)
     want = _bits(parse_manifest(path))
     os.utime(tmp_path / "r1.csv")
     settle([tmp_path / "r1.csv"])
     for reads in (["r1"], []):
         read.clear()
+        parsed.clear()
         assert _bits(parse_manifest(path)) == want
-        assert read == reads
-    assert parsed == IDS  # the first, cold load only
+        assert read == parsed == reads
 
 
-def _lomofrm1(manifest) -> bytes:
-    """The cache the previous format (MAGIC LOMOFRM1, no stat rows) held for
-    `manifest`: HEAD, one ENTRY per file, the frames."""
-    blocks = [manifest.sequences[r.id].frames.astype("<f8").tobytes() for r in manifest.records]
-    offset = HEAD.size + len(blocks) * ENTRY.size
-    table = []
-    for rec, block in zip(manifest.records, blocks):
-        digest = hashlib.sha256(Path(rec.path).read_bytes()).digest()
-        table.append(ENTRY.pack(digest, 6, 3, offset, zlib.crc32(block)))
-        offset += len(block)
-    return HEAD.pack(b"LOMOFRM1", len(blocks)) + b"".join(table + blocks)
+def _lomofrm2(manifest) -> bytes:
+    """The cache the previous format (MAGIC LOMOFRM2) held for `manifest`,
+    every row trusted: HEAD (MAGIC, entry count), one ENTRY per file (the
+    SHA-256 of its bytes; rows, columns, offset and CRC-32 of its frames),
+    the row count and bytes of the paths, one row per record (digest, KEY,
+    length of the path), the paths, the frames."""
+    head, entry, rows, row = map(struct.Struct, ("<8sQ", "<32sQQQQ", "<QQ", "<32s40sQ"))
+    records = manifest.records
+    frames = [manifest.sequences[r.id].frames for r in records]
+    digests = [hashlib.sha256(Path(r.path).read_bytes()).digest() for r in records]
+    names = [os.fsencode(r.path) for r in records]
+    names_size = sum(map(len, names))
+    offset = head.size + len(records) * (entry.size + row.size) + rows.size + names_size
+    out = [head.pack(b"LOMOFRM2", len(records))]
+    for digest, f in zip(digests, frames):
+        out.append(entry.pack(digest, *f.shape, offset, zlib.crc32(f.astype("<f8"))))
+        offset += f.nbytes
+    out.append(rows.pack(len(records), names_size))
+    for digest, rec, name in zip(digests, records, names):
+        st = os.stat(rec.path)
+        key = KEY.pack(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        out.append(row.pack(digest, key, len(name)))
+    return b"".join(out + names + [f.astype("<f8").tobytes() for f in frames])
 
 
 def test_a_cache_of_the_previous_format_reads_as_empty_and_is_replaced(tmp_path, parsed):
@@ -298,8 +316,8 @@ def test_a_cache_of_the_previous_format_reads_as_empty_and_is_replaced(tmp_path,
     cache = tmp_path / ".manifest.csv.frames"
     want = _bits(parse_manifest(path))
     good = cache.read_bytes()
-    assert MAGIC != b"LOMOFRM1"
-    cache.write_bytes(_lomofrm1(parse_manifest(path)))
+    assert MAGIC != b"LOMOFRM2"
+    cache.write_bytes(_lomofrm2(parse_manifest(path)))
     parsed.clear()
     assert _bits(parse_manifest(path)) == want
     assert parsed == IDS
@@ -341,13 +359,13 @@ def _flip_last_frame_byte(good: bytes) -> bytes:
 
 
 def _nan_frames_with_their_crc(good: bytes) -> bytes:
-    """The last entry's frames made NaN, its CRC-32 made to match."""
-    last = HEAD.size + (len(IDS) - 1) * ENTRY.size
-    digest, rows, cols, offset, _ = ENTRY.unpack_from(good, last)
+    """The last row's frames made NaN, its CRC-32 made to match."""
+    last = HEAD.size + (len(IDS) - 1) * ROW.size
+    key, length, rows, cols, offset, _ = ROW.unpack_from(good, last)
     nan = np.full((rows, cols), np.nan).astype("<f8").tobytes()
-    entry = ENTRY.pack(digest, rows, cols, offset, zlib.crc32(nan))
+    row = ROW.pack(key, length, rows, cols, offset, zlib.crc32(nan))
     out = bytearray(good)
-    out[last:last + ENTRY.size] = entry
+    out[last:last + ROW.size] = row
     out[offset:offset + len(nan)] = nan
     return bytes(out)
 
@@ -357,7 +375,7 @@ DAMAGE = {
     "header-only": (lambda good: good[:HEAD.size], IDS),
     "truncated": (lambda good: good[:-1], IDS),
     "garbage": (lambda good: bytes(range(256)) * 8, IDS),
-    "table-past-the-end": (lambda good: HEAD.pack(MAGIC, 2**60) + good[16:], IDS),
+    "table-past-the-end": (lambda good: HEAD.pack(MAGIC, 2**60, 0) + good[HEAD.size:], IDS),
     "frame-byte-flipped": (_flip_last_frame_byte, ["r3"]),
     "nan-frames-with-their-crc": (_nan_frames_with_their_crc, ["r3"]),
 }
@@ -374,6 +392,38 @@ def test_a_damaged_cache_gives_the_parse_and_is_replaced(tmp_path, parsed, damag
     parsed.clear()
     assert _bits(parse_manifest(path)) == want
     assert parsed == misses
+    assert cache.read_bytes() == good
+
+
+def test_a_hit_whose_frames_fail_their_crc_is_parsed_again_and_keeps_its_row(
+        tmp_path, parsed, read, monkeypatch):
+    """r3's frames fail their CRC-32: r3 is parsed again. Where no temporary
+    file can be made the cache stays as it was; else its row is written
+    trusted, and the next load opens no file."""
+    path = _dataset(tmp_path)
+    cache = tmp_path / ".manifest.csv.frames"
+    want = _bits(parse_manifest(path))
+    good = cache.read_bytes()
+    flipped = _flip_last_frame_byte(good)
+    cache.write_bytes(flipped)
+    real_open = os.open
+
+    def no_temporary_file(p, *args, **kwargs):
+        if ".frames.tmp-" in str(p):
+            raise PermissionError(13, "Permission denied", str(p))
+        return real_open(p, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", no_temporary_file)
+        parsed.clear()
+        assert _bits(parse_manifest(path)) == want
+        assert parsed == ["r3"]
+    assert cache.read_bytes() == flipped
+    for reads in (["r3"], []):
+        read.clear()
+        parsed.clear()
+        assert _bits(parse_manifest(path)) == want
+        assert read == parsed == reads
     assert cache.read_bytes() == good
 
 
@@ -534,6 +584,6 @@ def test_load_timings_times_a_cold_a_stale_and_a_warm_load(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "d=3 files=4 frames=20 runs=2"
     figures = json.loads(lines[-1])["d3x4"]
-    assert sorted(figures) == ["cold", "stale", "warm"]
+    assert sorted(figures) == ["cold", "copied", "stale", "warm"]
     for cache in figures.values():
         assert cache["median_ms"] > 0 and cache["iqr_ms"] >= 0

@@ -1,4 +1,4 @@
-"""Time parse_manifest on a synthetic set with a cold, a stale and a warm frame cache.
+"""Time parse_manifest on a synthetic set with a cold, a stale, a warm and a copied frame cache.
 
     PYTHONPATH=src python3 tools/load_timings.py [--set D:FILES ...] [--frames N]
                                                   [--runs R] [--seed S]
@@ -6,23 +6,26 @@
 For each set (default 20:800 and 100:600, the sizes of the benchmark's
 train-order and cv-preprocess workloads) it writes FILES sequence files of
 N frames at dimension D with lomo.gen_synthetic into a temporary directory,
-loads the manifest once untimed, and then runs R rounds of three timed
+loads the manifest once untimed, and then runs R rounds of four timed
 loads, each one call of lomo.parse_manifest in this process:
 
 - cold: no frame cache beside the manifest;
 - stale: every sequence file rewritten with other frames (each value
-  negated) since the cache was written, so no file's content has an entry;
-- warm: on the cache the stale load wrote, every file unchanged since.
+  negated) since the cache was written, so no file matches its row;
+- warm: on the cache the stale load wrote, every file unchanged since;
+- copied: the first load of a copy of the set and its cache, made with
+  shutil.copytree: every copied file has another inode and path, so none
+  matches its row.
 
 Before the stale load it waits until the file system clock has passed the
 rewritten files' change times: a file changed in the same clock tick as a
-load is re-hashed by the next load, and the warm load would then time that
-re-hash. The waits are not timed.
+load is parsed again by the next load, and the warm load would then time
+that parse. The waits and the copies are not timed.
 
 It prints, per set and cache, the median and interquartile range of the
 load times in milliseconds, then one JSON line with the same figures. The
 benchmark (perfbench/) times warm loads only; this script shows what a
-cold or stale load costs.
+cold, stale or copied load costs.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -39,7 +43,7 @@ import numpy as np
 import lomo
 from lomo.framecache import _cache_path
 
-CACHES = ("cold", "stale", "warm")
+CACHES = ("cold", "stale", "warm", "copied")
 
 
 def _settle(directory: Path, paths) -> None:
@@ -66,13 +70,14 @@ def time_set(work: Path, dim: int, files: int, frames: int, runs: int, seed: int
     """{cache: [seconds per run]} for one synthetic set written under `work`."""
     spec = lomo.SynthSpec(dim=dim, num_frames=frames, num_pos=files - files // 2,
                           num_neg=files // 2, seed=seed)
-    written = lomo.gen_synthetic(spec, work)
-    manifest = work / "manifest.csv"
+    data, copy = work / "data", work / "copy"
+    written = lomo.gen_synthetic(spec, data)
+    manifest = data / "manifest.csv"
     paths = [rec.path for rec in written.records]
     versions = [[written.sequences[rec.id] for rec in written.records]]
     versions.append([lomo.FrameSequence(-seq.frames, id=seq.id) for seq in versions[0]])
     current = 0
-    _settle(work, paths)
+    _settle(data, paths)
     lomo.parse_manifest(manifest)  # imports and first-use costs fall outside the timings
     times: dict[str, list[float]] = {cache: [] for cache in CACHES}
     for _ in range(runs):
@@ -81,9 +86,12 @@ def time_set(work: Path, dim: int, files: int, frames: int, runs: int, seed: int
         current = 1 - current
         for seq, path in zip(versions[current], paths):
             lomo.write_sequence(seq, path)
-        _settle(work, paths)
+        _settle(data, paths)
         times["stale"].append(_timed_load(manifest))
         times["warm"].append(_timed_load(manifest))
+        shutil.copytree(data, copy)
+        times["copied"].append(_timed_load(copy / "manifest.csv"))
+        shutil.rmtree(copy)
     return times
 
 
@@ -115,7 +123,7 @@ def main(argv=None) -> int:
         print(f"d={dim} files={files} frames={args.frames} runs={args.runs}")
         for cache in CACHES:
             got = results[name][cache]
-            print(f"  {cache:5}  median {got['median_ms']:8.2f} ms  IQR {got['iqr_ms']:7.2f} ms")
+            print(f"  {cache:6}  median {got['median_ms']:8.2f} ms  IQR {got['iqr_ms']:7.2f} ms")
     print(json.dumps(results, sort_keys=True))
     return 0
 
