@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .core import LomoError, format_float, write_text
 from .data import (
@@ -24,6 +24,7 @@ from .data import (
     SCHEMES,
     PreprocessConfig,
     SynthSpec,
+    _l2_in_place,
     apply_preprocess,
     fit_preprocess,
     gen_synthetic,
@@ -204,6 +205,11 @@ def _cmd_cv(args) -> int:
     preprocess = _config(
         PreprocessConfig, PREPROCESS_FLAGS, args, pool=VARIANT_FLAGS[args.variant][1]
     )
+    # The frames are this command's own, so l2 runs once, in place, and not
+    # in every fold; when a row's sum of squares overflows, nothing is
+    # written and the folds run l2, so the error names its fold.
+    if preprocess.l2 and _l2_in_place(manifest.sequences.values()):
+        preprocess = replace(preprocess, l2=False)
     result = run_cv(
         manifest, folds, cfg,
         metric=args.metric,

@@ -33,8 +33,9 @@ from .core import (
 )
 from .data import (DatasetManifest, Fold, PreprocessConfig, _fit, _merge_moments, _pca_moments,
                    apply_preprocess)
-from .inference import score_sequences
-from .training import TrainConfig, binary_targets, check_positive_label, train_binary, train_ova
+from .inference import _assign_all
+from .training import (TrainConfig, _train_binary, _train_ova, binary_targets,
+                       check_positive_label)
 
 METRICS = ("acc", "auc", "eer")
 
@@ -131,12 +132,15 @@ class CvResult:
         return float(np.mean(self.fold_values))
 
 
-def _binary_fold_value(train_pairs, test_seqs, test_labels, cfg, metric, positive_label,
-                       classes):
+def _binary_fold_value(train_seqs, train_labels, test_seqs, test_labels, cfg, metric,
+                       positive_label, classes):
     """The fold's metric; `acc` averages the recalls of the two `classes`,
-    each sequence predicted `positive_label` when it scores above 0."""
-    model = train_binary(train_pairs, positive_label, cfg)
-    values = score_sequences(model, test_seqs, cfg.exclusion_t).tolist()
+    each sequence predicted `positive_label` when it scores above 0.
+
+    The model is train_binary's, and the scores score_sequences', on splits
+    that run_cv has checked, so neither checks them again."""
+    model = _train_binary(train_seqs, train_labels, positive_label, cfg)
+    values = _assign_all(model, test_seqs, cfg.exclusion_t).total.tolist()
     if metric == "acc":
         # training needed both classes, so the manifest has two
         (negative,) = [name for name in classes if name != positive_label]
@@ -148,13 +152,14 @@ def _binary_fold_value(train_pairs, test_seqs, test_labels, cfg, metric, positiv
     return roc_eer_rate(truths, values)
 
 
-def _multiclass_fold_value(train_pairs, test_seqs, test_labels, cfg, classes):
+def _multiclass_fold_value(train_seqs, train_labels, test_seqs, test_labels, cfg, classes):
     """One-vs-all: the class whose model scores a sequence highest; a tie goes
-    to the smallest class name, the first maximum over the sorted names."""
-    models = train_ova(train_pairs, cfg, classes=classes)
+    to the smallest class name, the first maximum over the sorted names.
+    The models are train_ova's, on checked splits as in _binary_fold_value."""
+    models = _train_ova(train_seqs, train_labels, cfg, classes)
     names = sorted(models)
     t = cfg.exclusion_t
-    scores = np.stack([score_sequences(models[name], test_seqs, t) for name in names])
+    scores = np.stack([_assign_all(models[name], test_seqs, t).total for name in names])
     pairs = [(label, names[k]) for label, k in zip(test_labels, scores.argmax(axis=0).tolist())]
     return avg_class_accuracy(pairs, classes=test_labels)
 
@@ -305,13 +310,12 @@ def run_cv(
             fitted = _fit(raw_train, preprocess, lambda *_: moments(fold_no))
             train_seqs = apply_preprocess(fitted, raw_train)
             test_seqs = apply_preprocess(fitted, [seqs[i] for i in fold.test_ids])
-            train_pairs = list(zip(train_seqs, [labels[i] for i in fold.train_ids]))
-            test_labels = [labels[i] for i in fold.test_ids]
+            splits = (train_seqs, [labels[i] for i in fold.train_ids],
+                      test_seqs, [labels[i] for i in fold.test_ids])
             fold_cfg = replace(cfg, seed=child_seed(cfg.seed, fold_no))
             if multiclass:
-                return _multiclass_fold_value(train_pairs, test_seqs, test_labels, fold_cfg, classes)
-            return _binary_fold_value(train_pairs, test_seqs, test_labels, fold_cfg, metric,
-                                      positive_label, classes)
+                return _multiclass_fold_value(*splits, fold_cfg, classes)
+            return _binary_fold_value(*splits, fold_cfg, metric, positive_label, classes)
         except LomoError as err:
             raise LomoError(f"fold {fold_no}: {err}") from None
 

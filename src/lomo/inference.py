@@ -137,7 +137,13 @@ def assign_batch(model: LomoModel, seqs, exclusion_t: int) -> BatchAssignment:
     BLOCK_VALUES frame values. No sequences, no rows."""
     require_instance("model", model, LomoModel)
     t = require_int("exclusion_t", exclusion_t, minimum=0)
-    seqs = require_items("seqs", seqs, FrameSequence)
+    return _assign_all(model, require_items("seqs", seqs, FrameSequence), t)
+
+
+def _assign_all(model: LomoModel, seqs: list, t: int) -> BatchAssignment:
+    """assign_batch of checked arguments: a LomoModel, a list of
+    FrameSequences and an int t >= 0. A cv fold scores its test split,
+    checked by run_cv, through this."""
     count, m = len(seqs), model.num_templates
     out = BatchAssignment(np.zeros((count, m), np.intp), np.zeros((count, m)),
                           np.zeros(count, np.intp), np.zeros(count), np.zeros(count))

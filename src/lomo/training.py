@@ -140,6 +140,23 @@ def _add_reduce(values) -> float:
     return total
 
 
+def _one_frame_updates(frames, scales) -> list | None:
+    """The rows scales[k] * frames[k] of one-frame sequences, each a (1, d)
+    view of one stacked (n, d) table; None when a product overflows.
+
+    Each row holds the bits of its own product. A list of views is kept
+    because adding a (1, d) row taken from it costs less than indexing the
+    table on each step.
+    """
+    table = np.concatenate(frames)
+    try:
+        with float_errors(str):
+            table *= np.array(scales)[:, None]
+    except LomoError:
+        return None
+    return list(table[:, None])
+
+
 def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
     """Run max_iter uniform-with-replacement subgradient steps from cfg.seed
     on FrameSequences `seqs` with +-1 `targets`; the caller has checked the
@@ -168,6 +185,8 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
     that step skips the argmax, the exclusion check and the ordering lookup.
     Its float operations are the general step's on that frame, the same
     product, one-value sum and updates, so the model is the same bit for bit.
+    Each sequence's update (eta * y / m) * x is computed once per call
+    (_one_frame_updates), and a violation adds it.
 
     A numeric error's message names the step.
     """
@@ -191,6 +210,7 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
         buffers[n] = buf, buf[:, :, 0]
     order = range(m)
     one_frame = buffers.keys() == {1}  # then M = 1: pick 0, ordering 1
+    updates = _one_frame_updates(frames, [eta * y / m for y in targets]) if one_frame else None
     step = 0
     with float_errors(
         lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
@@ -206,7 +226,8 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
                     if y * ((0.0 + x.dot(w).item(0)) / m + costs[0]) >= 1.0:
                         continue
                     templates *= shrink
-                    templates += (eta * y / m) * x
+                    # no table: an update overflows, and raises here when taken
+                    templates += (eta * y / m) * x if updates is None else updates[j]
                     if freeze:
                         continue
                     if gradient:
@@ -268,8 +289,14 @@ def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
     train_ova; the labels become targets through binary_targets.
     """
     seqs, labels = _examples(data)
-    check_positive_label(positive_label, sorted_classes("class labels", labels))
     require_instance("cfg", cfg, TrainConfig)
+    return _train_binary(seqs, labels, positive_label, cfg)
+
+
+def _train_binary(seqs, labels, positive_label, cfg: TrainConfig) -> LomoModel:
+    """train_binary of FrameSequences `seqs` with class `labels`, checked by
+    the caller, and a checked cfg."""
+    check_positive_label(positive_label, sorted_classes("class labels", labels))
     return _train(seqs, binary_targets(labels, positive_label), cfg)
 
 
@@ -284,6 +311,12 @@ def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
     """
     require_instance("cfg", cfg, TrainConfig)
     seqs, labels = _examples(data)
+    return _train_ova(seqs, labels, cfg, classes)
+
+
+def _train_ova(seqs, labels, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
+    """train_ova of FrameSequences `seqs` with class `labels`, checked by
+    the caller, and a checked cfg."""
     present = sorted_classes("class labels", labels)
     classes = present if classes is None else sorted_classes("classes", classes)
     if len(classes) < 2:

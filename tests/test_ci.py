@@ -1,17 +1,19 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
 one BLAS thread, a pinned numpy and under a job time limit, after printing
-numpy's BLAS core and running the installed console script."""
+numpy's BLAS core and running the installed console script, which runs an
+l2 cv end to end."""
 
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lomo.cli import build_parser
+from lomo.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMPY_PIN = "numpy==2.4.6"
@@ -74,3 +76,21 @@ def test_ci_runs_the_installed_console_script_before_the_tests():
     (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
     listed = re.search(r"^for command in ([\w ]+); do$", runs[script], re.M).group(1)
     assert sorted(listed.split()) == sorted(commands)
+
+
+def test_ci_runs_an_l2_cv_through_the_installed_console_script(tmp_path, capsys):
+    yaml = pytest.importorskip("yaml")
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    runs = [step.get("run", "") for step in yaml.safe_load(
+        workflow.read_text(encoding="utf-8"))["jobs"]["tier1"]["steps"]]
+    (script,) = [run for run in runs if 'lomo "$command" --help' in run]
+    lines = script.splitlines()
+    assert lines[-3] == 'data="$(mktemp -d)/data"'
+    calls = [shlex.split(line.replace("$data", str(tmp_path / "data"))) for line in lines[-2:]]
+    assert [argv[:2] for argv in calls] == [["lomo", "synth"], ["lomo", "cv"]]
+    assert {"--l2", "--pca-dim"} <= set(calls[1]) and "svm-max" in calls[1]
+    for argv in calls:  # what the installed script runs, here in process
+        assert main(argv[1:]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("wrote 40 sequences") and rows[1] == "fold,metric,value"
+    assert rows[-1].startswith("mean,acc,")

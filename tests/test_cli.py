@@ -18,15 +18,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lomo.core
+import lomo.training
 from lomo import cli
 from lomo.cli import _add_train_flags, build_parser, main
 from lomo.core import format_float
-from lomo.data import NEG_MODES, POOLS, SCHEMES, PreprocessConfig, SynthSpec, write_sequence
-from lomo.evaluation import METRICS
+from lomo.data import (NEG_MODES, POOLS, SCHEMES, PreprocessConfig, SynthSpec, make_folds,
+                       parse_manifest, write_sequence)
+from lomo.evaluation import METRICS, format_cv_results, run_cv
 from lomo.inference import FrameSequence, fuse_scores, score
 from lomo.model import LomoModel, load_model, save_model
 from lomo.training import COST_UPDATES, TrainConfig
 from oracle import latent_assign
+from test_golden import SYNTH as GOLDEN_SYNTH
+from test_golden import _write_three_class_manifest
 
 
 def _synth(tmp_path, name="data", **overrides):
@@ -417,6 +421,111 @@ def test_cv_binary_without_positive_label_exits_one(tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert "error: binary cross-validation needs a positive_label" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# cv --l2 normalises the manifest's frames once, in place, before the folds
+
+
+def _fold_models(monkeypatch) -> list:
+    """A list that gets (templates.tobytes(), costs) of each model that
+    lomo.training._train returns from now on."""
+    models = []
+    train = lomo.training._train
+
+    def recording(seqs, targets, cfg):
+        model = train(seqs, targets, cfg)
+        models.append((model.templates.tobytes(), model.costs.tolist()))
+        return model
+
+    monkeypatch.setattr(lomo.training, "_train", recording)
+    return models
+
+
+@pytest.fixture(scope="module")
+def golden_manifests(tmp_path_factory):
+    """The golden tests' synthetic manifest and their 3-class relabelling of it."""
+    data = tmp_path_factory.mktemp("golden-manifests") / "data"
+    assert main(["synth", "--out", str(data), *GOLDEN_SYNTH]) == 0
+    _write_three_class_manifest(str(data))
+    return {"binary": data / "manifest.csv", "3-class": data / "three_class_manifest.csv"}
+
+
+@pytest.mark.parametrize("stack", [1, 2])
+@pytest.mark.parametrize("pca_dim", [None, 3])
+@pytest.mark.parametrize("scheme", ["kfold", "logo"])
+@pytest.mark.parametrize("variant", ["lomo", "svm-max"])
+@pytest.mark.parametrize("task", ["binary", "3-class"])
+def test_cv_l2_trains_the_fold_models_of_run_cv_on_unnormalised_frames(
+        golden_manifests, tmp_path, monkeypatch, task, variant, scheme, pca_dim, stack):
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
+    models = _fold_models(monkeypatch)
+    path, out = golden_manifests[task], tmp_path / "cv.csv"
+    folds = 3 if scheme == "kfold" else None
+    metric, positive_label = ("auc", "pos") if task == "binary" else ("acc", None)
+    argv = ["cv", "--manifest", str(path), "--scheme", scheme, "--metric", metric,
+            "--variant", variant, "--l2", "--stack", str(stack), "--out", str(out), *TRAIN_FAST,
+            "--seed", "4"]
+    argv += [] if folds is None else ["--folds", str(folds)]
+    argv += [] if pca_dim is None else ["--pca-dim", str(pca_dim)]
+    argv += [] if positive_label is None else ["--positive-label", positive_label]
+    assert main(argv) == 0
+    cli_models = models.copy()
+    models.clear()
+    manifest = parse_manifest(path)
+    frames = {i: seq.frames.copy() for i, seq in manifest.sequences.items()}
+    train_variant, pool = cli.VARIANT_FLAGS[variant]
+    result = run_cv(
+        manifest, make_folds(manifest, scheme, 4, k=folds),
+        TrainConfig(num_templates=2, exclusion_t=1, max_iter=300, seed=4, variant=train_variant),
+        metric, positive_label, PreprocessConfig(l2=True, pca_dim=pca_dim, stack=stack, pool=pool),
+    )
+    classes = 1 if task == "binary" else 3
+    assert len(models) == classes * len(result.fold_values) and models == cli_models
+    assert out.read_text(encoding="utf-8") == format_cv_results(result)
+    # run_cv normalised copies: its caller's frames are as they were
+    assert all(np.array_equal(seq.frames, frames[i]) for i, seq in manifest.sequences.items())
+
+
+def test_run_cv_with_l2_leaves_the_callers_frames_as_they_are(tmp_path, monkeypatch):
+    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
+    manifest = parse_manifest(os.path.join(_synth(tmp_path), "manifest.csv"))
+    before = {i: seq.frames.tobytes() for i, seq in manifest.sequences.items()}
+    for pca_dim in (None, 2):
+        run_cv(manifest, make_folds(manifest, "kfold", 0, k=2),
+               TrainConfig(variant="mil", max_iter=50), "acc", "pos",
+               PreprocessConfig(l2=True, pca_dim=pca_dim, pool="max"))
+    assert {i: seq.frames.tobytes() for i, seq in manifest.sequences.items()} == before
+
+
+@pytest.mark.parametrize("extra, error", [
+    ([], "error: fold 0: sequence r2: overflow encountered in matmul while preprocessing"),
+    (["--pca-dim", "2"], "error: fold 0: PCA fit: overflow encountered in matmul"),
+])
+def test_cv_l2_with_an_overflowing_sum_of_squares_fails_as_the_folds_always_did(
+        tmp_path, capsys, monkeypatch, extra, error):
+    # the folds normalise and report the overflow; nothing was written before them
+    rng = np.random.default_rng(12)
+    lines = ["id,label,group,path"]
+    for k in range(8):
+        frames = rng.normal(size=(6, 3))
+        if k == 2:
+            frames[1, 1] = 1e200  # its square overflows
+        write_sequence(FrameSequence(frames), tmp_path / f"r{k}.csv")
+        lines.append(f"r{k},{('neg', 'pos')[k % 2]},g{k % 4},r{k}.csv")
+    (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["cv", "--manifest", str(tmp_path / "manifest.csv"), "--scheme", "logo",
+            "--positive-label", "pos", "--l2", *TRAIN_FAST, *extra]
+    written = []
+    l2_in_place = cli._l2_in_place
+    monkeypatch.setattr(cli, "_l2_in_place", lambda seqs: written.append(l2_in_place(seqs)))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert written == [False]
+    assert err.splitlines()[1:] == [error]
+    monkeypatch.setattr(cli, "_l2_in_place", lambda seqs: False)  # the folds' own l2 only
+    assert main(argv) == 1
+    assert capsys.readouterr().err == err
 
 
 # ---------------------------------------------------------------------------

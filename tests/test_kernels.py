@@ -142,6 +142,30 @@ def test_train_equals_a_fold_of_sgd_step(case):
     assert _bits(got.costs) == _bits(want.costs)
 
 
+def test_one_frame_training_takes_an_overflowing_update_at_its_own_step():
+    # the update of "big" overflows, so no update table is built: the step
+    # that takes it raises as the reference step's product does, and the
+    # steps before it give the reference model bit for bit
+    data = [(FrameSequence(np.array([[0.0, 1.0]]), id="a"), -1),
+            (FrameSequence(np.array([[1e10, 0.0]]), id="big"), 1),
+            (FrameSequence(np.array([[0.5, 0.5]]), id="c"), -1)]
+
+    def cfg(max_iter):
+        return TrainConfig(num_templates=1, eta=1e300, reg_lambda=0.0, exclusion_t=0,
+                           max_iter=max_iter, seed=0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LomoError, match=(
+            r"^training step 7: overflow encountered in multiply with eta=1e\+300, "
+            r"reg_lambda=0\.0$"
+        )):
+            train_binary(data, 1, cfg(50))
+        got, want = train_binary(data, 1, cfg(6)), _sgd_fold(data, cfg(6))
+    assert _bits(got.templates) == _bits(want.templates)
+    assert _bits(got.costs) == _bits(want.costs)
+
+
 @pytest.mark.parametrize("m", range(1, MAX_TEMPLATES + 1))
 @pytest.mark.parametrize("cost_update", ["gradient", "literal"])
 def test_train_equals_sgd_fold_for_every_template_count(m, cost_update):
@@ -995,8 +1019,8 @@ def test_write_sequence_writes_every_edge_value_like_format_float(tmp_path):
 @pytest.fixture
 def read_counter(monkeypatch):
     """{"read": [...], "parsed": [...]}: file names as parse_manifest reads
-    a file, to hash it and look it up in the frame cache, and as it parses
-    one."""
+    a sequence file (only one that misses its frame-cache stat row, or whose
+    cached frames do not read back) and as it parses one."""
     calls = {"read": [], "parsed": []}
     read_bytes, parse = lomo.data.read_bytes, lomo.data._parse
 
