@@ -29,7 +29,7 @@ from .core import (
     require_int,
     require_items,
 )
-from .model import ORDER_INDEX, LomoModel
+from .model import ORDER_CODES, LomoModel
 
 
 @dataclass
@@ -158,7 +158,9 @@ def _assign(model: LomoModel, seqs, t: int, out: BatchAssignment, rows) -> None:
 
     Each pick is one matvec per template over the whole stack and a
     first-occurrence argmax per row, so each row equals the per-sequence
-    reference bit for bit; the pattern's index comes from model.ORDER_INDEX.
+    reference bit for bit. The pattern's index is looked up in
+    model.ORDER_CODES by the picks' comparison code, built with one `<` per
+    template pair over the whole block.
     A sequence whose d is not the model's is refused first. A numeric
     error's message names the first sequence whose own assignment fails.
     """
@@ -187,13 +189,17 @@ def _assign(model: LomoModel, seqs, t: int, out: BatchAssignment, rows) -> None:
             picks[:, i] = f
             scores[:, i] = row[batch, f]
             alive &= np.abs(position - f[:, None]) > t
-        orders = np.argsort(picks, axis=1).tolist()
-        perm = np.array([ORDER_INDEX[tuple(order)] for order in orders])
-        cost = model.costs[perm - 1]
+        codes = np.zeros(count, dtype=np.intp)
+        for i in range(1, m):
+            for j in range(i):
+                codes = 2 * codes + (picks[:, i] < picks[:, j])
+        table = ORDER_CODES[m]
+        index = np.array([table[code] for code in codes.tolist()], dtype=np.intp)
+        cost = model.costs[index]
         out.total[rows] = scores.mean(axis=1) + cost
     out.chosen[rows] = picks + 1
     out.template_scores[rows] = scores
-    out.perm[rows] = perm
+    out.perm[rows] = index + 1
     out.ordering_cost[rows] = cost
 
 

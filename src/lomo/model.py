@@ -128,25 +128,34 @@ def perm_index(p) -> int:
     return index + 1
 
 
-class PermTable(dict):
-    """perm_index(rank_pattern(k)) keyed by the argsort order of picks k.
+class OrderCodes(dict):
+    """perm_index(rank_pattern(k)) - 1, the 0-based cost index of M distinct
+    picks k, keyed by their comparison code.
 
-    The rank pattern of distinct picks depends only on their argsort
-    order, so each of the at most M! orders is ranked once, on first use;
-    the ranks an order gives are their own rank pattern.
+    The code of k_1..k_M starts at 0; for i = 2..M and, within i, for
+    j = 1..i-1, it appends one bit, k_i < k_j: code = 2 * code + (k_i < k_j).
+    The bits fix the rank pattern of distinct picks, so each of the at most
+    M! codes is decoded and ranked once, on first use.
     """
 
-    def __missing__(self, order: tuple[int, ...]) -> int:
-        ranks = [0] * len(order)
-        for rank, pos in enumerate(order, start=1):
-            ranks[pos] = rank
-        index = self[order] = perm_index(ranks)
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, code: int) -> int:
+        m, rest = self.m, code
+        ranks = [1] * m
+        for i in reversed(range(1, m)):
+            for j in reversed(range(i)):
+                ranks[j if rest & 1 else i] += 1  # the larger pick's rank counts the smaller
+                rest >>= 1
+        index = self[code] = perm_index(ranks) - 1
         return index
 
 
-# The one table that training and scoring look orders up in: an order's
-# index never changes, so every model and every M can share it.
-ORDER_INDEX = PermTable()
+# The tables that training and scoring look orders up in, one per M: a
+# code's index never changes, so every model can share them.
+ORDER_CODES = {m: OrderCodes(m) for m in range(1, MAX_TEMPLATES + 1)}
 
 
 def perm_unrank(index: int, m: int) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from .core import (
     sorted_classes,
 )
 from .inference import FrameSequence, score_sequences
-from .model import ORDER_INDEX, LomoModel, init_model, require_order_size
+from .model import ORDER_CODES, LomoModel, init_model, require_order_size
 
 VARIANTS = ("lomo", "mil")
 COST_UPDATES = ("gradient", "literal")
@@ -169,16 +169,23 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
       for bit (tests/test_kernels.py checks five OpenBLAS cores);
     - one argmax over that buffer takes every template's first pick; only
       when a pick lies within +-t of an earlier pick are the exclusion
-      windows written as -inf into its row and the argmax taken again (a
-      first-occurrence maximum that is not excluded is also the
-      first-occurrence maximum of the frames left; validation guarantees
-      a frame always survives);
+      windows, slices made once per call, written as -inf into its row and
+      the argmax taken again (a first-occurrence maximum that is not
+      excluded is also the first-occurrence maximum of the frames left;
+      validation guarantees a frame always survives);
+    - each pick appends its comparisons with the earlier picks to the
+      ordering code that model.ORDER_CODES maps to the cost index, so no
+      step sorts its picks;
     - the decision sums the picked scores as Python floats in
       np.add.reduce's order: left to right from 0.0, or for M = 8 the
       pairwise tree of `_add_reduce`;
     - sample indices are drawn _DRAW_CHUNK at a time, the same stream as
       one draw per step, in memory that does not grow with max_iter;
-    - templates and costs are updated in place on a margin violation.
+    - templates and costs are updated in place on a margin violation, by
+      ufunc calls whose scalar operands (the shrink factor and the step
+      sizes eta * y / m of y = +1 and y = -1) are 0-d arrays made once per
+      call: on numpy 2.4 a Python float operand adds ~300 ns to each call,
+      and the products and sums are the same IEEE operations.
 
     When every sequence has exactly one frame (the pooled SVM), validation
     has forced M = 1: each pick is frame 0 and each ordering index 1, so
@@ -188,7 +195,8 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
     Each sequence's update (eta * y / m) * x is computed once per call
     (_one_frame_updates), and a violation adds it.
 
-    A numeric error's message names the step.
+    A numeric error's message names the step and what overflowed there: a
+    template score or an update.
     """
     dim = _validate_train_data(seqs, targets, cfg)
     rng = generator(cfg.seed)
@@ -200,21 +208,32 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
     m = cfg.num_templates
     t = cfg.exclusion_t
     eta = cfg.eta
-    shrink = 1.0 - cfg.reg_lambda * eta
+    shrink = np.array(1.0 - cfg.reg_lambda * eta)
+    size = {y: np.array(eta * y / m) for y in (1, -1)}
     gradient = cfg.cost_update == "gradient"
     freeze = cfg.freeze_costs
     stacked = templates[:, :, None]  # a view: in-place updates reach it
-    buffers = {}  # per length N, an (M, N, 1) buffer for the M score rows and its (M, N) view
+    buffers = {}  # per length N: an (M, N, 1) buffer, its (M, N) view and that view's rows
     for n in {len(x) for x in frames}:
         buf = np.empty((m, n, 1))
-        buffers[n] = buf, buf[:, :, 0]
+        buffers[n] = buf, buf[:, :, 0], list(buf[:, :, 0])
     order = range(m)
+    codes = ORDER_CODES[m]
+    # a pick's exclusion window; a slice clips at a shorter row
+    windows = [slice(max(0, q - t), q + t + 1) for q in range(max(buffers))]
+    ninf = -np.inf
+    one_length = len(buffers) == 1
+    buf, scores, rows = buffers[len(frames[0])]
     one_frame = buffers.keys() == {1}  # then M = 1: pick 0, ordering 1
     updates = _one_frame_updates(frames, [eta * y / m for y in targets]) if one_frame else None
-    step = 0
-    with float_errors(
-        lambda err: f"training step {step}: {err} with eta={eta}, reg_lambda={cfg.reg_lambda}"
-    ):
+    step = updating = 0
+
+    def describe(err) -> str:
+        kind = str(err).partition(" encountered")[0]
+        what = "an update" if updating == step else "a template score"
+        return f"training step {step}: {kind} in {what} with eta={eta}, reg_lambda={cfg.reg_lambda}"
+
+    with float_errors(describe):
         for start in range(0, iters, _DRAW_CHUNK):
             draws = rng.integers(len(seqs), size=min(_DRAW_CHUNK, iters - start)).tolist()
             if one_frame:
@@ -225,9 +244,11 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
                     # 0.0 + s is _add_reduce of the one score
                     if y * ((0.0 + x.dot(w).item(0)) / m + costs[0]) >= 1.0:
                         continue
-                    templates *= shrink
+                    updating = step
+                    np.multiply(templates, shrink, templates)
                     # no table: an update overflows, and raises here when taken
-                    templates += (eta * y / m) * x if updates is None else updates[j]
+                    np.add(templates, (eta * y / m) * x if updates is None else updates[j],
+                           templates)
                     if freeze:
                         continue
                     if gradient:
@@ -237,37 +258,42 @@ def _train(seqs, targets, cfg: TrainConfig) -> LomoModel:
                 continue
             for step, j in enumerate(draws, start + 1):
                 x = frames[j]
-                buf, scores = buffers[len(x)]
-                np.matmul(x, stacked, out=buf)
+                if not one_length:
+                    buf, scores, rows = buffers[len(x)]
+                np.matmul(x, stacked, buf)
                 picks = []
                 total = 0.0
+                code = 0
                 for i, f in enumerate(scores.argmax(axis=1).tolist()):
                     for p in picks:
                         if -t <= f - p <= t:
-                            row = scores[i]
+                            row = rows[i]
                             for q in picks:
-                                row[max(0, q - t) : q + t + 1] = -np.inf
+                                row[windows[q]] = ninf
                             f = int(row.argmax())
                             break
+                    for p in picks:
+                        code = 2 * code + (f < p)
                     picks.append(f)
                     total += scores.item(i, f)
                 if m == 8:  # numpy sums 8 values as a pairwise tree
                     total = _add_reduce(scores[order, picks].tolist())
                 y = targets[j]
-                perm = ORDER_INDEX[tuple(sorted(order, key=picks.__getitem__))]
+                k = codes[code]
                 # total / m is the reference's np.mean of the scores
-                if y * (total / m + costs[perm - 1]) >= 1.0:
+                if y * (total / m + costs[k]) >= 1.0:
                     continue
+                updating = step
                 picked = x.take(picks, axis=0)
-                picked *= eta * y / m
-                templates *= shrink
-                templates += picked
+                np.multiply(picked, size[y], picked)
+                np.multiply(templates, shrink, templates)
+                np.add(templates, picked, templates)
                 if freeze:
                     continue
                 if gradient:
-                    costs[perm - 1] += eta * y
+                    costs[k] += eta * y
                 else:
-                    costs[perm - 1] -= eta
+                    costs[k] -= eta
     return LomoModel(templates, np.array(costs))
 
 

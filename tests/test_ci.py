@@ -1,7 +1,7 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
 one BLAS thread, a pinned numpy and under a job time limit, after printing
 numpy's BLAS core and running the installed console script, which runs an
-l2 cv end to end."""
+l2 cv, a train and a predict end to end."""
 
 from __future__ import annotations
 
@@ -78,19 +78,27 @@ def test_ci_runs_the_installed_console_script_before_the_tests():
     assert sorted(listed.split()) == sorted(commands)
 
 
-def test_ci_runs_an_l2_cv_through_the_installed_console_script(tmp_path, capsys):
+def test_ci_runs_a_cv_a_train_and_a_predict_through_the_installed_console_script(
+        tmp_path, capsys):
     yaml = pytest.importorskip("yaml")
     workflow = ROOT / ".github" / "workflows" / "tier1.yml"
     runs = [step.get("run", "") for step in yaml.safe_load(
         workflow.read_text(encoding="utf-8"))["jobs"]["tier1"]["steps"]]
     (script,) = [run for run in runs if 'lomo "$command" --help' in run]
     lines = script.splitlines()
-    assert lines[-3] == 'data="$(mktemp -d)/data"'
-    calls = [shlex.split(line.replace("$data", str(tmp_path / "data"))) for line in lines[-2:]]
-    assert [argv[:2] for argv in calls] == [["lomo", "synth"], ["lomo", "cv"]]
+    assert lines[-5] == 'data="$(mktemp -d)/data"'
+    calls = [shlex.split(line.replace("$data", str(tmp_path / "data"))) for line in lines[-4:]]
+    assert [argv[:2] for argv in calls] == [["lomo", "synth"], ["lomo", "cv"], ["lomo", "train"],
+                                            ["lomo", "predict"]]
     assert {"--l2", "--pca-dim"} <= set(calls[1]) and "svm-max" in calls[1]
+    # the cv trains one-frame sequences only; this train takes the general step
+    train, predict = calls[2], calls[3]
+    assert train[train.index("--templates") + 1] == "3"
+    assert train[train.index("--exclusion-t") + 1] == predict[predict.index("--exclusion-t") + 1]
+    assert predict[predict.index("--model") + 1] == train[train.index("--out") + 1]
     for argv in calls:  # what the installed script runs, here in process
         assert main(argv[1:]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].startswith("wrote 40 sequences") and rows[1] == "fold,metric,value"
-    assert rows[-1].startswith("mean,acc,")
+    (mean,) = [k for k, row in enumerate(rows) if row.startswith("mean,acc,")]
+    assert rows[mean + 1] == "id,score,decision" and len(rows) == mean + 2 + 40

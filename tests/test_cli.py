@@ -643,7 +643,7 @@ def test_negative_seed_exits_one(tmp_path, capsys, command):
     pytest.param(["--lambda", "20"], re.escape("reg_lambda * eta must be < 1, got 20.0 * 0.05"),
                  id="lambda"),
     pytest.param(["--eta", "1e308", "--lambda", "0"], (
-        r"training step \d+: overflow encountered in \w+ with eta=1e\+308, reg_lambda=0\.0"
+        r"training step \d+: overflow in a template score with eta=1e\+308, reg_lambda=0\.0"
     ), id="overflow"),
 ])
 def test_diverging_training_exits_one_without_a_numpy_warning(tmp_path, capsys, flags, message):

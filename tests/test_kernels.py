@@ -157,7 +157,7 @@ def test_one_frame_training_takes_an_overflowing_update_at_its_own_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LomoError, match=(
-            r"^training step 7: overflow encountered in multiply with eta=1e\+300, "
+            r"^training step 7: overflow in an update with eta=1e\+300, "
             r"reg_lambda=0\.0$"
         )):
             train_binary(data, 1, cfg(50))

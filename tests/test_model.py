@@ -14,8 +14,8 @@ from lomo.core import LomoError, generator
 from lomo.data import SynthSpec
 from lomo.model import (
     MAX_TEMPLATES,
+    ORDER_CODES,
     LomoModel,
-    PermTable,
     init_model,
     load_model,
     perm_index,
@@ -96,15 +96,27 @@ def test_perm_index_anchor_values():
     assert perm_index((1,)) == 1
 
 
-def test_perm_table_ranks_picks_by_their_argsort_order():
+def _order_code(picks):
+    """The comparison code that model.OrderCodes documents, built in Python."""
+    code = 0
+    for i in range(1, len(picks)):
+        for j in range(i):
+            code = 2 * code + (picks[i] < picks[j])
+    return code
+
+
+def test_order_codes_give_the_cost_index_of_every_order():
     rng = np.random.default_rng(3)
-    for m in range(1, 6):
-        table = PermTable()
-        for _ in range(300):
-            picks = rng.choice(60, size=m, replace=False) + 1
-            order = tuple(np.argsort(picks).tolist())
-            assert table[order] == perm_index(rank_pattern(picks))
-        assert len(table) <= math.factorial(m)
+    for m in range(1, MAX_TEMPLATES + 1):
+        if m <= 6:
+            orders = list(itertools.permutations(range(1, m + 1)))
+        else:
+            orders = [rng.permutation(m) + 1 for _ in range(300)]
+        for order in orders:
+            frames = np.sort(rng.choice(60, size=m, replace=False)) + 1
+            picks = frames[np.array(order) - 1].tolist()  # distinct, in the order `order`
+            assert ORDER_CODES[m][_order_code(picks)] == perm_index(rank_pattern(picks)) - 1
+        assert len(ORDER_CODES[m]) <= math.factorial(m)
 
 
 def test_perm_unrank_inverts_perm_index():

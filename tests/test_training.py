@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,19 +211,28 @@ def test_train_turns_an_overflowing_step_into_a_lomo_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LomoError, match=(
-            r"^training step 7: overflow encountered in dot with eta=1e\+300, reg_lambda=0\.0$"
+            r"^training step 7: overflow in a template score with eta=1e\+300, reg_lambda=0\.0$"
         )):
             train_binary(data, 1, cfg)
         assert train_binary(data, 1, TrainConfig(num_templates=1, eta=1e300, reg_lambda=0.0,
                                                  exclusion_t=0, max_iter=6, seed=0)).dim == 2
 
 
-@pytest.mark.parametrize("m, step", [(1, 7), (2, 3), (3, 2)])
-def test_train_names_the_overflowing_step_of_multi_frame_data(m, step):
+SCORE_OVERFLOW = [[1e5, 0.0], [0.0, 1.0], [2.0, 1e5]], [[0.0, 1e5], [1e5, 3.0], [1.0, 1.0]]
+UPDATE_OVERFLOW = [[1e10, 0.0], [0.0, 2.0], [1e10, 0.5]], [[0.0, 1.0], [0.25, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("frames, what, m, step", [
+    (SCORE_OVERFLOW, "a template score", 1, 7),
+    (SCORE_OVERFLOW, "a template score", 2, 3),
+    (SCORE_OVERFLOW, "a template score", 3, 2),
+    (UPDATE_OVERFLOW, "an update", 1, 17),
+    (UPDATE_OVERFLOW, "an update", 2, 13),
+])
+def test_train_names_the_overflowing_step_of_multi_frame_data(frames, what, m, step):
     # multi-frame data takes the general step, which scores all M templates
-    # with one stacked matmul
-    data = [_seq([[1e5, 0.0], [0.0, 1.0], [2.0, 1e5]], 1, "a"),
-            _seq([[0.0, 1e5], [1e5, 3.0], [1.0, 1.0]], -1, "b")]
+    # with one stacked matmul; the message names the value that overflowed
+    data = [_seq(frames[0], 1, "a"), _seq(frames[1], -1, "b")]
 
     def cfg(max_iter):
         return TrainConfig(num_templates=m, eta=1e300, reg_lambda=0.0, exclusion_t=0,
@@ -229,7 +241,7 @@ def test_train_names_the_overflowing_step_of_multi_frame_data(m, step):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LomoError, match=(
-            rf"^training step {step}: overflow encountered in matmul "
+            rf"^training step {step}: overflow in {what} "
             r"with eta=1e\+300, reg_lambda=0\.0$"
         )):
             train_binary(data, 1, cfg(50))
@@ -521,3 +533,17 @@ def test_train_ova_predictions_recover_the_classes():
     preds = [names[k] for k in scores.argmax(axis=0)]
     hits = sum(1 for (_, label), pred in zip(data, preds) if pred == label)
     assert hits >= int(0.9 * len(data))
+
+
+def test_train_timings_times_a_train(capsys):
+    script = Path(__file__).parents[1] / "tools" / "train_timings.py"
+    spec = importlib.util.spec_from_file_location("train_timings", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argv = ["--dim", "4", "--files", "20", "--frames", "20", "--exclusion-t", "2", "--runs", "2"]
+    assert tool.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "d=4 files=20 frames=20 templates=3 exclusion_t=2 runs=2"
+    figures = json.loads(lines[-1])
+    assert sorted(figures) == ["train_cpu"]
+    assert figures["train_cpu"]["median_ms"] > 0 and figures["train_cpu"]["iqr_ms"] >= 0
