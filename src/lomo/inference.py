@@ -158,9 +158,8 @@ def _assign(model: LomoModel, seqs, t: int, out: BatchAssignment, rows) -> None:
 
     Each pick is one matvec per template over the whole stack and a
     first-occurrence argmax per row, so each row equals the per-sequence
-    reference bit for bit. The pattern's index is looked up in
-    model.ORDER_CODES by the picks' comparison code, built with one `<` per
-    template pair over the whole block.
+    reference bit for bit. The patterns' indices come from
+    model.ORDER_CODES, one comparison code per row.
     A sequence whose d is not the model's is refused first. A numeric
     error's message names the first sequence whose own assignment fails.
     """
@@ -189,12 +188,7 @@ def _assign(model: LomoModel, seqs, t: int, out: BatchAssignment, rows) -> None:
             picks[:, i] = f
             scores[:, i] = row[batch, f]
             alive &= np.abs(position - f[:, None]) > t
-        codes = np.zeros(count, dtype=np.intp)
-        for i in range(1, m):
-            for j in range(i):
-                codes = 2 * codes + (picks[:, i] < picks[:, j])
-        table = ORDER_CODES[m]
-        index = np.array([table[code] for code in codes.tolist()], dtype=np.intp)
+        index = ORDER_CODES[m].indices(picks)
         cost = model.costs[index]
         out.total[rows] = scores.mean(axis=1) + cost
     out.chosen[rows] = picks + 1

@@ -152,6 +152,16 @@ class OrderCodes(dict):
         index = self[code] = perm_index(ranks) - 1
         return index
 
+    def indices(self, picks: np.ndarray) -> np.ndarray:
+        """The 0-based cost index of each row of an (n, M) array of distinct
+        picks: the rows' codes, built with one `<` per pick pair over the
+        whole array, looked up in this table."""
+        codes = np.zeros(len(picks), dtype=np.intp)
+        for i in range(1, self.m):
+            for j in range(i):
+                codes = 2 * codes + (picks[:, i] < picks[:, j])
+        return np.array([self[code] for code in codes.tolist()], dtype=np.intp)
+
 
 # The tables that training and scoring look orders up in, one per M: a
 # code's index never changes, so every model can share them.

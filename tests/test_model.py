@@ -96,15 +96,6 @@ def test_perm_index_anchor_values():
     assert perm_index((1,)) == 1
 
 
-def _order_code(picks):
-    """The comparison code that model.OrderCodes documents, built in Python."""
-    code = 0
-    for i in range(1, len(picks)):
-        for j in range(i):
-            code = 2 * code + (picks[i] < picks[j])
-    return code
-
-
 def test_order_codes_give_the_cost_index_of_every_order():
     rng = np.random.default_rng(3)
     for m in range(1, MAX_TEMPLATES + 1):
@@ -112,10 +103,13 @@ def test_order_codes_give_the_cost_index_of_every_order():
             orders = list(itertools.permutations(range(1, m + 1)))
         else:
             orders = [rng.permutation(m) + 1 for _ in range(300)]
+        picks = []
         for order in orders:
             frames = np.sort(rng.choice(60, size=m, replace=False)) + 1
-            picks = frames[np.array(order) - 1].tolist()  # distinct, in the order `order`
-            assert ORDER_CODES[m][_order_code(picks)] == perm_index(rank_pattern(picks)) - 1
+            picks.append(frames[np.array(order) - 1])  # distinct, in the order `order`
+        picks = np.array(picks)
+        want = [perm_index(rank_pattern(row.tolist())) - 1 for row in picks]
+        assert ORDER_CODES[m].indices(picks).tolist() == want
         assert len(ORDER_CODES[m]) <= math.factorial(m)
 
 

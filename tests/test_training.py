@@ -535,8 +535,9 @@ def test_train_ova_predictions_recover_the_classes():
     assert hits >= int(0.9 * len(data))
 
 
-def test_train_timings_times_a_train(capsys):
+def test_train_timings_times_a_train(capsys, monkeypatch):
     script = Path(__file__).parents[1] / "tools" / "train_timings.py"
+    monkeypatch.syspath_prepend(str(script.parent))  # as `python3 tools/train_timings.py` has it
     spec = importlib.util.spec_from_file_location("train_timings", script)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)

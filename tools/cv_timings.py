@@ -51,30 +51,35 @@ def cv_argv(manifest: Path, out: Path, pca_dim: int) -> list[str]:
             "--pca-dim", str(pca_dim), "--max-iter", "4000", "--out", str(out)]
 
 
-def _cv(argv: list[str], clock) -> float:
-    """Seconds of `clock` that one `lomo cv` takes; its stderr is dropped."""
+def run_cli(argv: list[str], clock) -> float:
+    """Seconds of `clock` that one `lomo` command takes; its stderr is dropped."""
     with contextlib.redirect_stderr(io.StringIO()) as err:
         start = clock()
         code = lomo.cli.main(argv)
         took = clock() - start
     if code != 0:
-        raise SystemExit(f"lomo cv exited {code}: {err.getvalue().strip()}")
+        raise SystemExit(f"lomo {argv[0]} exited {code}: {err.getvalue().strip()}")
     return took
+
+
+def write_set(work: Path, dim: int, files: int, frames: int, neg_mode: str, seed: int) -> Path:
+    """The manifest of a synthetic set written under `work`, half `pos` and half `neg`."""
+    spec = lomo.SynthSpec(dim=dim, num_frames=frames, num_pos=files - files // 2,
+                          num_neg=files // 2, neg_mode=neg_mode, seed=seed)
+    lomo.gen_synthetic(spec, work / "data")
+    return work / "data" / "manifest.csv"
 
 
 def time_cv(work: Path, dim: int, files: int, frames: int, pca_dim: int, runs: int,
             seed: int) -> dict:
     """{figure: [seconds per run]} for one synthetic set written under `work`."""
-    spec = lomo.SynthSpec(dim=dim, num_frames=frames, num_pos=files - files // 2,
-                          num_neg=files // 2, neg_mode="absent", seed=seed)
-    lomo.gen_synthetic(spec, work / "data")
-    argv = cv_argv(work / "data" / "manifest.csv", work / "cv.csv", pca_dim)
-    _cv(argv, time.perf_counter)  # fills the frame cache; first-use costs fall outside
+    argv = cv_argv(write_set(work, dim, files, frames, "absent", seed), work / "cv.csv", pca_dim)
+    run_cli(argv, time.perf_counter)  # fills the frame cache; first-use costs fall outside
     times: dict[str, list[float]] = {figure: [] for figure in FIGURES}
     for _ in range(runs):
         with mock.patch.object(lomo.core, "cpu_count", lambda: 1):
-            times["serial_cpu"].append(_cv(argv, time.process_time))
-        times["forked_wall"].append(_cv(argv, time.perf_counter))
+            times["serial_cpu"].append(run_cli(argv, time.process_time))
+        times["forked_wall"].append(run_cli(argv, time.perf_counter))
     return times
 
 

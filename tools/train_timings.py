@@ -16,56 +16,25 @@ machine moves less than wall time. Run it on one BLAS thread, as the
 benchmark does, or the CPU time counts the BLAS threads.
 
 It prints the median and interquartile range in milliseconds, then one JSON
-line with the same figures.
+line with the same figures. The set, the timed runner and the summary are
+tools/cv_timings.py's.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
-import lomo
-import lomo.cli
+from cv_timings import run_cli, summary, write_set
 
 
 def train_argv(manifest: Path, out: Path, templates: int, exclusion_t: int) -> list[str]:
     """The benchmark's train-order train command on `manifest`, writing `out`."""
     return ["train", "--manifest", str(manifest), "--out", str(out), "--positive-label", "pos",
             "--variant", "lomo", "--templates", str(templates), "--exclusion-t", str(exclusion_t)]
-
-
-def _train(argv: list[str], clock) -> float:
-    """Seconds of `clock` that one `lomo train` takes; its stderr is dropped."""
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        start = clock()
-        code = lomo.cli.main(argv)
-        took = clock() - start
-    if code != 0:
-        raise SystemExit(f"lomo train exited {code}: {err.getvalue().strip()}")
-    return took
-
-
-def time_train(work: Path, dim: int, files: int, frames: int, templates: int, exclusion_t: int,
-               runs: int, seed: int) -> list[float]:
-    """CPU seconds of each of `runs` trainings on one synthetic set written under `work`."""
-    spec = lomo.SynthSpec(dim=dim, num_frames=frames, num_pos=files - files // 2,
-                          num_neg=files // 2, neg_mode="shuffled", seed=seed)
-    lomo.gen_synthetic(spec, work / "data")
-    argv = train_argv(work / "data" / "manifest.csv", work / "model.lomo", templates, exclusion_t)
-    _train(argv, time.process_time)  # fills the frame cache; first-use costs fall outside
-    return [_train(argv, time.process_time) for _ in range(runs)]
-
-
-def summary(times: list[float]) -> dict:
-    q1, median, q3 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
-    return {"median_ms": round(float(median), 2), "iqr_ms": round(float(q3 - q1), 2)}
 
 
 def main(argv=None) -> int:
@@ -79,14 +48,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="lomo synth seed")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="train-timings-") as tmp:
-        times = time_train(Path(tmp), args.dim, args.files, args.frames, args.templates,
-                           args.exclusion_t, args.runs, args.seed)
-    result = {"train_cpu": summary(times)}
+        work = Path(tmp)
+        manifest = write_set(work, args.dim, args.files, args.frames, "shuffled", args.seed)
+        cmd = train_argv(manifest, work / "model.lomo", args.templates, args.exclusion_t)
+        run_cli(cmd, time.process_time)  # fills the frame cache; first-use costs fall outside
+        got = summary([run_cli(cmd, time.process_time) for _ in range(args.runs)])
     print(f"d={args.dim} files={args.files} frames={args.frames} templates={args.templates} "
           f"exclusion_t={args.exclusion_t} runs={args.runs}")
-    got = result["train_cpu"]
     print(f"  train_cpu  median {got['median_ms']:8.2f} ms  IQR {got['iqr_ms']:7.2f} ms")
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps({"train_cpu": got}, sort_keys=True))
     return 0
 
 
