@@ -206,9 +206,9 @@ def _cmd_cv(args) -> int:
         PreprocessConfig, PREPROCESS_FLAGS, args, pool=VARIANT_FLAGS[args.variant][1]
     )
     # The frames are this command's own, so l2 runs once, in place, and not
-    # in every fold; when a row's sum of squares overflows, nothing is
-    # written and the folds run l2, so the error names its fold.
-    if preprocess.l2 and _l2_in_place(manifest.sequences.values()):
+    # in every fold.
+    if preprocess.l2:
+        _l2_in_place(manifest.sequences.values())
         preprocess = replace(preprocess, l2=False)
     result = run_cv(
         manifest, folds, cfg,
@@ -302,6 +302,3 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -299,49 +299,36 @@ def make_folds(
 # preprocessing
 
 
-def _row_norms(frames: np.ndarray) -> np.ndarray:
-    """The divisor of each row of `frames` in _l2_rows: its l2 norm, or 1.0
-    when that is <= 1e-12.
-
-    The batched matmul takes each row's sum of squares with the same BLAS
-    dot product as np.linalg.norm of that row, so the bits match it; einsum
-    and norm(axis=1) sum in another order and do not.
-    """
-    norms = np.sqrt(np.matmul(frames[:, None, :], frames[:, :, None]))[:, 0, 0]
-    norms[norms <= 1e-12] = 1.0
-    return norms
-
-
 def _l2_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each row divided by its l2 norm; rows with norm <= 1e-12 are kept.
 
     The result goes to `out`, a new array when it is None; out=frames
     normalises in place. A kept row is divided by 1.0, which leaves its
-    bits as they are.
+    bits as they are. The batched matmul takes each row's sum of squares
+    with the same BLAS dot product as np.linalg.norm of that row, so the
+    bits match it; einsum and norm(axis=1) sum in another order and do not.
     """
-    return np.divide(frames, _row_norms(frames)[:, None], out=out)
+    norms = np.sqrt(np.matmul(frames[:, None, :], frames[:, :, None]))[:, 0, 0]
+    norms[norms <= 1e-12] = 1.0
+    return np.divide(frames, norms[:, None], out=out)
 
 
-def _l2_in_place(seqs) -> bool:
-    """l2-normalise the frames of `seqs` in place, each distinct array once;
-    False, with nothing written, when a row's sum of squares overflows.
+def _l2_in_place(seqs) -> None:
+    """l2-normalise the frames of `seqs` in place, each distinct array once,
+    by _l2_rows: a row gets the bits of any other _l2_rows pass over it.
 
-    Every array's divisors are taken first (_row_norms, under
-    core.float_errors), then each array is divided by its own. A row gets
-    the bits that any _l2_rows pass over it gives, so the callers' later
-    steps run on the frames they would have normalised themselves. Only a
-    caller that owns the arrays may call this: `lomo cv` on the manifest it
-    has just parsed.
+    A row whose sum of squares overflows raises LomoError "sequence <id>:
+    overflow encountered in matmul while preprocessing", and the arrays
+    before it stay normalised. Only a caller that owns the arrays may call
+    this: `lomo cv` on the manifest it has just parsed, which then runs its
+    folds with l2 off.
     """
-    arrays = list({id(seq.frames): seq.frames for seq in seqs}.values())
-    try:
-        with float_errors(str):
-            divisors = [_row_norms(frames) for frames in arrays]
-    except LomoError:
-        return False
-    for frames, norms in zip(arrays, divisors):
-        np.divide(frames, norms[:, None], out=frames)
-    return True
+    distinct = {}  # the first sequence of each array, which names its error
+    for seq in seqs:
+        distinct.setdefault(id(seq.frames), seq)
+    for seq in distinct.values():
+        with float_errors(lambda err: f"sequence {seq.name}: {err} while preprocessing"):
+            _l2_rows(seq.frames, out=seq.frames)
 
 
 def _merge_moments(into, part):

@@ -134,16 +134,11 @@ def assign_batch(model: LomoModel, seqs, exclusion_t: int) -> BatchAssignment:
     """Greedy assignments of sequences of any lengths, rows in input order,
     each pick removing `exclusion_t` frames on each side: the arguments are
     checked once, then _assign runs on each block of shape_blocks, at most
-    BLOCK_VALUES frame values. No sequences, no rows."""
+    BLOCK_VALUES frame values. No sequences, no rows. Every scoring path,
+    a cv fold's test split included, comes through here."""
     require_instance("model", model, LomoModel)
     t = require_int("exclusion_t", exclusion_t, minimum=0)
-    return _assign_all(model, require_items("seqs", seqs, FrameSequence), t)
-
-
-def _assign_all(model: LomoModel, seqs: list, t: int) -> BatchAssignment:
-    """assign_batch of checked arguments: a LomoModel, a list of
-    FrameSequences and an int t >= 0. A cv fold scores its test split,
-    checked by run_cv, through this."""
+    seqs = require_items("seqs", seqs, FrameSequence)
     count, m = len(seqs), model.num_templates
     out = BatchAssignment(np.zeros((count, m), np.intp), np.zeros((count, m)),
                           np.zeros(count, np.intp), np.zeros(count), np.zeros(count))

@@ -327,12 +327,6 @@ def train_binary(data, positive_label, cfg: TrainConfig) -> LomoModel:
     """
     seqs, labels = _examples(data)
     require_instance("cfg", cfg, TrainConfig)
-    return _train_binary(seqs, labels, positive_label, cfg)
-
-
-def _train_binary(seqs, labels, positive_label, cfg: TrainConfig) -> LomoModel:
-    """train_binary of FrameSequences `seqs` with class `labels`, checked by
-    the caller, and a checked cfg."""
     check_positive_label(positive_label, sorted_classes("class labels", labels))
     return _train(seqs, binary_targets(labels, positive_label), cfg)
 
@@ -348,12 +342,6 @@ def train_ova(data, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
     """
     require_instance("cfg", cfg, TrainConfig)
     seqs, labels = _examples(data)
-    return _train_ova(seqs, labels, cfg, classes)
-
-
-def _train_ova(seqs, labels, cfg: TrainConfig, classes=None) -> dict[str, LomoModel]:
-    """train_ova of FrameSequences `seqs` with class `labels`, checked by
-    the caller, and a checked cfg."""
     present = sorted_classes("class labels", labels)
     classes = present if classes is None else sorted_classes("classes", classes)
     if len(classes) < 2:

@@ -1,7 +1,7 @@
 """The CI workflow runs the tier-1 suite with the command ROADMAP.md gives, on
 one BLAS thread, a pinned numpy and under a job time limit, after printing
 numpy's BLAS core and running the installed console script, which runs an
-l2 cv, a train and a predict end to end."""
+l2 cv, a train and a predict end to end, and `python -m lomo --help`."""
 
 from __future__ import annotations
 
@@ -76,6 +76,8 @@ def test_ci_runs_the_installed_console_script_before_the_tests():
     (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
     listed = re.search(r"^for command in ([\w ]+); do$", runs[script], re.M).group(1)
     assert sorted(listed.split()) == sorted(commands)
+    # the one -m entry point, run where it is installed
+    assert "\npython -m lomo --help\n" in runs[script]
 
 
 def test_ci_runs_a_cv_a_train_and_a_predict_through_the_installed_console_script(

@@ -6,7 +6,9 @@ import argparse
 import math
 import os
 import re
+import runpy
 import shutil
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -59,6 +61,15 @@ def _train(tmp_path, data_dir, name="model.lomo", extra=()):
     ]
     assert main(argv) == 0
     return out
+
+
+def test_python_dash_m_lomo_runs_the_cli(monkeypatch, capsys):
+    # the one -m entry point, lomo/__main__.py
+    monkeypatch.setattr(sys, "argv", ["lomo", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("lomo", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lomo [-h] {synth,train,predict,cv,report}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +509,10 @@ def test_run_cv_with_l2_leaves_the_callers_frames_as_they_are(tmp_path, monkeypa
     assert {i: seq.frames.tobytes() for i, seq in manifest.sequences.items()} == before
 
 
-@pytest.mark.parametrize("extra, error", [
-    ([], "error: fold 0: sequence r2: overflow encountered in matmul while preprocessing"),
-    (["--pca-dim", "2"], "error: fold 0: PCA fit: overflow encountered in matmul"),
-])
-def test_cv_l2_with_an_overflowing_sum_of_squares_fails_as_the_folds_always_did(
-        tmp_path, capsys, monkeypatch, extra, error):
-    # the folds normalise and report the overflow; nothing was written before them
+@pytest.mark.parametrize("extra", [[], ["--pca-dim", "2"]])
+def test_cv_l2_with_an_overflowing_sum_of_squares_fails_before_its_folds(
+        tmp_path, capsys, monkeypatch, extra):
+    # the command's own l2 pass, before any fold, names the sequence
     rng = np.random.default_rng(12)
     lines = ["id,label,group,path"]
     for k in range(8):
@@ -516,16 +524,10 @@ def test_cv_l2_with_an_overflowing_sum_of_squares_fails_as_the_folds_always_did(
     (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = ["cv", "--manifest", str(tmp_path / "manifest.csv"), "--scheme", "logo",
             "--positive-label", "pos", "--l2", *TRAIN_FAST, *extra]
-    written = []
-    l2_in_place = cli._l2_in_place
-    monkeypatch.setattr(cli, "_l2_in_place", lambda seqs: written.append(l2_in_place(seqs)))
+    monkeypatch.setattr(cli, "run_cv", lambda *args, **kwargs: pytest.fail("a fold ran"))
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert written == [False]
-    assert err.splitlines()[1:] == [error]
-    monkeypatch.setattr(cli, "_l2_in_place", lambda seqs: False)  # the folds' own l2 only
-    assert main(argv) == 1
-    assert capsys.readouterr().err == err
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "error: sequence r2: overflow encountered in matmul while preprocessing"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ import pytest
 
 import lomo.core
 import lomo.evaluation
-import lomo.inference
-import lomo.training
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -407,30 +405,6 @@ def test_serial_run_cv_checks_only_the_manifests_sequences(tmp_path, monkeypatch
     assert counts == {"FrameSequence": len(manifest.records)}
 
 
-@pytest.mark.parametrize("positive_label", ["pos", None])
-def test_a_cv_fold_does_not_check_its_splits_again(tmp_path, monkeypatch, positive_label):
-    # run_cv checked every fold id; training takes the fold's sequences and
-    # labels, and scoring its test split, without the public entry checks
-    _synthetic_manifest(tmp_path, num_pos=6, num_neg=6)
-    path = tmp_path / "data" / "manifest.csv"
-    if positive_label is None:  # three classes: one-vs-all
-        text = path.read_text(encoding="utf-8").replace(",neg,", ",mid,", 3)
-        path.write_text(text, encoding="utf-8")
-    manifest = parse_manifest(path)
-    monkeypatch.setattr(lomo.core, "cpu_count", lambda: 1)
-    checked = Counter()
-    for module, name in ((lomo.training, "require_pairs"), (lomo.inference, "require_items")):
-        def counted(*args, _check=getattr(module, name), _name=name):
-            checked[_name] += 1
-            return _check(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    folds = make_folds(manifest, "logo", seed=0)
-    result = run_cv(manifest, folds, _fast_cfg(variant="mil"), "acc", positive_label,
-                    PreprocessConfig(pool="max"))
-    assert len(result.fold_values) == len(folds) and checked == {}
-
-
 @pytest.mark.parametrize("name", sorted(CHOICE_FIELDS))
 def test_choice_fields_take_any_case_and_refuse_other_values(name, small_manifest):
     choices, call = CHOICE_FIELDS[name]
@@ -730,8 +704,7 @@ def _multiclass_manifest(tmp_path):
 
 def _fixed_ova(monkeypatch, models):
     """Make every fold's one-vs-all training return `models`."""
-    monkeypatch.setattr(lomo.evaluation, "_train_ova",
-                        lambda seqs, labels, cfg, classes=None: models)
+    monkeypatch.setattr(lomo.evaluation, "train_ova", lambda data, cfg, classes=None: models)
 
 
 def test_run_cv_multiclass_predicts_the_class_that_scores_highest(tmp_path, monkeypatch):

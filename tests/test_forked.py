@@ -11,6 +11,7 @@ the forked path runs on a one-CPU machine too.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 from collections import Counter
@@ -221,6 +222,41 @@ def test_closing_forked_map_early_kills_and_reaps_busy_children(cpus):
     results.close()
     assert time.perf_counter() - start < 10
     assert_no_children()
+
+
+def test_a_failed_fork_kills_and_reaps_the_children_forked_before_it(cpus, monkeypatch):
+    cpus(3)
+    fork, waitpid = os.fork, os.waitpid
+    forked, reaped = [], []
+
+    def failing_second_fork():
+        if forked:
+            raise OSError("no second fork")
+        forked.append(fork())
+        return forked[-1]
+
+    def recorded(pid, options):
+        reaped.append(waitpid(pid, options))
+        return reaped[-1]
+
+    monkeypatch.setattr(os, "fork", failing_second_fork)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="^no second fork$"):
+        list(forked_map(lambda k: time.sleep(60), range(3)))  # the child sleeps in item 1
+    assert sorted(os.listdir("/proc/self/fd")) == fds  # both ends of both pipes closed
+    ((pid, status),) = reaped
+    assert forked == [pid]
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert_no_children()
+
+
+def test_cpu_count_falls_back_to_every_cpu_without_an_affinity_mask(monkeypatch):
+    assert lomo.core.cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, want in ((6, 6), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert lomo.core.cpu_count() == want
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +514,7 @@ def test_cv_l2_overflow_exits_one_forked_and_serial(tmp_path, cpus, capsys):
     argv = ["cv", "--manifest", str(path), "--scheme", "logo", "--variant", "svm-max", "--l2",
             "--positive-label", "pos"]
     assert _cv_error_line(argv, cpus, capsys) == (
-        "error: fold 0: sequence r0: overflow encountered in matmul while preprocessing"
+        "error: sequence r0: overflow encountered in matmul while preprocessing"
     )
 
 

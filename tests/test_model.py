@@ -186,6 +186,9 @@ def test_model_properties_and_equality():
     other = LomoModel(m.templates.copy(), m.costs.copy())
     other.costs[0] = 9.0
     assert m != other
+    # another type is left to its own __eq__, so a model equals no other value
+    assert m.__eq__("m") is NotImplemented
+    assert m != "m" and m != m.templates.tolist()
 
 
 def test_init_model_is_small_uniform_and_seeded():
